@@ -28,6 +28,11 @@ def _load_documents(path):
     docs = list(load_corpus(path))
     if not docs:
         raise ValueError(f"no usable documents in {path}")
+    seen = set()
+    for doc in docs:
+        if doc.id in seen:
+            raise ValueError(f"duplicate document id {doc.id!r} in {path}")
+        seen.add(doc.id)
     return docs
 
 

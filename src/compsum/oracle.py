@@ -4,6 +4,16 @@ A beam search over sentence subsets maximizes the approximate overlap score
 of the selected sentences against the reference; the final beam supplies
 the training oracles. Each compression option then gets a context-free
 KEEP/DEL label by re-scoring the sentence with just that option deleted.
+
+Scores are computed from counts (rouge.ReferenceGrams). A document's
+reference is preprocessed once; a subset's score comes from its sentences'
+unigrams and bigrams that occur in the reference, so no candidate is
+re-tokenized or re-counted. A subset is scored as its sentences joined in
+document order, so a bigram that crosses a sentence boundary counts: the
+last token of one selected sentence and the first token of the next,
+passing over sentences that preprocessing leaves empty. A label scores the
+sentence's per-token preprocessing with the option's span cut out. Every
+score is the float approx_score_pretokenized gives on the joined tokens.
 """
 
 import enum
@@ -16,7 +26,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document
-from .rouge import ORACLE_PREPROCESS, PreprocessConfig, approx_score_pretokenized, preprocess_tokens
+from .rouge import (
+    ORACLE_PREPROCESS,
+    PreprocessConfig,
+    ReferenceGrams,
+    SharedGrams,
+    oracle_preprocess,
+    preprocess_per_token,
+    preprocess_tokens,
+)
 from .rules import CompressionOption, extract_options, normalize_options
 from .treebank import SentenceTree
 
@@ -83,20 +101,18 @@ def bucket_of(labeled: LabeledOption) -> CompressabilityBucket:
     return CompressabilityBucket.STRONG_POSITIVE
 
 
-def _prepare(doc: Document, cfg_n: int, reference: Sequence[str],
-             preprocess: PreprocessConfig):
-    n = min(cfg_n, len(doc.sentences))
-    sent_pre = [preprocess_tokens(tree.token_texts, preprocess)
-                for tree in doc.sentences[:n]]
-    ref_pre = preprocess_tokens(reference, preprocess)
-    return n, sent_pre, ref_pre
+def _reference_grams(reference: Sequence[str] | ReferenceGrams,
+                     preprocess: PreprocessConfig) -> ReferenceGrams:
+    if isinstance(reference, ReferenceGrams):
+        return reference
+    return ReferenceGrams(preprocess_tokens(reference, oracle_preprocess(preprocess)))
 
 
-def _subset_score(indices: Sequence[int], sent_pre, ref_pre) -> float:
-    tokens: list[str] = []
-    for i in indices:
-        tokens.extend(sent_pre[i])
-    return approx_score_pretokenized(tokens, ref_pre)
+def _sentence_grams(doc: Document, max_sents: int, grams: ReferenceGrams,
+                    preprocess: PreprocessConfig) -> list[SharedGrams]:
+    effective = oracle_preprocess(preprocess)
+    return [grams.shared(preprocess_tokens(tree.token_texts, effective))
+            for tree in doc.sentences[:max_sents]]
 
 
 def _salience_order(indices: Iterable[int], individual: Sequence[float]) -> tuple[int, ...]:
@@ -105,7 +121,7 @@ def _salience_order(indices: Iterable[int], individual: Sequence[float]) -> tupl
 
 def beam_search_oracle(
     doc: Document,
-    reference: Sequence[str],
+    reference: Sequence[str] | ReferenceGrams,
     cfg: OracleConfig,
     preprocess: PreprocessConfig = ORACLE_PREPROCESS,
 ) -> list[OracleCandidate]:
@@ -114,15 +130,16 @@ def beam_search_oracle(
     Each of k rounds extends every beam state with every unused sentence
     among the first max_sents, scores the concatenation, and keeps the top
     beam_width states. Ties prefer the lexicographically smaller index set.
+    `reference` is the reference's tokens, or their ReferenceGrams already
+    preprocessed with `preprocess`.
     """
-    effective = PreprocessConfig(
-        lowercase=preprocess.lowercase, remove_stopwords=True, stem=True,
-        stopword_list=preprocess.stopword_list)
-    n, sent_pre, ref_pre = _prepare(doc, cfg.max_sents, reference, effective)
+    grams = _reference_grams(reference, preprocess)
+    sents = _sentence_grams(doc, cfg.max_sents, grams, preprocess)
+    n = len(sents)
     if n < cfg.k:
         raise ValueError(
             f"document {doc.id!r} has {n} scoreable sentences but k={cfg.k}")
-    individual = [_subset_score((i,), sent_pre, ref_pre) for i in range(n)]
+    individual = [grams.score_joined([sent]) for sent in sents]
     beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     for _ in range(cfg.k):
         seen: set[tuple[int, ...]] = set()
@@ -136,7 +153,7 @@ def beam_search_oracle(
                 if extended in seen:
                     continue
                 seen.add(extended)
-                scored.append((extended, _subset_score(extended, sent_pre, ref_pre)))
+                scored.append((extended, grams.score_joined([sents[j] for j in extended])))
         scored.sort(key=lambda item: (-item[1], item[0]))
         beam = scored[:cfg.beam_width]
     return [OracleCandidate(_salience_order(indices, individual), score)
@@ -151,10 +168,9 @@ def exhaustive_oracle(
     preprocess: PreprocessConfig = ORACLE_PREPROCESS,
 ) -> OracleCandidate:
     """True argmax over all k-subsets; guards against combinatorial blowup."""
-    effective = PreprocessConfig(
-        lowercase=preprocess.lowercase, remove_stopwords=True, stem=True,
-        stopword_list=preprocess.stopword_list)
-    n, sent_pre, ref_pre = _prepare(doc, max_sents, reference, effective)
+    grams = _reference_grams(reference, preprocess)
+    sents = _sentence_grams(doc, max_sents, grams, preprocess)
+    n = len(sents)
     if n < k:
         raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={k}")
     total = math.comb(n, k)
@@ -162,11 +178,11 @@ def exhaustive_oracle(
         raise ValueError(
             f"C({n},{k}) = {total} subsets exceeds the exhaustive-search guard "
             f"of {_EXHAUSTIVE_GUARD}")
-    individual = [_subset_score((i,), sent_pre, ref_pre) for i in range(n)]
+    individual = [grams.score_joined([sent]) for sent in sents]
     best: tuple[int, ...] | None = None
     best_score = -1.0
     for indices in combinations(range(n), k):
-        score = _subset_score(indices, sent_pre, ref_pre)
+        score = grams.score_joined([sents[i] for i in indices])
         if score > best_score:
             best, best_score = indices, score
     assert best is not None
@@ -176,23 +192,22 @@ def exhaustive_oracle(
 def label_compressions(
     sentence: SentenceTree,
     options: Sequence[CompressionOption],
-    reference: Sequence[str],
+    reference: Sequence[str] | ReferenceGrams,
     cfg: PreprocessConfig = ORACLE_PREPROCESS,
 ) -> list[LabeledOption]:
     """Context-free KEEP/DEL labels: DEL iff deleting the option alone helps.
 
     Every option is scored independently with all other options untouched.
+    `reference` is the reference's tokens, or their ReferenceGrams already
+    preprocessed with `cfg`.
     """
-    effective = PreprocessConfig(
-        lowercase=cfg.lowercase, remove_stopwords=True, stem=True,
-        stopword_list=cfg.stopword_list)
-    texts = sentence.token_texts
-    ref_pre = preprocess_tokens(reference, effective)
-    r_before = approx_score_pretokenized(preprocess_tokens(texts, effective), ref_pre)
+    grams = _reference_grams(reference, cfg)
+    per_token = preprocess_per_token(sentence.token_texts, oracle_preprocess(cfg))
+    r_before = grams.score_tokens([tok for tok in per_token if tok is not None])
     labeled = []
     for option in options:
-        survivors = list(texts[:option.span.start]) + list(texts[option.span.end:])
-        r_after = approx_score_pretokenized(preprocess_tokens(survivors, effective), ref_pre)
+        survivors = per_token[:option.span.start] + per_token[option.span.end:]
+        r_after = grams.score_tokens([tok for tok in survivors if tok is not None])
         label = CompressionLabel.DEL if r_after > r_before else CompressionLabel.KEEP
         labeled.append(LabeledOption(option, r_before, r_after, label))
     return labeled
@@ -239,13 +254,13 @@ def build_document_oracles(
 ) -> DocumentOracles:
     if not doc.reference:
         raise ValueError(f"document {doc.id!r} has no reference summary")
-    reference = doc.reference_tokens
-    beam = beam_search_oracle(doc, reference, cfg, preprocess)
+    grams = _reference_grams(doc.reference_tokens, preprocess)
+    beam = beam_search_oracle(doc, grams, cfg, preprocess)
     candidates = tuple(select_training_oracles(beam, cfg.m))
     labels = []
     for tree in doc.sentences:
         options = normalize_options(extract_options(tree), len(tree.tokens))
-        labels.append(tuple(label_compressions(tree, options, reference, preprocess)))
+        labels.append(tuple(label_compressions(tree, options, grams, preprocess)))
     return DocumentOracles(doc_id=doc.id, candidates=candidates, labels=tuple(labels))
 
 
@@ -283,7 +298,7 @@ def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentO
 
     Options are re-extracted from the parse trees and joined to the cached
     labels by (span, rule); any mismatch means the cache does not belong to
-    this corpus and is an error.
+    this corpus and is an error. Every error names the file and line.
     """
     path = Path(path)
     entries = []
@@ -291,36 +306,49 @@ def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentO
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            doc_id = record["doc_id"]
-            if doc_id not in documents:
-                raise ValueError(f"line {lineno}: document {doc_id!r} not in corpus")
-            doc = documents[doc_id]
-            if len(record["labels"]) != len(doc.sentences):
-                raise ValueError(
-                    f"document {doc_id!r}: cache has {len(record['labels'])} sentences, "
-                    f"corpus has {len(doc.sentences)}")
-            candidates = tuple(
-                OracleCandidate(tuple(entry["indices"]), float(entry["score"]))
-                for entry in record["oracles"])
-            labels = []
-            for sent_index, cached in enumerate(record["labels"]):
-                tree = doc.sentences[sent_index]
-                options = normalize_options(extract_options(tree), len(tree.tokens))
-                by_key = {(opt.span.start, opt.span.end, opt.rule.value): opt
-                          for opt in options}
-                sent_labels = []
-                for item in cached:
-                    key = (item["start"], item["end"], item["rule"])
-                    if key not in by_key:
-                        raise ValueError(
-                            f"document {doc_id!r} sentence {sent_index}: cached option "
-                            f"{key} not produced by the rules; stale cache?")
-                    sent_labels.append(LabeledOption(
-                        option=by_key[key],
-                        r_before=float(item["r_before"]),
-                        r_after=float(item["r_after"]),
-                        label=CompressionLabel(item["label"])))
-                labels.append(tuple(sent_labels))
-            entries.append(DocumentOracles(doc_id, candidates, tuple(labels)))
+            try:
+                entries.append(_entry_from_record(json.loads(line), documents))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
+                                 f"at column {exc.colno}") from exc
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return entries
+
+
+def _entry_from_record(record, documents: Mapping[str, Document]) -> DocumentOracles:
+    if not isinstance(record, dict):
+        raise ValueError("record is not a JSON object")
+    doc_id = record["doc_id"]
+    if doc_id not in documents:
+        raise ValueError(f"document {doc_id!r} not in corpus")
+    doc = documents[doc_id]
+    if len(record["labels"]) != len(doc.sentences):
+        raise ValueError(
+            f"document {doc_id!r}: cache has {len(record['labels'])} sentences, "
+            f"corpus has {len(doc.sentences)}")
+    candidates = tuple(
+        OracleCandidate(tuple(entry["indices"]), float(entry["score"]))
+        for entry in record["oracles"])
+    labels = []
+    for sent_index, cached in enumerate(record["labels"]):
+        tree = doc.sentences[sent_index]
+        options = normalize_options(extract_options(tree), len(tree.tokens))
+        by_key = {(opt.span.start, opt.span.end, opt.rule.value): opt
+                  for opt in options}
+        sent_labels = []
+        for item in cached:
+            key = (item["start"], item["end"], item["rule"])
+            if key not in by_key:
+                raise ValueError(
+                    f"document {doc_id!r} sentence {sent_index}: cached option "
+                    f"{key} not produced by the rules; stale cache?")
+            sent_labels.append(LabeledOption(
+                option=by_key[key],
+                r_before=float(item["r_before"]),
+                r_after=float(item["r_after"]),
+                label=CompressionLabel(item["label"])))
+        labels.append(tuple(sent_labels))
+    return DocumentOracles(doc_id, candidates, tuple(labels))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Document
 from .features import DocumentContext, advance_state, featurize_option, initial_state
-from .model import Model, classify_option, load_model, save_model, score_remaining  # noqa: F401
+from .model import Model, classify_option, score_remaining
 from .oracle import CompressionLabel, DocumentOracles
 from .rouge import PreprocessConfig, RougeScore, is_punctuation, preprocess_tokens, rouge_l, rouge_n
 from .rules import CompressionOption, RuleId, extract_options, normalize_options

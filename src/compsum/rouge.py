@@ -7,7 +7,7 @@ functions themselves stay pure.
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .stemming import stem
 
@@ -60,17 +60,32 @@ class PreprocessConfig:
 ORACLE_PREPROCESS = PreprocessConfig(lowercase=True, remove_stopwords=True, stem=True)
 
 
+def oracle_preprocess(cfg: PreprocessConfig) -> PreprocessConfig:
+    """cfg with stopword removal and stemming forced on, as the oracle score uses it."""
+    return replace(cfg, remove_stopwords=True, stem=True)
+
+
+def preprocess_per_token(tokens: Sequence[str], cfg: PreprocessConfig) -> list[str | None]:
+    """Each token's preprocessed form, or None where preprocessing drops it.
+
+    Every step acts on one token alone, so the list keeps token positions:
+    deleting a span from it and then dropping the Nones gives the same tokens
+    as preprocessing the shortened sentence.
+    """
+    out: list[str | None] = []
+    for tok in tokens:
+        if cfg.lowercase:
+            tok = tok.lower()
+        if cfg.remove_stopwords and (tok in cfg.stopword_list or is_punctuation(tok)):
+            out.append(None)
+        else:
+            out.append(stem(tok) if cfg.stem else tok)
+    return out
+
+
 def preprocess_tokens(tokens: Sequence[str], cfg: PreprocessConfig) -> list[str]:
     """Lowercase, drop stopwords (and pure punctuation), then stem, in that order."""
-    out = list(tokens)
-    if cfg.lowercase:
-        out = [tok.lower() for tok in out]
-    if cfg.remove_stopwords:
-        out = [tok for tok in out
-               if tok not in cfg.stopword_list and not is_punctuation(tok)]
-    if cfg.stem:
-        out = [stem(tok) for tok in out]
-    return out
+    return [tok for tok in preprocess_per_token(tokens, cfg) if tok is not None]
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -139,7 +154,7 @@ def approx_oracle_score(
     The stopword/stem flags are forced on (the list and lowercasing come
     from cfg); this is the cheap stand-in for full ROUGE during search.
     """
-    effective = replace(cfg, remove_stopwords=True, stem=True)
+    effective = oracle_preprocess(cfg)
     cand = preprocess_tokens(candidate, effective)
     ref = preprocess_tokens(reference, effective)
     return approx_score_pretokenized(cand, ref)
@@ -149,3 +164,66 @@ def approx_score_pretokenized(candidate: Sequence[str], reference: Sequence[str]
     """approx_oracle_score for inputs that are already preprocessed."""
     refs = [reference]
     return 0.5 * (rouge_n(candidate, refs, 1).f1 + rouge_n(candidate, refs, 2).f1)
+
+
+def _clipped_f1(counts: Counter, ref_counts: Counter, cand_total: int, ref_total: int) -> float:
+    """rouge_n's F1 against one reference, from the candidate's n-gram counts."""
+    if cand_total <= 0 or ref_total <= 0:
+        return 0.0
+    # the sum over grams of min(count, reference count)
+    matches = sum(map(min, counts.values(), map(ref_counts.__getitem__, counts)))
+    return _f1(matches / cand_total, matches / ref_total)
+
+
+class SharedGrams(NamedTuple):
+    """Preprocessed tokens with, in order, their unigrams and bigrams that occur in a reference."""
+
+    tokens: tuple[str, ...]
+    unigrams: list[str]
+    bigrams: list[tuple[str, str]]
+
+
+class ReferenceGrams:
+    """approx_score_pretokenized against one fixed reference, computed from counts.
+
+    A candidate needs only its length and the unigrams and bigrams it shares
+    with the reference: other grams never match. Token lists joined end to
+    end share the grams each list shares plus, at each join, the bigram of
+    the last token before it and the first token after it. The match counts
+    and totals are the integers rouge_n computes and go through the same
+    _f1, so every score is the same float as approx_score_pretokenized's on
+    the joined tokens.
+    """
+
+    def __init__(self, reference: Sequence[str]):
+        self.unigrams = Counter(reference)
+        self.bigrams = Counter(zip(reference, reference[1:]))
+        self.length = len(reference)
+
+    def shared(self, tokens: Sequence[str]) -> SharedGrams:
+        tokens = tuple(tokens)
+        return SharedGrams(
+            tokens,
+            [tok for tok in tokens if tok in self.unigrams],
+            [pair for pair in zip(tokens, tokens[1:]) if pair in self.bigrams])
+
+    def score_joined(self, parts: Iterable[SharedGrams]) -> float:
+        """Score of the parts' tokens joined in order; empty parts add no join."""
+        unigrams: list[str] = []
+        bigrams: list[tuple[str, str]] = []
+        length = 0
+        last = None
+        for part in parts:
+            if not part.tokens:
+                continue
+            unigrams += part.unigrams
+            bigrams += part.bigrams
+            if last is not None:
+                bigrams.append((last, part.tokens[0]))
+            last = part.tokens[-1]
+            length += len(part.tokens)
+        return 0.5 * (_clipped_f1(Counter(unigrams), self.unigrams, length, self.length)
+                      + _clipped_f1(Counter(bigrams), self.bigrams, length - 1, self.length - 1))
+
+    def score_tokens(self, tokens: Sequence[str]) -> float:
+        return self.score_joined([self.shared(tokens)])

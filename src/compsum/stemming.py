@@ -1,8 +1,11 @@
 """Porter suffix-stripping stemmer (original 1980 algorithm).
 
 Deterministic, dependency-free. Output is lowercase; words of length one
-or two are returned unchanged apart from lowercasing.
+or two are returned unchanged apart from lowercasing. Results are memoized:
+a corpus repeats a small vocabulary many times over.
 """
+
+from functools import lru_cache
 
 _VOWELS = "aeiou"
 
@@ -71,6 +74,7 @@ def _longest_match(word: str, suffixes) -> str | None:
     return best
 
 
+@lru_cache(maxsize=65536)
 def stem(word: str) -> str:
     word = word.lower()
     if len(word) <= 2:

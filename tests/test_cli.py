@@ -1,11 +1,14 @@
 """End-to-end command-line workflow on a small generated corpus."""
 
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import corpusgen
+from compsum import Document
 from compsum.cli import main
 from compsum.corpus import write_corpus
 from compsum.model import load_model
@@ -129,3 +132,57 @@ def test_bad_tau_grid_is_error(corpus_path, tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv"), "--tau-grid", "bogus"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+def _golden_corpus():
+    """Rule fixtures, learnable documents, random flat documents, and one
+    document whose stopword-only sentence leaves a bigram bridging a gap."""
+    rng = np.random.default_rng(2019)
+    docs = corpusgen.fixture_corpus()
+    docs += corpusgen.learnable_corpus(count=6, seed=5)[0]
+    docs += [corpusgen.random_flat_doc(rng, f"flat{i}", 6) for i in range(6)]
+    flat = corpusgen.flat_tree
+    docs.append(Document(
+        id="empty-sentences",
+        sentences=(flat(["it", "was", "the", "end"]), flat(["w1", "w2"]),
+                   flat([",", "of", "."]), flat(["w2", "w3"])),
+        reference=(("w1", "w2", "w2", "w3"),)))
+    return docs
+
+
+# SHA-256 of the oracle cache written for _golden_corpus() by the subset
+# scorer that re-counted n-grams of every joined candidate. The count-based
+# scorer must reproduce it byte for byte.
+GOLDEN_ORACLES_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7bba64a71a"
+
+
+def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
+    corpus = tmp_path / "golden.jsonl"
+    oracles = tmp_path / "oracles.jsonl"
+    write_corpus(corpus, _golden_corpus())
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
+                 "--k", "2"]) == 0
+    assert hashlib.sha256(oracles.read_bytes()).hexdigest() == GOLDEN_ORACLES_SHA256
+
+
+def test_train_on_corrupted_cache_names_file_and_line(corpus_path, tmp_path, capsys):
+    oracles = tmp_path / "oracles.jsonl"
+    main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(oracles), "--k", "2"])
+    lines = oracles.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3][:40]
+    oracles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["train", "--corpus", str(corpus_path), "--oracles", str(oracles),
+                 "--out", str(tmp_path / "model.json")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"].startswith(f"{oracles}:4: malformed JSON")
+
+
+def test_duplicate_document_id_is_error(tmp_path, capsys):
+    docs = corpusgen.fixture_corpus()
+    corpus = tmp_path / "dup.jsonl"
+    write_corpus(corpus, docs + [docs[1]])
+    code = main(["stats", "--corpus", str(corpus), "--out", str(tmp_path / "stats.csv")])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "duplicate document id 'fix-relative'" in payload["error"]

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpusgen
 from compsum import Document, parse_ptb
@@ -114,6 +115,45 @@ class TestBeamSearch:
         beam = beam_search_oracle(doc, doc.reference_tokens,
                                   OracleConfig(k=1, max_sents=6))
         assert 6 not in beam[0].sentence_indices
+
+
+# Raw words, some of them dropped by preprocessing, so that whole sentences
+# can be empty after it and bigrams can bridge the gap they leave.
+_words = st.sampled_from(["storm", "storms", "coast", "reached", "the", "of", ",", "."])
+
+
+class TestScoresFromCounts:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_words, min_size=1, max_size=5), min_size=3, max_size=6),
+           st.lists(_words, min_size=1, max_size=8), st.integers(1, 3))
+    def test_subset_scores_equal_fresh_scores(self, sentences, reference, k):
+        doc = Document(id="h", sentences=tuple(corpusgen.flat_tree(s) for s in sentences),
+                       reference=(tuple(reference),))
+
+        def fresh(indices):
+            return approx_oracle_score(
+                [tok for i in sorted(indices) for tok in sentences[i]], reference)
+
+        for cand in beam_search_oracle(doc, reference, OracleConfig(k=k, m=1)):
+            assert cand.score == fresh(cand.sentence_indices)
+        best = exhaustive_oracle(doc, reference, k)
+        assert best.score == max(fresh(c) for c in combinations(range(len(sentences)), k))
+
+    def test_labels_equal_fresh_scores(self):
+        docs = corpusgen.fixture_corpus() + corpusgen.learnable_corpus(count=10, seed=3)[0]
+        checked = 0
+        for doc in docs:
+            reference = doc.reference_tokens
+            oracles = build_document_oracles(doc, OracleConfig(k=1, m=1))
+            for tree, labeled in zip(doc.sentences, oracles.labels):
+                texts = list(tree.token_texts)
+                for lab in labeled:
+                    span = lab.option.span
+                    assert lab.r_before == approx_oracle_score(texts, reference)
+                    assert lab.r_after == approx_oracle_score(
+                        texts[:span.start] + texts[span.end:], reference)
+                    checked += 1
+        assert checked > 100
 
 
 class TestExhaustive:
@@ -332,6 +372,20 @@ class TestCache:
         write_oracle_cache(path, [entry])
         with pytest.raises(ValueError, match="not in corpus"):
             read_oracle_cache(path, {})
+
+    @pytest.mark.parametrize("line, message", [
+        ("{not json\n", r"bad\.jsonl:2: malformed JSON"),
+        ('{"oracles": [], "labels": []}\n', r"bad\.jsonl:2: missing key 'doc_id'"),
+        ('["a list"]\n', r"bad\.jsonl:2: record is not a JSON object"),
+    ])
+    def test_bad_line_is_located(self, tmp_path, line, message):
+        doc = corpusgen.fixture_corpus()[0]
+        path = tmp_path / "bad.jsonl"
+        write_oracle_cache(path, [build_document_oracles(doc, OracleConfig(k=1, m=1))])
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(line)
+        with pytest.raises(ValueError, match=message):
+            read_oracle_cache(path, {doc.id: doc})
 
     def test_reference_required(self):
         doc = Document(id="noref", sentences=(corpusgen.flat_tree(["a", "b"]),))

@@ -12,7 +12,11 @@ from compsum.rouge import (
     DEFAULT_STOPWORDS,
     ORACLE_PREPROCESS,
     PreprocessConfig,
+    ReferenceGrams,
     approx_oracle_score,
+    approx_score_pretokenized,
+    oracle_preprocess,
+    preprocess_per_token,
     preprocess_tokens,
     rouge_l,
     rouge_n,
@@ -214,3 +218,51 @@ class TestApproxScore:
             cand = list(rng.choice(vocab, size=rng.integers(0, 6)))
             ref = list(rng.choice(vocab, size=rng.integers(1, 6)))
             assert 0.0 <= approx_oracle_score(cand, ref) <= 1.0
+
+
+class TestPreprocessPerToken:
+    def test_worked_example(self):
+        assert preprocess_per_token(["The", "cats", ",", "ran"], ORACLE_PREPROCESS) == [
+            None, "cat", None, "ran"]
+
+    def test_oracle_preprocess_forces_flags_keeps_the_rest(self):
+        cfg = PreprocessConfig(lowercase=False, stopword_list=frozenset({"qq"}))
+        forced = oracle_preprocess(cfg)
+        assert (forced.remove_stopwords, forced.stem) == (True, True)
+        assert (forced.lowercase, forced.stopword_list) == (False, frozenset({"qq"}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["The", "cats", "of", ",", "ran", "Ran", "running", "."]),
+                    max_size=10),
+           st.integers(0, 10), st.integers(0, 10))
+    def test_cutting_a_span_commutes_with_preprocessing(self, tokens, a, b):
+        start, end = sorted((min(a, len(tokens)), min(b, len(tokens))))
+        per_token = preprocess_per_token(tokens, ORACLE_PREPROCESS)
+        cut = [tok for tok in per_token[:start] + per_token[end:] if tok is not None]
+        assert cut == preprocess_tokens(tokens[:start] + tokens[end:], ORACLE_PREPROCESS)
+
+
+# Few token types, so that grams repeat, exceed their reference counts and
+# bridge the joins between parts.
+_parts = st.lists(st.lists(st.sampled_from("abcd"), max_size=5), max_size=4)
+
+
+class TestReferenceGrams:
+    @settings(max_examples=400, deadline=None)
+    @given(_parts, st.lists(st.sampled_from("abcde"), max_size=8))
+    def test_joined_score_is_bit_identical(self, parts, reference):
+        grams = ReferenceGrams(reference)
+        joined = [tok for part in parts for tok in part]
+        expected = approx_score_pretokenized(joined, reference)
+        assert grams.score_joined([grams.shared(part) for part in parts]) == expected
+        assert grams.score_tokens(joined) == expected
+
+    def test_bigram_across_an_empty_part_counts(self):
+        grams = ReferenceGrams(["a", "b"])
+        parts = [grams.shared(["a"]), grams.shared([]), grams.shared(["b"])]
+        assert grams.score_joined(parts) == 1.0
+
+    def test_repeated_gram_is_clipped(self):
+        grams = ReferenceGrams(["a", "a", "b"])
+        parts = [grams.shared(["a", "a"]), grams.shared(["a", "a"])]
+        assert grams.score_joined(parts) == approx_score_pretokenized(["a"] * 4, ["a", "a", "b"])
