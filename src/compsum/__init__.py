@@ -53,6 +53,8 @@ from .pipeline import (
     apply_threshold,
     dedup_summary,
     evaluate_corpus,
+    render,
+    score_document,
     stats_report,
     summarize,
     sweep_threshold,

@@ -138,11 +138,23 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _extraction_forward(params: dict, decoder_input: np.ndarray, sent_feats: np.ndarray):
+    """Tanh activations (r, H) and raw pointer scores (r,) for each row of sent_feats."""
+    pre = sent_feats @ params["w_h"].T + (params["w_d"] @ decoder_input + params["b_s"])
+    act = np.tanh(pre)
+    return act, act @ params["w_m"]
+
+
+def _compression_forward(params: dict, option_feats: np.ndarray):
+    """Tanh hidden layer (c, H) and deletion logits (c,) for each row of option_feats."""
+    hidden = np.tanh(option_feats @ params["w1"].T + params["b1"])
+    return hidden, hidden @ params["w2"] + params["b2"][0]
+
+
 def extraction_scores(params: dict, decoder_input: np.ndarray,
                       sent_feats: np.ndarray) -> np.ndarray:
     """Raw pointer scores for each row of sent_feats."""
-    pre = sent_feats @ params["w_h"].T + (params["w_d"] @ decoder_input + params["b_s"])
-    return np.tanh(pre) @ params["w_m"]
+    return _extraction_forward(params, decoder_input, sent_feats)[1]
 
 
 def score_remaining(
@@ -167,28 +179,38 @@ def score_remaining(
     return probs
 
 
-def decode_greedy(model: Model, doc: Document, k: int, max_sents: int = 30) -> list[int]:
-    """Greedy argmax decoding for k sentences; ties pick the lower index."""
-    ctx = DocumentContext(doc)
-    n = min(max_sents, len(doc.sentences))
+def greedy_steps(model: Model, ctx: DocumentContext, k: int):
+    """Greedy argmax decoding for k sentences; ties pick the lower index.
+
+    Only the first max_sents sentences are scoreable, where max_sents is the
+    value the model was trained with (30 for a model without a train_config).
+    Yields (pick, state) per step, state being the decoder state the pick
+    was scored in.
+    """
+    max_sents = 30 if model.train_config is None else model.train_config["max_sents"]
+    n = min(max_sents, len(ctx.doc.sentences))
     if n < k:
-        raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={k}")
+        raise ValueError(f"document {ctx.doc.id!r} has {n} scoreable sentences but k={k}")
     state = initial_state(k)
     selected: list[int] = []
     for _ in range(k):
         probs = score_remaining(model, state, ctx.document_features,
                                 ctx.sentence_features[:n], selected)
         pick = int(np.argmax(probs))
+        yield pick, state
         selected.append(pick)
         state = advance_state(ctx, state, pick)
-    return selected
+
+
+def decode_greedy(model: Model, doc: Document, k: int) -> list[int]:
+    """Greedy argmax decoding for k sentences; ties pick the lower index."""
+    return [pick for pick, _ in greedy_steps(model, DocumentContext(doc), k)]
 
 
 def classify_option(model: Model, feats: np.ndarray) -> float:
     """Deletion probability of one compression option."""
-    p = model.params
-    hidden = np.tanh(p["w1"] @ feats + p["b1"])
-    return float(_sigmoid(hidden @ p["w2"] + p["b2"][0]))
+    _, z = _compression_forward(model.params, feats[None, :])
+    return float(_sigmoid(z[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +272,12 @@ def compile_example(example: TrainingExample, max_sents: int = 30) -> CompiledEx
         used: list[int] = []
         for target in oracle.sentence_indices:
             if target >= n:
-                raise ValueError(
-                    f"document {doc.id!r}: oracle index {target} >= {n} scoreable sentences")
+                message = f"document {doc.id!r}: oracle index {target} >= {n} scoreable sentences"
+                if target < len(doc.sentences):
+                    message += (f"; training reads at most max_sents={max_sents} sentences, but "
+                                f"the oracle cache was built with a larger --max-sents: rebuild "
+                                f"it with oracle build --max-sents {max_sents}")
+                raise ValueError(message)
             remaining = np.array([i for i in range(n) if i not in used], dtype=np.int64)
             target_pos = int(np.nonzero(remaining == target)[0][0])
             sent_labels = example.labels[target] if target < len(example.labels) else ()
@@ -290,12 +316,11 @@ def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float,
     sent_nll = compiled.sent_feats.dtype.type(0.0)
     comp_nll = compiled.sent_feats.dtype.type(0.0)
     for step in compiled.steps:
-        scores = extraction_scores(params, step.decoder_input,
-                                   compiled.sent_feats[step.remaining])
+        _, scores = _extraction_forward(params, step.decoder_input,
+                                        compiled.sent_feats[step.remaining])
         sent_nll += _logsumexp(scores) - scores[step.target_pos]
         if step.option_feats.shape[0]:
-            hidden = np.tanh(step.option_feats @ params["w1"].T + params["b1"])
-            z = hidden @ params["w2"] + params["b2"][0]
+            _, z = _compression_forward(params, step.option_feats)
             y = step.option_targets
             weights = np.where(y == 1.0, pos_weight, 1.0)
             comp_nll += (weights * (np.logaddexp(0.0, z) - y * z)).sum()
@@ -310,9 +335,7 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
     inv_m = 1.0 / compiled.oracle_count
     for step in compiled.steps:
         feats = compiled.sent_feats[step.remaining]
-        pre = feats @ params["w_h"].T + (params["w_d"] @ step.decoder_input + params["b_s"])
-        act = np.tanh(pre)                              # (r, H)
-        scores = act @ params["w_m"]                    # (r,)
+        act, scores = _extraction_forward(params, step.decoder_input, feats)
         logz = _logsumexp(scores)
         sent_nll += logz - scores[step.target_pos]
         dz = np.exp(scores - logz)
@@ -325,9 +348,7 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
         grads["w_d"] += np.outer(dact.sum(axis=0), step.decoder_input)
 
         if step.option_feats.shape[0]:
-            hidden_pre = step.option_feats @ params["w1"].T + params["b1"]
-            hidden = np.tanh(hidden_pre)                # (c, H)
-            z = hidden @ params["w2"] + params["b2"][0]
+            hidden, z = _compression_forward(params, step.option_feats)
             y = step.option_targets
             weights = np.where(y == 1.0, pos_weight, 1.0)
             comp_nll += float((weights * (np.logaddexp(0.0, z) - y * z)).sum())

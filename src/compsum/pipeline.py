@@ -1,9 +1,15 @@
 """Summary assembly, heuristic deduplication, evaluation, sweeps, reports.
 
-summarize() runs greedy sentence selection, classifies each selected
-sentence's compression options against the deletion threshold, then
-optionally applies unigram-coverage deduplication. Everything here is a
-pure function of (model, document, config).
+Summarizing is two steps. score_document() runs greedy sentence selection
+once and computes each selected sentence's compression options and their
+deletion probabilities; none of that depends on the threshold tau.
+render() then deletes the options whose probability clears the threshold
+and optionally applies unigram-coverage deduplication. summarize() is
+render(score_document(...)); evaluate_corpus() and sweep_threshold() score
+each document with a reference once, and the sweep renders it at every
+tau. Decoding reads max_sents, the number of leading sentences that can be
+selected, from the model's training config. Everything here is a pure
+function of (model, document, config).
 """
 
 import csv
@@ -15,8 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Document
-from .features import DocumentContext, advance_state, featurize_option, initial_state
-from .model import Model, classify_option, score_remaining
+from .features import DocumentContext, featurize_option
+from .model import Model, classify_option, greedy_steps
 from .oracle import CompressionLabel, DocumentOracles
 from .rouge import PreprocessConfig, RougeScore, is_punctuation, preprocess_tokens, rouge_l, rouge_n
 from .rules import CompressionOption, RuleId, extract_options, normalize_options
@@ -80,37 +86,54 @@ def _render_text(doc: Document, selected: Sequence[int],
         for i in sorted(selected))
 
 
-def summarize(model: Model, doc: Document, cfg: SummarizeConfig,
-              max_sents: int = 30) -> Summary:
-    """Greedy extraction, threshold-gated compression, optional deduplication."""
+@dataclass(frozen=True)
+class ScoredSentence:
+    index: int
+    options: tuple[CompressionOption, ...]   # normalized, in extraction order
+    p_del: tuple[float, ...]                 # one per option
+
+
+@dataclass(frozen=True)
+class ScoredDocument:
+    doc: Document
+    sentences: tuple[ScoredSentence, ...]    # decode order
+
+
+def score_document(model: Model, doc: Document, k: int) -> ScoredDocument:
+    """Greedy extraction of k sentences and the deletion probability of each
+    selected sentence's options; nothing here depends on tau."""
     ctx = DocumentContext(doc)
-    n = min(max_sents, len(doc.sentences))
-    if n < cfg.k:
-        raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={cfg.k}")
-    state = initial_state(cfg.k)
-    selected: list[int] = []
-    deletions: list[AppliedDeletion] = []
-    options_by_sentence: dict[int, list[CompressionOption]] = {}
-    for _ in range(cfg.k):
-        probs = score_remaining(model, state, ctx.document_features,
-                                ctx.sentence_features[:n], selected)
-        pick = int(np.argmax(probs))
+    sentences = []
+    for pick, state in greedy_steps(model, ctx, k):
         tree = doc.sentences[pick]
-        options = normalize_options(extract_options(tree), len(tree.tokens))
-        options_by_sentence[pick] = options
-        for option in options:
-            p_del = classify_option(model, featurize_option(ctx, pick, option, state))
-            if apply_threshold(p_del, cfg.tau) is CompressionLabel.DEL:
-                deletions.append(AppliedDeletion(
-                    pick, option.span, CAUSE_MODEL, option.rule, option.node_label))
-        selected.append(pick)
-        state = advance_state(ctx, state, pick)
+        options = tuple(normalize_options(extract_options(tree), len(tree.tokens)))
+        p_del = tuple(classify_option(model, featurize_option(ctx, pick, option, state))
+                      for option in options)
+        sentences.append(ScoredSentence(pick, options, p_del))
+    return ScoredDocument(doc, tuple(sentences))
+
+
+def render(scored: ScoredDocument, tau: float, dedup: bool) -> Summary:
+    """Threshold-gated compression of a scored document, optional deduplication."""
+    doc = scored.doc
+    selected = tuple(sent.index for sent in scored.sentences)
+    deletions = [
+        AppliedDeletion(sent.index, option.span, CAUSE_MODEL, option.rule, option.node_label)
+        for sent in scored.sentences
+        for option, p_del in zip(sent.options, sent.p_del)
+        if apply_threshold(p_del, tau) is CompressionLabel.DEL]
     summary = Summary(
-        doc_id=doc.id, selected=tuple(selected), deletions=tuple(deletions),
+        doc_id=doc.id, selected=selected, deletions=tuple(deletions),
         text=_render_text(doc, selected, deletions))
-    if cfg.dedup:
-        summary = dedup_summary(doc, summary, options_by_sentence)
+    if dedup:
+        summary = dedup_summary(doc, summary,
+                                {sent.index: sent.options for sent in scored.sentences})
     return summary
+
+
+def summarize(model: Model, doc: Document, cfg: SummarizeConfig) -> Summary:
+    """Greedy extraction, threshold-gated compression, optional deduplication."""
+    return render(score_document(model, doc, cfg.k), cfg.tau, cfg.dedup)
 
 
 def dedup_summary(doc: Document, summary: Summary,
@@ -200,27 +223,36 @@ def score_summary(summary: Summary, doc: Document,
         rouge_l=rouge_l(candidate, reference))
 
 
-def evaluate_corpus(model: Model, corpus: Sequence[Document], cfg: SummarizeConfig,
-                    preprocess: PreprocessConfig = EVAL_PREPROCESS,
-                    max_sents: int = 30) -> EvaluationResult:
-    """Per-document ROUGE rows plus component-wise corpus means."""
-    rows = []
-    skipped = 0
+def _score_referenced(model: Model, corpus: Sequence[Document],
+                      k: int) -> tuple[list[ScoredDocument], int]:
+    """Score every document that has a reference; returns them and the skip count."""
+    scored = []
     for doc in corpus:
-        if not doc.reference:
+        if doc.reference:
+            scored.append(score_document(model, doc, k))
+        else:
             logger.warning("document %s has no reference; skipped", doc.id)
-            skipped += 1
-            continue
-        summary = summarize(model, doc, cfg, max_sents)
-        rows.append(score_summary(summary, doc, preprocess))
+    skipped = len(corpus) - len(scored)
     if skipped:
         logger.warning("%d document(s) skipped for missing references", skipped)
+    return scored, skipped
+
+
+def _evaluation(rows: Sequence[EvaluationRow], skipped: int) -> EvaluationResult:
     return EvaluationResult(
         rows=tuple(rows),
         mean1=_mean_scores([r.rouge1 for r in rows]),
         mean2=_mean_scores([r.rouge2 for r in rows]),
         mean_l=_mean_scores([r.rouge_l for r in rows]),
         skipped=skipped)
+
+
+def evaluate_corpus(model: Model, corpus: Sequence[Document], cfg: SummarizeConfig,
+                    preprocess: PreprocessConfig = EVAL_PREPROCESS) -> EvaluationResult:
+    """Per-document ROUGE rows plus component-wise corpus means."""
+    scored, skipped = _score_referenced(model, corpus, cfg.k)
+    rows = [score_summary(render(s, cfg.tau, cfg.dedup), s.doc, preprocess) for s in scored]
+    return _evaluation(rows, skipped)
 
 
 @dataclass(frozen=True)
@@ -235,32 +267,24 @@ class SweepPoint:
 
 def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence[float],
                     cfg: SummarizeConfig = SummarizeConfig(),
-                    preprocess: PreprocessConfig = EVAL_PREPROCESS,
-                    max_sents: int = 30) -> list[SweepPoint]:
+                    preprocess: PreprocessConfig = EVAL_PREPROCESS) -> list[SweepPoint]:
     """Evaluate each threshold; reports averaged F1 and the token-level
-    compression ratio (summary tokens after deletions / before)."""
+    compression ratio (summary tokens after deletions / before). Each
+    document is scored once and rendered at every tau."""
+    for tau in tau_grid:
+        SummarizeConfig(k=cfg.k, tau=tau, dedup=cfg.dedup)  # rejects a bad tau up front
+    scored, skipped = _score_referenced(model, corpus, cfg.k)
+    tokens_before = sum(len(s.doc.sentences[sent.index].tokens)
+                        for s in scored for sent in s.sentences)
     points = []
     for tau in tau_grid:
-        run_cfg = SummarizeConfig(k=cfg.k, tau=tau, dedup=cfg.dedup)
-        scores1, scores2, scores_l = [], [], []
-        tokens_before = 0
-        tokens_after = 0
-        for doc in corpus:
-            if not doc.reference:
-                continue
-            summary = summarize(model, doc, run_cfg, max_sents)
-            row = score_summary(summary, doc, preprocess)
-            scores1.append(row.rouge1.f1)
-            scores2.append(row.rouge2.f1)
-            scores_l.append(row.rouge_l.f1)
-            tokens_before += sum(len(doc.sentences[i].tokens) for i in summary.selected)
-            tokens_after += sum(len(sent) for sent in summary.text)
-        f1_1 = float(np.mean(scores1)) if scores1 else 0.0
-        f1_2 = float(np.mean(scores2)) if scores2 else 0.0
-        f1_l = float(np.mean(scores_l)) if scores_l else 0.0
+        summaries = [render(s, tau, cfg.dedup) for s in scored]
+        result = _evaluation([score_summary(summary, s.doc, preprocess)
+                              for summary, s in zip(summaries, scored)], skipped)
+        tokens_after = sum(len(sent) for summary in summaries for sent in summary.text)
         ratio = tokens_after / tokens_before if tokens_before else 0.0
-        points.append(SweepPoint(tau, f1_1, f1_2, f1_l,
-                                 (f1_1 + f1_2 + f1_l) / 3.0, ratio))
+        f1_1, f1_2, f1_l = result.mean1.f1, result.mean2.f1, result.mean_l.f1
+        points.append(SweepPoint(tau, f1_1, f1_2, f1_l, (f1_1 + f1_2 + f1_l) / 3.0, ratio))
     return points
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +156,18 @@ def _golden_corpus():
 GOLDEN_ORACLES_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7bba64a71a"
 
 
+# SHA-256 of what train, summarize, evaluate --json and sweep write for
+# _golden_corpus() with default flags and k=2, computed when summarize,
+# evaluate and sweep re-ran the model for every tau. Scoring each document
+# once and rendering it per tau must reproduce them byte for byte.
+GOLDEN_OUTPUTS_SHA256 = {
+    "model.json": "4fc8763bf11fedc5917da8e917458e03a0fd7de4d66eee3c36307c581a7ee2ec",
+    "summaries.jsonl": "56303d0932777e402ec222024d070e772ffa56979e0bd9790af2c44265d439c6",
+    "evaluation.json": "215e9a057088a8b89c5ca19724d6818fc7c82cc3ea9bd7e0666f20fa55d81345",
+    "sweep.csv": "116094869e8bdff7fc9f295bdc52b8f1d9676aec49e7ab18c3f664b154c5fd20",
+}
+
+
 def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
     corpus = tmp_path / "golden.jsonl"
     oracles = tmp_path / "oracles.jsonl"
@@ -162,6 +175,23 @@ def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
                  "--k", "2"]) == 0
     assert hashlib.sha256(oracles.read_bytes()).hexdigest() == GOLDEN_ORACLES_SHA256
+
+
+def test_model_and_outputs_bytes_are_pinned(tmp_path, capsys):
+    corpus = str(tmp_path / "golden.jsonl")
+    oracles = str(tmp_path / "oracles.jsonl")
+    out = {name: str(tmp_path / name) for name in GOLDEN_OUTPUTS_SHA256}
+    write_corpus(corpus, _golden_corpus())
+    data = ["--corpus", corpus, "--model", out["model.json"], "--k", "2"]
+    assert main(["oracle", "build", "--corpus", corpus, "--out", oracles, "--k", "2"]) == 0
+    assert main(["train", "--corpus", corpus, "--oracles", oracles,
+                 "--out", out["model.json"]]) == 0
+    assert main(["summarize", *data, "--out", out["summaries.jsonl"]]) == 0
+    assert main(["evaluate", *data, "--json", out["evaluation.json"]]) == 0
+    assert main(["sweep", *data, "--out", out["sweep.csv"]]) == 0
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in out.items()}
+    assert digests == GOLDEN_OUTPUTS_SHA256
 
 
 def test_train_on_corrupted_cache_names_file_and_line(corpus_path, tmp_path, capsys):
@@ -186,3 +216,24 @@ def test_duplicate_document_id_is_error(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "duplicate document id 'fix-relative'" in payload["error"]
+
+
+def test_oracles_beyond_train_max_sents_name_both_limits(tmp_path, capsys):
+    # the reference copies sentence 40, so an oracle cache built with
+    # --max-sents 45 picks a sentence that training cannot score
+    flat = corpusgen.flat_tree
+    sentences = tuple(flat([f"s{i}w{j}" for j in range(4)]) for i in range(45))
+    doc = Document(id="b0", sentences=sentences, reference=(sentences[40].token_texts,))
+    corpus = tmp_path / "long.jsonl"
+    oracles = tmp_path / "oracles.jsonl"
+    write_corpus(corpus, [doc])
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
+                 "--k", "1", "--max-sents", "45"]) == 0
+    commands = (["train", "--out", str(tmp_path / "model.json")], ["gradcheck"])
+    for command in commands:
+        capsys.readouterr()
+        assert main([*command, "--corpus", str(corpus), "--oracles", str(oracles)]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert "oracle index 40 >= 30 scoreable sentences" in error
+        assert "max_sents=30" in error
+        assert "larger --max-sents" in error

@@ -26,7 +26,9 @@ from compsum.model import (
     save_model,
     score_remaining,
     train,
+    _as_longdouble,
     _loss_and_grads_compiled,
+    _loss_compiled,
 )
 from compsum.oracle import OracleConfig, build_document_oracles
 
@@ -254,6 +256,35 @@ class TestGradientCheck:
             {k: v.copy() for k, v in model.params.items()}, compiled, 1.0)
         grads["w_m"] = grads["w_m"] + 0.05
         assert gradient_check(model, example, grads=grads) > 1e-2
+
+
+    def test_weighted_loss_gradients_match_central_differences(self):
+        # gradient_check always uses positive_class_weight 1, so the weighted
+        # gradient is checked here against extended-precision differences
+        example = make_examples(1, seed=44)[0]
+        model = init_model(hidden_size=8, seed=2)
+        compiled = compile_example(example)
+        assert any(step.option_targets.any() for step in compiled.steps)
+        _, grads = _loss_and_grads_compiled(
+            {k: v.copy() for k, v in model.params.items()}, compiled, 1.0, pos_weight=3.0)
+        wide = {k: v.astype(np.longdouble) for k, v in model.params.items()}
+        wide_compiled = _as_longdouble(compiled)
+        step = np.longdouble(1e-5)
+        worst = 0.0
+        for name, values in wide.items():
+            flat = values.ravel()
+            for idx in range(flat.size):
+                original = flat[idx]
+                flat[idx] = original + step
+                upper = _loss_compiled(wide, wide_compiled, 1.0, pos_weight=3.0)
+                flat[idx] = original - step
+                lower = _loss_compiled(wide, wide_compiled, 1.0, pos_weight=3.0)
+                flat[idx] = original
+                numeric = float((upper - lower) / (2 * step))
+                analytic = grads[name].ravel()[idx]
+                worst = max(worst, abs(analytic - numeric)
+                            / max(1e-8, abs(analytic) + abs(numeric)))
+        assert worst < 1e-4
 
 
 class TestTrain:

@@ -9,7 +9,7 @@ import pytest
 import corpusgen
 from compsum import Document, parse_ptb
 from compsum.corpus import document_to_record, load_corpus, write_corpus
-from compsum.model import TrainConfig, TrainingExample, init_model, train
+from compsum.model import TrainConfig, TrainingExample, decode_greedy, init_model, train
 from compsum.oracle import CompressionLabel, OracleConfig, build_document_oracles
 from compsum.pipeline import (
     CAUSE_DEDUP,
@@ -20,6 +20,8 @@ from compsum.pipeline import (
     apply_threshold,
     dedup_summary,
     evaluate_corpus,
+    render,
+    score_document,
     score_summary,
     stats_report,
     summarize,
@@ -319,6 +321,58 @@ class TestSweep:
         point = points[0]
         assert point.mean_f1 == pytest.approx(
             (point.rouge1_f1 + point.rouge2_f1 + point.rouge_l_f1) / 3.0)
+
+
+    def test_points_equal_evaluate_at_each_tau(self, caplog):
+        model, docs = trained_model()
+        corpus = [docs[0], Document(id="noref", sentences=docs[1].sentences), *docs[2:6]]
+        grid = [0.0, 0.3, 0.45, 0.6, 0.9, 1.0]
+        for dedup in (False, True):
+            with caplog.at_level(logging.WARNING):
+                points = sweep_threshold(model, corpus, grid,
+                                         SummarizeConfig(k=2, tau=0.0, dedup=dedup))
+            for tau, point in zip(grid, points):
+                result = evaluate_corpus(model, corpus,
+                                         SummarizeConfig(k=2, tau=tau, dedup=dedup))
+                assert result.skipped == 1 and len(result.rows) == 5
+                assert point.rouge1_f1 == result.mean1.f1
+                assert point.rouge2_f1 == result.mean2.f1
+                assert point.rouge_l_f1 == result.mean_l.f1
+
+    def test_bad_tau_rejected_before_scoring(self, monkeypatch):
+        import compsum.pipeline as pipeline_mod
+
+        def fail(*args):
+            raise AssertionError("scored a document")
+
+        monkeypatch.setattr(pipeline_mod, "score_document", fail)
+        model, docs = trained_model()
+        with pytest.raises(ValueError, match="tau"):
+            sweep_threshold(model, docs[:2], [0.2, 1.5], SummarizeConfig(k=2))
+
+
+class TestScoreOnceRenderMany:
+    def test_summarize_is_render_of_scored_document(self):
+        model, docs = trained_model()
+        for doc in docs[:6]:
+            scored = score_document(model, doc, 2)
+            assert [s.index for s in scored.sentences] == decode_greedy(model, doc, 2)
+            for tau in (0.0, 0.45, 1.0):
+                for dedup in (False, True):
+                    assert render(scored, tau, dedup) == summarize(
+                        model, doc, SummarizeConfig(k=2, tau=tau, dedup=dedup))
+
+    def test_max_sents_is_read_from_the_model(self):
+        model = init_model(seed=0)
+        doc = corpusgen.learnable_corpus(count=1, seed=3)[0][0]
+        n = len(doc.sentences)
+        model.train_config = {"max_sents": n - 1}
+        scored = score_document(model, doc, n - 1)
+        assert sorted(s.index for s in scored.sentences) == list(range(n - 1))
+        with pytest.raises(ValueError, match=f"{n - 1} scoreable sentences but k={n}"):
+            summarize(model, doc, SummarizeConfig(k=n))
+        model.train_config = None
+        assert len(score_document(model, doc, n).sentences) == n
 
 
 class TestStats:

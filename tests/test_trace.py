@@ -1,0 +1,43 @@
+"""The benchmark's span tracer (perfbench/spans.py) still fits the library.
+
+`spans.install` wraps compsum's public functions by name and fails if one is
+missing or still bound unwrapped somewhere, so renaming or dropping a traced
+function breaks the benchmark's per-layer run. It runs in a child
+interpreter because it patches the imported modules in place.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_SUMMARIZE = """
+import json, sys
+sys.path[:0] = sys.argv[1:4]
+import spans
+import compsum.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+import corpusgen
+from compsum.model import init_model
+from compsum.pipeline import SummarizeConfig, summarize
+doc = corpusgen.learnable_corpus(count=1, seed=3)[0][0]
+summary = summarize(init_model(seed=0), doc, SummarizeConfig(k=2))
+print(json.dumps({"calls": tracer.calls, "selected": summary.selected}))
+"""
+
+
+def test_spans_install_and_trace_each_decode_step():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SUMMARIZE,
+         str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    calls = result["calls"]
+    assert calls["pipeline.summarize"] == 1
+    assert calls["model.score"] == 2
+    assert calls["model.classify"] == calls["features.option"] > 0
+    assert calls["rules.extract"] == len(result["selected"])
