@@ -17,9 +17,9 @@ from . import model as model_mod
 from . import oracle as oracle_mod
 from . import pipeline
 from .corpus import load_corpus
-from .oracle import OracleConfig
+from .oracle import DEFAULT_MAX_SENTS, OracleConfig
 from .pipeline import SummarizeConfig
-from .rules import extract_options, normalize_options, option_record
+from .rules import extract_options, option_record
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +57,8 @@ def cmd_options_extract(args) -> int:
     with Path(args.out).open("w", encoding="utf-8") as handle:
         for doc in docs:
             for i, tree in enumerate(doc.sentences):
-                options = normalize_options(extract_options(tree), len(tree.tokens))
-                handle.write(json.dumps(option_record(doc.id, i, options)) + "\n")
+                record = option_record(doc.id, i, extract_options(tree))
+                handle.write(json.dumps(record) + "\n")
                 count += 1
     print(f"wrote options for {count} sentences to {args.out}")
     return 0
@@ -204,7 +204,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_build.add_argument("--out")
     p_build.add_argument("--k", type=int, default=3)
     p_build.add_argument("--beam", type=int, default=8)
-    p_build.add_argument("--max-sents", type=int, default=30)
+    p_build.add_argument("--max-sents", type=int, default=DEFAULT_MAX_SENTS)
     p_build.add_argument("--m", type=int, default=5)
     leaves.append(p_build)
     p_build.set_defaults(func=cmd_oracle_build, required_args=("corpus", "out"))

@@ -27,7 +27,7 @@ from .features import (
     featurize_option,
     initial_state,
 )
-from .oracle import CompressionLabel, LabeledOption, OracleCandidate
+from .oracle import DEFAULT_MAX_SENTS, CompressionLabel, LabeledOption, OracleCandidate
 
 logger = logging.getLogger(__name__)
 
@@ -183,11 +183,12 @@ def greedy_steps(model: Model, ctx: DocumentContext, k: int):
     """Greedy argmax decoding for k sentences; ties pick the lower index.
 
     Only the first max_sents sentences are scoreable, where max_sents is the
-    value the model was trained with (30 for a model without a train_config).
+    value the model was trained with (DEFAULT_MAX_SENTS without a train_config).
     Yields (pick, state) per step, state being the decoder state the pick
     was scored in.
     """
-    max_sents = 30 if model.train_config is None else model.train_config["max_sents"]
+    max_sents = (DEFAULT_MAX_SENTS if model.train_config is None
+                 else model.train_config["max_sents"])
     n = min(max_sents, len(ctx.doc.sentences))
     if n < k:
         raise ValueError(f"document {ctx.doc.id!r} has {n} scoreable sentences but k={k}")
@@ -236,7 +237,7 @@ class TrainConfig:
     hidden_size: int = DEFAULT_HIDDEN_SIZE
     oracles_per_doc: int = 5
     positive_class_weight: float = 1.0
-    max_sents: int = 30
+    max_sents: int = DEFAULT_MAX_SENTS
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -261,7 +262,8 @@ class CompiledExample:
     oracle_count: int
 
 
-def compile_example(example: TrainingExample, max_sents: int = 30) -> CompiledExample:
+def compile_example(example: TrainingExample,
+                    max_sents: int = DEFAULT_MAX_SENTS) -> CompiledExample:
     """Precompute all teacher-forced features; they do not depend on weights."""
     doc = example.doc
     ctx = DocumentContext(doc)
@@ -363,13 +365,13 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
 
 
 def loss_joint(model: Model, example: TrainingExample, alpha: float = 1.0,
-               max_sents: int = 30, positive_class_weight: float = 1.0) -> float:
+               max_sents: int = DEFAULT_MAX_SENTS) -> float:
     """Teacher-forced extraction NLL (averaged over oracles) plus alpha times
-    the summed compression NLL over the oracle sentences' options."""
+    the summed, unweighted compression NLL over the oracle sentences' options."""
     if not example.oracles:
         raise ValueError("example has no oracles")
     compiled = compile_example(example, max_sents)
-    return float(_loss_compiled(model.params, compiled, alpha, positive_class_weight))
+    return float(_loss_compiled(model.params, compiled, alpha))
 
 
 def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model, list[float]]:
@@ -408,6 +410,9 @@ def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model,
 
 
 _REFINE_THRESHOLD = 1e-5
+# The gradient check differentiates the unweighted joint loss at this alpha and step.
+_CHECK_ALPHA = 1.0
+_CHECK_STEP = 1e-5
 
 
 def _as_longdouble(compiled: CompiledExample) -> CompiledExample:
@@ -421,19 +426,18 @@ def _as_longdouble(compiled: CompiledExample) -> CompiledExample:
                            steps=steps, oracle_count=compiled.oracle_count)
 
 
-def _central_difference(params, compiled, name, idx, step_size, alpha):
+def _central_difference(params, compiled, name, idx, step_size):
     flat = params[name].ravel()
     original = flat[idx]
     flat[idx] = original + step_size
-    upper = _loss_compiled(params, compiled, alpha)
+    upper = _loss_compiled(params, compiled, _CHECK_ALPHA)
     flat[idx] = original - step_size
-    lower = _loss_compiled(params, compiled, alpha)
+    lower = _loss_compiled(params, compiled, _CHECK_ALPHA)
     flat[idx] = original
     return (upper - lower) / (2.0 * step_size)
 
 
-def gradient_check(model: Model, example: TrainingExample, alpha: float = 1.0,
-                   step_size: float = 1e-5, max_sents: int = 30,
+def gradient_check(model: Model, example: TrainingExample,
                    grads: dict | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -443,16 +447,16 @@ def gradient_check(model: Model, example: TrainingExample, alpha: float = 1.0,
     precision. Passing `grads` overrides the analytic gradients (used by
     mutation tests).
     """
-    compiled = compile_example(example, max_sents)
+    compiled = compile_example(example)
     params = {name: arr.copy() for name, arr in model.params.items()}
     if grads is None:
-        _, grads = _loss_and_grads_compiled(params, compiled, alpha)
+        _, grads = _loss_and_grads_compiled(params, compiled, _CHECK_ALPHA)
     worst = 0.0
     refine: list[tuple[str, int, float]] = []
     for name in PARAM_ORDER:
         analytic = grads[name].ravel()
         for idx in range(params[name].size):
-            numeric = _central_difference(params, compiled, name, idx, step_size, alpha)
+            numeric = _central_difference(params, compiled, name, idx, _CHECK_STEP)
             relative = abs(analytic[idx] - numeric) / max(1e-8, abs(analytic[idx]) + abs(numeric))
             if relative > _REFINE_THRESHOLD:
                 refine.append((name, idx, float(analytic[idx])))
@@ -463,7 +467,7 @@ def gradient_check(model: Model, example: TrainingExample, alpha: float = 1.0,
         wide_compiled = _as_longdouble(compiled)
         for name, idx, analytic_value in refine:
             numeric = float(_central_difference(
-                wide_params, wide_compiled, name, idx, np.longdouble(step_size), alpha))
+                wide_params, wide_compiled, name, idx, np.longdouble(_CHECK_STEP)))
             denom = max(1e-8, abs(analytic_value) + abs(numeric))
             worst = max(worst, abs(analytic_value - numeric) / denom)
     return worst

@@ -14,6 +14,8 @@ last token of one selected sentence and the first token of the next,
 passing over sentences that preprocessing leaves empty. A label scores the
 sentence's per-token preprocessing with the option's span cut out. Every
 score is the float approx_score_pretokenized gives on the joined tokens.
+All text is preprocessed with the fixed rouge.ORACLE_PREPROCESS (lowercase,
+stopwords and punctuation dropped, stemmed).
 """
 
 import enum
@@ -28,26 +30,27 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import Document
 from .rouge import (
     ORACLE_PREPROCESS,
-    PreprocessConfig,
     ReferenceGrams,
     SharedGrams,
-    oracle_preprocess,
     preprocess_per_token,
     preprocess_tokens,
 )
-from .rules import CompressionOption, extract_options, normalize_options
+from .rules import CompressionOption, extract_options
 from .treebank import SentenceTree
 
 logger = logging.getLogger(__name__)
 
 _EXHAUSTIVE_GUARD = 10 ** 6
 
+# Leading sentences of a document that oracles, training and decoding consider
+DEFAULT_MAX_SENTS = 30
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     k: int = 3
     beam_width: int = 8
-    max_sents: int = 30
+    max_sents: int = DEFAULT_MAX_SENTS
     m: int = 5
 
     def __post_init__(self):
@@ -101,17 +104,14 @@ def bucket_of(labeled: LabeledOption) -> CompressabilityBucket:
     return CompressabilityBucket.STRONG_POSITIVE
 
 
-def _reference_grams(reference: Sequence[str] | ReferenceGrams,
-                     preprocess: PreprocessConfig) -> ReferenceGrams:
+def _reference_grams(reference: Sequence[str] | ReferenceGrams) -> ReferenceGrams:
     if isinstance(reference, ReferenceGrams):
         return reference
-    return ReferenceGrams(preprocess_tokens(reference, oracle_preprocess(preprocess)))
+    return ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
 
 
-def _sentence_grams(doc: Document, max_sents: int, grams: ReferenceGrams,
-                    preprocess: PreprocessConfig) -> list[SharedGrams]:
-    effective = oracle_preprocess(preprocess)
-    return [grams.shared(preprocess_tokens(tree.token_texts, effective))
+def _sentence_grams(doc: Document, max_sents: int, grams: ReferenceGrams) -> list[SharedGrams]:
+    return [grams.shared(preprocess_tokens(tree.token_texts, ORACLE_PREPROCESS))
             for tree in doc.sentences[:max_sents]]
 
 
@@ -123,7 +123,6 @@ def beam_search_oracle(
     doc: Document,
     reference: Sequence[str] | ReferenceGrams,
     cfg: OracleConfig,
-    preprocess: PreprocessConfig = ORACLE_PREPROCESS,
 ) -> list[OracleCandidate]:
     """Final beam of scored k-subsets, best first.
 
@@ -131,10 +130,10 @@ def beam_search_oracle(
     among the first max_sents, scores the concatenation, and keeps the top
     beam_width states. Ties prefer the lexicographically smaller index set.
     `reference` is the reference's tokens, or their ReferenceGrams already
-    preprocessed with `preprocess`.
+    preprocessed with ORACLE_PREPROCESS.
     """
-    grams = _reference_grams(reference, preprocess)
-    sents = _sentence_grams(doc, cfg.max_sents, grams, preprocess)
+    grams = _reference_grams(reference)
+    sents = _sentence_grams(doc, cfg.max_sents, grams)
     n = len(sents)
     if n < cfg.k:
         raise ValueError(
@@ -164,12 +163,11 @@ def exhaustive_oracle(
     doc: Document,
     reference: Sequence[str],
     k: int,
-    max_sents: int = 30,
-    preprocess: PreprocessConfig = ORACLE_PREPROCESS,
+    max_sents: int = DEFAULT_MAX_SENTS,
 ) -> OracleCandidate:
     """True argmax over all k-subsets; guards against combinatorial blowup."""
-    grams = _reference_grams(reference, preprocess)
-    sents = _sentence_grams(doc, max_sents, grams, preprocess)
+    grams = _reference_grams(reference)
+    sents = _sentence_grams(doc, max_sents, grams)
     n = len(sents)
     if n < k:
         raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={k}")
@@ -193,16 +191,15 @@ def label_compressions(
     sentence: SentenceTree,
     options: Sequence[CompressionOption],
     reference: Sequence[str] | ReferenceGrams,
-    cfg: PreprocessConfig = ORACLE_PREPROCESS,
 ) -> list[LabeledOption]:
     """Context-free KEEP/DEL labels: DEL iff deleting the option alone helps.
 
     Every option is scored independently with all other options untouched.
     `reference` is the reference's tokens, or their ReferenceGrams already
-    preprocessed with `cfg`.
+    preprocessed with ORACLE_PREPROCESS.
     """
-    grams = _reference_grams(reference, cfg)
-    per_token = preprocess_per_token(sentence.token_texts, oracle_preprocess(cfg))
+    grams = _reference_grams(reference)
+    per_token = preprocess_per_token(sentence.token_texts, ORACLE_PREPROCESS)
     r_before = grams.score_tokens([tok for tok in per_token if tok is not None])
     labeled = []
     for option in options:
@@ -247,20 +244,15 @@ class DocumentOracles:
         return [item for sent in self.labels for item in sent]
 
 
-def build_document_oracles(
-    doc: Document,
-    cfg: OracleConfig,
-    preprocess: PreprocessConfig = ORACLE_PREPROCESS,
-) -> DocumentOracles:
+def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
     if not doc.reference:
         raise ValueError(f"document {doc.id!r} has no reference summary")
-    grams = _reference_grams(doc.reference_tokens, preprocess)
-    beam = beam_search_oracle(doc, grams, cfg, preprocess)
+    grams = _reference_grams(doc.reference_tokens)
+    beam = beam_search_oracle(doc, grams, cfg)
     candidates = tuple(select_training_oracles(beam, cfg.m))
     labels = []
     for tree in doc.sentences:
-        options = normalize_options(extract_options(tree), len(tree.tokens))
-        labels.append(tuple(label_compressions(tree, options, grams, preprocess)))
+        labels.append(tuple(label_compressions(tree, extract_options(tree), grams)))
     return DocumentOracles(doc_id=doc.id, candidates=candidates, labels=tuple(labels))
 
 
@@ -334,10 +326,8 @@ def _entry_from_record(record, documents: Mapping[str, Document]) -> DocumentOra
         for entry in record["oracles"])
     labels = []
     for sent_index, cached in enumerate(record["labels"]):
-        tree = doc.sentences[sent_index]
-        options = normalize_options(extract_options(tree), len(tree.tokens))
         by_key = {(opt.span.start, opt.span.end, opt.rule.value): opt
-                  for opt in options}
+                  for opt in extract_options(doc.sentences[sent_index])}
         sent_labels = []
         for item in cached:
             key = (item["start"], item["end"], item["rule"])

@@ -8,7 +8,8 @@ and optionally applies unigram-coverage deduplication. summarize() is
 render(score_document(...)); evaluate_corpus() and sweep_threshold() score
 each document with a reference once, and the sweep renders it at every
 tau. Decoding reads max_sents, the number of leading sentences that can be
-selected, from the model's training config. Everything here is a pure
+selected, from the model's training config; ROUGE always preprocesses with
+the fixed EVAL_PREPROCESS (lowercasing only). Everything here is a pure
 function of (model, document, config).
 """
 
@@ -25,7 +26,7 @@ from .features import DocumentContext, featurize_option
 from .model import Model, classify_option, greedy_steps
 from .oracle import CompressionLabel, DocumentOracles
 from .rouge import PreprocessConfig, RougeScore, is_punctuation, preprocess_tokens, rouge_l, rouge_n
-from .rules import CompressionOption, RuleId, extract_options, normalize_options
+from .rules import CompressionOption, RuleId, extract_options
 from .treebank import Span, surviving_tokens
 
 logger = logging.getLogger(__name__)
@@ -89,7 +90,7 @@ def _render_text(doc: Document, selected: Sequence[int],
 @dataclass(frozen=True)
 class ScoredSentence:
     index: int
-    options: tuple[CompressionOption, ...]   # normalized, in extraction order
+    options: tuple[CompressionOption, ...]   # in extraction order
     p_del: tuple[float, ...]                 # one per option
 
 
@@ -105,8 +106,7 @@ def score_document(model: Model, doc: Document, k: int) -> ScoredDocument:
     ctx = DocumentContext(doc)
     sentences = []
     for pick, state in greedy_steps(model, ctx, k):
-        tree = doc.sentences[pick]
-        options = tuple(normalize_options(extract_options(tree), len(tree.tokens)))
+        options = tuple(extract_options(doc.sentences[pick]))
         p_del = tuple(classify_option(model, featurize_option(ctx, pick, option, state))
                       for option in options)
         sentences.append(ScoredSentence(pick, options, p_del))
@@ -212,10 +212,9 @@ def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
         float(np.mean([s.f1 for s in scores])))
 
 
-def score_summary(summary: Summary, doc: Document,
-                  preprocess: PreprocessConfig = EVAL_PREPROCESS) -> EvaluationRow:
-    candidate = preprocess_tokens([t for sent in summary.text for t in sent], preprocess)
-    reference = preprocess_tokens(doc.reference_tokens, preprocess)
+def score_summary(summary: Summary, doc: Document) -> EvaluationRow:
+    candidate = preprocess_tokens([t for sent in summary.text for t in sent], EVAL_PREPROCESS)
+    reference = preprocess_tokens(doc.reference_tokens, EVAL_PREPROCESS)
     return EvaluationRow(
         doc_id=doc.id,
         rouge1=rouge_n(candidate, [reference], 1),
@@ -247,11 +246,11 @@ def _evaluation(rows: Sequence[EvaluationRow], skipped: int) -> EvaluationResult
         skipped=skipped)
 
 
-def evaluate_corpus(model: Model, corpus: Sequence[Document], cfg: SummarizeConfig,
-                    preprocess: PreprocessConfig = EVAL_PREPROCESS) -> EvaluationResult:
+def evaluate_corpus(model: Model, corpus: Sequence[Document],
+                    cfg: SummarizeConfig) -> EvaluationResult:
     """Per-document ROUGE rows plus component-wise corpus means."""
     scored, skipped = _score_referenced(model, corpus, cfg.k)
-    rows = [score_summary(render(s, cfg.tau, cfg.dedup), s.doc, preprocess) for s in scored]
+    rows = [score_summary(render(s, cfg.tau, cfg.dedup), s.doc) for s in scored]
     return _evaluation(rows, skipped)
 
 
@@ -266,8 +265,7 @@ class SweepPoint:
 
 
 def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence[float],
-                    cfg: SummarizeConfig = SummarizeConfig(),
-                    preprocess: PreprocessConfig = EVAL_PREPROCESS) -> list[SweepPoint]:
+                    cfg: SummarizeConfig = SummarizeConfig()) -> list[SweepPoint]:
     """Evaluate each threshold; reports averaged F1 and the token-level
     compression ratio (summary tokens after deletions / before). Each
     document is scored once and rendered at every tau."""
@@ -279,7 +277,7 @@ def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence
     points = []
     for tau in tau_grid:
         summaries = [render(s, tau, cfg.dedup) for s in scored]
-        result = _evaluation([score_summary(summary, s.doc, preprocess)
+        result = _evaluation([score_summary(summary, s.doc)
                               for summary, s in zip(summaries, scored)], skipped)
         tokens_after = sum(len(sent) for summary in summaries for sent in summary.text)
         ratio = tokens_after / tokens_before if tokens_before else 0.0
@@ -315,7 +313,7 @@ def stats_report(corpus: Sequence[Document],
     option_counts: dict[str, int] = {}
     for doc in corpus:
         for tree in doc.sentences:
-            for option in normalize_options(extract_options(tree), len(tree.tokens)):
+            for option in extract_options(tree):
                 lengths.setdefault(option.node_label, []).append(len(option.span))
                 option_counts[option.node_label] = option_counts.get(option.node_label, 0) + 1
 

@@ -84,15 +84,13 @@ class _Candidate:
     extended: bool = False
 
 
-def extract_options(
-    tree: SentenceTree,
-    adjunct_prepositions: frozenset = DEFAULT_ADJUNCT_PREPOSITIONS,
-) -> list[CompressionOption]:
+def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     """All compression options of a sentence, sorted by (start, -length).
 
     Duplicate spans keep the rule listed first in RuleId order. Options may
     nest but never partially overlap; a span covering the whole sentence is
-    never emitted.
+    never emitted. The output is already what normalize_options would return,
+    so callers use it as is.
     """
     n = len(tree.tokens)
     texts = tree.token_texts
@@ -168,7 +166,7 @@ def extract_options(
             if child_label == "PP" and parent_label in ("VP", "S"):
                 has_np_right = any(_base(sib.label) == "NP" for sib in kids[idx + 1:])
                 prep = _head_preposition(child, texts)
-                if not has_np_right or (prep is not None and prep in adjunct_prepositions):
+                if not has_np_right or (prep is not None and prep in DEFAULT_ADJUNCT_PREPOSITIONS):
                     candidates.append(_Candidate(
                         child.span, RuleId.PP_CONFIG, child.label,
                         node.span, absorb=True))

@@ -22,6 +22,10 @@ BRACKET_ESCAPE = {text: code for code, text in BRACKET_UNESCAPE.items()}
 
 _LEX = re.compile(r"\(|\)|[^()\s]+")
 
+# Deepest bracket nesting accepted: parsing, building and serializing recurse
+# once per level, and real parses stay far below it.
+MAX_DEPTH = 200
+
 
 class ParseError(ValueError):
     """Malformed bracketed input; carries the character offset of the fault."""
@@ -100,12 +104,13 @@ def parse_ptb(text: str) -> SentenceTree:
 
     A single unlabeled outer wrapper "( ... )" is silently unwrapped.
     Escaped bracket tokens (-LRB- etc.) are stored unescaped; their
-    part-of-speech labels are kept as written.
+    part-of-speech labels are kept as written. Brackets nested more than
+    MAX_DEPTH deep are a ParseError at the first bracket past that depth.
     """
     lexed = [(m.group(), m.start()) for m in _LEX.finditer(text)]
     if not lexed:
         raise ParseError("empty input", 0)
-    raw, pos = _parse_node(lexed, 0, len(text))
+    raw, pos = _parse_node(lexed, 0, len(text), 1)
     if pos != len(lexed):
         raise ParseError("trailing content after tree", lexed[pos][1])
     label, children, word, offset = raw
@@ -116,10 +121,12 @@ def parse_ptb(text: str) -> SentenceTree:
     return SentenceTree(root=root, tokens=tuple(tokens))
 
 
-def _parse_node(lexed, pos, text_len):
+def _parse_node(lexed, pos, text_len, depth):
     tok, off = lexed[pos]
     if tok != "(":
         raise ParseError("expected '('", off)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"tree nested deeper than {MAX_DEPTH} levels", off)
     open_off = off
     pos += 1
     if pos >= len(lexed):
@@ -141,7 +148,7 @@ def _parse_node(lexed, pos, text_len):
         if tok == "(":
             if word is not None:
                 raise ParseError("mixed token and subtree content", off)
-            child, pos = _parse_node(lexed, pos, text_len)
+            child, pos = _parse_node(lexed, pos, text_len, depth + 1)
             children.append(child)
         else:
             if word is not None or children:
@@ -156,8 +163,6 @@ def _parse_node(lexed, pos, text_len):
 def _build(raw, tokens: list[Token]) -> TreeNode:
     label, children, word, offset = raw
     if word is not None:
-        if not label:
-            raise ParseError("leaf without part-of-speech label", offset)
         index = len(tokens)
         tokens.append(Token(text=BRACKET_UNESCAPE.get(word, word), index=index))
         return TreeNode(label=label, children=(), span=Span(index, index + 1))

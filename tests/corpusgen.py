@@ -27,6 +27,11 @@ def flat_tree(tokens):
     return parse_ptb("(S " + " ".join(f"(NN {t})" for t in tokens) + ")")
 
 
+def deep_chain(depth):
+    """Bracketed source of a unary chain `depth` brackets deep around one word."""
+    return "(X " * (depth - 1) + "(NN w)" + ")" * (depth - 1)
+
+
 def random_flat_doc(rng: np.random.Generator, doc_id: str, n_sents: int) -> Document:
     """Random flat-parse document over a small shared vocabulary."""
     vocab = [f"w{j}" for j in range(14)]

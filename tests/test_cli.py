@@ -33,6 +33,20 @@ def test_options_extract(corpus_path, tmp_path, capsys):
     assert any(rec["options"] for rec in lines)
 
 
+def test_options_extract_skips_too_deep_record(tmp_path, capsys):
+    docs = corpusgen.fixture_corpus()[:2]
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, docs)
+    deep = {"id": "deep", "sentences": [{"tokens": ["w"], "parse": corpusgen.deep_chain(1200)}]}
+    good = corpus.read_text().splitlines()[1]
+    corpus.write_text(json.dumps(deep) + "\n" + good + "\n", encoding="utf-8")
+    out = tmp_path / "options.jsonl"
+    assert main(["options", "extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {rec["doc_id"] for rec in lines} == {docs[1].id}
+    assert len(lines) == len(docs[1].sentences)
+
+
 def test_full_workflow(corpus_path, tmp_path, capsys):
     oracles = tmp_path / "oracles.jsonl"
     model_file = tmp_path / "model.json"

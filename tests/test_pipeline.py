@@ -84,6 +84,18 @@ class TestLoadCorpus:
         assert [d.id for d in loaded] == [docs[0].id, docs[2].id]
         assert docs[1].id in caplog.text
 
+    def test_too_deep_parse_rejected_others_kept(self, tmp_path, caplog):
+        docs = corpusgen.fixture_corpus()[:2]
+        records = [document_to_record(d) for d in docs]
+        records[0]["sentences"][0] = {"tokens": ["w"], "parse": corpusgen.deep_chain(1200)}
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        assert [d.id for d in loaded] == [docs[1].id]
+        assert f"document {docs[0].id} rejected" in caplog.text
+        assert "nested deeper than 200 levels" in caplog.text
+
     def test_escaped_brackets_roundtrip(self, tmp_path):
         tree = parse_ptb("(S (NP (NN cost)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))")
         doc = Document(id="esc", sentences=(tree,), reference=(("cost", "(", "net", ")"),))

@@ -1,6 +1,8 @@
 """Compression-option extraction: 15 hand-annotated fixtures plus the
 layout invariants every emitted option list must satisfy."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,15 +220,20 @@ def _random_tree_source(rng, depth=0):
 
 
 def test_layout_invariant_on_adversarial_trees():
-    # arbitrary tree shapes with commas and brackets in hostile positions:
-    # extraction must still emit a nest-or-disjoint, renderable layout
+    # arbitrary tree shapes with commas and brackets in hostile positions, plus
+    # the fixtures and the learnable corpus: extraction must emit a renderable
+    # layout that normalize_options leaves unchanged, which is why callers use
+    # extract_options output without re-checking it
     import numpy as np
 
     rng = np.random.default_rng(2024)
-    for trial in range(800):
-        tree = parse_ptb(_random_tree_source(rng))
+    adversarial = (parse_ptb(_random_tree_source(rng)) for _ in range(800))
+    fixtures = [parse_ptb(source) for _, source, _ in FIXTURES]
+    docs, _ = corpusgen.learnable_corpus(count=50, seed=5)
+    learnable = [tree for doc in docs for tree in doc.sentences]
+    for tree in itertools.chain(adversarial, fixtures, learnable):
         options = extract_options(tree)
-        normalize_options(options, len(tree.tokens))  # raises on violation
+        assert normalize_options(options, len(tree.tokens)) == options
         if options:
             mask = int(rng.integers(0, 2 ** min(len(options), 12)))
             spans = [o.span for i, o in enumerate(options) if mask & (1 << i)]

@@ -1,9 +1,13 @@
 """Treebank parsing, spans, and deletion rendering."""
 
-import pytest
-from hypothesis import given, strategies as st
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corpusgen import deep_chain
 from compsum.treebank import (
+    MAX_DEPTH,
     ParseError,
     SentenceTree,
     Span,
@@ -15,6 +19,13 @@ from compsum.treebank import (
     render_with_deletions,
     to_ptb,
 )
+
+
+_PIECES = ["(", ")", " ", "w", "NP", "-LRB-", "(NN w)", "(X "]
+
+# Hypothesis raises the recursion limit while a test runs; a command parses
+# its corpus under the limit the interpreter started with.
+_STARTUP_RECURSION_LIMIT = sys.getrecursionlimit()
 
 
 class TestParse:
@@ -87,6 +98,40 @@ class TestParse:
     def test_mixed_content_rejected(self):
         with pytest.raises(ParseError):
             parse_ptb("(NP the (NN cat))")
+
+    def test_deepest_accepted_tree_parses_and_roundtrips(self):
+        source = deep_chain(MAX_DEPTH)
+        tree = parse_ptb(source)
+        assert tree.token_texts == ("w",)
+        assert to_ptb(tree) == source
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])
+    def test_too_deep_tree_reports_first_bracket_past_limit(self, depth):
+        source = deep_chain(depth)
+        with pytest.raises(ParseError) as err:
+            parse_ptb(source)
+        # "(X " per level: bracket MAX_DEPTH + 1 opens at 3 * MAX_DEPTH
+        assert err.value.offset == 3 * MAX_DEPTH
+        assert source[err.value.offset] == "("
+        assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bracket_strings_raise_only_parse_error(self, data):
+        depth = data.draw(st.integers(0, 1000), label="depth")
+        opener = data.draw(st.sampled_from(["(", "(X ", "(-LRB- "]), label="opener")
+        body = data.draw(st.lists(st.sampled_from(_PIECES), max_size=30), label="body")
+        closing = data.draw(st.one_of(st.just(depth), st.integers(0, depth)), label="closing")
+        text = opener * depth + "".join(body) + ")" * closing
+        raised_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_STARTUP_RECURSION_LIMIT)
+        try:
+            tree = parse_ptb(text)
+        except ParseError:
+            return
+        finally:
+            sys.setrecursionlimit(raised_limit)
+        assert isinstance(tree, SentenceTree)
 
     def test_token_indices_consecutive(self):
         tree = parse_ptb("(S (A a) (B b) (C c) (D d))")
