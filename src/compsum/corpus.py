@@ -1,8 +1,10 @@
 """JSONL corpus ingestion and serialization.
 
 One JSON object per line: {"id", "sentences": [{"tokens", "parse"}],
-"reference": [[token, ...], ...]}. Token lists must agree with the parse
-leaves (after bracket unescaping) or the record is rejected with a warning;
+"reference": [[token, ...], ...]}. A record is rejected with a warning that
+names its line and id when a parse is not a string or does not parse, when
+a token list or a reference sentence is not a list of strings, or when a
+token list disagrees with its parse leaves (after bracket unescaping);
 remaining records still load.
 """
 
@@ -65,17 +67,30 @@ def document_from_record(record: dict) -> Document:
     doc_id = record["id"]
     sentences = []
     for i, sent in enumerate(record["sentences"]):
+        parse = sent["parse"]
+        if not isinstance(parse, str):
+            raise ValueError(f"sentence {i}: parse is not a string")
         try:
-            tree = parse_ptb(sent["parse"])
+            tree = parse_ptb(parse)
         except ParseError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
-        tokens = _unescape(sent["tokens"])
+        tokens = _unescape(_strings(sent["tokens"], f"sentence {i}: tokens"))
         if tree.token_texts != tokens:
             raise ValueError(
                 f"document {doc_id!r} sentence {i}: token list does not match parse leaves")
         sentences.append(tree)
-    reference = tuple(_unescape(sent) for sent in record.get("reference", []))
+    reference = record.get("reference", [])
+    if not isinstance(reference, list):
+        raise ValueError("reference is not a list of token lists")
+    reference = tuple(_unescape(_strings(sent, f"reference sentence {j}"))
+                      for j, sent in enumerate(reference))
     return Document(id=str(doc_id), sentences=tuple(sentences), reference=reference)
+
+
+def _strings(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{what} is not a list of strings")
+    return value
 
 
 def document_to_record(doc: Document) -> dict:

@@ -1,14 +1,19 @@
 """Bracketed constituency trees: parsing, token spans, deletion rendering.
 
-Trees arrive as standard bracketed strings, one per sentence. Internally
-every node caches its half-open token span and bracket tokens are stored
-unescaped ("(" rather than "-LRB-"); escaping happens only when a tree is
-serialized back to bracketed form.
+Trees arrive as standard bracketed strings, one per sentence. `parse_ptb`
+reads one in a single left-to-right pass over its lexemes and builds each
+node as its bracket closes; the character offset of a fault is worked out
+only when a ParseError is raised. Nodes are immutable tuples, equal and
+hashed by value. Every node caches its half-open token span, and bracket
+tokens are stored unescaped ("(" rather than "-LRB-"); escaping happens only
+when a tree is serialized back to bracketed form. Traversal (`iter_nodes`,
+`leaves`) and serialization (`to_ptb`) keep their own stack, so no tree
+depth reaches the interpreter's recursion limit.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 BRACKET_UNESCAPE = {
     "-LRB-": "(",
@@ -22,9 +27,11 @@ BRACKET_ESCAPE = {text: code for code, text in BRACKET_UNESCAPE.items()}
 
 _LEX = re.compile(r"\(|\)|[^()\s]+")
 
-# Deepest bracket nesting accepted: parsing, building and serializing recurse
-# once per level, and real parses stay far below it.
+# Deepest bracket nesting accepted; real parses stay far below it.
 MAX_DEPTH = 200
+
+# Builds a node without its public constructor's checks, for the parser.
+_new = tuple.__new__
 
 
 class ParseError(ValueError):
@@ -35,22 +42,25 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     index: int
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """Half-open token interval [start, end)."""
-
+class _SpanFields(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+
+class Span(_SpanFields):
+    """Half-open token interval [start, end)."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int):
+        if start < 0 or end <= start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        return _new(cls, (start, end))
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -66,8 +76,7 @@ class Span:
         return (not self.overlaps(other)) or self.contains(other) or other.contains(self)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     label: str
     children: tuple["TreeNode", ...]
     span: Span
@@ -78,16 +87,17 @@ class TreeNode:
 
     def iter_nodes(self) -> Iterator["TreeNode"]:
         """Pre-order traversal of this subtree."""
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> list["TreeNode"]:
-        return [node for node in self.iter_nodes() if node.is_leaf]
+        return [node for node in self.iter_nodes() if not node.children]
 
 
-@dataclass(frozen=True)
-class SentenceTree:
+class SentenceTree(NamedTuple):
     root: TreeNode
     tokens: tuple[Token, ...]
 
@@ -106,70 +116,90 @@ def parse_ptb(text: str) -> SentenceTree:
     Escaped bracket tokens (-LRB- etc.) are stored unescaped; their
     part-of-speech labels are kept as written. Brackets nested more than
     MAX_DEPTH deep are a ParseError at the first bracket past that depth.
+    Structural faults are reported at the first lexeme where they show; an
+    unlabeled internal node, only once the whole tree is well formed, at
+    the first such node in pre-order.
     """
-    lexed = [(m.group(), m.start()) for m in _LEX.finditer(text)]
-    if not lexed:
+    lexemes = _LEX.findall(text)
+    n = len(lexemes)
+    if not n:
         raise ParseError("empty input", 0)
-    raw, pos = _parse_node(lexed, 0, len(text), 1)
-    if pos != len(lexed):
-        raise ParseError("trailing content after tree", lexed[pos][1])
-    label, children, word, offset = raw
-    if label == "" and word is None and len(children) == 1:
-        raw = children[0]
+    if lexemes[0] != "(":
+        raise _located("expected '('", text, 0)
     tokens: list[Token] = []
-    root = _build(raw, tokens)
-    return SentenceTree(root=root, tokens=tuple(tokens))
-
-
-def _parse_node(lexed, pos, text_len, depth):
-    tok, off = lexed[pos]
-    if tok != "(":
-        raise ParseError("expected '('", off)
-    if depth > MAX_DEPTH:
-        raise ParseError(f"tree nested deeper than {MAX_DEPTH} levels", off)
-    open_off = off
-    pos += 1
-    if pos >= len(lexed):
-        raise ParseError("unbalanced parentheses", text_len)
-    label = ""
-    tok, off = lexed[pos]
-    if tok not in ("(", ")"):
-        label = tok
-        pos += 1
-    children = []
-    word = None
+    top: list[TreeNode] = []
+    kids = top              # children of the innermost open node
+    open_nodes = []         # (parent's kids, label, first token, lexeme index)
+    depth = 0
+    first_unlabeled = -1    # lexeme index of the first unlabeled node below the root
+    unescape = BRACKET_UNESCAPE.get
+    i = 0
     while True:
-        if pos >= len(lexed):
-            raise ParseError("unbalanced parentheses", text_len)
-        tok, off = lexed[pos]
-        if tok == ")":
-            pos += 1
-            break
-        if tok == "(":
-            if word is not None:
-                raise ParseError("mixed token and subtree content", off)
-            child, pos = _parse_node(lexed, pos, text_len, depth + 1)
-            children.append(child)
+        if i >= n:
+            raise ParseError("unbalanced parentheses", len(text))
+        lexeme = lexemes[i]
+        if lexeme == "(":
+            if depth >= MAX_DEPTH:
+                raise _located(f"tree nested deeper than {MAX_DEPTH} levels", text, i)
+            if i + 3 < n and lexemes[i + 3] == ")":
+                label = lexemes[i + 1]
+                word = lexemes[i + 2]
+                if label != "(" and label != ")" and word != "(" and word != ")":
+                    # the common leaf "(TAG word)"
+                    index = len(tokens)
+                    tokens.append(_new(Token, (unescape(word, word), index)))
+                    kids.append(_new(TreeNode, (label, (), _new(Span, (index, index + 1)))))
+                    i += 4
+                    if not depth:
+                        break
+                    continue
+            if i + 1 >= n:
+                raise ParseError("unbalanced parentheses", len(text))
+            label = lexemes[i + 1]
+            if label == "(" or label == ")":
+                if depth and first_unlabeled < 0:
+                    first_unlabeled = i
+                open_nodes.append((kids, "", len(tokens), i))
+                i += 1
+            else:
+                open_nodes.append((kids, label, len(tokens), i))
+                i += 2
+            kids = []
+            depth += 1
+        elif lexeme == ")":
+            parent, label, start, opened = open_nodes.pop()
+            if not kids:
+                raise _located("node with no children", text, opened)
+            parent.append(_new(TreeNode, (label, tuple(kids), _new(Span, (start, len(tokens))))))
+            kids = parent
+            depth -= 1
+            i += 1
+            if not depth:
+                break
+        elif kids:
+            raise _located("mixed token and subtree content", text, i)
+        elif i + 1 >= n:
+            raise ParseError("unbalanced parentheses", len(text))
         else:
-            if word is not None or children:
-                raise ParseError("mixed token and subtree content", off)
-            word = tok
-            pos += 1
-    if word is None and not children:
-        raise ParseError("node with no children", open_off)
-    return (label, children, word, open_off), pos
+            # a word opening a node is valid only as "(TAG word)", the leaf
+            # case above, so what follows it is the fault
+            raise _located("mixed token and subtree content", text, i + 1)
+    if i < n:
+        raise _located("trailing content after tree", text, i)
+    root = top[0]
+    if not root.label:
+        if len(root.children) != 1:
+            raise _located("unlabeled internal node", text, 0)
+        root = root.children[0]
+    if first_unlabeled >= 0:
+        raise _located("unlabeled internal node", text, first_unlabeled)
+    return _new(SentenceTree, (root, tuple(tokens)))
 
 
-def _build(raw, tokens: list[Token]) -> TreeNode:
-    label, children, word, offset = raw
-    if word is not None:
-        index = len(tokens)
-        tokens.append(Token(text=BRACKET_UNESCAPE.get(word, word), index=index))
-        return TreeNode(label=label, children=(), span=Span(index, index + 1))
-    if not label:
-        raise ParseError("unlabeled internal node", offset)
-    kids = tuple(_build(child, tokens) for child in children)
-    return TreeNode(label=label, children=kids, span=Span(kids[0].span.start, kids[-1].span.end))
+def _located(message: str, text: str, index: int) -> ParseError:
+    """A ParseError at the character offset of the index-th lexeme."""
+    match = next(islice(_LEX.finditer(text), index, None))
+    return ParseError(message, match.start())
 
 
 def node_span(node: TreeNode) -> Span:
@@ -214,12 +244,21 @@ def render_with_deletions(tree: SentenceTree, deletions: Iterable[Span]) -> str:
 
 def to_ptb(tree: SentenceTree) -> str:
     """Serialize back to bracketed form, re-escaping bracket tokens."""
-    return _serialize(tree.root, tree)
-
-
-def _serialize(node: TreeNode, tree: SentenceTree) -> str:
-    if node.is_leaf:
-        text = tree.tokens[node.span.start].text
-        return f"({node.label} {BRACKET_ESCAPE.get(text, text)})"
-    inner = " ".join(_serialize(child, tree) for child in node.children)
-    return f"({node.label} {inner})"
+    pieces = []
+    pending: list = [tree.root]     # nodes still to write, and the text between them
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        label, children, span = item
+        if children:
+            pieces.append("(" + label)
+            pending.append(")")
+            for child in reversed(children):
+                pending.append(child)
+                pending.append(" ")
+        else:
+            text = tree.tokens[span.start].text
+            pieces.append(f"({label} {BRACKET_ESCAPE.get(text, text)})")
+    return "".join(pieces)

@@ -47,6 +47,30 @@ def test_options_extract_skips_too_deep_record(tmp_path, capsys):
     assert len(lines) == len(docs[1].sentences)
 
 
+def test_mistyped_reference_record_is_skipped(tmp_path, capsys):
+    docs, _ = corpusgen.learnable_corpus(count=4, seed=31)
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, docs)
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    bad = json.loads(lines[1])
+    bad["reference"] = [[1, 2, 3]]
+    lines[1] = json.dumps(bad)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    oracles = tmp_path / "oracles.jsonl"
+    model_file = tmp_path / "model.json"
+    evaluation = tmp_path / "evaluation.json"
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
+                 "--k", "2"]) == 0
+    valid_ids = [d.id for i, d in enumerate(docs) if i != 1]
+    assert [json.loads(line)["doc_id"] for line in oracles.read_text().splitlines()] == valid_ids
+    assert main(["train", "--corpus", str(corpus), "--oracles", str(oracles),
+                 "--out", str(model_file), "--epochs", "1"]) == 0
+    assert main(["evaluate", "--corpus", str(corpus), "--model", str(model_file),
+                 "--k", "2", "--json", str(evaluation)]) == 0
+    payload = json.loads(evaluation.read_text())
+    assert [row["doc_id"] for row in payload["documents"]] == valid_ids
+
+
 def test_full_workflow(corpus_path, tmp_path, capsys):
     oracles = tmp_path / "oracles.jsonl"
     model_file = tmp_path / "model.json"

@@ -96,6 +96,29 @@ class TestLoadCorpus:
         assert f"document {docs[0].id} rejected" in caplog.text
         assert "nested deeper than 200 levels" in caplog.text
 
+    @pytest.mark.parametrize("field,value,reason", [
+        ("reference", [[1, 2, 3]], "reference sentence 0 is not a list of strings"),
+        ("reference", [["the", "cat"], "sat"], "reference sentence 1 is not a list of strings"),
+        ("reference", "a plain string reference", "reference is not a list of token lists"),
+        ("tokens", "the cat", "sentence 0: tokens is not a list of strings"),
+        ("tokens", [1, 2], "sentence 0: tokens is not a list of strings"),
+        ("parse", None, "sentence 0: parse is not a string"),
+        ("parse", ["(NN w)"], "sentence 0: parse is not a string"),
+    ])
+    def test_mistyped_record_rejected_with_location(self, tmp_path, caplog, field, value, reason):
+        docs = corpusgen.fixture_corpus()[:3]
+        records = [document_to_record(d) for d in docs]
+        if field == "reference":
+            records[1]["reference"] = value
+        else:
+            records[1]["sentences"][0][field] = value
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        assert [d.id for d in loaded] == [docs[0].id, docs[2].id]
+        assert f"line 2: document {docs[1].id} rejected: {reason}" in caplog.text
+
     def test_escaped_brackets_roundtrip(self, tmp_path):
         tree = parse_ptb("(S (NP (NN cost)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))")
         doc = Document(id="esc", sentences=(tree,), reference=(("cost", "(", "net", ")"),))

@@ -29,6 +29,38 @@ print(json.dumps({"calls": tracer.calls, "selected": summary.selected}))
 """
 
 
+TRACED_LOAD = """
+import json, sys
+sys.path[:0] = sys.argv[1:4]
+import corpusgen
+from compsum.corpus import write_corpus
+docs, _ = corpusgen.learnable_corpus(count=6, seed=3)
+write_corpus(sys.argv[4], docs)
+import spans
+import compsum.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+from compsum.corpus import load_corpus
+loaded = list(load_corpus(sys.argv[4]))
+print(json.dumps({"calls": tracer.calls, "counts": tracer.counts,
+                  "docs": len(loaded), "sentences": sum(len(d.sentences) for d in loaded)}))
+"""
+
+
+def test_traced_load_parses_each_sentence_once(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_LOAD,
+         str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"),
+         str(tmp_path / "corpus.jsonl")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["docs"] == 6
+    assert result["calls"]["corpus.load"] == 1
+    assert result["counts"]["corpus.docs_loaded"] == 6
+    assert result["calls"]["treebank.parse"] == result["sentences"] > 6
+
+
 def test_spans_install_and_trace_each_decode_step():
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_SUMMARIZE,

@@ -1,11 +1,14 @@
 """Treebank parsing, spans, and deletion rendering."""
 
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpusgen
+import reference_treebank
+from conftest import startup_recursion_limit
 from corpusgen import deep_chain
+from compsum import Document
+from compsum.corpus import document_to_record
 from compsum.treebank import (
     MAX_DEPTH,
     ParseError,
@@ -22,10 +25,45 @@ from compsum.treebank import (
 
 
 _PIECES = ["(", ")", " ", "w", "NP", "-LRB-", "(NN w)", "(X "]
+_OPENERS = ["(", "(X ", "(-LRB- ", "((", "( "]
 
-# Hypothesis raises the recursion limit while a test runs; a command parses
-# its corpus under the limit the interpreter started with.
-_STARTUP_RECURSION_LIMIT = sys.getrecursionlimit()
+
+def _structure(tree):
+    """Labels, spans and child counts in pre-order, and the tokens, as plain tuples."""
+    nodes = []
+    pending = [tree.root]
+    while pending:
+        node = pending.pop()
+        nodes.append((node.label, node.span.start, node.span.end, len(node.children)))
+        pending.extend(reversed(node.children))
+    return nodes, [(token.text, token.index) for token in tree.tokens]
+
+
+def _outcome(parse, text):
+    """A parse's tree structure, or the message and offset of its ParseError."""
+    try:
+        return _structure(parse(text))
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+def _check_against_reference(text):
+    with startup_recursion_limit():
+        outcome = _outcome(parse_ptb, text)
+    assert outcome == _outcome(reference_treebank.parse_ptb, text)
+
+
+@st.composite
+def _trees(draw, depth=0):
+    """Bracketed trees with optional labels, escaped tokens and stray spaces."""
+    space = draw(st.sampled_from([" ", "  ", ""]))
+    if depth >= 5 or draw(st.booleans()):
+        tag = draw(st.sampled_from(["NN", "-LRB-", "X"]))
+        word = draw(st.sampled_from(["w", "-LRB-", "-RRB-"]))
+        return f"({tag} {word}{space})"
+    label = draw(st.sampled_from(["S", "NP", ""]))
+    kids = draw(st.lists(_trees(depth + 1), min_size=1, max_size=3))
+    return f"({label}{space}" + " ".join(kids) + ")"
 
 
 class TestParse:
@@ -123,15 +161,52 @@ class TestParse:
         body = data.draw(st.lists(st.sampled_from(_PIECES), max_size=30), label="body")
         closing = data.draw(st.one_of(st.just(depth), st.integers(0, depth)), label="closing")
         text = opener * depth + "".join(body) + ")" * closing
-        raised_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(_STARTUP_RECURSION_LIMIT)
-        try:
-            tree = parse_ptb(text)
-        except ParseError:
-            return
-        finally:
-            sys.setrecursionlimit(raised_limit)
+        with startup_recursion_limit():
+            try:
+                tree = parse_ptb(text)
+            except ParseError:
+                return
         assert isinstance(tree, SentenceTree)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bracket_strings_parse_as_reference_parser(self, data):
+        depth = data.draw(st.integers(0, 1000), label="depth")
+        opener = data.draw(st.sampled_from(_OPENERS), label="opener")
+        body = data.draw(st.lists(st.sampled_from(_PIECES + ["((", "( "]), max_size=30),
+                         label="body")
+        closing = data.draw(st.one_of(st.just(depth), st.integers(0, depth)), label="closing")
+        _check_against_reference(opener * depth + "".join(body) + ")" * closing)
+
+    @given(_trees(), st.integers(0, 200), st.sampled_from(["", "(", ")", "w", "( ", "(X "]),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_edited_trees_parse_as_reference_parser(self, tree, at, insert, delete):
+        # one character deleted or one piece inserted, or neither, at a drawn place
+        at = min(at, len(tree))
+        text = tree[:at] + insert + tree[at + delete:]
+        _check_against_reference(text)
+
+    def test_corpus_sentences_parse_as_reference_parser(self):
+        docs = corpusgen.fixture_corpus() + corpusgen.learnable_corpus(200)[0]
+        for doc in docs:
+            for tree in doc.sentences:
+                source = to_ptb(tree)
+                _check_against_reference(source)
+                assert parse_ptb(source) == tree
+
+    @pytest.mark.parametrize("source,first_unlabeled", [
+        ("(S ((A a) (B b)) ((C c) (D d)))", 3),
+        ("(S ((X ((A a) (B b))) (C c)))", 3),
+        ("( ((A a) (B b)) (C c))", 0),
+        ("(((X ((A a))) (B b)))", 1),
+    ])
+    def test_first_unlabeled_node_in_pre_order_is_reported(self, source, first_unlabeled):
+        with pytest.raises(ParseError) as err:
+            parse_ptb(source)
+        assert "unlabeled internal node" in str(err.value)
+        assert err.value.offset == first_unlabeled
+        _check_against_reference(source)
 
     def test_token_indices_consecutive(self):
         tree = parse_ptb("(S (A a) (B b) (C c) (D d))")
@@ -146,6 +221,56 @@ class TestParse:
             ), Span(0, 2)),
             tokens=(Token("He", 0), Token("ran", 1)))
         assert parsed == hand_built
+
+
+class TestNodes:
+    SOURCE = "(S (NP (DT the) (NN cat)) (VP (VBD sat)))"
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = parse_ptb(self.SOURCE), parse_ptb(self.SOURCE)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != parse_ptb("(S (NP (DT the) (NN dog)) (VP (VBD sat)))")
+        assert {a.root.span: "root"}[Span(0, 3)] == "root"
+        # the hash of the field tuple, as the frozen dataclasses had, so sets
+        # of spans iterate in the same order
+        assert hash(Span(3, 5)) == hash((3, 5))
+        assert hash(Token("cat", 1)) == hash(("cat", 1))
+
+    def test_immutable(self):
+        tree = parse_ptb(self.SOURCE)
+        for obj, field in [(tree, "root"), (tree.root, "label"), (tree.root.span, "start"),
+                           (tree.tokens[0], "text")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            tree.root.extra = 1
+
+    def test_span_order_length_and_repr(self):
+        assert sorted([Span(2, 3), Span(0, 2), Span(0, 1)]) == [Span(0, 1), Span(0, 2), Span(2, 3)]
+        assert len(Span(2, 5)) == 3
+        assert repr(Span(0, 1)) == "Span(start=0, end=1)"
+        assert repr(Token("w", 0)) == "Token(text='w', index=0)"
+
+    def test_iter_nodes_is_pre_order(self):
+        tree = parse_ptb(self.SOURCE)
+        assert [n.label for n in tree.root.iter_nodes()] == ["S", "NP", "DT", "NN", "VP", "VBD"]
+        assert [n.label for n in tree.root.leaves()] == ["DT", "NN", "VBD"]
+
+    def test_hand_built_deep_chain_serializes_and_traverses(self):
+        node = TreeNode("NN", (), Span(0, 1))
+        for _ in range(599):
+            node = TreeNode("X", (node,), Span(0, 1))
+        tree = SentenceTree(root=node, tokens=(Token("w", 0),))
+        doc = Document(id="deep", sentences=(tree,))
+        with startup_recursion_limit():
+            source = to_ptb(tree)
+            record = document_to_record(doc)
+            labels = [n.label for n in tree.root.iter_nodes()]
+            leaves = [n.label for n in tree.root.leaves()]
+        assert source == deep_chain(600)
+        assert record["sentences"][0]["parse"] == source
+        assert labels == ["X"] * 599 + ["NN"]
+        assert leaves == ["NN"]
 
 
 class TestSpans:
