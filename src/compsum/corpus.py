@@ -2,10 +2,12 @@
 
 One JSON object per line: {"id", "sentences": [{"tokens", "parse"}],
 "reference": [[token, ...], ...]}. A record is rejected with a warning that
-names its line and id when a parse is not a string or does not parse, when
-a token list or a reference sentence is not a list of strings, or when a
-token list disagrees with its parse leaves (after bracket unescaping);
-remaining records still load.
+names its line and id (or "?") when it is not an object with an id, when
+sentences is not a list of objects that each have a parse and tokens, when
+a parse is not a string or does not parse, when a token list or a
+reference sentence is not a list of strings, or when a token list
+disagrees with its parse leaves (after bracket unescaping); remaining
+records still load.
 """
 
 import json
@@ -64,9 +66,19 @@ def load_corpus(path) -> Iterator[Document]:
 
 
 def document_from_record(record: dict) -> Document:
+    if not isinstance(record, dict) or "id" not in record:
+        raise ValueError("record is not an object with an id")
     doc_id = record["id"]
+    raw_sentences = record.get("sentences")
+    if not isinstance(raw_sentences, list):
+        raise ValueError("sentences is not a list of objects")
     sentences = []
-    for i, sent in enumerate(record["sentences"]):
+    for i, sent in enumerate(raw_sentences):
+        if not isinstance(sent, dict):
+            raise ValueError(f"sentence {i} is not an object")
+        for key in ("parse", "tokens"):
+            if key not in sent:
+                raise ValueError(f"sentence {i} has no {key}")
         parse = sent["parse"]
         if not isinstance(parse, str):
             raise ValueError(f"sentence {i}: parse is not a string")

@@ -5,16 +5,22 @@ once and computes each selected sentence's compression options and their
 deletion probabilities; none of that depends on the threshold tau.
 render() then deletes the options whose probability clears the threshold
 and optionally applies unigram-coverage deduplication. summarize() is
-render(score_document(...)); evaluate_corpus() and sweep_threshold() score
-each document with a reference once, and the sweep renders it at every
-tau. Decoding reads max_sents, the number of leading sentences that can be
-selected, from the model's training config; ROUGE always preprocesses with
-the fixed EVAL_PREPROCESS (lowercasing only). Everything here is a pure
-function of (model, document, config).
+render(score_document(...)). evaluate_corpus() and sweep_threshold() score
+each document with a reference once and share one per-document loop over
+their taus: it preprocesses the reference once, renders a summary once per
+set of options the model deletes, and ROUGE-scores it once per distinct
+text, reusing both at every tau that gives the same key. Dedup keeps a
+count of live tokens per type instead of rescanning the summary for each
+option, and ROUGE-L uses a bit-parallel LCS. Decoding reads max_sents, the
+number of leading sentences that can be selected, from the model's training
+config; ROUGE always preprocesses with the fixed EVAL_PREPROCESS
+(lowercasing only). Everything here is a pure function of (model, document,
+config), and nothing is cached across documents or calls.
 """
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -113,15 +119,19 @@ def score_document(model: Model, doc: Document, k: int) -> ScoredDocument:
     return ScoredDocument(doc, tuple(sentences))
 
 
-def render(scored: ScoredDocument, tau: float, dedup: bool) -> Summary:
-    """Threshold-gated compression of a scored document, optional deduplication."""
+def _model_deletions(scored: ScoredDocument, tau: float) -> tuple[bool, ...]:
+    """Whether the model deletes each option at tau, in decode then extraction order."""
+    return tuple(apply_threshold(p_del, tau) is CompressionLabel.DEL
+                 for sent in scored.sentences for p_del in sent.p_del)
+
+
+def _render(scored: ScoredDocument, deleted: Sequence[bool], dedup: bool) -> Summary:
     doc = scored.doc
     selected = tuple(sent.index for sent in scored.sentences)
+    options = [(sent.index, option) for sent in scored.sentences for option in sent.options]
     deletions = [
-        AppliedDeletion(sent.index, option.span, CAUSE_MODEL, option.rule, option.node_label)
-        for sent in scored.sentences
-        for option, p_del in zip(sent.options, sent.p_del)
-        if apply_threshold(p_del, tau) is CompressionLabel.DEL]
+        AppliedDeletion(index, option.span, CAUSE_MODEL, option.rule, option.node_label)
+        for (index, option), gone in zip(options, deleted) if gone]
     summary = Summary(
         doc_id=doc.id, selected=selected, deletions=tuple(deletions),
         text=_render_text(doc, selected, deletions))
@@ -129,6 +139,11 @@ def render(scored: ScoredDocument, tau: float, dedup: bool) -> Summary:
         summary = dedup_summary(doc, summary,
                                 {sent.index: sent.options for sent in scored.sentences})
     return summary
+
+
+def render(scored: ScoredDocument, tau: float, dedup: bool) -> Summary:
+    """Threshold-gated compression of a scored document, optional deduplication."""
+    return _render(scored, _model_deletions(scored, tau), dedup)
 
 
 def summarize(model: Model, doc: Document, cfg: SummarizeConfig) -> Summary:
@@ -140,9 +155,11 @@ def dedup_summary(doc: Document, summary: Summary,
                   options: Mapping[int, Sequence[CompressionOption]]) -> Summary:
     """Delete surviving options whose unigrams all occur elsewhere in the summary.
 
-    Options are visited in document order; coverage is recomputed after each
-    deletion, so an earlier deletion can save a later duplicate. Unigram
-    matching is lowercased and ignores punctuation tokens.
+    Options are visited in document order and each sees the deletions made
+    before it, so an earlier deletion can save a later duplicate. Unigram
+    matching is lowercased and ignores punctuation tokens. A count of the
+    live tokens of each type is kept, so an option's types occur elsewhere
+    exactly when their counts exceed their counts inside its span.
     """
     ordered_sents = sorted(summary.selected)
     live: dict[int, list[bool]] = {
@@ -152,27 +169,24 @@ def dedup_summary(doc: Document, summary: Summary,
             live[deletion.sentence][pos] = False
     lowered = {i: [t.text.lower() for t in doc.sentences[i].tokens]
                for i in ordered_sents}
+    counts = Counter(tok for i in ordered_sents
+                     for tok, ok in zip(lowered[i], live[i]) if ok)
 
     deletions = list(summary.deletions)
     for sent in ordered_sents:
+        flags, words = live[sent], lowered[sent]
         for option in sorted(options.get(sent, []),
                              key=lambda o: (o.span.start, -len(o.span))):
-            span = option.span
-            alive = [pos for pos in range(span.start, span.end) if live[sent][pos]]
+            alive = [pos for pos in range(option.span.start, option.span.end) if flags[pos]]
             if not alive:
                 continue  # already gone via the model or an outer option
-            content = {lowered[sent][pos] for pos in alive
-                       if not is_punctuation(lowered[sent][pos])}
-            outside: set[str] = set()
-            for other in ordered_sents:
-                for pos, ok in enumerate(live[other]):
-                    if ok and not (other == sent and span.start <= pos < span.end):
-                        outside.add(lowered[other][pos])
-            if content <= outside:
+            inside = Counter(words[pos] for pos in alive)
+            if all(counts[tok] > n for tok, n in inside.items() if not is_punctuation(tok)):
                 for pos in alive:
-                    live[sent][pos] = False
+                    flags[pos] = False
+                counts.subtract(inside)
                 deletions.append(AppliedDeletion(
-                    sent, span, CAUSE_DEDUP, option.rule, option.node_label))
+                    sent, option.span, CAUSE_DEDUP, option.rule, option.node_label))
 
     text = tuple(
         tuple(doc.sentences[i].tokens[pos].text
@@ -212,9 +226,16 @@ def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
         float(np.mean([s.f1 for s in scores])))
 
 
-def score_summary(summary: Summary, doc: Document) -> EvaluationRow:
+def score_summary(summary: Summary, doc: Document,
+                  reference: Sequence[str] | None = None) -> EvaluationRow:
+    """ROUGE-1/2/L of a summary against its document's reference.
+
+    reference is that reference already preprocessed, for a caller that
+    scores many summaries of one document; by default it is preprocessed here.
+    """
     candidate = preprocess_tokens([t for sent in summary.text for t in sent], EVAL_PREPROCESS)
-    reference = preprocess_tokens(doc.reference_tokens, EVAL_PREPROCESS)
+    if reference is None:
+        reference = preprocess_tokens(doc.reference_tokens, EVAL_PREPROCESS)
     return EvaluationRow(
         doc_id=doc.id,
         rouge1=rouge_n(candidate, [reference], 1),
@@ -237,6 +258,31 @@ def _score_referenced(model: Model, corpus: Sequence[Document],
     return scored, skipped
 
 
+def _rendered_rows(scored: ScoredDocument, taus: Sequence[float],
+                   dedup: bool) -> list[tuple[Summary, EvaluationRow]]:
+    """The summary of one scored document and its ROUGE row at each tau.
+
+    The reference is preprocessed once; a summary is rendered once per set
+    of options the model deletes and scored once per text. Both are pure
+    functions of those keys, so every tau gets the values a fresh render
+    and score_summary would give.
+    """
+    doc = scored.doc
+    reference = preprocess_tokens(doc.reference_tokens, EVAL_PREPROCESS)
+    summaries: dict[tuple[bool, ...], Summary] = {}
+    rows: dict[tuple[tuple[str, ...], ...], EvaluationRow] = {}
+    out = []
+    for tau in taus:
+        deleted = _model_deletions(scored, tau)
+        if deleted not in summaries:
+            summaries[deleted] = _render(scored, deleted, dedup)
+        summary = summaries[deleted]
+        if summary.text not in rows:
+            rows[summary.text] = score_summary(summary, doc, reference)
+        out.append((summary, rows[summary.text]))
+    return out
+
+
 def _evaluation(rows: Sequence[EvaluationRow], skipped: int) -> EvaluationResult:
     return EvaluationResult(
         rows=tuple(rows),
@@ -250,7 +296,7 @@ def evaluate_corpus(model: Model, corpus: Sequence[Document],
                     cfg: SummarizeConfig) -> EvaluationResult:
     """Per-document ROUGE rows plus component-wise corpus means."""
     scored, skipped = _score_referenced(model, corpus, cfg.k)
-    rows = [score_summary(render(s, cfg.tau, cfg.dedup), s.doc) for s in scored]
+    rows = [_rendered_rows(s, [cfg.tau], cfg.dedup)[0][1] for s in scored]
     return _evaluation(rows, skipped)
 
 
@@ -268,18 +314,19 @@ def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence
                     cfg: SummarizeConfig = SummarizeConfig()) -> list[SweepPoint]:
     """Evaluate each threshold; reports averaged F1 and the token-level
     compression ratio (summary tokens after deletions / before). Each
-    document is scored once and rendered at every tau."""
+    document is scored once, and each distinct summary of it rendered and
+    ROUGE-scored once for the whole grid."""
     for tau in tau_grid:
         SummarizeConfig(k=cfg.k, tau=tau, dedup=cfg.dedup)  # rejects a bad tau up front
     scored, skipped = _score_referenced(model, corpus, cfg.k)
     tokens_before = sum(len(s.doc.sentences[sent.index].tokens)
                         for s in scored for sent in s.sentences)
+    per_doc = [_rendered_rows(s, tau_grid, cfg.dedup) for s in scored]
     points = []
-    for tau in tau_grid:
-        summaries = [render(s, tau, cfg.dedup) for s in scored]
-        result = _evaluation([score_summary(summary, s.doc)
-                              for summary, s in zip(summaries, scored)], skipped)
-        tokens_after = sum(len(sent) for summary in summaries for sent in summary.text)
+    for t, tau in enumerate(tau_grid):
+        at_tau = [doc_rows[t] for doc_rows in per_doc]
+        result = _evaluation([row for _, row in at_tau], skipped)
+        tokens_after = sum(len(sent) for summary, _ in at_tau for sent in summary.text)
         ratio = tokens_after / tokens_before if tokens_before else 0.0
         f1_1, f1_2, f1_l = result.mean1.f1, result.mean2.f1, result.mean_l.f1
         points.append(SweepPoint(tau, f1_1, f1_2, f1_l, (f1_1 + f1_2 + f1_l) / 3.0, ratio))

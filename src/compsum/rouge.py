@@ -122,16 +122,25 @@ def rouge_n(candidate: Sequence[str], references: Sequence[Sequence[str]], n: in
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of v is 0 where the LCS of the prefix of a read so far and b[:j+1]
+    steps up at j, so the LCS is the number of zero bits among len(b); one
+    addition per token of a replaces a row of the dynamic program.
+    """
     if not a or not b:
         return 0
-    row = [0] * (len(b) + 1)
-    for x in a:
-        prev = 0
-        for j, y in enumerate(b, start=1):
-            cur = row[j]
-            row[j] = prev + 1 if x == y else max(row[j], row[j - 1])
-            prev = cur
-    return row[len(b)]
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        m = masks.get(tok)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

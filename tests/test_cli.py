@@ -71,6 +71,22 @@ def test_mistyped_reference_record_is_skipped(tmp_path, capsys):
     assert [row["doc_id"] for row in payload["documents"]] == valid_ids
 
 
+def test_misshaped_sentences_record_is_skipped(tmp_path):
+    docs, _ = corpusgen.learnable_corpus(count=2, seed=31)
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, docs)
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    bad = json.loads(lines[0])
+    bad["sentences"] = [[sent["tokens"], sent["parse"]] for sent in bad["sentences"]]
+    lines[0] = json.dumps(bad)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    oracles = tmp_path / "oracles.jsonl"
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
+                 "--k", "2"]) == 0
+    assert [json.loads(line)["doc_id"] for line in oracles.read_text().splitlines()] == [
+        docs[1].id]
+
+
 def test_full_workflow(corpus_path, tmp_path, capsys):
     oracles = tmp_path / "oracles.jsonl"
     model_file = tmp_path / "model.json"

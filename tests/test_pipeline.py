@@ -5,8 +5,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corpusgen
+import reference_rouge
 from compsum import Document, parse_ptb
 from compsum.corpus import document_to_record, load_corpus, write_corpus
 from compsum.model import TrainConfig, TrainingExample, decode_greedy, init_model, train
@@ -15,6 +17,8 @@ from compsum.pipeline import (
     CAUSE_DEDUP,
     CAUSE_MODEL,
     AppliedDeletion,
+    ScoredDocument,
+    ScoredSentence,
     Summary,
     SummarizeConfig,
     apply_threshold,
@@ -29,7 +33,7 @@ from compsum.pipeline import (
     summary_to_record,
     sweep_threshold,
 )
-from compsum.rules import RuleId, extract_options, normalize_options
+from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
 from compsum.treebank import Span
 
 
@@ -42,6 +46,21 @@ def trained_model(seed=5):
     return model, docs
 
 
+@st.composite
+def _ptb(draw, depth=0):
+    """A labeled bracketed tree whose leaves include escaped brackets."""
+    if depth >= 3 or draw(st.booleans()):
+        word = draw(st.sampled_from(["w", "Cat", "-LRB-", "-RRB-", "-LSB-", ",", "'s"]))
+        return f"({draw(st.sampled_from(['NN', '-LRB-', ',']))} {word})"
+    kids = draw(st.lists(_ptb(depth + 1), min_size=1, max_size=3))
+    return f"({draw(st.sampled_from(['S', 'NP', 'PRN']))} " + " ".join(kids) + ")"
+
+
+# Reference words are the unescaped forms a loaded document holds.
+_reference = st.lists(st.lists(st.sampled_from(["the", "(", ")", "[", "Cat", ","]), max_size=4),
+                      max_size=3)
+
+
 class TestLoadCorpus:
     def test_roundtrip(self, tmp_path):
         docs = corpusgen.fixture_corpus()
@@ -49,6 +68,18 @@ class TestLoadCorpus:
         assert write_corpus(path, docs) == len(docs)
         loaded = list(load_corpus(path))
         assert loaded == docs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.text(min_size=1, max_size=6),
+                              st.lists(_ptb(), min_size=1, max_size=3), _reference),
+                    min_size=1, max_size=4, unique_by=lambda doc: doc[0]))
+    def test_write_then_load_is_identity(self, tmp_path_factory, drawn):
+        docs = [Document(id=doc_id, sentences=tuple(parse_ptb(tree) for tree in trees),
+                         reference=tuple(tuple(sent) for sent in reference))
+                for doc_id, trees, reference in drawn]
+        path = tmp_path_factory.mktemp("roundtrip") / "corpus.jsonl"
+        assert write_corpus(path, docs) == len(docs)
+        assert list(load_corpus(path)) == docs
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.jsonl"
@@ -119,6 +150,51 @@ class TestLoadCorpus:
         assert [d.id for d in loaded] == [docs[0].id, docs[2].id]
         assert f"line 2: document {docs[1].id} rejected: {reason}" in caplog.text
 
+    @pytest.mark.parametrize("shape,reason", [
+        ("sentences string", "sentences is not a list of objects"),
+        ("sentences object", "sentences is not a list of objects"),
+        ("sentences missing", "sentences is not a list of objects"),
+        ("sentence list", "sentence 2 is not an object"),
+        ("sentence string", "sentence 2 is not an object"),
+        ("no parse", "sentence 2 has no parse"),
+        ("no tokens", "sentence 2 has no tokens"),
+    ])
+    def test_misshaped_body_rejected_naming_the_field(self, tmp_path, caplog, shape, reason):
+        docs = corpusgen.fixture_corpus()[:3]
+        records = [document_to_record(d) for d in docs]
+        sentences = records[1]["sentences"]
+        sentences += [sentences[0]] * (3 - len(sentences))
+        if shape == "sentences string":
+            records[1]["sentences"] = "(S (NN w))"
+        elif shape == "sentences object":
+            records[1]["sentences"] = {"tokens": ["w"], "parse": "(S (NN w))"}
+        elif shape == "sentences missing":
+            del records[1]["sentences"]
+        elif shape == "sentence list":
+            sentences[2] = [sentences[2]["tokens"], sentences[2]["parse"]]
+        elif shape == "sentence string":
+            sentences[2] = sentences[2]["parse"]
+        else:
+            missing = shape.removeprefix("no ")
+            sentences[2] = {k: v for k, v in sentences[2].items() if k != missing}
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        assert [d.id for d in loaded] == [docs[0].id, docs[2].id]
+        assert f"line 2: document {docs[1].id} rejected: {reason}" in caplog.text
+
+    @pytest.mark.parametrize("record", [[1, 2], "doc", {"sentences": []}])
+    def test_record_without_id_rejected_naming_the_field(self, tmp_path, caplog, record):
+        doc = corpusgen.fixture_corpus()[0]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps(document_to_record(doc)) + "\n",
+                        encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        assert [d.id for d in loaded] == [doc.id]
+        assert "line 1: document ? rejected: record is not an object with an id" in caplog.text
+
     def test_escaped_brackets_roundtrip(self, tmp_path):
         tree = parse_ptb("(S (NP (NN cost)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))")
         doc = Document(id="esc", sentences=(tree,), reference=(("cost", "(", "net", ")"),))
@@ -179,6 +255,37 @@ def _bare_summary(doc, selected):
     return Summary(doc_id=doc.id, selected=tuple(selected), deletions=(), text=text)
 
 
+_DEDUP_WORDS = ["the", "The", "cat", "CAT", "sat", "on", "mat", ",", ".", "--", "-LRB-", "'s"]
+
+
+@st.composite
+def _scored_documents(draw):
+    """Selected sentences in a drawn decode order, each with nested or
+    disjoint options and a deletion probability per option."""
+    n_sents = draw(st.integers(1, 4))
+    trees = tuple(corpusgen.flat_tree(draw(st.lists(st.sampled_from(_DEDUP_WORDS),
+                                                    min_size=1, max_size=10)))
+                  for _ in range(n_sents))
+    order = draw(st.permutations(range(n_sents)))
+    sentences = []
+    for index in order[:draw(st.integers(1, n_sents))]:
+        n = len(trees[index].tokens)
+        spans: list[Span] = []
+        for start, size in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)),
+                                         max_size=6)):
+            span = Span(start, min(n, start + size))
+            if span not in spans and all(
+                    span.end <= o.start or o.end <= span.start
+                    or (o.start <= span.start and span.end <= o.end)
+                    or (span.start <= o.start and o.end <= span.end) for o in spans):
+                spans.append(span)
+        options = tuple(CompressionOption(span, draw(st.sampled_from(list(RuleId))), "X")
+                        for span in spans)
+        p_del = tuple(draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])) for _ in options)
+        sentences.append(ScoredSentence(index, options, p_del))
+    return ScoredDocument(Document(id="h", sentences=trees), tuple(sentences))
+
+
 class TestDedup:
     def test_covered_option_deleted(self):
         doc = _dedup_doc()
@@ -231,6 +338,15 @@ class TestDedup:
                            for d2 in summary.deletions if d2 is not deletion
                            for i in range(d2.span.start, d2.span.end))}
                 assert missing == covered_by_later_deletion or not missing
+
+    @settings(max_examples=400, deadline=None)
+    @given(_scored_documents(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_counted_dedup_equals_set_based(self, scored, tau):
+        base = render(scored, tau, False)
+        options = {sent.index: sent.options for sent in scored.sentences}
+        expected = reference_rouge.dedup_summary(scored.doc, base, options)
+        assert dedup_summary(scored.doc, base, options) == expected
+        assert render(scored, tau, True) == expected
 
     def test_model_deleted_span_not_revisited(self):
         doc = _dedup_doc()
@@ -338,6 +454,26 @@ class TestEvaluate:
         assert len(result.rows) == 1
 
 
+GRID_101 = [i / 100 for i in range(101)]
+
+
+def _point_values(point):
+    return (point.tau, point.rouge1_f1, point.rouge2_f1, point.rouge_l_f1,
+            point.mean_f1, point.compression_ratio)
+
+
+def _fresh_values(scored, tau, dedup):
+    """A sweep point from a fresh render and score_summary of every document."""
+    summaries = [render(s, tau, dedup) for s in scored]
+    rows = [score_summary(summary, s.doc) for summary, s in zip(summaries, scored)]
+    f1 = [float(np.mean([getattr(row, name).f1 for row in rows]))
+          for name in ("rouge1", "rouge2", "rouge_l")]
+    before = sum(len(s.doc.sentences[sent.index].tokens)
+                 for s in scored for sent in s.sentences)
+    after = sum(len(sent) for summary in summaries for sent in summary.text)
+    return (tau, *f1, sum(f1) / 3.0, after / before)
+
+
 class TestSweep:
     def test_endpoints_and_monotone_ratio(self):
         model, docs = trained_model()
@@ -373,6 +509,41 @@ class TestSweep:
                 assert point.rouge1_f1 == result.mean1.f1
                 assert point.rouge2_f1 == result.mean2.f1
                 assert point.rouge_l_f1 == result.mean_l.f1
+
+    def test_points_equal_fresh_render_and_score_on_101_taus(self):
+        model, docs = trained_model()
+        scored = [score_document(model, doc, 2) for doc in docs[:6]]
+        for dedup in (False, True):
+            points = sweep_threshold(model, docs[:6], GRID_101,
+                                     SummarizeConfig(k=2, tau=0.0, dedup=dedup))
+            assert [_point_values(p) for p in points] == [
+                _fresh_values(scored, tau, dedup) for tau in GRID_101]
+
+    def test_text_repeating_at_nonadjacent_taus(self, monkeypatch):
+        # Dedup matches lowercased words, so which copies of "rates" survive
+        # depends on which ones the model deleted: the text goes "rates",
+        # "Rates rates", "rates", "" as tau rises.
+        import compsum.pipeline as pipeline_mod
+
+        model, docs = trained_model()
+        tree = parse_ptb("(S (NNS rates) (NP (NNS Rates) (NNS rates)) (NNS rates))")
+        doc = Document(id="repeat", sentences=(tree,), reference=(("rates", "rose"),))
+        options = tuple(CompressionOption(span, RuleId.ADJP_IN_NP, "NNS")
+                        for span in (Span(0, 1), Span(1, 3), Span(3, 4)))
+        repeat = ScoredDocument(doc, (ScoredSentence(0, options, (0.2, 0.6, 0.8)),))
+        texts = [render(repeat, tau, True).text for tau in (0.1, 0.3, 0.5, 0.9)]
+        assert texts == [(("rates",),), (("Rates", "rates"),), (("rates",),), ((),)]
+
+        original = pipeline_mod.score_document
+        monkeypatch.setattr(pipeline_mod, "score_document", lambda m, d, k: (
+            repeat if d is doc else original(m, d, k)))
+        corpus = [docs[0], doc, docs[1]]
+        scored = [original(model, docs[0], 2), repeat, original(model, docs[1], 2)]
+        for dedup in (False, True):
+            points = sweep_threshold(model, corpus, GRID_101,
+                                     SummarizeConfig(k=2, tau=0.0, dedup=dedup))
+            assert [_point_values(p) for p in points] == [
+                _fresh_values(scored, tau, dedup) for tau in GRID_101]
 
     def test_bad_tau_rejected_before_scoring(self, monkeypatch):
         import compsum.pipeline as pipeline_mod

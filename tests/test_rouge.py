@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_rouge
 from compsum.rouge import (
     DEFAULT_STOPWORDS,
     ORACLE_PREPROCESS,
     PreprocessConfig,
     ReferenceGrams,
+    RougeScore,
+    _lcs_length,
     approx_oracle_score,
     approx_score_pretokenized,
     oracle_preprocess,
@@ -161,6 +164,41 @@ class TestRougeL:
             assert rouge_l(cand, ref).f1 == 0.0
             return
         assert_matches(rouge_l(cand, ref), brute_lcs_score(cand, ref))
+
+
+# Two to four token types, so that tokens repeat; up to 150 tokens, so that
+# the match masks cross the 64- and 128-bit word boundaries.
+_lcs_pairs = st.integers(2, 4).flatmap(lambda types: st.tuples(
+    st.lists(st.sampled_from("abcd"[:types]), max_size=150),
+    st.lists(st.sampled_from("abcd"[:types]), max_size=150)))
+
+
+class TestBitParallelLcs:
+    @settings(max_examples=300, deadline=None)
+    @given(_lcs_pairs)
+    def test_equals_dynamic_program(self, pair):
+        a, b = pair
+        assert _lcs_length(a, b) == reference_rouge.lcs_length(a, b)
+        assert _lcs_length(b, a) == reference_rouge.lcs_length(a, b)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 150])
+    def test_word_boundary_lengths(self, n):
+        rng = np.random.default_rng(n)
+        for types in (1, 2, 3, 7):
+            a = [f"t{i}" for i in rng.integers(0, types, size=n)]
+            b = [f"t{i}" for i in rng.integers(0, types, size=int(rng.integers(1, 151)))]
+            assert _lcs_length(a, b) == reference_rouge.lcs_length(a, b)
+            assert _lcs_length(a, a) == n
+
+    def test_rouge_l_floats_unchanged(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            cand = [f"t{i}" for i in rng.integers(0, 5, size=int(rng.integers(1, 90)))]
+            ref = [f"t{i}" for i in rng.integers(0, 5, size=int(rng.integers(1, 90)))]
+            lcs = reference_rouge.lcs_length(cand, ref)
+            p, r = lcs / len(cand), lcs / len(ref)
+            f = 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+            assert rouge_l(cand, ref) == RougeScore(p, r, f)
 
 
 class TestPreprocess:

@@ -47,6 +47,48 @@ print(json.dumps({"calls": tracer.calls, "counts": tracer.counts,
 """
 
 
+TRACED_SWEEP = """
+import json, sys
+sys.path[:0] = sys.argv[1:4]
+import spans
+import compsum.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+import corpusgen
+from compsum.model import init_model
+from compsum.pipeline import SummarizeConfig, render, score_document, sweep_threshold
+docs = corpusgen.learnable_corpus(count=8, seed=3)[0]
+model = init_model(seed=0)
+grid = [i / 10 for i in range(11)]
+sweep_threshold(model, docs, grid, SummarizeConfig(k=2, tau=0.0, dedup=True))
+calls = dict(tracer.calls)
+texts, deletion_sets = set(), set()
+for doc in docs:
+    scored = score_document(model, doc, 2)
+    for tau in grid:
+        deletion_sets.add((doc.id, render(scored, tau, False).deletions))
+        texts.add((doc.id, render(scored, tau, True).text))
+print(json.dumps({"calls": calls, "docs": len(docs), "taus": len(grid),
+                  "texts": len(texts), "deletion_sets": len(deletion_sets)}))
+"""
+
+
+def test_traced_sweep_renders_and_scores_each_distinct_summary_once():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SWEEP,
+         str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    calls, docs = result["calls"], result["docs"]
+    assert calls["rouge.rouge_l"] == result["texts"] < docs * result["taus"]
+    assert calls["pipeline.score_summary"] == result["texts"]
+    assert calls["rouge.rouge_n"] == 2 * result["texts"]
+    assert calls["pipeline.dedup"] == result["deletion_sets"] < docs * result["taus"]
+    # each reference once, each distinct summary text once
+    assert calls["rouge.preprocess"] == docs + result["texts"]
+
+
 def test_traced_load_parses_each_sentence_once(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_LOAD,
