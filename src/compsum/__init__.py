@@ -10,9 +10,7 @@ from .features import (
     DecoderState,
     DocumentContext,
     advance_state,
-    featurize_document,
     featurize_option,
-    featurize_sentence,
     initial_state,
 )
 from .model import (
@@ -74,9 +72,7 @@ from .treebank import (
     Span,
     Token,
     TreeNode,
-    node_span,
     parse_ptb,
-    render_with_deletions,
     to_ptb,
 )
 

@@ -48,6 +48,8 @@ def _parse_tau_grid(spec: str) -> list[float]:
     while value <= stop + 1e-9:
         grid.append(round(value, 10))
         value += step
+    if not grid:
+        raise ValueError(f"--tau-grid {spec!r} holds no threshold: start exceeds stop")
     return grid
 
 
@@ -167,6 +169,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples {args.samples} must be >= 1")
     examples = _load_examples(args.corpus, args.oracles)
     rng = np.random.default_rng(args.seed)
     model = model_mod.init_model(args.hidden, args.seed)

@@ -106,7 +106,16 @@ def _strings(value, what: str) -> list[str]:
 
 
 def document_to_record(doc: Document) -> dict:
-    """Inverse of document_from_record; escapes bracket tokens on the way out."""
+    """Inverse of document_from_record; escapes bracket tokens on the way out.
+
+    A token or reference word that is itself a bracket code (say "-LRB-")
+    would be read back unescaped, so it is a ValueError.
+    """
+    for word in (*(t for tree in doc.sentences for t in tree.token_texts),
+                 *doc.reference_tokens):
+        if word in BRACKET_UNESCAPE:
+            raise ValueError(f"document {doc.id!r}: word {word!r} is a bracket code and "
+                             f"would be read back as {BRACKET_UNESCAPE[word]!r}")
     return {
         "id": doc.id,
         "sentences": [

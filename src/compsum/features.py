@@ -24,7 +24,13 @@ _RULE_INDEX = {rule: i for i, rule in enumerate(RuleId)}
 
 
 class DocumentContext:
-    """Per-document cache of token statistics and feature matrices."""
+    """Per-document cache of token statistics and feature matrices.
+
+    Row i of sentence_features is sentence i's position, log length,
+    vocabulary coverage, stopword fraction, capitalized-token fraction and
+    lead-3 indicator; document_features is the mean and max of those rows
+    plus the log sentence count.
+    """
 
     def __init__(self, doc: Document):
         self.doc = doc
@@ -49,27 +55,12 @@ class DocumentContext:
             [feats.mean(axis=0), feats.max(axis=0), [math.log1p(n)]])
 
 
-def _context(doc) -> DocumentContext:
-    return doc if isinstance(doc, DocumentContext) else DocumentContext(doc)
-
-
-def featurize_sentence(doc, i: int) -> np.ndarray:
-    """Features of sentence i: position, log length, vocabulary coverage,
-    stopword fraction, capitalized-token fraction, lead-3 indicator."""
-    ctx = _context(doc)
-    return ctx.sentence_features[i].copy()
-
-
-def featurize_document(doc) -> np.ndarray:
-    """Mean and max of sentence features plus log sentence count."""
-    return _context(doc).document_features.copy()
-
-
 @dataclass(frozen=True, eq=False)
 class DecoderState:
-    """Summary-so-far state: selected prefix plus its feature vector."""
+    """Summary so far: the selected prefix, its token types, its feature vector."""
 
     selected: tuple[int, ...]
+    covered: frozenset[str]      # lowercased types of the selected sentences
     k: int
     vector: np.ndarray
 
@@ -77,34 +68,31 @@ class DecoderState:
 def initial_state(k: int) -> DecoderState:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return DecoderState(selected=(), k=k, vector=np.zeros(STATE_DIM, dtype=np.float64))
+    return DecoderState(selected=(), covered=frozenset(), k=k,
+                        vector=np.zeros(STATE_DIM, dtype=np.float64))
 
 
 def advance_state(ctx: DocumentContext, state: DecoderState, picked: int) -> DecoderState:
     """Recompute the state after selecting another sentence."""
     selected = state.selected + (picked,)
     mean = ctx.sentence_features[list(selected)].mean(axis=0)
-    covered = set().union(*(ctx.sentence_types[i] for i in selected))
+    covered = state.covered | ctx.sentence_types[picked]
     coverage = len(covered) / len(ctx.doc_types)
     vector = np.concatenate([[len(selected) / state.k], mean, [coverage]])
-    return DecoderState(selected=selected, k=state.k, vector=vector)
+    return DecoderState(selected=selected, covered=covered, k=state.k, vector=vector)
 
 
 def featurize_option(
-    doc,
+    ctx: DocumentContext,
     sent_index: int,
     option: CompressionOption,
     state: DecoderState,
 ) -> np.ndarray:
     """Features of a compression option in the context of the summary so far."""
-    ctx = _context(doc)
     tokens = ctx.lowered[sent_index]
     span = option.span
     span_tokens = tokens[span.start:span.end]
     span_counts = Counter(span_tokens)
-    summary_types: set[str] = set()
-    if state.selected:
-        summary_types = set().union(*(ctx.sentence_types[i] for i in state.selected))
 
     feats = np.zeros(OPTION_FEATURE_DIM, dtype=np.float64)
     feats[_RULE_INDEX[option.rule]] = 1.0
@@ -112,7 +100,7 @@ def featurize_option(
     feats[base + 0] = math.log1p(len(span_tokens))
     feats[base + 1] = span.start / len(tokens)
     feats[base + 2] = sum(ctx.doc_counts[t] > span_counts[t] for t in span_tokens) / len(span_tokens)
-    feats[base + 3] = sum(t in summary_types for t in span_tokens) / len(span_tokens)
+    feats[base + 3] = sum(t in state.covered for t in span_tokens) / len(span_tokens)
     feats[base + 4] = sum(t in DEFAULT_STOPWORDS for t in span_tokens) / len(span_tokens)
     feats[base + 5:] = ctx.sentence_features[sent_index]
     return feats

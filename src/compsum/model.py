@@ -193,13 +193,11 @@ def greedy_steps(model: Model, ctx: DocumentContext, k: int):
     if n < k:
         raise ValueError(f"document {ctx.doc.id!r} has {n} scoreable sentences but k={k}")
     state = initial_state(k)
-    selected: list[int] = []
     for _ in range(k):
         probs = score_remaining(model, state, ctx.document_features,
-                                ctx.sentence_features[:n], selected)
+                                ctx.sentence_features[:n], state.selected)
         pick = int(np.argmax(probs))
         yield pick, state
-        selected.append(pick)
         state = advance_state(ctx, state, pick)
 
 
@@ -244,6 +242,12 @@ class TrainConfig:
             raise ValueError("alpha must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
+        if self.epochs < 0:
+            raise ValueError(f"epochs={self.epochs} must be >= 0")
+        if self.oracles_per_doc < 1:
+            raise ValueError(f"oracles_per_doc={self.oracles_per_doc} must be >= 1")
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size={self.hidden_size} must be >= 1")
 
 
 @dataclass
@@ -271,7 +275,6 @@ def compile_example(example: TrainingExample,
     steps: list[_Step] = []
     for oracle in example.oracles:
         state = initial_state(max(len(oracle.sentence_indices), 1))
-        used: list[int] = []
         for target in oracle.sentence_indices:
             if target >= n:
                 message = f"document {doc.id!r}: oracle index {target} >= {n} scoreable sentences"
@@ -280,7 +283,8 @@ def compile_example(example: TrainingExample,
                                 f"the oracle cache was built with a larger --max-sents: rebuild "
                                 f"it with oracle build --max-sents {max_sents}")
                 raise ValueError(message)
-            remaining = np.array([i for i in range(n) if i not in used], dtype=np.int64)
+            remaining = np.array([i for i in range(n) if i not in state.selected],
+                                 dtype=np.int64)
             target_pos = int(np.nonzero(remaining == target)[0][0])
             sent_labels = example.labels[target] if target < len(example.labels) else ()
             if sent_labels:
@@ -300,7 +304,6 @@ def compile_example(example: TrainingExample,
                 option_feats=option_feats,
                 option_targets=option_targets,
             ))
-            used.append(target)
             state = advance_state(ctx, state, target)
     return CompiledExample(sent_feats=ctx.sentence_features[:n],
                            steps=steps, oracle_count=max(len(example.oracles), 1))

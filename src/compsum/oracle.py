@@ -58,6 +58,8 @@ class OracleConfig:
             raise ValueError(f"k={self.k} must satisfy 1 <= k <= max_sents={self.max_sents}")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        if self.m < 1:
+            raise ValueError(f"m={self.m} must be >= 1")
         if self.m > self.beam_width:
             raise ValueError(f"m={self.m} must not exceed beam_width={self.beam_width}")
 

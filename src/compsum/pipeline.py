@@ -33,7 +33,7 @@ from .model import Model, classify_option, greedy_steps
 from .oracle import CompressionLabel, DocumentOracles
 from .rouge import PreprocessConfig, RougeScore, is_punctuation, preprocess_tokens, rouge_l, rouge_n
 from .rules import CompressionOption, RuleId, extract_options
-from .treebank import Span, surviving_tokens
+from .treebank import Span
 
 logger = logging.getLogger(__name__)
 
@@ -83,16 +83,6 @@ def apply_threshold(p_del: float, tau: float) -> CompressionLabel:
     return CompressionLabel.DEL if p_del > 1.0 - tau else CompressionLabel.KEEP
 
 
-def _render_text(doc: Document, selected: Sequence[int],
-                 deletions: Sequence[AppliedDeletion]) -> tuple[tuple[str, ...], ...]:
-    by_sentence: dict[int, list[Span]] = {}
-    for deletion in deletions:
-        by_sentence.setdefault(deletion.sentence, []).append(deletion.span)
-    return tuple(
-        tuple(surviving_tokens(doc.sentences[i], by_sentence.get(i, [])))
-        for i in sorted(selected))
-
-
 @dataclass(frozen=True)
 class ScoredSentence:
     index: int
@@ -126,19 +116,17 @@ def _model_deletions(scored: ScoredDocument, tau: float) -> tuple[bool, ...]:
 
 
 def _render(scored: ScoredDocument, deleted: Sequence[bool], dedup: bool) -> Summary:
+    """The summary with the model's deletions, rendered by dedup_summary over
+    the selected sentences' options, or over none when dedup is off."""
     doc = scored.doc
-    selected = tuple(sent.index for sent in scored.sentences)
     options = [(sent.index, option) for sent in scored.sentences for option in sent.options]
-    deletions = [
+    deletions = tuple(
         AppliedDeletion(index, option.span, CAUSE_MODEL, option.rule, option.node_label)
-        for (index, option), gone in zip(options, deleted) if gone]
-    summary = Summary(
-        doc_id=doc.id, selected=selected, deletions=tuple(deletions),
-        text=_render_text(doc, selected, deletions))
-    if dedup:
-        summary = dedup_summary(doc, summary,
-                                {sent.index: sent.options for sent in scored.sentences})
-    return summary
+        for (index, option), gone in zip(options, deleted) if gone)
+    model_only = Summary(doc_id=doc.id, selected=tuple(sent.index for sent in scored.sentences),
+                         deletions=deletions, text=())
+    return dedup_summary(doc, model_only,
+                         {sent.index: sent.options for sent in scored.sentences} if dedup else {})
 
 
 def render(scored: ScoredDocument, tau: float, dedup: bool) -> Summary:
@@ -155,11 +143,13 @@ def dedup_summary(doc: Document, summary: Summary,
                   options: Mapping[int, Sequence[CompressionOption]]) -> Summary:
     """Delete surviving options whose unigrams all occur elsewhere in the summary.
 
-    Options are visited in document order and each sees the deletions made
-    before it, so an earlier deletion can save a later duplicate. Unigram
-    matching is lowercased and ignores punctuation tokens. A count of the
-    live tokens of each type is kept, so an option's types occur elsewhere
-    exactly when their counts exceed their counts inside its span.
+    The text is rendered afresh from summary.deletions plus the deletions
+    made here; summary.text is not read. Options are visited in document
+    order and each sees the deletions made before it, so an earlier
+    deletion can save a later duplicate. Unigram matching is lowercased and
+    ignores punctuation tokens. A count of the live tokens of each type is
+    kept, so an option's types occur elsewhere exactly when their counts
+    exceed their counts inside its span.
     """
     ordered_sents = sorted(summary.selected)
     live: dict[int, list[bool]] = {

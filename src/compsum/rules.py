@@ -8,7 +8,8 @@ contains the other, so any subset of them can be deleted together.
 import enum
 from dataclasses import dataclass
 
-from .treebank import SentenceTree, Span, TreeNode
+from .treebank import PartialOverlapError  # noqa: F401  (normalize_options raises it)
+from .treebank import SentenceTree, Span, TreeNode, ensure_nest_or_disjoint
 
 
 class RuleId(enum.Enum):
@@ -25,16 +26,11 @@ class RuleId(enum.Enum):
 RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
 
 
-class PartialOverlapError(ValueError):
-    """Two options partially overlap; indicates a bug in a rule pattern."""
-
-
 @dataclass(frozen=True)
 class CompressionOption:
     span: Span
     rule: RuleId
     node_label: str
-    include_boundary_punct: bool = False
 
 
 # Prepositions treated as heads of deletable temporal/locative adjunct PPs.
@@ -81,7 +77,6 @@ class _Candidate:
     node_label: str
     parent_span: Span | None  # absorption never reaches outside this
     absorb: bool
-    extended: bool = False
 
 
 def extract_options(tree: SentenceTree) -> list[CompressionOption]:
@@ -119,7 +114,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                     if span is not None:
                         candidates.append(_Candidate(
                             span, RuleId.APPOSITIVE_NP, child.label,
-                            node.span, absorb=False, extended=True))
+                            node.span, absorb=False))
 
             if child_label == "SBAR":
                 first_leaf = child.leaves()[0]
@@ -186,7 +181,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                 _, start = stack.pop()
                 candidates.append(_Candidate(
                     Span(start, i + 1), RuleId.PARENTHETICAL, "PRN",
-                    None, absorb=False, extended=True))
+                    None, absorb=False))
 
     candidates = _dedupe(candidates)
     _absorb_commas(candidates, texts)
@@ -200,9 +195,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
             continue
         if all(cand.span.compatible(span) for span in kept_spans):
             kept_spans.append(cand.span)
-            options.append(CompressionOption(
-                span=cand.span, rule=cand.rule, node_label=cand.node_label,
-                include_boundary_punct=cand.extended))
+            options.append(CompressionOption(cand.span, cand.rule, cand.node_label))
     return sorted(options, key=lambda o: (o.span.start, -len(o.span)))
 
 
@@ -236,14 +229,12 @@ def _absorb_commas(candidates: list[_Candidate], texts) -> None:
             widened = Span(left, span.end)
             if all(widened.compatible(other) for other in others):
                 cand.span = widened
-                cand.extended = True
                 continue
         right = span.end
         if right < cand.parent_span.end and texts[right] == ",":
             widened = Span(span.start, right + 1)
             if all(widened.compatible(other) for other in others):
                 cand.span = widened
-                cand.extended = True
 
 
 def normalize_options(options: list[CompressionOption], sentence_len: int) -> list[CompressionOption]:
@@ -251,13 +242,7 @@ def normalize_options(options: list[CompressionOption], sentence_len: int) -> li
     kept = [opt for opt in options
             if not (opt.span.start == 0 and opt.span.end >= sentence_len)]
     ordered = sorted(kept, key=lambda o: (o.span.start, -len(o.span)))
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if b.span.start >= a.span.end:
-                break
-            if not a.span.compatible(b.span):
-                raise PartialOverlapError(
-                    f"options {a.span} and {b.span} partially overlap")
+    ensure_nest_or_disjoint(opt.span for opt in ordered)
     return ordered
 
 

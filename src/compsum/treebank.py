@@ -1,4 +1,4 @@
-"""Bracketed constituency trees: parsing, token spans, deletion rendering.
+"""Bracketed constituency trees: parsing, token spans, surviving tokens.
 
 Trees arrive as standard bracketed strings, one per sentence. `parse_ptb`
 reads one in a single left-to-right pass over its lexemes and builds each
@@ -40,6 +40,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (char {offset})")
         self.offset = offset
+
+
+class PartialOverlapError(ValueError):
+    """Two spans partially overlap: neither contains the other and they share a token."""
 
 
 class Token(NamedTuple):
@@ -202,20 +206,15 @@ def _located(message: str, text: str, index: int) -> ParseError:
     return ParseError(message, match.start())
 
 
-def node_span(node: TreeNode) -> Span:
-    """Return the cached contiguous token span of a node."""
-    return node.span
-
-
 def ensure_nest_or_disjoint(spans: Iterable[Span]) -> None:
-    """Raise ValueError if any pair of spans partially overlaps."""
+    """Raise PartialOverlapError if any pair of spans partially overlaps."""
     ordered = sorted(spans)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1:]:
             if b.start >= a.end:
                 break
             if not a.compatible(b):
-                raise ValueError(f"partially overlapping spans {a} and {b}")
+                raise PartialOverlapError(f"spans {a} and {b} partially overlap")
 
 
 def surviving_tokens(tree: SentenceTree, deletions: Iterable[Span]) -> list[str]:
@@ -231,15 +230,6 @@ def surviving_tokens(tree: SentenceTree, deletions: Iterable[Span]) -> list[str]
         for i in range(span.start, span.end):
             dead[i] = True
     return [token.text for token in tree.tokens if not dead[token.index]]
-
-
-def render_with_deletions(tree: SentenceTree, deletions: Iterable[Span]) -> str:
-    """Render the sentence with the given spans removed, space-joined.
-
-    Nested deletion spans are fine; overlapping-but-not-nested spans are
-    rejected (the rule extractor never emits them).
-    """
-    return " ".join(surviving_tokens(tree, deletions))
 
 
 def to_ptb(tree: SentenceTree) -> str:

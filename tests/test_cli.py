@@ -188,6 +188,33 @@ def test_bad_tau_grid_is_error(corpus_path, tmp_path, capsys):
     assert code == 1
     assert "error" in capsys.readouterr().err
 
+def _structured_error(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_gradcheck_of_no_samples_is_error(corpus_path, tmp_path, capsys):
+    oracles = tmp_path / "oracles.jsonl"
+    main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(oracles), "--k", "2"])
+    code = main(["gradcheck", "--corpus", str(corpus_path), "--oracles", str(oracles),
+                 "--samples", "0"])
+    assert code == 1
+    assert "--samples 0" in _structured_error(capsys)
+
+
+def test_tau_grid_without_thresholds_is_error(corpus_path, tmp_path, capsys):
+    model_file = tmp_path / "model.json"
+    oracles = tmp_path / "oracles.jsonl"
+    main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(oracles), "--k", "2"])
+    main(["train", "--corpus", str(corpus_path), "--oracles", str(oracles),
+          "--out", str(model_file), "--epochs", "0"])
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--corpus", str(corpus_path), "--model", str(model_file),
+                 "--out", str(out), "--tau-grid", "0.5:0.2:0.1"])
+    assert code == 1
+    assert "--tau-grid '0.5:0.2:0.1'" in _structured_error(capsys)
+    assert not out.exists()
+
+
 def _golden_corpus():
     """Rule fixtures, learnable documents, random flat documents, and one
     document whose stopword-only sentence leaves a bigram bridging a gap."""

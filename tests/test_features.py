@@ -12,9 +12,7 @@ from compsum.features import (
     STATE_DIM,
     DocumentContext,
     advance_state,
-    featurize_document,
     featurize_option,
-    featurize_sentence,
     initial_state,
 )
 from compsum.rules import extract_options, normalize_options
@@ -27,37 +25,38 @@ def doc():
 
 class TestSentenceFeatures:
     def test_dimensions(self, doc):
-        assert featurize_sentence(doc, 0).shape == (SENTENCE_FEATURE_DIM,)
-        assert featurize_document(doc).shape == (DOC_FEATURE_DIM,)
+        assert DocumentContext(doc).sentence_features[0].shape == (SENTENCE_FEATURE_DIM,)
+        assert DocumentContext(doc).document_features.shape == (DOC_FEATURE_DIM,)
 
     def test_first_sentence_position_zero(self, doc):
-        assert featurize_sentence(doc, 0)[0] == 0.0
+        assert DocumentContext(doc).sentence_features[0][0] == 0.0
 
     def test_single_sentence_doc_full_overlap(self):
         tree = parse_ptb("(S (NN storm) (NN coast))")
         doc = Document(id="solo", sentences=(tree,))
-        feats = featurize_sentence(doc, 0)
+        feats = DocumentContext(doc).sentence_features[0]
         assert feats[2] == 1.0  # covers the whole document vocabulary
 
     def test_lead3_indicator(self):
         sents = tuple(corpusgen.flat_tree([f"w{i}"]) for i in range(5))
         doc = Document(id="lead", sentences=sents)
-        flags = [featurize_sentence(doc, i)[5] for i in range(5)]
+        flags = [DocumentContext(doc).sentence_features[i][5] for i in range(5)]
         assert flags == [1.0, 1.0, 1.0, 0.0, 0.0]
 
     def test_stopword_fraction(self):
         tree = parse_ptb("(S (DT the) (NN storm))")
         doc = Document(id="stop", sentences=(tree,))
-        assert featurize_sentence(doc, 0)[3] == 0.5
+        assert DocumentContext(doc).sentence_features[0][3] == 0.5
 
     def test_capitalized_fraction_skips_sentence_start(self):
         tree = parse_ptb("(S (NNP London) (VBD called) (NNP Paris))")
         doc = Document(id="cap", sentences=(tree,))
-        assert featurize_sentence(doc, 0)[4] == pytest.approx(1.0 / 3.0)
+        assert DocumentContext(doc).sentence_features[0][4] == pytest.approx(1.0 / 3.0)
 
     def test_deterministic(self, doc):
-        assert np.array_equal(featurize_sentence(doc, 1), featurize_sentence(doc, 1))
-        assert np.array_equal(featurize_document(doc), featurize_document(doc))
+        first, second = DocumentContext(doc), DocumentContext(doc)
+        assert np.array_equal(first.sentence_features, second.sentence_features)
+        assert np.array_equal(first.document_features, second.document_features)
 
 
 class TestDecoderState:
@@ -66,11 +65,13 @@ class TestDecoderState:
         assert state.vector.shape == (STATE_DIM,)
         assert np.all(state.vector == 0.0)
         assert state.selected == ()
+        assert state.covered == frozenset()
 
     def test_advance_updates_components(self, doc):
         ctx = DocumentContext(doc)
         state = advance_state(ctx, initial_state(2), 0)
         assert state.selected == (0,)
+        assert state.covered == ctx.sentence_types[0]
         assert state.vector[0] == 0.5  # one of two selections made
         assert np.allclose(state.vector[1:7], ctx.sentence_features[0])
         assert 0.0 < state.vector[7] <= 1.0
@@ -80,6 +81,7 @@ class TestDecoderState:
         state = initial_state(len(doc.sentences))
         for i in range(len(doc.sentences)):
             state = advance_state(ctx, state, i)
+        assert state.covered == ctx.doc_types
         assert state.vector[7] == 1.0
 
 
@@ -91,7 +93,7 @@ class TestOptionFeatures:
 
     def test_dimensions_and_rule_onehot(self, doc):
         option = self._option(doc, 0)
-        feats = featurize_option(doc, 0, option, initial_state(2))
+        feats = featurize_option(DocumentContext(doc), 0, option, initial_state(2))
         assert feats.shape == (OPTION_FEATURE_DIM,)
         assert feats[:8].sum() == 1.0
 
@@ -102,7 +104,7 @@ class TestOptionFeatures:
         doc = Document(id="re", sentences=(t1, t2))
         option = self._option(doc, 0)
         assert option.span.start == 3  # "on budget"
-        feats = featurize_option(doc, 0, option, initial_state(2))
+        feats = featurize_option(DocumentContext(doc), 0, option, initial_state(2))
         assert feats[10] == 1.0  # elsewhere-in-document fraction
 
     def test_summary_overlap_fraction(self, doc):

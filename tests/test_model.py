@@ -329,6 +329,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("oracles_per_doc", 0), ("hidden_size", 0)])
+    def test_config_that_would_do_nothing_rejected(self, field, value):
+        # each once trained on nothing, saved the initialization or wrote an unloadable model
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            TrainConfig(**{field: value})
+
 
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):

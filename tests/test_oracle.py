@@ -47,6 +47,11 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(m=9, beam_width=8)
 
+    def test_zero_oracles_per_document_rejected(self):
+        # m=0 once wrote every record with no oracles
+        with pytest.raises(ValueError, match="m=0"):
+            OracleConfig(m=0)
+
 
 class TestBeamSearch:
     def test_single_sentence_doc(self):

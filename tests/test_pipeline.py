@@ -21,6 +21,7 @@ from compsum.pipeline import (
     ScoredSentence,
     Summary,
     SummarizeConfig,
+    _render,
     apply_threshold,
     dedup_summary,
     evaluate_corpus,
@@ -34,7 +35,7 @@ from compsum.pipeline import (
     sweep_threshold,
 )
 from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
-from compsum.treebank import Span
+from compsum.treebank import SentenceTree, Span, Token, TreeNode, surviving_tokens
 
 
 def trained_model(seed=5):
@@ -205,6 +206,19 @@ class TestLoadCorpus:
         assert raw["reference"][0] == ["cost", "-LRB-", "net", "-RRB-"]
         (loaded,) = load_corpus(path)
         assert loaded == doc
+
+    def test_bracket_code_word_is_not_written(self, tmp_path):
+        # a word that is itself "-LRB-" would be read back as "("
+        leaf = TreeNode("NN", (), Span(0, 1))
+        coded = SentenceTree(TreeNode("S", (leaf,), Span(0, 1)), (Token("-RRB-", 0),))
+        plain = corpusgen.flat_tree(["x"])
+        cases = [(Document(id="ref", sentences=(plain,), reference=(("-LRB-", "x"),)), "-LRB-"),
+                 (Document(id="tok", sentences=(plain, coded)), "-RRB-")]
+        for doc, word in cases:
+            with pytest.raises(ValueError, match=f"document '{doc.id}': word '{word}'"):
+                document_to_record(doc)
+            with pytest.raises(ValueError):
+                write_corpus(tmp_path / "out.jsonl", [doc])
 
 
 class TestApplyThreshold:
@@ -579,6 +593,26 @@ class TestScoreOnceRenderMany:
             summarize(model, doc, SummarizeConfig(k=n))
         model.train_config = None
         assert len(score_document(model, doc, n).sentences) == n
+
+
+_SCORED = [score_document(init_model(seed=0), doc, 2)
+           for doc in corpusgen.learnable_corpus(count=10, seed=3)[0]]
+
+
+class TestRenderWithoutDedup:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(_SCORED), _scored_documents()), st.data())
+    def test_text_is_surviving_tokens_of_any_deletions(self, scored, data):
+        count = sum(len(sent.options) for sent in scored.sentences)
+        deleted = tuple(data.draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+        summary = _render(scored, deleted, False)
+        assert len(summary.deletions) == sum(deleted)
+        assert all(d.cause == CAUSE_MODEL for d in summary.deletions)
+        expected = tuple(
+            tuple(surviving_tokens(scored.doc.sentences[i],
+                                   [d.span for d in summary.deletions if d.sentence == i]))
+            for i in sorted(summary.selected))
+        assert summary.text == expected
 
 
 class TestStats:

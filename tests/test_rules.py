@@ -15,7 +15,8 @@ from compsum.rules import (
     normalize_options,
     option_record,
 )
-from compsum.treebank import Span, parse_ptb, surviving_tokens
+from compsum import treebank
+from compsum.treebank import Span, ensure_nest_or_disjoint, parse_ptb, surviving_tokens
 
 # Each fixture: source tree, {(start, end): rule} gold annotation.
 FIXTURES = [
@@ -240,6 +241,25 @@ def test_layout_invariant_on_adversarial_trees():
             surviving_tokens(tree, spans)
 
 
+_LEARNABLE_TREES = [tree for doc in corpusgen.learnable_corpus(count=25, seed=3)[0]
+                    for tree in doc.sentences]
+_FIXTURE_TREES = [parse_ptb(source) for _, source, _ in FIXTURES]
+
+
+@given(st.sampled_from(_FIXTURE_TREES + _LEARNABLE_TREES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_option_subset_is_nest_or_disjoint(tree, data):
+    # the guarantee that lets summaries be rendered without re-checking the layout
+    options = extract_options(tree)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(options), max_size=len(options)))
+    ensure_nest_or_disjoint(o.span for o, keep in zip(options, chosen) if keep)
+
+
+def test_partial_overlap_error_is_the_treebank_one():
+    assert PartialOverlapError is treebank.PartialOverlapError
+    assert issubclass(PartialOverlapError, ValueError)
+
+
 class TestNormalize:
     def test_empty(self):
         assert normalize_options([], 10) == []
@@ -269,12 +289,3 @@ def test_option_record_format():
         "sent_index": 0,
         "options": [{"start": 1, "end": 5, "rule": "APPOSITIVE_NP", "label": "NP"}],
     }
-
-
-def test_boundary_punct_flag():
-    tree = parse_ptb(FIXTURES[4][1])  # relative-comma
-    (option,) = extract_options(tree)
-    assert option.include_boundary_punct
-    tree = parse_ptb(FIXTURES[3][1])  # relative-bare
-    (option,) = extract_options(tree)
-    assert not option.include_boundary_punct

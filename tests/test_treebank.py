@@ -1,4 +1,4 @@
-"""Treebank parsing, spans, and deletion rendering."""
+"""Treebank parsing, spans, and surviving tokens."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +12,14 @@ from compsum.corpus import document_to_record
 from compsum.treebank import (
     MAX_DEPTH,
     ParseError,
+    PartialOverlapError,
     SentenceTree,
     Span,
     Token,
     TreeNode,
     ensure_nest_or_disjoint,
-    node_span,
     parse_ptb,
-    render_with_deletions,
+    surviving_tokens,
     to_ptb,
 )
 
@@ -277,11 +277,11 @@ class TestSpans:
     def test_leaf_span(self):
         tree = parse_ptb("(S (A a) (B b) (C c) (D d))")
         leaf = tree.root.children[3]
-        assert node_span(leaf) == Span(3, 4)
+        assert leaf.span == Span(3, 4)
 
     def test_root_spans_whole_sentence(self):
         tree = parse_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-        assert node_span(tree.root) == Span(0, len(tree.tokens))
+        assert tree.root.span == Span(0, len(tree.tokens))
 
     def test_internal_span_is_union_of_children(self):
         tree = parse_ptb("(S (NP (DT the) (JJ big) (NN dog)) (VP (VBD ran)))")
@@ -308,24 +308,24 @@ class TestRender:
         self.tree = parse_ptb("(S (A a) (B b) (C c) (D d) (E e))")
 
     def test_no_deletions_identity(self):
-        assert render_with_deletions(self.tree, set()) == "a b c d e"
+        assert surviving_tokens(self.tree, set()) == ["a", "b", "c", "d", "e"]
 
     def test_single_deletion(self):
-        assert render_with_deletions(self.tree, {Span(1, 2)}) == "a c d e"
+        assert surviving_tokens(self.tree, {Span(1, 2)}) == ["a", "c", "d", "e"]
 
     def test_nested_deletions(self):
-        assert render_with_deletions(self.tree, {Span(1, 4), Span(2, 3)}) == "a e"
+        assert surviving_tokens(self.tree, {Span(1, 4), Span(2, 3)}) == ["a", "e"]
 
     def test_delete_everything(self):
-        assert render_with_deletions(self.tree, {Span(0, 5)}) == ""
+        assert surviving_tokens(self.tree, {Span(0, 5)}) == []
 
     def test_partial_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            render_with_deletions(self.tree, {Span(0, 2), Span(1, 3)})
+        with pytest.raises(PartialOverlapError):
+            surviving_tokens(self.tree, {Span(0, 2), Span(1, 3)})
 
     def test_span_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            render_with_deletions(self.tree, {Span(3, 6)})
+            surviving_tokens(self.tree, {Span(3, 6)})
 
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 3)), max_size=4))
     def test_order_independence(self, raw):
@@ -335,15 +335,15 @@ class TestRender:
             span = Span(start, min(start + length, 8))
             if all(span.compatible(other) for other in spans):
                 spans.append(span)
-        forward = render_with_deletions(tree, spans)
-        backward = render_with_deletions(tree, list(reversed(spans)))
+        forward = surviving_tokens(tree, spans)
+        backward = surviving_tokens(tree, list(reversed(spans)))
         assert forward == backward
 
     def test_union_of_sets_matches_incremental(self):
         s1 = {Span(0, 1)}
         s2 = {Span(2, 4)}
-        assert (render_with_deletions(self.tree, s1 | s2)
-                == render_with_deletions(self.tree, sorted(s1 | s2)))
+        assert (surviving_tokens(self.tree, s1 | s2)
+                == surviving_tokens(self.tree, sorted(s1 | s2)))
 
 
 def test_ensure_nest_or_disjoint_accepts_nested():
@@ -351,5 +351,5 @@ def test_ensure_nest_or_disjoint_accepts_nested():
 
 
 def test_ensure_nest_or_disjoint_rejects_partial():
-    with pytest.raises(ValueError):
+    with pytest.raises(PartialOverlapError):
         ensure_nest_or_disjoint([Span(0, 3), Span(2, 5)])
