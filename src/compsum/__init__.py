@@ -70,7 +70,6 @@ from .treebank import (
     ParseError,
     SentenceTree,
     Span,
-    Token,
     TreeNode,
     parse_ptb,
     to_ptb,

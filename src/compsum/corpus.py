@@ -87,7 +87,7 @@ def document_from_record(record: dict) -> Document:
         except ParseError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
         tokens = _unescape(_strings(sent["tokens"], f"sentence {i}: tokens"))
-        if tree.token_texts != tokens:
+        if tree.tokens != tokens:
             raise ValueError(
                 f"document {doc_id!r} sentence {i}: token list does not match parse leaves")
         sentences.append(tree)
@@ -111,7 +111,7 @@ def document_to_record(doc: Document) -> dict:
     A token or reference word that is itself a bracket code (say "-LRB-")
     would be read back unescaped, so it is a ValueError.
     """
-    for word in (*(t for tree in doc.sentences for t in tree.token_texts),
+    for word in (*(t for tree in doc.sentences for t in tree.tokens),
                  *doc.reference_tokens):
         if word in BRACKET_UNESCAPE:
             raise ValueError(f"document {doc.id!r}: word {word!r} is a bracket code and "
@@ -119,7 +119,7 @@ def document_to_record(doc: Document) -> dict:
     return {
         "id": doc.id,
         "sentences": [
-            {"tokens": [BRACKET_ESCAPE.get(t, t) for t in tree.token_texts],
+            {"tokens": [BRACKET_ESCAPE.get(t, t) for t in tree.tokens],
              "parse": to_ptb(tree)}
             for tree in doc.sentences
         ],

@@ -34,7 +34,7 @@ class DocumentContext:
 
     def __init__(self, doc: Document):
         self.doc = doc
-        self.lowered = [tuple(t.text.lower() for t in tree.tokens)
+        self.lowered = [tuple(t.lower() for t in tree.tokens)
                         for tree in doc.sentences]
         self.sentence_types = [set(toks) for toks in self.lowered]
         self.doc_types = set().union(*self.sentence_types)
@@ -42,7 +42,7 @@ class DocumentContext:
         n = len(doc.sentences)
         feats = np.zeros((n, SENTENCE_FEATURE_DIM), dtype=np.float64)
         for i, tokens in enumerate(self.lowered):
-            raw = doc.sentences[i].token_texts
+            raw = doc.sentences[i].tokens
             feats[i, 0] = i / n
             feats[i, 1] = math.log1p(len(tokens))
             feats[i, 2] = len(self.sentence_types[i]) / len(self.doc_types)

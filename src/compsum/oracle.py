@@ -113,7 +113,7 @@ def _reference_grams(reference: Sequence[str] | ReferenceGrams) -> ReferenceGram
 
 
 def _sentence_grams(doc: Document, max_sents: int, grams: ReferenceGrams) -> list[SharedGrams]:
-    return [grams.shared(preprocess_tokens(tree.token_texts, ORACLE_PREPROCESS))
+    return [grams.shared(preprocess_tokens(tree.tokens, ORACLE_PREPROCESS))
             for tree in doc.sentences[:max_sents]]
 
 
@@ -201,7 +201,7 @@ def label_compressions(
     preprocessed with ORACLE_PREPROCESS.
     """
     grams = _reference_grams(reference)
-    per_token = preprocess_per_token(sentence.token_texts, ORACLE_PREPROCESS)
+    per_token = preprocess_per_token(sentence.tokens, ORACLE_PREPROCESS)
     r_before = grams.score_tokens([tok for tok in per_token if tok is not None])
     labeled = []
     for option in options:

@@ -157,7 +157,7 @@ def dedup_summary(doc: Document, summary: Summary,
     for deletion in summary.deletions:
         for pos in range(deletion.span.start, deletion.span.end):
             live[deletion.sentence][pos] = False
-    lowered = {i: [t.text.lower() for t in doc.sentences[i].tokens]
+    lowered = {i: [t.lower() for t in doc.sentences[i].tokens]
                for i in ordered_sents}
     counts = Counter(tok for i in ordered_sents
                      for tok, ok in zip(lowered[i], live[i]) if ok)
@@ -178,10 +178,8 @@ def dedup_summary(doc: Document, summary: Summary,
                 deletions.append(AppliedDeletion(
                     sent, option.span, CAUSE_DEDUP, option.rule, option.node_label))
 
-    text = tuple(
-        tuple(doc.sentences[i].tokens[pos].text
-              for pos in range(len(live[i])) if live[i][pos])
-        for i in ordered_sents)
+    text = tuple(tuple(tok for tok, ok in zip(doc.sentences[i].tokens, live[i]) if ok)
+                 for i in ordered_sents)
     return Summary(doc_id=summary.doc_id, selected=summary.selected,
                    deletions=tuple(deletions), text=text)
 

@@ -88,7 +88,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     so callers use it as is.
     """
     n = len(tree.tokens)
-    texts = tree.token_texts
+    texts = tree.tokens
     candidates: list[_Candidate] = []
 
     for node in tree.root.iter_nodes():

@@ -4,8 +4,9 @@ Trees arrive as standard bracketed strings, one per sentence. `parse_ptb`
 reads one in a single left-to-right pass over its lexemes and builds each
 node as its bracket closes; the character offset of a fault is worked out
 only when a ParseError is raised. Nodes are immutable tuples, equal and
-hashed by value. Every node caches its half-open token span, and bracket
-tokens are stored unescaped ("(" rather than "-LRB-"); escaping happens only
+hashed by value. Every node caches its half-open token span; a sentence's
+words are a plain tuple of strings, and bracket words are stored unescaped
+("(" rather than "-LRB-"); escaping happens only
 when a tree is serialized back to bracketed form. Traversal (`iter_nodes`,
 `leaves`) and serialization (`to_ptb`) keep their own stack, so no tree
 depth reaches the interpreter's recursion limit.
@@ -44,11 +45,6 @@ class ParseError(ValueError):
 
 class PartialOverlapError(ValueError):
     """Two spans partially overlap: neither contains the other and they share a token."""
-
-
-class Token(NamedTuple):
-    text: str
-    index: int
 
 
 class _SpanFields(NamedTuple):
@@ -103,14 +99,15 @@ class TreeNode(NamedTuple):
 
 class SentenceTree(NamedTuple):
     root: TreeNode
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]     # leaf i's word is tokens[i]
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     @property
     def token_texts(self) -> tuple[str, ...]:
-        return tuple(token.text for token in self.tokens)
+        """The words themselves; an alias of `tokens`."""
+        return self.tokens
 
 
 def parse_ptb(text: str) -> SentenceTree:
@@ -130,7 +127,7 @@ def parse_ptb(text: str) -> SentenceTree:
         raise ParseError("empty input", 0)
     if lexemes[0] != "(":
         raise _located("expected '('", text, 0)
-    tokens: list[Token] = []
+    tokens: list[str] = []
     top: list[TreeNode] = []
     kids = top              # children of the innermost open node
     open_nodes = []         # (parent's kids, label, first token, lexeme index)
@@ -151,7 +148,7 @@ def parse_ptb(text: str) -> SentenceTree:
                 if label != "(" and label != ")" and word != "(" and word != ")":
                     # the common leaf "(TAG word)"
                     index = len(tokens)
-                    tokens.append(_new(Token, (unescape(word, word), index)))
+                    tokens.append(unescape(word, word))
                     kids.append(_new(TreeNode, (label, (), _new(Span, (index, index + 1)))))
                     i += 4
                     if not depth:
@@ -218,7 +215,7 @@ def ensure_nest_or_disjoint(spans: Iterable[Span]) -> None:
 
 
 def surviving_tokens(tree: SentenceTree, deletions: Iterable[Span]) -> list[str]:
-    """Token texts that lie in no deleted span, in sentence order."""
+    """Words that lie in no deleted span, in sentence order."""
     spans = list(deletions)
     n = len(tree.tokens)
     for span in spans:
@@ -229,7 +226,7 @@ def surviving_tokens(tree: SentenceTree, deletions: Iterable[Span]) -> list[str]
     for span in spans:
         for i in range(span.start, span.end):
             dead[i] = True
-    return [token.text for token in tree.tokens if not dead[token.index]]
+    return [token for token, gone in zip(tree.tokens, dead) if not gone]
 
 
 def to_ptb(tree: SentenceTree) -> str:
@@ -249,6 +246,6 @@ def to_ptb(tree: SentenceTree) -> str:
                 pending.append(child)
                 pending.append(" ")
         else:
-            text = tree.tokens[span.start].text
+            text = tree.tokens[span.start]
             pieces.append(f"({label} {BRACKET_ESCAPE.get(text, text)})")
     return "".join(pieces)

@@ -36,7 +36,7 @@ def dedup_summary(doc: Document, summary: Summary,
     for deletion in summary.deletions:
         for pos in range(deletion.span.start, deletion.span.end):
             live[deletion.sentence][pos] = False
-    lowered = {i: [t.text.lower() for t in doc.sentences[i].tokens]
+    lowered = {i: [t.lower() for t in doc.sentences[i].tokens]
                for i in ordered_sents}
 
     deletions = list(summary.deletions)
@@ -61,7 +61,7 @@ def dedup_summary(doc: Document, summary: Summary,
                     sent, span, CAUSE_DEDUP, option.rule, option.node_label))
 
     text = tuple(
-        tuple(doc.sentences[i].tokens[pos].text
+        tuple(doc.sentences[i].tokens[pos]
               for pos in range(len(live[i])) if live[i][pos])
         for i in ordered_sents)
     return Summary(doc_id=summary.doc_id, selected=summary.selected,

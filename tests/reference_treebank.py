@@ -13,7 +13,6 @@ from compsum.treebank import (
     ParseError,
     SentenceTree,
     Span,
-    Token,
     TreeNode,
 )
 
@@ -30,7 +29,7 @@ def parse_ptb(text: str) -> SentenceTree:
     label, children, word, offset = raw
     if label == "" and word is None and len(children) == 1:
         raw = children[0]
-    tokens: list[Token] = []
+    tokens: list[str] = []
     root = _build(raw, tokens)
     return SentenceTree(root=root, tokens=tuple(tokens))
 
@@ -74,11 +73,11 @@ def _parse_node(lexed, pos, text_len, depth):
     return (label, children, word, open_off), pos
 
 
-def _build(raw, tokens: list[Token]) -> TreeNode:
+def _build(raw, tokens: list[str]) -> TreeNode:
     label, children, word, offset = raw
     if word is not None:
         index = len(tokens)
-        tokens.append(Token(text=BRACKET_UNESCAPE.get(word, word), index=index))
+        tokens.append(BRACKET_UNESCAPE.get(word, word))
         return TreeNode(label=label, children=(), span=Span(index, index + 1))
     if not label:
         raise ParseError("unlabeled internal node", offset)

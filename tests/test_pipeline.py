@@ -35,7 +35,7 @@ from compsum.pipeline import (
     sweep_threshold,
 )
 from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
-from compsum.treebank import SentenceTree, Span, Token, TreeNode, surviving_tokens
+from compsum.treebank import SentenceTree, Span, TreeNode, surviving_tokens
 
 
 def trained_model(seed=5):
@@ -210,7 +210,7 @@ class TestLoadCorpus:
     def test_bracket_code_word_is_not_written(self, tmp_path):
         # a word that is itself "-LRB-" would be read back as "("
         leaf = TreeNode("NN", (), Span(0, 1))
-        coded = SentenceTree(TreeNode("S", (leaf,), Span(0, 1)), (Token("-RRB-", 0),))
+        coded = SentenceTree(TreeNode("S", (leaf,), Span(0, 1)), ("-RRB-",))
         plain = corpusgen.flat_tree(["x"])
         cases = [(Document(id="ref", sentences=(plain,), reference=(("-LRB-", "x"),)), "-LRB-"),
                  (Document(id="tok", sentences=(plain, coded)), "-RRB-")]
@@ -341,14 +341,14 @@ class TestDedup:
                     continue
                 tree = doc.sentences[deletion.sentence]
                 span_tokens = {
-                    tree.tokens[i].text.lower()
+                    tree.tokens[i].lower()
                     for i in range(deletion.span.start, deletion.span.end)
-                    if any(ch.isalnum() for ch in tree.tokens[i].text)}
+                    if any(ch.isalnum() for ch in tree.tokens[i])}
                 # content unigrams of the deleted span still occur somewhere
                 missing = span_tokens - survivors
                 covered_by_later_deletion = {
                     t for t in missing
-                    if any(t == tree.tokens[i].text.lower()
+                    if any(t == tree.tokens[i].lower()
                            for d2 in summary.deletions if d2 is not deletion
                            for i in range(d2.span.start, d2.span.end))}
                 assert missing == covered_by_later_deletion or not missing

@@ -15,7 +15,6 @@ from compsum.treebank import (
     PartialOverlapError,
     SentenceTree,
     Span,
-    Token,
     TreeNode,
     ensure_nest_or_disjoint,
     parse_ptb,
@@ -29,14 +28,14 @@ _OPENERS = ["(", "(X ", "(-LRB- ", "((", "( "]
 
 
 def _structure(tree):
-    """Labels, spans and child counts in pre-order, and the tokens, as plain tuples."""
+    """Labels, spans and child counts in pre-order, and the words with their positions."""
     nodes = []
     pending = [tree.root]
     while pending:
         node = pending.pop()
         nodes.append((node.label, node.span.start, node.span.end, len(node.children)))
         pending.extend(reversed(node.children))
-    return nodes, [(token.text, token.index) for token in tree.tokens]
+    return nodes, list(enumerate(tree.tokens))
 
 
 def _outcome(parse, text):
@@ -71,7 +70,8 @@ class TestParse:
         tree = parse_ptb("(NP (DT the) (NN cat))")
         assert tree.root.label == "NP"
         assert tree.root.span == Span(0, 2)
-        assert tree.token_texts == ("the", "cat")
+        assert tree.tokens == ("the", "cat")
+        assert tree.token_texts is tree.tokens
 
     def test_spans_follow_leaf_order(self):
         tree = parse_ptb("(S (NP (PRP He)) (VP (VBD ran)))")
@@ -93,8 +93,7 @@ class TestParse:
 
     def test_bracket_tokens_stored_unescaped(self):
         tree = parse_ptb("(NP (-LRB- -LRB-) (NN cost) (-RRB- -RRB-))")
-        assert tree.token_texts == ("(", "cost", ")")
-        assert tree.tokens[0].text == "("
+        assert tree.tokens == ("(", "cost", ")")
         # labels keep their escaped form
         assert tree.root.children[0].label == "-LRB-"
 
@@ -140,7 +139,7 @@ class TestParse:
     def test_deepest_accepted_tree_parses_and_roundtrips(self):
         source = deep_chain(MAX_DEPTH)
         tree = parse_ptb(source)
-        assert tree.token_texts == ("w",)
+        assert tree.tokens == ("w",)
         assert to_ptb(tree) == source
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])
@@ -210,7 +209,8 @@ class TestParse:
 
     def test_token_indices_consecutive(self):
         tree = parse_ptb("(S (A a) (B b) (C c) (D d))")
-        assert [t.index for t in tree.tokens] == [0, 1, 2, 3]
+        assert tree.tokens == ("a", "b", "c", "d")
+        assert [leaf.span for leaf in tree.root.leaves()] == [Span(i, i + 1) for i in range(4)]
 
     def test_matches_hand_built_tree(self):
         parsed = parse_ptb("(S (NP (PRP He)) (VP (VBD ran)))")
@@ -219,7 +219,7 @@ class TestParse:
                 TreeNode("NP", (TreeNode("PRP", (), Span(0, 1)),), Span(0, 1)),
                 TreeNode("VP", (TreeNode("VBD", (), Span(1, 2)),), Span(1, 2)),
             ), Span(0, 2)),
-            tokens=(Token("He", 0), Token("ran", 1)))
+            tokens=("He", "ran"))
         assert parsed == hand_built
 
 
@@ -234,22 +234,22 @@ class TestNodes:
         # the hash of the field tuple, as the frozen dataclasses had, so sets
         # of spans iterate in the same order
         assert hash(Span(3, 5)) == hash((3, 5))
-        assert hash(Token("cat", 1)) == hash(("cat", 1))
 
     def test_immutable(self):
         tree = parse_ptb(self.SOURCE)
-        for obj, field in [(tree, "root"), (tree.root, "label"), (tree.root.span, "start"),
-                           (tree.tokens[0], "text")]:
+        for obj, field in [(tree, "root"), (tree, "tokens"), (tree.root, "label"),
+                           (tree.root.span, "start")]:
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)
         with pytest.raises(AttributeError):
             tree.root.extra = 1
+        with pytest.raises(TypeError):
+            tree.tokens[0] = "dog"
 
     def test_span_order_length_and_repr(self):
         assert sorted([Span(2, 3), Span(0, 2), Span(0, 1)]) == [Span(0, 1), Span(0, 2), Span(2, 3)]
         assert len(Span(2, 5)) == 3
         assert repr(Span(0, 1)) == "Span(start=0, end=1)"
-        assert repr(Token("w", 0)) == "Token(text='w', index=0)"
 
     def test_iter_nodes_is_pre_order(self):
         tree = parse_ptb(self.SOURCE)
@@ -260,7 +260,7 @@ class TestNodes:
         node = TreeNode("NN", (), Span(0, 1))
         for _ in range(599):
             node = TreeNode("X", (node,), Span(0, 1))
-        tree = SentenceTree(root=node, tokens=(Token("w", 0),))
+        tree = SentenceTree(root=node, tokens=("w",))
         doc = Document(id="deep", sentences=(tree,))
         with startup_recursion_limit():
             source = to_ptb(tree)
