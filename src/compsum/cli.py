@@ -8,6 +8,7 @@ subcommand; explicit flags always win.
 import argparse
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -16,12 +17,20 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import pipeline
-from .corpus import load_corpus
+from .corpus import load_corpus, read_records
+from .model import DEFAULT_HIDDEN_SIZE, TrainConfig
 from .oracle import DEFAULT_MAX_SENTS, OracleConfig
 from .pipeline import SummarizeConfig
 from .rules import extract_options, option_record
 
 logger = logging.getLogger(__name__)
+
+# Flag (argparse dest) -> the parameter it sets, for each call built from flags.
+ORACLE_FLAGS = {"k": "k", "beam": "beam_width", "max_sents": "max_sents", "m": "m"}
+TRAIN_FLAGS = {"alpha": "alpha", "lr": "learning_rate", "epochs": "epochs",
+               "seed": "seed", "hidden": "hidden_size", "m": "oracles_per_doc"}
+SUMMARIZE_FLAGS = {"k": "k", "tau": "tau"}
+GRADCHECK_FLAGS = {"hidden": "hidden_size", "seed": "seed"}
 
 
 def _load_documents(path):
@@ -34,6 +43,21 @@ def _load_documents(path):
             raise ValueError(f"duplicate document id {doc.id!r} in {path}")
         seen.add(doc.id)
     return docs
+
+
+def _from_flags(build, args, flags: dict[str, str], **fixed):
+    """build(...) with each flag's value as its parameter's.
+
+    A rejected value is reported by the flag the user typed: the "field=" of
+    the error becomes "--flag ".
+    """
+    try:
+        return build(**{field: getattr(args, flag) for flag, field in flags.items()}, **fixed)
+    except ValueError as exc:
+        message = str(exc)
+        for flag, field in flags.items():
+            message = re.sub(rf"\b{field}=", f"--{flag.replace('_', '-')} ", message)
+        raise ValueError(message) from None
 
 
 def _parse_tau_grid(spec: str) -> list[float]:
@@ -67,8 +91,8 @@ def cmd_options_extract(args) -> int:
 
 
 def cmd_oracle_build(args) -> int:
+    cfg = _from_flags(OracleConfig, args, ORACLE_FLAGS)
     docs = _load_documents(args.corpus)
-    cfg = OracleConfig(k=args.k, beam_width=args.beam, max_sents=args.max_sents, m=args.m)
     entries = (oracle_mod.build_document_oracles(doc, cfg) for doc in docs)
     count = oracle_mod.write_oracle_cache(args.out, entries)
     print(f"wrote oracles for {count} documents to {args.out}")
@@ -86,10 +110,8 @@ def _load_examples(corpus_path, oracle_path):
 
 
 def cmd_train(args) -> int:
+    cfg = _from_flags(TrainConfig, args, TRAIN_FLAGS)
     examples = _load_examples(args.corpus, args.oracles)
-    cfg = model_mod.TrainConfig(
-        alpha=args.alpha, learning_rate=args.lr, epochs=args.epochs,
-        seed=args.seed, hidden_size=args.hidden, oracles_per_doc=args.m)
     model, trace = model_mod.train(examples, cfg)
     model_mod.save_model(model, args.out)
     for epoch, loss in enumerate(trace, start=1):
@@ -99,9 +121,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    cfg = _from_flags(SummarizeConfig, args, SUMMARIZE_FLAGS, dedup=not args.no_dedup)
     docs = _load_documents(args.corpus)
     model = model_mod.load_model(args.model)
-    cfg = SummarizeConfig(k=args.k, tau=args.tau, dedup=not args.no_dedup)
     with Path(args.out).open("w", encoding="utf-8") as handle:
         for doc in docs:
             summary = pipeline.summarize(model, doc, cfg)
@@ -113,9 +135,9 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    cfg = _from_flags(SummarizeConfig, args, SUMMARIZE_FLAGS, dedup=not args.no_dedup)
     docs = _load_documents(args.corpus)
     model = model_mod.load_model(args.model)
-    cfg = SummarizeConfig(k=args.k, tau=args.tau, dedup=not args.no_dedup)
     result = pipeline.evaluate_corpus(model, docs, cfg)
     if args.csv:
         pipeline.write_evaluation_csv(args.csv, result)
@@ -130,10 +152,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    grid = _parse_tau_grid(args.tau_grid)
+    cfg = _from_flags(SummarizeConfig, args, {"k": "k"}, tau=0.0, dedup=not args.no_dedup)
     docs = _load_documents(args.corpus)
     model = model_mod.load_model(args.model)
-    grid = _parse_tau_grid(args.tau_grid)
-    cfg = SummarizeConfig(k=args.k, tau=0.0, dedup=not args.no_dedup)
     points = pipeline.sweep_threshold(model, docs, grid, cfg)
     pipeline.write_sweep_csv(args.out, points)
     for point in points:
@@ -151,11 +173,7 @@ def cmd_stats(args) -> int:
         oracles = oracle_mod.read_oracle_cache(args.oracles, by_id)
     summaries = None
     if args.summaries:
-        summaries = []
-        with Path(args.summaries).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    summaries.append(pipeline.summary_from_record(json.loads(line)))
+        summaries = read_records(args.summaries, pipeline.summary_from_record)
     rows = pipeline.stats_report(docs, oracles, summaries)
     pipeline.write_stats_csv(args.out, rows)
     print(f"{'node':8} {'len':>6} {'% comps':>8} {'comp acc':>9} {'dedup':>7}")
@@ -171,9 +189,9 @@ def cmd_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples {args.samples} must be >= 1")
+    model = _from_flags(model_mod.init_model, args, GRADCHECK_FLAGS)
     examples = _load_examples(args.corpus, args.oracles)
     rng = np.random.default_rng(args.seed)
-    model = model_mod.init_model(args.hidden, args.seed)
     picks = rng.choice(len(examples), size=min(args.samples, len(examples)), replace=False)
     worst = 0.0
     for index in picks:
@@ -206,10 +224,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_build = oracle_sub.add_parser("build", help="build and cache training oracles")
     p_build.add_argument("--corpus")
     p_build.add_argument("--out")
-    p_build.add_argument("--k", type=int, default=3)
-    p_build.add_argument("--beam", type=int, default=8)
+    p_build.add_argument("--k", type=int, default=OracleConfig.k)
+    p_build.add_argument("--beam", type=int, default=OracleConfig.beam_width)
     p_build.add_argument("--max-sents", type=int, default=DEFAULT_MAX_SENTS)
-    p_build.add_argument("--m", type=int, default=5)
+    p_build.add_argument("--m", type=int, default=OracleConfig.m)
     leaves.append(p_build)
     p_build.set_defaults(func=cmd_oracle_build, required_args=("corpus", "out"))
 
@@ -217,12 +235,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_train.add_argument("--corpus")
     p_train.add_argument("--oracles")
     p_train.add_argument("--out")
-    p_train.add_argument("--alpha", type=float, default=1.0)
-    p_train.add_argument("--lr", type=float, default=0.001)
-    p_train.add_argument("--epochs", type=int, default=2)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--hidden", type=int, default=32)
-    p_train.add_argument("--m", type=int, default=5)
+    p_train.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p_train.add_argument("--hidden", type=int, default=TrainConfig.hidden_size)
+    p_train.add_argument("--m", type=int, default=TrainConfig.oracles_per_doc)
     leaves.append(p_train)
     p_train.set_defaults(func=cmd_train, required_args=("corpus", "oracles", "out"))
 
@@ -230,8 +248,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_sum.add_argument("--corpus")
     p_sum.add_argument("--model")
     p_sum.add_argument("--out")
-    p_sum.add_argument("--tau", type=float, default=0.45)
-    p_sum.add_argument("--k", type=int, default=3)
+    p_sum.add_argument("--tau", type=float, default=SummarizeConfig.tau)
+    p_sum.add_argument("--k", type=int, default=SummarizeConfig.k)
     p_sum.add_argument("--no-dedup", action="store_true")
     leaves.append(p_sum)
     p_sum.set_defaults(func=cmd_summarize, required_args=("corpus", "model", "out"))
@@ -239,8 +257,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_eval = sub.add_parser("evaluate", help="score summaries against references")
     p_eval.add_argument("--corpus")
     p_eval.add_argument("--model")
-    p_eval.add_argument("--tau", type=float, default=0.45)
-    p_eval.add_argument("--k", type=int, default=3)
+    p_eval.add_argument("--tau", type=float, default=SummarizeConfig.tau)
+    p_eval.add_argument("--k", type=int, default=SummarizeConfig.k)
     p_eval.add_argument("--no-dedup", action="store_true")
     p_eval.add_argument("--csv")
     p_eval.add_argument("--json")
@@ -252,7 +270,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_sweep.add_argument("--model")
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--tau-grid", default="0:1:0.1")
-    p_sweep.add_argument("--k", type=int, default=3)
+    p_sweep.add_argument("--k", type=int, default=SummarizeConfig.k)
     p_sweep.add_argument("--no-dedup", action="store_true")
     leaves.append(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep, required_args=("corpus", "model", "out"))
@@ -269,12 +287,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_grad.add_argument("--corpus")
     p_grad.add_argument("--oracles")
     p_grad.add_argument("--samples", type=int, default=3)
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--hidden", type=int, default=32)
+    p_grad.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p_grad.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN_SIZE)
     leaves.append(p_grad)
     p_grad.set_defaults(func=cmd_gradcheck, required_args=("corpus", "oracles"))
 
     return parser, leaves
+
+
+def _config_error(message: str) -> int:
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -286,9 +309,16 @@ def main(argv=None) -> int:
         try:
             defaults = json.loads(Path(known.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"error": f"cannot read config {known.config}: {exc}"}),
-                  file=sys.stderr)
-            return 2
+            return _config_error(f"cannot read config {known.config}: {exc}")
+        if not isinstance(defaults, dict):
+            return _config_error(f"config {known.config}: expected a JSON object of flag "
+                                 f"defaults, got {type(defaults).__name__}")
+        flags = {action.dest for p in (parser, *leaves) for action in p._actions
+                 if action.option_strings}
+        unknown = sorted(set(defaults) - flags)
+        if unknown:
+            return _config_error(f"config {known.config}: no subcommand has a flag for "
+                                 f"key(s) {', '.join(map(repr, unknown))}")
         # subcommands parse into a fresh namespace, so defaults must land on
         # every leaf parser; explicit flags still override them
         for leaf in leaves:

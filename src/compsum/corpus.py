@@ -14,11 +14,13 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .treebank import BRACKET_ESCAPE, BRACKET_UNESCAPE, ParseError, SentenceTree, parse_ptb, to_ptb
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,34 @@ def document_to_record(doc: Document) -> dict:
         ],
         "reference": [[BRACKET_ESCAPE.get(t, t) for t in sent] for sent in doc.reference],
     }
+
+
+def read_records(path, parse: Callable[[dict], T]) -> list[T]:
+    """parse(record) for each JSON object line of a file; blank lines are skipped.
+
+    Unlike load_corpus nothing is skipped with a warning: malformed JSON, a
+    line that is not an object, a missing key, or a TypeError or ValueError
+    from parse is a ValueError that names the file and line.
+    """
+    path = Path(path)
+    out = []
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("record is not a JSON object")
+                out.append(parse(record))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
+                                 f"at column {exc.colno}") from exc
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
 
 
 def write_corpus(path, docs: Iterable[Document]) -> int:

@@ -67,6 +67,8 @@ class Model:
 
 def init_model(hidden_size: int = DEFAULT_HIDDEN_SIZE, seed: int = 0) -> Model:
     """Uniform [-0.08, 0.08] initialization of every parameter, seeded."""
+    if hidden_size < 1:
+        raise ValueError(f"hidden_size={hidden_size} must be >= 1")
     rng = np.random.default_rng(seed)
     params = {
         name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
@@ -239,9 +241,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise ValueError(f"alpha={self.alpha} must be >= 0")
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+            raise ValueError(f"learning_rate={self.learning_rate} must be > 0")
         if self.epochs < 0:
             raise ValueError(f"epochs={self.epochs} must be >= 0")
         if self.oracles_per_doc < 1:

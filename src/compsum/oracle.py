@@ -27,7 +27,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document
+from .corpus import Document, read_records
 from .rouge import (
     ORACLE_PREPROCESS,
     ReferenceGrams,
@@ -57,7 +57,7 @@ class OracleConfig:
         if not (1 <= self.k <= self.max_sents):
             raise ValueError(f"k={self.k} must satisfy 1 <= k <= max_sents={self.max_sents}")
         if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+            raise ValueError(f"beam_width={self.beam_width} must be >= 1")
         if self.m < 1:
             raise ValueError(f"m={self.m} must be >= 1")
         if self.m > self.beam_width:
@@ -294,27 +294,10 @@ def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentO
     labels by (span, rule); any mismatch means the cache does not belong to
     this corpus and is an error. Every error names the file and line.
     """
-    path = Path(path)
-    entries = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(_entry_from_record(json.loads(line), documents))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
-                                 f"at column {exc.colno}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return entries
+    return read_records(path, lambda record: _entry_from_record(record, documents))
 
 
-def _entry_from_record(record, documents: Mapping[str, Document]) -> DocumentOracles:
-    if not isinstance(record, dict):
-        raise ValueError("record is not a JSON object")
+def _entry_from_record(record: dict, documents: Mapping[str, Document]) -> DocumentOracles:
     doc_id = record["doc_id"]
     if doc_id not in documents:
         raise ValueError(f"document {doc_id!r} not in corpus")

@@ -53,7 +53,7 @@ class SummarizeConfig:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau={self.tau} must lie in [0, 1]")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"k={self.k} must be >= 1")
 
 
 @dataclass(frozen=True)

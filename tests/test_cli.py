@@ -10,9 +10,18 @@ import pytest
 
 import corpusgen
 from compsum import Document
-from compsum.cli import main
+from compsum.cli import (
+    GRADCHECK_FLAGS,
+    ORACLE_FLAGS,
+    SUMMARIZE_FLAGS,
+    TRAIN_FLAGS,
+    build_parser,
+    main,
+)
 from compsum.corpus import write_corpus
-from compsum.model import load_model
+from compsum.model import TrainConfig, init_model, load_model
+from compsum.oracle import OracleConfig
+from compsum.pipeline import SummarizeConfig
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +31,10 @@ def corpus_path(tmp_path_factory):
     docs, _ = corpusgen.learnable_corpus(count=12, seed=31)
     write_corpus(path, docs)
     return path
+
+
+def _structured_error(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
 
 def test_options_extract(corpus_path, tmp_path, capsys):
@@ -168,6 +181,81 @@ def test_config_file_supplies_defaults_flags_win(corpus_path, tmp_path, capsys):
     assert out_flag.exists()
 
 
+@pytest.mark.parametrize("content, expected", [
+    ("[1, 2]", "expected a JSON object of flag defaults, got list"),
+    ('{"epoch": 5, "outt": "x"}', "no subcommand has a flag for key(s) 'epoch', 'outt'"),
+])
+def test_config_that_is_no_object_of_flags_is_error(corpus_path, tmp_path, capsys,
+                                                     content, expected):
+    # a list once ended in a TypeError traceback, and unknown keys were ignored
+    config = tmp_path / "config.json"
+    config.write_text(content, encoding="utf-8")
+    out = tmp_path / "options.jsonl"
+    code = main(["--config", str(config), "options", "extract",
+                 "--corpus", str(corpus_path), "--out", str(out)])
+    assert code == 2
+    assert _structured_error(capsys) == f"config {config}: {expected}"
+    assert not out.exists()
+
+
+def test_flag_defaults_are_the_config_defaults():
+    _, leaves = build_parser()
+    by_command = {leaf.prog.removeprefix("compsum "): leaf for leaf in leaves}
+    cases = [("oracle build", OracleConfig, ORACLE_FLAGS), ("train", TrainConfig, TRAIN_FLAGS),
+             ("summarize", SummarizeConfig, SUMMARIZE_FLAGS),
+             ("evaluate", SummarizeConfig, SUMMARIZE_FLAGS),
+             ("sweep", SummarizeConfig, {"k": "k"}), ("gradcheck", TrainConfig, GRADCHECK_FLAGS)]
+    for command, config, flags in cases:
+        for flag, field in flags.items():
+            assert by_command[command].get_default(flag) == getattr(config, field), (command, flag)
+    assert by_command["gradcheck"].get_default("hidden") == init_model().hidden_size
+
+
+@pytest.fixture(scope="module")
+def oracles_path(corpus_path):
+    path = corpus_path.parent / "oracles.jsonl"
+    assert main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(path),
+                 "--k", "2"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["train", "--m", "0"], "--m 0 must be >= 1"),
+    (["train", "--hidden", "0"], "--hidden 0 must be >= 1"),
+    (["train", "--lr", "0"], "--lr 0.0 must be > 0"),
+    (["gradcheck", "--hidden", "0"], "--hidden 0 must be >= 1"),
+    (["oracle", "build", "--m", "9"], "--m 9 must not exceed --beam 8"),
+])
+def test_rejected_value_is_named_by_its_flag(corpus_path, oracles_path, tmp_path, capsys,
+                                             command, expected):
+    # gradcheck --hidden 0 once checked only b2 and passed; the others named
+    # config fields (oracles_per_doc=0, hidden_size=0) instead of flags
+    out = tmp_path / "out"
+    paths = {"train": ["--oracles", str(oracles_path), "--out", str(out)],
+             "gradcheck": ["--oracles", str(oracles_path)],
+             "oracle": ["--out", str(out)]}
+    code = main([*command, "--corpus", str(corpus_path), *paths[command[0]]])
+    assert code == 1
+    assert _structured_error(capsys) == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, expected", [
+    (["{not json"], ":1: malformed JSON"),
+    (['{"doc_id": "a", "selected": [0], "deletions": [], "text": [["w"]]}', "",
+      '{"doc_id": "b", "deletions": [], "text": []}'], ":3: missing key 'selected'"),
+    (["[1]"], ":1: record is not a JSON object"),
+])
+def test_bad_summaries_record_names_file_and_line(corpus_path, tmp_path, capsys,
+                                                  lines, expected):
+    summaries = tmp_path / "summaries.jsonl"
+    summaries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["stats", "--corpus", str(corpus_path), "--summaries", str(summaries),
+                 "--out", str(tmp_path / "stats.csv")])
+    assert code == 1
+    assert _structured_error(capsys).startswith(f"{summaries}{expected}")
+
+
 def test_missing_corpus_is_structured_error(tmp_path, capsys):
     code = main(["options", "extract", "--corpus", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "x.jsonl")])
@@ -187,9 +275,6 @@ def test_bad_tau_grid_is_error(corpus_path, tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv"), "--tau-grid", "bogus"])
     assert code == 1
     assert "error" in capsys.readouterr().err
-
-def _structured_error(capsys) -> str:
-    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
 
 def test_gradcheck_of_no_samples_is_error(corpus_path, tmp_path, capsys):
