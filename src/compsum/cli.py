@@ -2,7 +2,7 @@
 summarization, evaluation, threshold sweeps, statistics, gradient checks.
 
 An optional --config JSON file supplies defaults for any flag of the chosen
-subcommand; explicit flags always win.
+subcommand, each of the type its flag takes; explicit flags always win.
 """
 
 import argparse
@@ -19,14 +19,14 @@ from . import oracle as oracle_mod
 from . import pipeline
 from .corpus import load_corpus, read_records
 from .model import DEFAULT_HIDDEN_SIZE, TrainConfig
-from .oracle import DEFAULT_MAX_SENTS, OracleConfig
+from .oracle import OracleConfig
 from .pipeline import SummarizeConfig
 from .rules import extract_options, option_record
 
 logger = logging.getLogger(__name__)
 
 # Flag (argparse dest) -> the parameter it sets, for each call built from flags.
-ORACLE_FLAGS = {"k": "k", "beam": "beam_width", "max_sents": "max_sents", "m": "m"}
+ORACLE_FLAGS = {"k": "k", "beam": "beam_width", "m": "m"}
 TRAIN_FLAGS = {"alpha": "alpha", "lr": "learning_rate", "epochs": "epochs",
                "seed": "seed", "hidden": "hidden_size", "m": "oracles_per_doc"}
 SUMMARIZE_FLAGS = {"k": "k", "tau": "tau"}
@@ -226,7 +226,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_build.add_argument("--out")
     p_build.add_argument("--k", type=int, default=OracleConfig.k)
     p_build.add_argument("--beam", type=int, default=OracleConfig.beam_width)
-    p_build.add_argument("--max-sents", type=int, default=DEFAULT_MAX_SENTS)
     p_build.add_argument("--m", type=int, default=OracleConfig.m)
     leaves.append(p_build)
     p_build.set_defaults(func=cmd_oracle_build, required_args=("corpus", "out"))
@@ -295,9 +294,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     return parser, leaves
 
 
-def _config_error(message: str) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
-    return 2
+# The JSON types a config value may have, by the type of value its flag takes
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
+def _apply_config(path, parsers) -> str | None:
+    """Make a config file's values the defaults of the parsers that have their
+    flags; returns the error when the file is rejected.
+
+    A key set only where its flag is defined keeps an explicit flag of the
+    top-level parser (-v) from being overwritten by a subcommand's default.
+    """
+    try:
+        defaults = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        return f"cannot read config {path}: {exc}"
+    if not isinstance(defaults, dict):
+        return (f"config {path}: expected a JSON object of flag defaults, "
+                f"got {type(defaults).__name__}")
+    actions = [(parser, action) for parser in parsers for action in parser._actions
+               if action.option_strings and action.dest in defaults]
+    unknown = sorted(set(defaults) - {action.dest for _, action in actions})
+    if unknown:
+        return (f"config {path}: no subcommand has a flag for "
+                f"key(s) {', '.join(map(repr, unknown))}")
+    for parser, action in actions:
+        value = defaults[action.dest]
+        kind = bool if action.nargs == 0 else action.type or str
+        allowed, name = _CONFIG_TYPES[kind]
+        if type(value) not in allowed:
+            return (f"config {path}: key {action.dest!r} holds {json.dumps(value)}, but "
+                    f"{max(action.option_strings, key=len)} takes {name}")
+        parser.set_defaults(**{action.dest: kind(value)})
+    return None
 
 
 def main(argv=None) -> int:
@@ -306,23 +336,10 @@ def main(argv=None) -> int:
     known, _ = conf_parser.parse_known_args(argv)
     parser, leaves = build_parser()
     if known.config:
-        try:
-            defaults = json.loads(Path(known.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            return _config_error(f"cannot read config {known.config}: {exc}")
-        if not isinstance(defaults, dict):
-            return _config_error(f"config {known.config}: expected a JSON object of flag "
-                                 f"defaults, got {type(defaults).__name__}")
-        flags = {action.dest for p in (parser, *leaves) for action in p._actions
-                 if action.option_strings}
-        unknown = sorted(set(defaults) - flags)
-        if unknown:
-            return _config_error(f"config {known.config}: no subcommand has a flag for "
-                                 f"key(s) {', '.join(map(repr, unknown))}")
-        # subcommands parse into a fresh namespace, so defaults must land on
-        # every leaf parser; explicit flags still override them
-        for leaf in leaves:
-            leaf.set_defaults(**defaults)
+        error = _apply_config(known.config, (parser, *leaves))
+        if error:
+            print(json.dumps({"error": error}), file=sys.stderr)
+            return 2
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

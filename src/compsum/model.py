@@ -3,10 +3,12 @@
 The extraction scorer is a pointer-style softmax over unselected sentences:
 score_i = w_m . tanh(W_d d + W_h h_i + b_s), where d is the decoder input
 (state vector concatenated with document features) and h_i the sentence
-features. The compression classifier is a one-hidden-layer tanh MLP with a
-logistic output. Gradients are computed by hand and checked against central
-finite differences; training is plain adaptive-moment gradient descent over
-one document per step.
+features; it points only at a document's first oracle.MAX_SENTS sentences,
+in training and decoding alike, as the oracles do. The compression
+classifier is a one-hidden-layer tanh MLP with a logistic output. Gradients
+are computed by hand and checked against central finite differences;
+training is plain adaptive-moment gradient descent over one document per
+step.
 """
 
 import json
@@ -27,7 +29,13 @@ from .features import (
     featurize_option,
     initial_state,
 )
-from .oracle import DEFAULT_MAX_SENTS, CompressionLabel, LabeledOption, OracleCandidate
+from .oracle import (
+    MAX_SENTS,
+    CompressionLabel,
+    LabeledOption,
+    OracleCandidate,
+    scoreable_sentences,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -184,16 +192,11 @@ def score_remaining(
 def greedy_steps(model: Model, ctx: DocumentContext, k: int):
     """Greedy argmax decoding for k sentences; ties pick the lower index.
 
-    Only the first max_sents sentences are scoreable, where max_sents is the
-    value the model was trained with (DEFAULT_MAX_SENTS without a train_config).
-    Yields (pick, state) per step, state being the decoder state the pick
-    was scored in.
+    Only the first MAX_SENTS sentences are scoreable, as for the oracles the
+    model was trained on. Yields (pick, state) per step, state being the
+    decoder state the pick was scored in.
     """
-    max_sents = (DEFAULT_MAX_SENTS if model.train_config is None
-                 else model.train_config["max_sents"])
-    n = min(max_sents, len(ctx.doc.sentences))
-    if n < k:
-        raise ValueError(f"document {ctx.doc.id!r} has {n} scoreable sentences but k={k}")
+    n = scoreable_sentences(ctx.doc, k)
     state = initial_state(k)
     for _ in range(k):
         probs = score_remaining(model, state, ctx.document_features,
@@ -237,7 +240,6 @@ class TrainConfig:
     hidden_size: int = DEFAULT_HIDDEN_SIZE
     oracles_per_doc: int = 5
     positive_class_weight: float = 1.0
-    max_sents: int = DEFAULT_MAX_SENTS
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -268,23 +270,28 @@ class CompiledExample:
     oracle_count: int
 
 
-def compile_example(example: TrainingExample,
-                    max_sents: int = DEFAULT_MAX_SENTS) -> CompiledExample:
-    """Precompute all teacher-forced features; they do not depend on weights."""
+def compile_example(example: TrainingExample) -> CompiledExample:
+    """Precompute all teacher-forced features; they do not depend on weights.
+
+    Every oracle must be a nonempty list of distinct indices among the
+    document's first MAX_SENTS sentences, and there must be at least one.
+    """
     doc = example.doc
+    if not example.oracles:
+        raise ValueError(f"document {doc.id!r} has no oracles")
     ctx = DocumentContext(doc)
-    n = min(max_sents, len(doc.sentences))
+    n = min(MAX_SENTS, len(doc.sentences))
     steps: list[_Step] = []
     for oracle in example.oracles:
-        state = initial_state(max(len(oracle.sentence_indices), 1))
-        for target in oracle.sentence_indices:
+        indices = oracle.sentence_indices
+        if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
+            raise ValueError(f"document {doc.id!r}: oracle {list(indices)} is not a nonempty "
+                             f"list of distinct sentence indices >= 0")
+        state = initial_state(len(indices))
+        for target in indices:
             if target >= n:
-                message = f"document {doc.id!r}: oracle index {target} >= {n} scoreable sentences"
-                if target < len(doc.sentences):
-                    message += (f"; training reads at most max_sents={max_sents} sentences, but "
-                                f"the oracle cache was built with a larger --max-sents: rebuild "
-                                f"it with oracle build --max-sents {max_sents}")
-                raise ValueError(message)
+                raise ValueError(
+                    f"document {doc.id!r}: oracle index {target} >= {n} scoreable sentences")
             remaining = np.array([i for i in range(n) if i not in state.selected],
                                  dtype=np.int64)
             target_pos = int(np.nonzero(remaining == target)[0][0])
@@ -308,7 +315,7 @@ def compile_example(example: TrainingExample,
             ))
             state = advance_state(ctx, state, target)
     return CompiledExample(sent_feats=ctx.sentence_features[:n],
-                           steps=steps, oracle_count=max(len(example.oracles), 1))
+                           steps=steps, oracle_count=len(example.oracles))
 
 
 def _logsumexp(z: np.ndarray):
@@ -369,14 +376,10 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
     return loss, grads
 
 
-def loss_joint(model: Model, example: TrainingExample, alpha: float = 1.0,
-               max_sents: int = DEFAULT_MAX_SENTS) -> float:
+def loss_joint(model: Model, example: TrainingExample, alpha: float = 1.0) -> float:
     """Teacher-forced extraction NLL (averaged over oracles) plus alpha times
     the summed, unweighted compression NLL over the oracle sentences' options."""
-    if not example.oracles:
-        raise ValueError("example has no oracles")
-    compiled = compile_example(example, max_sents)
-    return float(_loss_compiled(model.params, compiled, alpha))
+    return float(_loss_compiled(model.params, compile_example(example), alpha))
 
 
 def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model, list[float]]:
@@ -389,8 +392,7 @@ def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model,
     compiled = []
     for example in examples:
         oracles = example.oracles[:cfg.oracles_per_doc]
-        compiled.append(compile_example(
-            TrainingExample(example.doc, oracles, example.labels), cfg.max_sents))
+        compiled.append(compile_example(TrainingExample(example.doc, oracles, example.labels)))
     moment1 = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     moment2 = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     step = 0

@@ -16,6 +16,10 @@ sentence's per-token preprocessing with the option's span cut out. Every
 score is the float approx_score_pretokenized gives on the joined tokens.
 All text is preprocessed with the fixed rouge.ORACLE_PREPROCESS (lowercase,
 stopwords and punctuation dropped, stemmed).
+
+Only a document's first MAX_SENTS sentences can be selected, by the oracles
+here and by training and decoding in compsum.model alike;
+scoreable_sentences() counts them and rejects a k above that count.
 """
 
 import enum
@@ -43,19 +47,26 @@ logger = logging.getLogger(__name__)
 _EXHAUSTIVE_GUARD = 10 ** 6
 
 # Leading sentences of a document that oracles, training and decoding consider
-DEFAULT_MAX_SENTS = 30
+MAX_SENTS = 30
+
+
+def scoreable_sentences(doc: Document, k: int) -> int:
+    """How many leading sentences of doc can be selected; an error if fewer than k."""
+    n = min(MAX_SENTS, len(doc.sentences))
+    if n < k:
+        raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={k}")
+    return n
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     k: int = 3
     beam_width: int = 8
-    max_sents: int = DEFAULT_MAX_SENTS
     m: int = 5
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.max_sents):
-            raise ValueError(f"k={self.k} must satisfy 1 <= k <= max_sents={self.max_sents}")
+        if not (1 <= self.k <= MAX_SENTS):
+            raise ValueError(f"k={self.k} must satisfy 1 <= k <= {MAX_SENTS}")
         if self.beam_width < 1:
             raise ValueError(f"beam_width={self.beam_width} must be >= 1")
         if self.m < 1:
@@ -112,9 +123,9 @@ def _reference_grams(reference: Sequence[str] | ReferenceGrams) -> ReferenceGram
     return ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
 
 
-def _sentence_grams(doc: Document, max_sents: int, grams: ReferenceGrams) -> list[SharedGrams]:
+def _sentence_grams(doc: Document, n: int, grams: ReferenceGrams) -> list[SharedGrams]:
     return [grams.shared(preprocess_tokens(tree.tokens, ORACLE_PREPROCESS))
-            for tree in doc.sentences[:max_sents]]
+            for tree in doc.sentences[:n]]
 
 
 def _salience_order(indices: Iterable[int], individual: Sequence[float]) -> tuple[int, ...]:
@@ -129,17 +140,14 @@ def beam_search_oracle(
     """Final beam of scored k-subsets, best first.
 
     Each of k rounds extends every beam state with every unused sentence
-    among the first max_sents, scores the concatenation, and keeps the top
+    among the first MAX_SENTS, scores the concatenation, and keeps the top
     beam_width states. Ties prefer the lexicographically smaller index set.
     `reference` is the reference's tokens, or their ReferenceGrams already
     preprocessed with ORACLE_PREPROCESS.
     """
+    n = scoreable_sentences(doc, cfg.k)
     grams = _reference_grams(reference)
-    sents = _sentence_grams(doc, cfg.max_sents, grams)
-    n = len(sents)
-    if n < cfg.k:
-        raise ValueError(
-            f"document {doc.id!r} has {n} scoreable sentences but k={cfg.k}")
+    sents = _sentence_grams(doc, n, grams)
     individual = [grams.score_joined([sent]) for sent in sents]
     beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
     for _ in range(cfg.k):
@@ -161,18 +169,12 @@ def beam_search_oracle(
             for indices, score in beam]
 
 
-def exhaustive_oracle(
-    doc: Document,
-    reference: Sequence[str],
-    k: int,
-    max_sents: int = DEFAULT_MAX_SENTS,
-) -> OracleCandidate:
-    """True argmax over all k-subsets; guards against combinatorial blowup."""
+def exhaustive_oracle(doc: Document, reference: Sequence[str], k: int) -> OracleCandidate:
+    """True argmax over all k-subsets of the first MAX_SENTS sentences;
+    guards against combinatorial blowup."""
+    n = scoreable_sentences(doc, k)
     grams = _reference_grams(reference)
-    sents = _sentence_grams(doc, max_sents, grams)
-    n = len(sents)
-    if n < k:
-        raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={k}")
+    sents = _sentence_grams(doc, n, grams)
     total = math.comb(n, k)
     if total > _EXHAUSTIVE_GUARD:
         raise ValueError(
@@ -187,6 +189,10 @@ def exhaustive_oracle(
             best, best_score = indices, score
     assert best is not None
     return OracleCandidate(_salience_order(best, individual), best_score)
+
+
+def _label(r_before: float, r_after: float) -> CompressionLabel:
+    return CompressionLabel.DEL if r_after > r_before else CompressionLabel.KEEP
 
 
 def label_compressions(
@@ -207,8 +213,7 @@ def label_compressions(
     for option in options:
         survivors = per_token[:option.span.start] + per_token[option.span.end:]
         r_after = grams.score_tokens([tok for tok in survivors if tok is not None])
-        label = CompressionLabel.DEL if r_after > r_before else CompressionLabel.KEEP
-        labeled.append(LabeledOption(option, r_before, r_after, label))
+        labeled.append(LabeledOption(option, r_before, r_after, _label(r_before, r_after)))
     return labeled
 
 
@@ -292,7 +297,8 @@ def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentO
 
     Options are re-extracted from the parse trees and joined to the cached
     labels by (span, rule); any mismatch means the cache does not belong to
-    this corpus and is an error. Every error names the file and line.
+    this corpus and is an error, as is a KEEP/DEL label that disagrees with
+    its r_before and r_after. Every error names the file and line.
     """
     return read_records(path, lambda record: _entry_from_record(record, documents))
 
@@ -306,9 +312,13 @@ def _entry_from_record(record: dict, documents: Mapping[str, Document]) -> Docum
         raise ValueError(
             f"document {doc_id!r}: cache has {len(record['labels'])} sentences, "
             f"corpus has {len(doc.sentences)}")
-    candidates = tuple(
-        OracleCandidate(tuple(entry["indices"]), float(entry["score"]))
-        for entry in record["oracles"])
+    candidates = []
+    for entry in record["oracles"]:
+        indices = entry["indices"]
+        if type(indices) is not list or any(type(i) is not int for i in indices):
+            raise ValueError(f"document {doc_id!r}: oracle indices {json.dumps(indices)} "
+                             f"are not a list of integers")
+        candidates.append(OracleCandidate(tuple(indices), float(entry["score"])))
     labels = []
     for sent_index, cached in enumerate(record["labels"]):
         by_key = {(opt.span.start, opt.span.end, opt.rule.value): opt
@@ -320,10 +330,12 @@ def _entry_from_record(record: dict, documents: Mapping[str, Document]) -> Docum
                 raise ValueError(
                     f"document {doc_id!r} sentence {sent_index}: cached option "
                     f"{key} not produced by the rules; stale cache?")
-            sent_labels.append(LabeledOption(
-                option=by_key[key],
-                r_before=float(item["r_before"]),
-                r_after=float(item["r_after"]),
-                label=CompressionLabel(item["label"])))
+            r_before, r_after = float(item["r_before"]), float(item["r_after"])
+            label = CompressionLabel(item["label"])
+            if label is not _label(r_before, r_after):
+                raise ValueError(
+                    f"document {doc_id!r} sentence {sent_index}: option {key} is labeled "
+                    f"{label.value}, which disagrees with r_before={r_before}, r_after={r_after}")
+            sent_labels.append(LabeledOption(by_key[key], r_before, r_after, label))
         labels.append(tuple(sent_labels))
-    return DocumentOracles(doc_id, candidates, tuple(labels))
+    return DocumentOracles(doc_id, tuple(candidates), tuple(labels))

@@ -11,11 +11,11 @@ their taus: it preprocesses the reference once, renders a summary once per
 set of options the model deletes, and ROUGE-scores it once per distinct
 text, reusing both at every tau that gives the same key. Dedup keeps a
 count of live tokens per type instead of rescanning the summary for each
-option, and ROUGE-L uses a bit-parallel LCS. Decoding reads max_sents, the
-number of leading sentences that can be selected, from the model's training
-config; ROUGE always preprocesses with the fixed EVAL_PREPROCESS
-(lowercasing only). Everything here is a pure function of (model, document,
-config), and nothing is cached across documents or calls.
+option, and ROUGE-L uses a bit-parallel LCS. Decoding selects among a
+document's first oracle.MAX_SENTS sentences, the same leading sentences the
+oracles were built from; ROUGE always preprocesses with the fixed
+EVAL_PREPROCESS (lowercasing only). Everything here is a pure function of
+(model, document, config), and nothing is cached across documents or calls.
 """
 
 import csv

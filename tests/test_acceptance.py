@@ -65,7 +65,7 @@ def report(number: int, description: str) -> None:
 
 
 def make_training_examples(docs, k=2, m=5):
-    cfg = OracleConfig(k=k, beam_width=8, max_sents=30, m=m)
+    cfg = OracleConfig(k=k, beam_width=8, m=m)
     out = []
     for doc in docs:
         oracles = build_document_oracles(doc, cfg)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,7 @@ def test_full_workflow(corpus_path, tmp_path, capsys):
     summaries = tmp_path / "summaries.jsonl"
 
     assert main(["oracle", "build", "--corpus", str(corpus_path),
-                 "--out", str(oracles), "--k", "2", "--beam", "8",
-                 "--max-sents", "30", "--m", "5"]) == 0
+                 "--out", str(oracles), "--k", "2", "--beam", "8", "--m", "5"]) == 0
     record = json.loads(oracles.read_text().splitlines()[0])
     assert set(record) == {"doc_id", "oracles", "labels"}
     assert len(record["oracles"]) <= 5
@@ -196,6 +196,41 @@ def test_config_that_is_no_object_of_flags_is_error(corpus_path, tmp_path, capsy
     assert code == 2
     assert _structured_error(capsys) == f"config {config}: {expected}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, command, expected", [
+    ({"k": 2.7}, ["oracle", "build"], "key 'k' holds 2.7, but --k takes an integer"),
+    ({"tau": "0.5"}, ["summarize", "--model", "model.json"],
+     "key 'tau' holds \"0.5\", but --tau takes a number"),
+    ({"out": 7}, ["oracle", "build"], "key 'out' holds 7, but --out takes a string"),
+    ({"no_dedup": "false"}, ["summarize", "--model", "model.json"],
+     "key 'no_dedup' holds \"false\", but --no-dedup takes true or false"),
+], ids=["integer", "number", "string", "switch"])
+def test_config_value_of_the_wrong_type_is_error(corpus_path, tmp_path, capsys,
+                                                 content, command, expected):
+    # {"k": 2.7} once failed with a raw "'float' object cannot be interpreted
+    # as an integer", and {"no_dedup": "false"} silently turned dedup off
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = main(["--config", str(config), *command, "--corpus", str(corpus_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert _structured_error(capsys) == f"config {config}: {expected}"
+    assert not out.exists()
+
+
+def test_explicit_verbose_flag_wins_over_config(corpus_path, tmp_path, monkeypatch):
+    # a config's "verbose": false once overrode -v, logging at WARNING
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+    data = ["options", "extract", "--corpus", str(corpus_path), "--out", str(tmp_path / "o")]
+    for verbose in (False, True):
+        config = tmp_path / f"{verbose}.json"
+        config.write_text(json.dumps({"verbose": verbose}), encoding="utf-8")
+        assert main(["--config", str(config), "-v", *data]) == 0
+        assert main(["--config", str(config), *data]) == 0
+    assert levels == [logging.INFO, logging.WARNING, logging.INFO, logging.INFO]
 
 
 def test_flag_defaults_are_the_config_defaults():
@@ -325,13 +360,17 @@ GOLDEN_ORACLES_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7
 # SHA-256 of what train, summarize, evaluate --json and sweep write for
 # _golden_corpus() with default flags and k=2, computed when summarize,
 # evaluate and sweep re-ran the model for every tau. Scoring each document
-# once and rendering it per tau must reproduce them byte for byte.
+# once and rendering it per tau must reproduce them byte for byte. The
+# model's pin changed when its train_config lost the key "max_sents" (the
+# limit became the constant oracle.MAX_SENTS); MODEL_WITH_MAX_SENTS_SHA256
+# is the pin from before, which the same model gives with that key put back.
 GOLDEN_OUTPUTS_SHA256 = {
-    "model.json": "4fc8763bf11fedc5917da8e917458e03a0fd7de4d66eee3c36307c581a7ee2ec",
+    "model.json": "eef0190bdc2c8d324c1dcc5819c20d0d68ea6ada1b5498bfdd08a496d338ad0b",
     "summaries.jsonl": "56303d0932777e402ec222024d070e772ffa56979e0bd9790af2c44265d439c6",
     "evaluation.json": "215e9a057088a8b89c5ca19724d6818fc7c82cc3ea9bd7e0666f20fa55d81345",
     "sweep.csv": "116094869e8bdff7fc9f295bdc52b8f1d9676aec49e7ab18c3f664b154c5fd20",
 }
+MODEL_WITH_MAX_SENTS_SHA256 = "4fc8763bf11fedc5917da8e917458e03a0fd7de4d66eee3c36307c581a7ee2ec"
 
 
 def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
@@ -358,6 +397,11 @@ def test_model_and_outputs_bytes_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                for name, path in out.items()}
     assert digests == GOLDEN_OUTPUTS_SHA256
+    payload = json.loads(Path(out["model.json"]).read_text(encoding="utf-8"))
+    assert "max_sents" not in payload["train_config"]
+    payload["train_config"]["max_sents"] = 30
+    old_bytes = json.dumps(payload).encode("utf-8")
+    assert hashlib.sha256(old_bytes).hexdigest() == MODEL_WITH_MAX_SENTS_SHA256
 
 
 def test_train_on_corrupted_cache_names_file_and_line(corpus_path, tmp_path, capsys):
@@ -384,22 +428,39 @@ def test_duplicate_document_id_is_error(tmp_path, capsys):
     assert "duplicate document id 'fix-relative'" in payload["error"]
 
 
-def test_oracles_beyond_train_max_sents_name_both_limits(tmp_path, capsys):
-    # the reference copies sentence 40, so an oracle cache built with
-    # --max-sents 45 picks a sentence that training cannot score
+def test_max_sents_is_no_flag_or_config_key(corpus_path, tmp_path, capsys):
+    out = tmp_path / "oracles.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(out),
+              "--max-sents", "45"])
+    assert exit_info.value.code == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_sents": 30}), encoding="utf-8")
+    assert main(["--config", str(config), "oracle", "build", "--corpus", str(corpus_path),
+                 "--out", str(out)]) == 2
+    assert _structured_error(capsys) == (
+        f"config {config}: no subcommand has a flag for key(s) 'max_sents'")
+    assert not out.exists()
+
+
+def test_oracle_index_beyond_max_sents_is_error(tmp_path, capsys):
+    # the reference copies sentence 40, which no oracle can pick; a cache
+    # hand-edited to pick it must fail in train and gradcheck
     flat = corpusgen.flat_tree
     sentences = tuple(flat([f"s{i}w{j}" for j in range(4)]) for i in range(45))
-    doc = Document(id="b0", sentences=sentences, reference=(sentences[40].token_texts,))
+    doc = Document(id="b0", sentences=sentences, reference=(sentences[40].tokens,))
     corpus = tmp_path / "long.jsonl"
     oracles = tmp_path / "oracles.jsonl"
     write_corpus(corpus, [doc])
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
-                 "--k", "1", "--max-sents", "45"]) == 0
+                 "--k", "1"]) == 0
+    record = json.loads(oracles.read_text(encoding="utf-8"))
+    assert all(max(o["indices"]) < 30 for o in record["oracles"])
+    record["oracles"][0]["indices"] = [40]
+    oracles.write_text(json.dumps(record) + "\n", encoding="utf-8")
     commands = (["train", "--out", str(tmp_path / "model.json")], ["gradcheck"])
     for command in commands:
         capsys.readouterr()
         assert main([*command, "--corpus", str(corpus), "--oracles", str(oracles)]) == 1
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-        assert "oracle index 40 >= 30 scoreable sentences" in error
-        assert "max_sents=30" in error
-        assert "larger --max-sents" in error
+        assert _structured_error(capsys) == (
+            "document 'b0': oracle index 40 >= 30 scoreable sentences")

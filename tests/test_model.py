@@ -30,7 +30,7 @@ from compsum.model import (
     _loss_and_grads_compiled,
     _loss_compiled,
 )
-from compsum.oracle import OracleConfig, build_document_oracles
+from compsum.oracle import OracleCandidate, OracleConfig, build_document_oracles
 
 
 def make_examples(count=6, seed=3, k=2):
@@ -220,12 +220,27 @@ class TestLossJoint:
 
     def test_oracle_index_out_of_range_rejected(self):
         example = make_examples(1)[0]
-        bad = TrainingExample(
-            example.doc,
-            (type(example.oracles[0])((0, 2), 0.5),),
-            example.labels)
-        with pytest.raises(ValueError, match="scoreable"):
-            loss_joint(init_model(), bad, max_sents=2)
+        n = len(example.doc.sentences)
+        bad = TrainingExample(example.doc, (OracleCandidate((0, n), 0.5),), example.labels)
+        with pytest.raises(ValueError, match=f"oracle index {n} >= {n} scoreable sentences"):
+            loss_joint(init_model(), bad)
+
+    @pytest.mark.parametrize("oracles, expected", [
+        ((), "has no oracles"),
+        (((),), r"oracle \[\] is not a nonempty list"),
+        (((0, -1),), r"oracle \[0, -1\] is not a nonempty list of distinct sentence indices >= 0"),
+        (((1, 1),), r"oracle \[1, 1\] is not a nonempty list of distinct"),
+    ], ids=["no-oracles", "empty-oracle", "negative-index", "repeated-index"])
+    def test_misused_oracles_rejected_naming_the_document(self, oracles, expected):
+        # these once compiled silently (no oracles, an empty oracle) or failed
+        # with numpy's "index 0 is out of bounds" (a negative or repeated index)
+        example = make_examples(1)[0]
+        bad = TrainingExample(example.doc, tuple(OracleCandidate(o, 0.5) for o in oracles),
+                              example.labels)
+        with pytest.raises(ValueError, match=f"document {example.doc.id!r}.*{expected}"):
+            compile_example(bad)
+        with pytest.raises(ValueError, match=expected):
+            train([bad], TrainConfig(epochs=1))
 
     def test_loss_decreases_under_small_gradient_step(self):
         for example in make_examples(3, seed=33):

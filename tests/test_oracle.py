@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import corpusgen
 from compsum import Document, parse_ptb
 from compsum.oracle import (
+    MAX_SENTS,
     CompressabilityBucket,
     CompressionLabel,
     LabeledOption,
@@ -24,6 +25,7 @@ from compsum.oracle import (
     label_compressions,
     oracle_record,
     read_oracle_cache,
+    scoreable_sentences,
     select_training_oracles,
     write_oracle_cache,
 )
@@ -35,13 +37,13 @@ from compsum.treebank import Span
 class TestOracleConfig:
     def test_defaults(self):
         cfg = OracleConfig()
-        assert (cfg.k, cfg.beam_width, cfg.max_sents, cfg.m) == (3, 8, 30, 5)
+        assert (cfg.k, cfg.beam_width, cfg.m) == (3, 8, 5)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             OracleConfig(k=0)
         with pytest.raises(ValueError):
-            OracleConfig(k=31, max_sents=30)
+            OracleConfig(k=31)
 
     def test_m_bounded_by_beam(self):
         with pytest.raises(ValueError):
@@ -113,13 +115,26 @@ class TestBeamSearch:
             assert beam[0].score == pytest.approx(best.score, abs=1e-12)
 
     def test_max_sents_limits_search(self):
-        sents = tuple(corpusgen.flat_tree([f"w{i}", "x"]) for i in range(6))
+        # the perfect sentence is the 31st, one past MAX_SENTS
+        sents = tuple(corpusgen.flat_tree([f"w{i}", "x"]) for i in range(MAX_SENTS))
         perfect = corpusgen.flat_tree(["target", "tokens", "here"])
         doc = Document(id="m", sentences=sents + (perfect,),
                        reference=(("target", "tokens", "here"),))
-        beam = beam_search_oracle(doc, doc.reference_tokens,
-                                  OracleConfig(k=1, max_sents=6))
-        assert 6 not in beam[0].sentence_indices
+        beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=1))
+        assert all(MAX_SENTS not in c.sentence_indices for c in beam)
+        assert MAX_SENTS not in exhaustive_oracle(doc, doc.reference_tokens, 1).sentence_indices
+
+    def test_scoreable_sentences_are_the_leading_max_sents(self):
+        long_doc = Document(id="long", sentences=tuple(
+            corpusgen.flat_tree([f"w{i}"]) for i in range(MAX_SENTS + 5)))
+        short_doc = Document(id="short", sentences=long_doc.sentences[:4])
+        assert MAX_SENTS == 30
+        assert scoreable_sentences(long_doc, MAX_SENTS) == MAX_SENTS
+        assert scoreable_sentences(short_doc, 4) == 4
+        with pytest.raises(ValueError, match="'short' has 4 scoreable sentences but k=5"):
+            scoreable_sentences(short_doc, 5)
+        with pytest.raises(ValueError, match="'long' has 30 scoreable sentences but k=31"):
+            exhaustive_oracle(long_doc, ["w0"], 31)
 
 
 # Raw words, some of them dropped by preprocessing, so that whole sentences
@@ -183,8 +198,8 @@ class TestExhaustive:
     def test_enumeration_count_guard(self):
         sents = tuple(corpusgen.flat_tree(["a"]) for _ in range(50))
         big = Document(id="big", sentences=sents, reference=(("a",),))
-        with pytest.raises(ValueError, match="exceeds"):
-            exhaustive_oracle(big, big.reference_tokens, 25, max_sents=50)
+        with pytest.raises(ValueError, match=r"C\(30,15\) = 155117520 subsets exceeds"):
+            exhaustive_oracle(big, big.reference_tokens, 15)
 
 
 class TestLabeling:
@@ -391,6 +406,42 @@ class TestCache:
             handle.write(line)
         with pytest.raises(ValueError, match=message):
             read_oracle_cache(path, {doc.id: doc})
+
+    @pytest.mark.parametrize("flipped", ["KEEP", "DEL"])
+    def test_label_that_disagrees_with_its_scores_is_located(self, tmp_path, flipped):
+        # a hand-edited label was once trained on silently
+        docs = corpusgen.fixture_corpus()
+        records = [oracle_record(build_document_oracles(doc, OracleConfig(k=1, m=1)))
+                   for doc in docs]
+        line, sent, item = next(
+            (line, sent, item) for line, record in enumerate(records, start=1)
+            for sent, items in enumerate(record["labels"]) for item in items
+            if item["label"] != flipped)
+        item["label"] = flipped
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records),
+                        encoding="utf-8")
+        key = (item["start"], item["end"], item["rule"])
+        with pytest.raises(ValueError) as error:
+            read_oracle_cache(path, {doc.id: doc for doc in docs})
+        assert str(error.value) == (
+            f"{path}:{line}: document {records[line - 1]['doc_id']!r} sentence {sent}: "
+            f"option {key} is labeled {flipped}, which disagrees with "
+            f"r_before={item['r_before']}, r_after={item['r_after']}")
+
+    @pytest.mark.parametrize("indices", [[1.5, 0], "10", [True, 0]],
+                             ids=["float", "string", "boolean"])
+    def test_oracle_indices_that_are_not_integers_are_located(self, tmp_path, indices):
+        # these once failed in training with a raw numpy or comparison error
+        doc = corpusgen.fixture_corpus()[0]
+        record = oracle_record(build_document_oracles(doc, OracleConfig(k=1, m=1)))
+        record["oracles"][0]["indices"] = indices
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as error:
+            read_oracle_cache(path, {doc.id: doc})
+        assert str(error.value) == (f"{path}:1: document {doc.id!r}: oracle indices "
+                                    f"{json.dumps(indices)} are not a list of integers")
 
     def test_reference_required(self):
         doc = Document(id="noref", sentences=(corpusgen.flat_tree(["a", "b"]),))

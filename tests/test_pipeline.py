@@ -2,6 +2,7 @@
 
 import json
 import logging
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import reference_rouge
 from compsum import Document, parse_ptb
 from compsum.corpus import document_to_record, load_corpus, write_corpus
 from compsum.model import TrainConfig, TrainingExample, decode_greedy, init_model, train
-from compsum.oracle import CompressionLabel, OracleConfig, build_document_oracles
+from compsum.oracle import MAX_SENTS, CompressionLabel, OracleConfig, build_document_oracles
 from compsum.pipeline import (
     CAUSE_DEDUP,
     CAUSE_MODEL,
@@ -582,17 +583,19 @@ class TestScoreOnceRenderMany:
                     assert render(scored, tau, dedup) == summarize(
                         model, doc, SummarizeConfig(k=2, tau=tau, dedup=dedup))
 
-    def test_max_sents_is_read_from_the_model(self):
+    @pytest.mark.parametrize("train_config", [
+        None, {}, {"max_sents": 45}, {"max_sents": 5}, asdict(TrainConfig())],
+        ids=["none", "empty", "max_sents-45", "max_sents-5", "trained"])
+    def test_decoding_selects_among_the_first_max_sents(self, train_config):
+        # a train_config without "max_sents" once failed with KeyError 'max_sents'
         model = init_model(seed=0)
-        doc = corpusgen.learnable_corpus(count=1, seed=3)[0][0]
-        n = len(doc.sentences)
-        model.train_config = {"max_sents": n - 1}
-        scored = score_document(model, doc, n - 1)
-        assert sorted(s.index for s in scored.sentences) == list(range(n - 1))
-        with pytest.raises(ValueError, match=f"{n - 1} scoreable sentences but k={n}"):
-            summarize(model, doc, SummarizeConfig(k=n))
-        model.train_config = None
-        assert len(score_document(model, doc, n).sentences) == n
+        model.train_config = train_config
+        doc = corpusgen.random_flat_doc(np.random.default_rng(5), "long", MAX_SENTS + 6)
+        scored = score_document(model, doc, MAX_SENTS)
+        assert sorted(s.index for s in scored.sentences) == list(range(MAX_SENTS))
+        assert sorted(decode_greedy(model, doc, MAX_SENTS)) == list(range(MAX_SENTS))
+        with pytest.raises(ValueError, match=f"30 scoreable sentences but k={MAX_SENTS + 1}"):
+            summarize(model, doc, SummarizeConfig(k=MAX_SENTS + 1))
 
 
 _SCORED = [score_document(init_model(seed=0), doc, 2)
