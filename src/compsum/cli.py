@@ -8,6 +8,7 @@ subcommand, each of the type its flag takes; explicit flags always win.
 import argparse
 import json
 import logging
+import math
 import re
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ logger = logging.getLogger(__name__)
 # Flag (argparse dest) -> the parameter it sets, for each call built from flags.
 ORACLE_FLAGS = {"k": "k", "beam": "beam_width", "m": "m"}
 TRAIN_FLAGS = {"alpha": "alpha", "lr": "learning_rate", "epochs": "epochs",
-               "seed": "seed", "hidden": "hidden_size", "m": "oracles_per_doc"}
+               "seed": "seed", "hidden": "hidden_size"}
 SUMMARIZE_FLAGS = {"k": "k", "tau": "tau"}
 GRADCHECK_FLAGS = {"hidden": "hidden_size", "seed": "seed"}
 
@@ -65,6 +66,10 @@ def _parse_tau_grid(spec: str) -> list[float]:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"--tau-grid expects start:stop:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"--tau-grid {spec!r} holds a non-finite part")
+    if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+        raise ValueError(f"--tau-grid {spec!r}: start and stop must lie in [0, 1]")
     if step <= 0:
         raise ValueError("--tau-grid step must be positive")
     grid = []
@@ -239,7 +244,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
     p_train.add_argument("--hidden", type=int, default=TrainConfig.hidden_size)
-    p_train.add_argument("--m", type=int, default=TrainConfig.oracles_per_doc)
     leaves.append(p_train)
     p_train.set_defaults(func=cmd_train, required_args=("corpus", "oracles", "out"))
 

@@ -7,12 +7,13 @@ features; it points only at a document's first oracle.MAX_SENTS sentences,
 in training and decoding alike, as the oracles do. The compression
 classifier is a one-hidden-layer tanh MLP with a logistic output. Gradients
 are computed by hand and checked against central finite differences;
-training is plain adaptive-moment gradient descent over one document per
-step.
+training is plain adaptive-moment gradient descent (Adam's published
+rates) over one document per step, on every oracle a training example holds.
 """
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -70,7 +71,6 @@ class Model:
     hidden_size: int
     params: dict[str, np.ndarray]
     train_config: dict | None = None
-    seed: int | None = None
 
 
 def init_model(hidden_size: int = DEFAULT_HIDDEN_SIZE, seed: int = 0) -> Model:
@@ -82,7 +82,7 @@ def init_model(hidden_size: int = DEFAULT_HIDDEN_SIZE, seed: int = 0) -> Model:
         name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
         for name, shape in param_shapes(hidden_size).items()
     }
-    return Model(hidden_size=hidden_size, params=params, seed=seed)
+    return Model(hidden_size=hidden_size, params=params)
 
 
 def models_equal(a: Model, b: Model) -> bool:
@@ -102,7 +102,6 @@ def save_model(model: Model, path) -> None:
         "hidden_size": model.hidden_size,
         "weights": {name: model.params[name].tolist() for name in PARAM_ORDER},
         "train_config": model.train_config,
-        "seed": model.seed,
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -131,13 +130,14 @@ def load_model(path) -> Model:
             if arr.shape != shapes[name]:
                 raise ModelFormatError(
                     f"parameter {name} has shape {arr.shape}, expected {shapes[name]}")
+            if not np.isfinite(arr).all():
+                raise ModelFormatError(f"parameter {name} holds a non-finite weight")
             params[name] = arr
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    return Model(hidden_size=hidden, params=params,
-                 train_config=payload.get("train_config"), seed=payload.get("seed"))
+    return Model(hidden_size=hidden, params=params, train_config=payload.get("train_config"))
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +233,20 @@ class TrainConfig:
     alpha: float = 1.0
     learning_rate: float = 0.001
     epochs: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     hidden_size: int = DEFAULT_HIDDEN_SIZE
-    oracles_per_doc: int = 5
     positive_class_weight: float = 1.0
 
     def __post_init__(self):
+        for field in ("alpha", "learning_rate", "positive_class_weight"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"{field}={getattr(self, field)} must be finite")
         if self.alpha < 0:
             raise ValueError(f"alpha={self.alpha} must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate={self.learning_rate} must be > 0")
         if self.epochs < 0:
             raise ValueError(f"epochs={self.epochs} must be >= 0")
-        if self.oracles_per_doc < 1:
-            raise ValueError(f"oracles_per_doc={self.oracles_per_doc} must be >= 1")
         if self.hidden_size < 1:
             raise ValueError(f"hidden_size={self.hidden_size} must be >= 1")
 
@@ -274,11 +271,15 @@ def compile_example(example: TrainingExample) -> CompiledExample:
     """Precompute all teacher-forced features; they do not depend on weights.
 
     Every oracle must be a nonempty list of distinct indices among the
-    document's first MAX_SENTS sentences, and there must be at least one.
+    document's first MAX_SENTS sentences, and there must be at least one;
+    the labels hold one tuple per sentence of the document.
     """
     doc = example.doc
     if not example.oracles:
         raise ValueError(f"document {doc.id!r} has no oracles")
+    if len(example.labels) != len(doc.sentences):
+        raise ValueError(f"document {doc.id!r}: labels for {len(example.labels)} sentences, "
+                         f"document has {len(doc.sentences)}")
     ctx = DocumentContext(doc)
     n = min(MAX_SENTS, len(doc.sentences))
     steps: list[_Step] = []
@@ -295,7 +296,7 @@ def compile_example(example: TrainingExample) -> CompiledExample:
             remaining = np.array([i for i in range(n) if i not in state.selected],
                                  dtype=np.int64)
             target_pos = int(np.nonzero(remaining == target)[0][0])
-            sent_labels = example.labels[target] if target < len(example.labels) else ()
+            sent_labels = example.labels[target]
             if sent_labels:
                 option_feats = np.stack([
                     featurize_option(ctx, target, lab.option, state)
@@ -389,10 +390,7 @@ def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model,
         raise ValueError("empty training corpus")
     model = init_model(cfg.hidden_size, cfg.seed)
     model.train_config = asdict(cfg)
-    compiled = []
-    for example in examples:
-        oracles = example.oracles[:cfg.oracles_per_doc]
-        compiled.append(compile_example(TrainingExample(example.doc, oracles, example.labels)))
+    compiled = [compile_example(example) for example in examples]
     moment1 = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     moment2 = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     step = 0
@@ -406,16 +404,20 @@ def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model,
             step += 1
             for name in PARAM_ORDER:
                 g = grads[name]
-                moment1[name] = cfg.beta1 * moment1[name] + (1 - cfg.beta1) * g
-                moment2[name] = cfg.beta2 * moment2[name] + (1 - cfg.beta2) * g * g
-                m_hat = moment1[name] / (1 - cfg.beta1 ** step)
-                v_hat = moment2[name] / (1 - cfg.beta2 ** step)
-                model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                moment1[name] = _BETA1 * moment1[name] + (1 - _BETA1) * g
+                moment2[name] = _BETA2 * moment2[name] + (1 - _BETA2) * g * g
+                m_hat = moment1[name] / (1 - _BETA1 ** step)
+                v_hat = moment2[name] / (1 - _BETA2 ** step)
+                model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         trace.append(float(np.mean(losses)))
         logger.info("epoch %d: mean loss %.6f", epoch + 1, trace[-1])
     return model, trace
 
 
+# Adam's published moment decay rates and denominator guard (Kingma & Ba 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 _REFINE_THRESHOLD = 1e-5
 # The gradient check differentiates the unweighted joint loss at this alpha and step.
 _CHECK_ALPHA = 1.0

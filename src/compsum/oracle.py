@@ -298,15 +298,21 @@ def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentO
     Options are re-extracted from the parse trees and joined to the cached
     labels by (span, rule); any mismatch means the cache does not belong to
     this corpus and is an error, as is a KEEP/DEL label that disagrees with
-    its r_before and r_after. Every error names the file and line.
+    its r_before and r_after, or a document's second record. Every error
+    names the file and line.
     """
-    return read_records(path, lambda record: _entry_from_record(record, documents))
+    seen: set[str] = set()
+    return read_records(path, lambda record: _entry_from_record(record, documents, seen))
 
 
-def _entry_from_record(record: dict, documents: Mapping[str, Document]) -> DocumentOracles:
+def _entry_from_record(record: dict, documents: Mapping[str, Document],
+                       seen: set[str]) -> DocumentOracles:
     doc_id = record["doc_id"]
     if doc_id not in documents:
         raise ValueError(f"document {doc_id!r} not in corpus")
+    if doc_id in seen:
+        raise ValueError(f"document {doc_id!r} repeats an earlier record")
+    seen.add(doc_id)
     doc = documents[doc_id]
     if len(record["labels"]) != len(doc.sentences):
         raise ValueError(

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import logging
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,13 @@ import pytest
 
 import corpusgen
 from compsum import Document
+from compsum import model as model_mod
 from compsum.cli import (
     GRADCHECK_FLAGS,
     ORACLE_FLAGS,
     SUMMARIZE_FLAGS,
     TRAIN_FLAGS,
+    _parse_tau_grid,
     build_parser,
     main,
 )
@@ -244,6 +247,14 @@ def test_flag_defaults_are_the_config_defaults():
         for flag, field in flags.items():
             assert by_command[command].get_default(flag) == getattr(config, field), (command, flag)
     assert by_command["gradcheck"].get_default("hidden") == init_model().hidden_size
+    # Every config field is set by a flag of its command (dedup by
+    # --no-dedup), so none holds a value the command line cannot change.
+    # positive_class_weight is the one exception, until the ROADMAP's
+    # "expose positive_class_weight on the train CLI" lands.
+    for config, flags, others in ((OracleConfig, ORACLE_FLAGS, ()),
+                                  (TrainConfig, TRAIN_FLAGS, ("positive_class_weight",)),
+                                  (SummarizeConfig, SUMMARIZE_FLAGS, ("dedup",))):
+        assert {f.name for f in fields(config)} == {*flags.values(), *others}, config.__name__
 
 
 @pytest.fixture(scope="module")
@@ -255,16 +266,19 @@ def oracles_path(corpus_path):
 
 
 @pytest.mark.parametrize("command, expected", [
-    (["train", "--m", "0"], "--m 0 must be >= 1"),
+    (["oracle", "build", "--m", "0"], "--m 0 must be >= 1"),
     (["train", "--hidden", "0"], "--hidden 0 must be >= 1"),
     (["train", "--lr", "0"], "--lr 0.0 must be > 0"),
     (["gradcheck", "--hidden", "0"], "--hidden 0 must be >= 1"),
     (["oracle", "build", "--m", "9"], "--m 9 must not exceed --beam 8"),
+    (["train", "--lr", "nan"], "--lr nan must be finite"),
+    (["train", "--alpha", "inf"], "--alpha inf must be finite"),
 ])
 def test_rejected_value_is_named_by_its_flag(corpus_path, oracles_path, tmp_path, capsys,
                                              command, expected):
-    # gradcheck --hidden 0 once checked only b2 and passed; the others named
-    # config fields (oracles_per_doc=0, hidden_size=0) instead of flags
+    # gradcheck --hidden 0 once checked only b2 and passed; --lr nan and
+    # --alpha inf trained a model of NaN weights; the others named config
+    # fields (m=0, hidden_size=0) instead of flags
     out = tmp_path / "out"
     paths = {"train": ["--oracles", str(oracles_path), "--out", str(out)],
              "gradcheck": ["--oracles", str(oracles_path)],
@@ -310,6 +324,20 @@ def test_bad_tau_grid_is_error(corpus_path, tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv"), "--tau-grid", "bogus"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, expected", [
+    ("0:1:nan", "--tau-grid '0:1:nan' holds a non-finite part"),
+    ("0:inf:0.1", "--tau-grid '0:inf:0.1' holds a non-finite part"),
+    ("0:2:0.5", "--tau-grid '0:2:0.5': start and stop must lie in [0, 1]"),
+    ("-0.5:1:0.5", "--tau-grid '-0.5:1:0.5': start and stop must lie in [0, 1]"),
+])
+def test_tau_grid_outside_the_unit_interval_is_error(grid, expected):
+    # 0:1:nan once swept tau 0 alone, 0:inf:0.1 never returned, and 0:2:0.5
+    # failed with "tau=1.5 must lie in [0, 1]", naming no flag
+    with pytest.raises(ValueError) as error:
+        _parse_tau_grid(grid)
+    assert str(error.value) == expected
 
 
 def test_gradcheck_of_no_samples_is_error(corpus_path, tmp_path, capsys):
@@ -361,16 +389,33 @@ GOLDEN_ORACLES_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7
 # _golden_corpus() with default flags and k=2, computed when summarize,
 # evaluate and sweep re-ran the model for every tau. Scoring each document
 # once and rendering it per tau must reproduce them byte for byte. The
-# model's pin changed when its train_config lost the key "max_sents" (the
-# limit became the constant oracle.MAX_SENTS); MODEL_WITH_MAX_SENTS_SHA256
-# is the pin from before, which the same model gives with that key put back.
+# model's weights have not changed since; only its keys have. The file lost
+# its top-level "seed" and its train_config lost "beta1", "beta2", "eps" (now
+# constants) and "oracles_per_doc" (training uses every cached oracle):
+# MODEL_WITH_ADAM_FIELDS_SHA256 is the pin from before, which the same model
+# gives with those keys put back. Before that its train_config lost
+# "max_sents" (the limit became the constant oracle.MAX_SENTS):
+# MODEL_WITH_MAX_SENTS_SHA256 is the older file, with that key put back too.
 GOLDEN_OUTPUTS_SHA256 = {
-    "model.json": "eef0190bdc2c8d324c1dcc5819c20d0d68ea6ada1b5498bfdd08a496d338ad0b",
+    "model.json": "3b37cc9de856a293a6ef1e478c5faca886f62973aac1c9b75c54f2a1a8798070",
     "summaries.jsonl": "56303d0932777e402ec222024d070e772ffa56979e0bd9790af2c44265d439c6",
     "evaluation.json": "215e9a057088a8b89c5ca19724d6818fc7c82cc3ea9bd7e0666f20fa55d81345",
     "sweep.csv": "116094869e8bdff7fc9f295bdc52b8f1d9676aec49e7ab18c3f664b154c5fd20",
 }
+MODEL_WITH_ADAM_FIELDS_SHA256 = "eef0190bdc2c8d324c1dcc5819c20d0d68ea6ada1b5498bfdd08a496d338ad0b"
 MODEL_WITH_MAX_SENTS_SHA256 = "4fc8763bf11fedc5917da8e917458e03a0fd7de4d66eee3c36307c581a7ee2ec"
+
+
+def _older_model_file(payload: dict) -> dict:
+    """The model file as written before the Adam fields, the oracle count and
+    the model's second seed were removed, with its keys in their old order."""
+    config = payload["train_config"]
+    old_config = {"alpha": config["alpha"], "learning_rate": config["learning_rate"],
+                  "epochs": config["epochs"], "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                  "seed": config["seed"], "hidden_size": config["hidden_size"],
+                  "oracles_per_doc": 5,
+                  "positive_class_weight": config["positive_class_weight"]}
+    return {**payload, "train_config": old_config, "seed": config["seed"]}
 
 
 def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
@@ -398,9 +443,14 @@ def test_model_and_outputs_bytes_are_pinned(tmp_path, capsys):
                for name, path in out.items()}
     assert digests == GOLDEN_OUTPUTS_SHA256
     payload = json.loads(Path(out["model.json"]).read_text(encoding="utf-8"))
-    assert "max_sents" not in payload["train_config"]
-    payload["train_config"]["max_sents"] = 30
-    old_bytes = json.dumps(payload).encode("utf-8")
+    assert "seed" not in payload
+    assert list(payload["train_config"]) == [
+        "alpha", "learning_rate", "epochs", "seed", "hidden_size", "positive_class_weight"]
+    older = _older_model_file(payload)
+    old_bytes = json.dumps(older).encode("utf-8")
+    assert hashlib.sha256(old_bytes).hexdigest() == MODEL_WITH_ADAM_FIELDS_SHA256
+    older["train_config"]["max_sents"] = 30
+    old_bytes = json.dumps(older).encode("utf-8")
     assert hashlib.sha256(old_bytes).hexdigest() == MODEL_WITH_MAX_SENTS_SHA256
 
 
@@ -441,6 +491,39 @@ def test_max_sents_is_no_flag_or_config_key(corpus_path, tmp_path, capsys):
     assert _structured_error(capsys) == (
         f"config {config}: no subcommand has a flag for key(s) 'max_sents'")
     assert not out.exists()
+
+
+def test_train_has_no_oracle_count(corpus_path, oracles_path, tmp_path):
+    # train --m once cut the cache's oracles in silence and recorded its own count
+    out = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--corpus", str(corpus_path), "--oracles", str(oracles_path),
+              "--out", str(out), "--m", "5"])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+def test_train_and_gradcheck_compile_every_cached_oracle(corpus_path, tmp_path, monkeypatch):
+    # both commands learn from or check each oracle the cache holds, here 2
+    oracles = tmp_path / "oracles.jsonl"
+    assert main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(oracles),
+                 "--k", "2", "--m", "2"]) == 0
+    counts = []
+    compile_example = model_mod.compile_example
+
+    def counting(example):
+        compiled = compile_example(example)
+        counts.append(compiled.oracle_count)
+        return compiled
+
+    monkeypatch.setattr(model_mod, "compile_example", counting)
+    assert main(["train", "--corpus", str(corpus_path), "--oracles", str(oracles),
+                 "--out", str(tmp_path / "model.json"), "--epochs", "0"]) == 0
+    assert counts == [2] * 12
+    counts.clear()
+    assert main(["gradcheck", "--corpus", str(corpus_path), "--oracles", str(oracles),
+                 "--samples", "2", "--hidden", "2"]) == 0
+    assert counts == [2, 2]
 
 
 def test_oracle_index_beyond_max_sents_is_error(tmp_path, capsys):

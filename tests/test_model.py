@@ -242,6 +242,17 @@ class TestLossJoint:
         with pytest.raises(ValueError, match=expected):
             train([bad], TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("rows", [0, 1], ids=["no-labels", "one-row"])
+    def test_labels_shorter_than_the_document_rejected(self, rows):
+        # these once compiled with no compression loss for the missing sentences
+        example = make_examples(1)[0]
+        n = len(example.doc.sentences)
+        bad = TrainingExample(example.doc, example.oracles, example.labels[:rows])
+        with pytest.raises(ValueError) as error:
+            compile_example(bad)
+        assert str(error.value) == (f"document {example.doc.id!r}: labels for {rows} "
+                                    f"sentences, document has {n}")
+
     def test_loss_decreases_under_small_gradient_step(self):
         for example in make_examples(3, seed=33):
             model = init_model(seed=11)
@@ -345,11 +356,20 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("epochs", -1), ("oracles_per_doc", 0), ("hidden_size", 0)])
+        ("epochs", -1), ("hidden_size", 0)])
     def test_config_that_would_do_nothing_rejected(self, field, value):
         # each once trained on nothing, saved the initialization or wrote an unloadable model
         with pytest.raises(ValueError, match=f"{field}={value}"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.inf), ("alpha", math.nan), ("learning_rate", math.nan),
+        ("learning_rate", math.inf), ("positive_class_weight", math.nan)])
+    def test_non_finite_rate_rejected(self, field, value):
+        # alpha=inf and learning_rate=nan once trained a model whose every weight was NaN
+        with pytest.raises(ValueError) as error:
+            TrainConfig(**{field: value})
+        assert str(error.value) == f"{field}={value} must be finite"
 
 
 class TestPersistence:
@@ -390,6 +410,18 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError, match="shape"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        # a NaN model once loaded and failed later in summarize with
+        # "p_del=nan must lie in [0, 1]"
+        model = init_model(seed=1)
+        model.params["w1"][2, 3] = value
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with pytest.raises(ModelFormatError) as error:
+            load_model(path)
+        assert str(error.value) == "parameter w1 holds a non-finite weight"
 
     def test_missing_weights_rejected(self, tmp_path):
         import json

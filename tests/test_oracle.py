@@ -393,6 +393,17 @@ class TestCache:
         with pytest.raises(ValueError, match="not in corpus"):
             read_oracle_cache(path, {})
 
+    def test_repeated_document_is_located(self, tmp_path):
+        # a repeated record was once trained on twice per epoch and counted
+        # twice by stats --oracles
+        docs = corpusgen.fixture_corpus()[:2]
+        entries = [build_document_oracles(doc, OracleConfig(k=1, m=1)) for doc in docs]
+        path = tmp_path / "cache.jsonl"
+        write_oracle_cache(path, [*entries, entries[0]])
+        with pytest.raises(ValueError) as error:
+            read_oracle_cache(path, {doc.id: doc for doc in docs})
+        assert str(error.value) == f"{path}:3: document {docs[0].id!r} repeats an earlier record"
+
     @pytest.mark.parametrize("line, message", [
         ("{not json\n", r"bad\.jsonl:2: malformed JSON"),
         ('{"oracles": [], "labels": []}\n', r"bad\.jsonl:2: missing key 'doc_id'"),
