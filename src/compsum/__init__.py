@@ -16,7 +16,6 @@ from .features import (
 from .model import (
     Model,
     TrainConfig,
-    TrainingExample,
     classify_option,
     decode_greedy,
     gradient_check,
@@ -41,7 +40,6 @@ from .oracle import (
     exhaustive_oracle,
     label_compressions,
     read_oracle_cache,
-    select_training_oracles,
     write_oracle_cache,
 )
 from .pipeline import (

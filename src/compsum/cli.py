@@ -33,6 +33,9 @@ TRAIN_FLAGS = {"alpha": "alpha", "lr": "learning_rate", "epochs": "epochs",
 SUMMARIZE_FLAGS = {"k": "k", "tau": "tau"}
 GRADCHECK_FLAGS = {"hidden": "hidden_size", "seed": "seed"}
 
+# Most thresholds one --tau-grid may hold: a step of 1e-4 across [0, 1]
+MAX_TAU_POINTS = 10_001
+
 
 def _load_documents(path):
     docs = list(load_corpus(path))
@@ -72,6 +75,8 @@ def _parse_tau_grid(spec: str) -> list[float]:
         raise ValueError(f"--tau-grid {spec!r}: start and stop must lie in [0, 1]")
     if step <= 0:
         raise ValueError("--tau-grid step must be positive")
+    if (stop - start + 1e-9) / step >= MAX_TAU_POINTS:
+        raise ValueError(f"--tau-grid {spec!r} holds more than {MAX_TAU_POINTS} thresholds")
     grid = []
     value = start
     while value <= stop + 1e-9:
@@ -104,19 +109,9 @@ def cmd_oracle_build(args) -> int:
     return 0
 
 
-def _load_examples(corpus_path, oracle_path):
-    docs = _load_documents(corpus_path)
-    by_id = {doc.id: doc for doc in docs}
-    entries = oracle_mod.read_oracle_cache(oracle_path, by_id)
-    return [
-        model_mod.TrainingExample(by_id[e.doc_id], e.candidates, e.labels)
-        for e in entries
-    ]
-
-
 def cmd_train(args) -> int:
     cfg = _from_flags(TrainConfig, args, TRAIN_FLAGS)
-    examples = _load_examples(args.corpus, args.oracles)
+    examples = oracle_mod.read_oracle_cache(args.oracles, _load_documents(args.corpus))
     model, trace = model_mod.train(examples, cfg)
     model_mod.save_model(model, args.out)
     for epoch, loss in enumerate(trace, start=1):
@@ -174,8 +169,7 @@ def cmd_stats(args) -> int:
     docs = _load_documents(args.corpus)
     oracles = None
     if args.oracles:
-        by_id = {doc.id: doc for doc in docs}
-        oracles = oracle_mod.read_oracle_cache(args.oracles, by_id)
+        oracles = oracle_mod.read_oracle_cache(args.oracles, docs)
     summaries = None
     if args.summaries:
         summaries = read_records(args.summaries, pipeline.summary_from_record)
@@ -195,7 +189,9 @@ def cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples {args.samples} must be >= 1")
     model = _from_flags(model_mod.init_model, args, GRADCHECK_FLAGS)
-    examples = _load_examples(args.corpus, args.oracles)
+    examples = oracle_mod.read_oracle_cache(args.oracles, _load_documents(args.corpus))
+    if not examples:
+        raise ValueError(f"{args.oracles} holds no oracle record to check")
     rng = np.random.default_rng(args.seed)
     picks = rng.choice(len(examples), size=min(args.samples, len(examples)), replace=False)
     worst = 0.0

@@ -8,7 +8,8 @@ in training and decoding alike, as the oracles do. The compression
 classifier is a one-hidden-layer tanh MLP with a logistic output. Gradients
 are computed by hand and checked against central finite differences;
 training is plain adaptive-moment gradient descent (Adam's published
-rates) over one document per step, on every oracle a training example holds.
+rates) over one document per step, on every oracle of its
+oracle.DocumentOracles, as oracle building or the cache reader returns it.
 """
 
 import json
@@ -30,13 +31,7 @@ from .features import (
     featurize_option,
     initial_state,
 )
-from .oracle import (
-    MAX_SENTS,
-    CompressionLabel,
-    LabeledOption,
-    OracleCandidate,
-    scoreable_sentences,
-)
+from .oracle import MAX_SENTS, CompressionLabel, DocumentOracles, scoreable_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -172,12 +167,11 @@ def score_remaining(
     state,
     doc_feats: np.ndarray,
     sent_feats: np.ndarray,
-    selected: Sequence[int],
 ) -> np.ndarray:
-    """Probability distribution over unselected sentences; selected get exactly 0."""
+    """Probability distribution over the sentences state has not selected;
+    selected ones get exactly 0."""
     n = sent_feats.shape[0]
-    selected_set = set(selected)
-    remaining = [i for i in range(n) if i not in selected_set]
+    remaining = [i for i in range(n) if i not in state.selected]
     if not remaining:
         raise ValueError("all sentences already selected")
     decoder_input = np.concatenate([state.vector, doc_feats])
@@ -199,8 +193,7 @@ def greedy_steps(model: Model, ctx: DocumentContext, k: int):
     n = scoreable_sentences(ctx.doc, k)
     state = initial_state(k)
     for _ in range(k):
-        probs = score_remaining(model, state, ctx.document_features,
-                                ctx.sentence_features[:n], state.selected)
+        probs = score_remaining(model, state, ctx.document_features, ctx.sentence_features[:n])
         pick = int(np.argmax(probs))
         yield pick, state
         state = advance_state(ctx, state, pick)
@@ -218,14 +211,7 @@ def classify_option(model: Model, feats: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Training examples and the joint loss
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    doc: Document
-    oracles: tuple[OracleCandidate, ...]
-    labels: tuple[tuple[LabeledOption, ...], ...]  # per sentence
+# The joint loss and training
 
 
 @dataclass(frozen=True)
@@ -267,7 +253,7 @@ class CompiledExample:
     oracle_count: int
 
 
-def compile_example(example: TrainingExample) -> CompiledExample:
+def compile_example(example: DocumentOracles) -> CompiledExample:
     """Precompute all teacher-forced features; they do not depend on weights.
 
     Every oracle must be a nonempty list of distinct indices among the
@@ -275,7 +261,7 @@ def compile_example(example: TrainingExample) -> CompiledExample:
     the labels hold one tuple per sentence of the document.
     """
     doc = example.doc
-    if not example.oracles:
+    if not example.candidates:
         raise ValueError(f"document {doc.id!r} has no oracles")
     if len(example.labels) != len(doc.sentences):
         raise ValueError(f"document {doc.id!r}: labels for {len(example.labels)} sentences, "
@@ -283,7 +269,7 @@ def compile_example(example: TrainingExample) -> CompiledExample:
     ctx = DocumentContext(doc)
     n = min(MAX_SENTS, len(doc.sentences))
     steps: list[_Step] = []
-    for oracle in example.oracles:
+    for oracle in example.candidates:
         indices = oracle.sentence_indices
         if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
             raise ValueError(f"document {doc.id!r}: oracle {list(indices)} is not a nonempty "
@@ -316,7 +302,7 @@ def compile_example(example: TrainingExample) -> CompiledExample:
             ))
             state = advance_state(ctx, state, target)
     return CompiledExample(sent_feats=ctx.sentence_features[:n],
-                           steps=steps, oracle_count=len(example.oracles))
+                           steps=steps, oracle_count=len(example.candidates))
 
 
 def _logsumexp(z: np.ndarray):
@@ -377,13 +363,13 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
     return loss, grads
 
 
-def loss_joint(model: Model, example: TrainingExample, alpha: float = 1.0) -> float:
+def loss_joint(model: Model, example: DocumentOracles, alpha: float = 1.0) -> float:
     """Teacher-forced extraction NLL (averaged over oracles) plus alpha times
     the summed, unweighted compression NLL over the oracle sentences' options."""
     return float(_loss_compiled(model.params, compile_example(example), alpha))
 
 
-def train(examples: Sequence[TrainingExample], cfg: TrainConfig) -> tuple[Model, list[float]]:
+def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model, list[float]]:
     """Adaptive-moment gradient descent, one document per step, seeded and
     deterministic. Returns the model and the per-epoch mean loss trace."""
     if not examples:
@@ -446,7 +432,7 @@ def _central_difference(params, compiled, name, idx, step_size):
     return (upper - lower) / (2.0 * step_size)
 
 
-def gradient_check(model: Model, example: TrainingExample,
+def gradient_check(model: Model, example: DocumentOracles,
                    grads: dict | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 

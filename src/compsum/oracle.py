@@ -1,9 +1,12 @@
 """Extractive oracle construction and compression-label derivation.
 
 A beam search over sentence subsets maximizes the approximate overlap score
-of the selected sentences against the reference; the final beam supplies
-the training oracles. Each compression option then gets a context-free
-KEEP/DEL label by re-scoring the sentence with just that option deleted.
+of the selected sentences against the reference; the best m states of the
+final beam are the training oracles. Each compression option then gets a
+context-free KEEP/DEL label by re-scoring the sentence with just that option
+deleted. A DocumentOracles holds the document with its oracles and labels:
+it is the one record of a document's supervision, built here or read back
+from a cache file, and what compsum.model trains on.
 
 Scores are computed from counts (rouge.ReferenceGrams). A document's
 reference is preprocessed once; a subset's score comes from its sentences'
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Document, read_records
 from .rouge import (
@@ -217,14 +220,6 @@ def label_compressions(
     return labeled
 
 
-def select_training_oracles(beam: Sequence[OracleCandidate], m: int) -> list[OracleCandidate]:
-    """Top min(m, len(beam)) candidates by score, deterministically ordered."""
-    if not beam:
-        raise ValueError("empty beam")
-    ordered = sorted(beam, key=lambda c: (-c.score, tuple(sorted(c.sentence_indices))))
-    return ordered[:min(m, len(ordered))]
-
-
 def compressability_report(
     labeled: Iterable[LabeledOption],
 ) -> dict[CompressabilityBucket, float]:
@@ -241,9 +236,10 @@ def compressability_report(
 
 @dataclass(frozen=True)
 class DocumentOracles:
-    """Cached oracle output for one document."""
+    """One document's supervision: the document, its oracles best first, and
+    the KEEP/DEL labels of its options."""
 
-    doc_id: str
+    doc: Document
     candidates: tuple[OracleCandidate, ...]
     labels: tuple[tuple[LabeledOption, ...], ...]  # per sentence
 
@@ -256,16 +252,15 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
         raise ValueError(f"document {doc.id!r} has no reference summary")
     grams = _reference_grams(doc.reference_tokens)
     beam = beam_search_oracle(doc, grams, cfg)
-    candidates = tuple(select_training_oracles(beam, cfg.m))
     labels = []
     for tree in doc.sentences:
         labels.append(tuple(label_compressions(tree, extract_options(tree), grams)))
-    return DocumentOracles(doc_id=doc.id, candidates=candidates, labels=tuple(labels))
+    return DocumentOracles(doc=doc, candidates=tuple(beam[:cfg.m]), labels=tuple(labels))
 
 
 def oracle_record(oracles: DocumentOracles) -> dict:
     return {
-        "doc_id": oracles.doc_id,
+        "doc_id": oracles.doc.id,
         "oracles": [
             {"indices": list(c.sentence_indices), "score": c.score}
             for c in oracles.candidates
@@ -292,8 +287,8 @@ def write_oracle_cache(path, entries: Iterable[DocumentOracles]) -> int:
     return count
 
 
-def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentOracles]:
-    """Load a cache file, re-deriving full option objects from the corpus.
+def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracles]:
+    """Load a cache file, joining each record to its document in `documents`.
 
     Options are re-extracted from the parse trees and joined to the cached
     labels by (span, rule); any mismatch means the cache does not belong to
@@ -301,11 +296,12 @@ def read_oracle_cache(path, documents: Mapping[str, Document]) -> list[DocumentO
     its r_before and r_after, or a document's second record. Every error
     names the file and line.
     """
+    by_id = {doc.id: doc for doc in documents}
     seen: set[str] = set()
-    return read_records(path, lambda record: _entry_from_record(record, documents, seen))
+    return read_records(path, lambda record: _entry_from_record(record, by_id, seen))
 
 
-def _entry_from_record(record: dict, documents: Mapping[str, Document],
+def _entry_from_record(record: dict, documents: dict[str, Document],
                        seen: set[str]) -> DocumentOracles:
     doc_id = record["doc_id"]
     if doc_id not in documents:
@@ -344,4 +340,4 @@ def _entry_from_record(record: dict, documents: Mapping[str, Document],
                     f"{label.value}, which disagrees with r_before={r_before}, r_after={r_after}")
             sent_labels.append(LabeledOption(by_key[key], r_before, r_after, label))
         labels.append(tuple(sent_labels))
-    return DocumentOracles(doc_id, tuple(candidates), tuple(labels))
+    return DocumentOracles(doc, tuple(candidates), tuple(labels))

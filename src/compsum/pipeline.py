@@ -206,8 +206,6 @@ class EvaluationResult:
 
 
 def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
-    if not scores:
-        return RougeScore(0.0, 0.0, 0.0)
     return RougeScore(
         float(np.mean([s.precision for s in scores])),
         float(np.mean([s.recall for s in scores])),
@@ -233,7 +231,8 @@ def score_summary(summary: Summary, doc: Document,
 
 def _score_referenced(model: Model, corpus: Sequence[Document],
                       k: int) -> tuple[list[ScoredDocument], int]:
-    """Score every document that has a reference; returns them and the skip count."""
+    """Score every document that has a reference; returns them and the skip
+    count. A corpus in which no document has one is an error."""
     scored = []
     for doc in corpus:
         if doc.reference:
@@ -241,6 +240,8 @@ def _score_referenced(model: Model, corpus: Sequence[Document],
         else:
             logger.warning("document %s has no reference; skipped", doc.id)
     skipped = len(corpus) - len(scored)
+    if not scored:
+        raise ValueError(f"no document has a reference summary ({skipped} skipped)")
     if skipped:
         logger.warning("%d document(s) skipped for missing references", skipped)
     return scored, skipped
@@ -315,7 +316,7 @@ def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence
         at_tau = [doc_rows[t] for doc_rows in per_doc]
         result = _evaluation([row for _, row in at_tau], skipped)
         tokens_after = sum(len(sent) for summary, _ in at_tau for sent in summary.text)
-        ratio = tokens_after / tokens_before if tokens_before else 0.0
+        ratio = tokens_after / tokens_before
         f1_1, f1_2, f1_l = result.mean1.f1, result.mean2.f1, result.mean_l.f1
         points.append(SweepPoint(tau, f1_1, f1_2, f1_l, (f1_1 + f1_2 + f1_l) / 3.0, ratio))
     return points

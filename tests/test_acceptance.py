@@ -21,7 +21,6 @@ from compsum import parse_ptb
 from compsum.features import DocumentContext, advance_state, featurize_option, initial_state
 from compsum.model import (
     TrainConfig,
-    TrainingExample,
     classify_option,
     compile_example,
     decode_greedy,
@@ -38,6 +37,7 @@ from compsum.model import (
 from compsum.oracle import (
     CompressabilityBucket,
     CompressionLabel,
+    DocumentOracles,
     LabeledOption,
     OracleConfig,
     beam_search_oracle,
@@ -66,11 +66,7 @@ def report(number: int, description: str) -> None:
 
 def make_training_examples(docs, k=2, m=5):
     cfg = OracleConfig(k=k, beam_width=8, m=m)
-    out = []
-    for doc in docs:
-        oracles = build_document_oracles(doc, cfg)
-        out.append(TrainingExample(doc, oracles.candidates, oracles.labels))
-    return out
+    return [build_document_oracles(doc, cfg) for doc in docs]
 
 
 def test_criterion_01_rouge_matches_brute_force():
@@ -222,7 +218,7 @@ def test_criterion_06_learning_sanity():
     assert accuracy >= 0.9, f"held-out compression accuracy {accuracy:.3f}"
 
     first_pick_hits = sum(
-        decode_greedy(model, example.doc, 2)[0] == example.oracles[0].sentence_indices[0]
+        decode_greedy(model, example.doc, 2)[0] == example.candidates[0].sentence_indices[0]
         for example in held_out)
     first_pick = first_pick_hits / len(held_out)
     assert first_pick >= 0.8, f"first-pick match rate {first_pick:.2f}"
@@ -262,21 +258,19 @@ def test_criterion_08_joint_probability_identity():
     examples = make_training_examples(docs, m=5)
     for seed, example in enumerate(examples):
         model = init_model(seed=seed)
-        single = TrainingExample(example.doc, example.oracles[:1], example.labels)
+        single = DocumentOracles(example.doc, example.candidates[:1], example.labels)
         loss = loss_joint(model, single, alpha=1.0)
         ctx = DocumentContext(example.doc)
-        state = initial_state(len(single.oracles[0].sentence_indices))
+        state = initial_state(len(single.candidates[0].sentence_indices))
         product = 1.0
-        selected: list[int] = []
-        for target in single.oracles[0].sentence_indices:
+        for target in single.candidates[0].sentence_indices:
             probs = score_remaining(model, state, ctx.document_features,
-                                    ctx.sentence_features, selected)
+                                    ctx.sentence_features)
             product *= probs[target]
             for lab in example.labels[target]:
                 p_del = classify_option(
                     model, featurize_option(ctx, target, lab.option, state))
                 product *= p_del if lab.label is CompressionLabel.DEL else 1.0 - p_del
-            selected.append(target)
             state = advance_state(ctx, state, target)
         assert math.exp(-loss) == pytest.approx(product, rel=1e-9)
     report(8, "exp(-loss) equals the explicit probability product on 20 fixtures")

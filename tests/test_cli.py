@@ -15,6 +15,7 @@ from compsum import Document
 from compsum import model as model_mod
 from compsum.cli import (
     GRADCHECK_FLAGS,
+    MAX_TAU_POINTS,
     ORACLE_FLAGS,
     SUMMARIZE_FLAGS,
     TRAIN_FLAGS,
@@ -23,7 +24,7 @@ from compsum.cli import (
     main,
 )
 from compsum.corpus import write_corpus
-from compsum.model import TrainConfig, init_model, load_model
+from compsum.model import TrainConfig, init_model, load_model, save_model
 from compsum.oracle import OracleConfig
 from compsum.pipeline import SummarizeConfig
 
@@ -338,6 +339,40 @@ def test_tau_grid_outside_the_unit_interval_is_error(grid, expected):
     with pytest.raises(ValueError) as error:
         _parse_tau_grid(grid)
     assert str(error.value) == expected
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "0.5:0.5:1e-300", "0:1:0.00009999"])
+def test_tau_grid_of_too_many_thresholds_is_error(grid):
+    # 0:1:1e-12 once built its grid until killed, and a step below 1e-10
+    # repeats taus once rounded to 10 places
+    with pytest.raises(ValueError) as error:
+        _parse_tau_grid(grid)
+    assert str(error.value) == f"--tau-grid {grid!r} holds more than {MAX_TAU_POINTS} thresholds"
+    assert len(_parse_tau_grid("0:1:0.0001")) == MAX_TAU_POINTS
+
+
+def test_gradcheck_of_an_empty_cache_is_error(corpus_path, tmp_path, capsys):
+    # an empty cache once printed "overall max relative error: 0.000e+00" and exited 0
+    oracles = tmp_path / "oracles.jsonl"
+    oracles.write_text("", encoding="utf-8")
+    code = main(["gradcheck", "--corpus", str(corpus_path), "--oracles", str(oracles)])
+    assert code == 1
+    assert _structured_error(capsys) == f"{oracles} holds no oracle record to check"
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--out", "sweep.csv"]],
+                         ids=["evaluate", "sweep"])
+def test_corpus_without_references_is_error(tmp_path, capsys, monkeypatch, command):
+    # evaluate once reported ROUGE-1 F1 0.0000 and sweep mean_f1=0.0000 at every tau
+    docs, _ = corpusgen.learnable_corpus(count=6, seed=31)
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, [Document(id=doc.id, sentences=doc.sentences) for doc in docs])
+    save_model(init_model(), tmp_path / "model.json")
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--corpus", str(corpus), "--model", "model.json", "--k", "2"])
+    assert code == 1
+    assert _structured_error(capsys) == "no document has a reference summary (6 skipped)"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_gradcheck_of_no_samples_is_error(corpus_path, tmp_path, capsys):

@@ -12,7 +12,6 @@ from compsum.model import (
     Model,
     ModelFormatError,
     TrainConfig,
-    TrainingExample,
     classify_option,
     compile_example,
     decode_greedy,
@@ -30,17 +29,13 @@ from compsum.model import (
     _loss_and_grads_compiled,
     _loss_compiled,
 )
-from compsum.oracle import OracleCandidate, OracleConfig, build_document_oracles
+from compsum.oracle import DocumentOracles, OracleCandidate, OracleConfig, build_document_oracles
 
 
 def make_examples(count=6, seed=3, k=2):
     docs, _ = corpusgen.learnable_corpus(count=count, seed=seed)
     cfg = OracleConfig(k=k, beam_width=8, m=5)
-    examples = []
-    for doc in docs:
-        oracles = build_document_oracles(doc, cfg)
-        examples.append(TrainingExample(doc, oracles.candidates, oracles.labels))
-    return examples
+    return [build_document_oracles(doc, cfg) for doc in docs]
 
 
 def zero_model(hidden=32):
@@ -57,8 +52,9 @@ class TestScoreRemaining:
         n = len(example.doc.sentences)
         state = initial_state(n)
         selected = list(range(n - 1))
-        probs = score_remaining(model, state, ctx.document_features,
-                                ctx.sentence_features, selected)
+        for pick in selected:
+            state = advance_state(ctx, state, pick)
+        probs = score_remaining(model, state, ctx.document_features, ctx.sentence_features)
         assert probs[n - 1] == pytest.approx(1.0, abs=1e-12)
         assert all(probs[i] == 0.0 for i in selected)
 
@@ -67,15 +63,15 @@ class TestScoreRemaining:
         ctx = DocumentContext(example.doc)
         n = len(example.doc.sentences)
         probs = score_remaining(zero_model(), initial_state(2),
-                                ctx.document_features, ctx.sentence_features, [])
+                                ctx.document_features, ctx.sentence_features)
         assert np.allclose(probs, 1.0 / n)
 
     def test_probabilities_sum_to_one(self):
         example = make_examples(1)[0]
         ctx = DocumentContext(example.doc)
         model = init_model(seed=1)
-        probs = score_remaining(model, initial_state(2), ctx.document_features,
-                                ctx.sentence_features, [0])
+        probs = score_remaining(model, advance_state(ctx, initial_state(2), 0),
+                                ctx.document_features, ctx.sentence_features)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert probs[0] == 0.0
 
@@ -84,8 +80,7 @@ class TestScoreRemaining:
         ctx = DocumentContext(example.doc)
         model = init_model(seed=2)
         state = advance_state(ctx, initial_state(2), 1)
-        probs = score_remaining(model, state, ctx.document_features,
-                                ctx.sentence_features, [1])
+        probs = score_remaining(model, state, ctx.document_features, ctx.sentence_features)
         d = np.concatenate([state.vector, ctx.document_features])
         p = model.params
         raw = {}
@@ -102,9 +97,11 @@ class TestScoreRemaining:
         example = make_examples(1)[0]
         ctx = DocumentContext(example.doc)
         n = len(example.doc.sentences)
+        state = initial_state(n)
+        for pick in range(n):
+            state = advance_state(ctx, state, pick)
         with pytest.raises(ValueError):
-            score_remaining(init_model(), initial_state(n), ctx.document_features,
-                            ctx.sentence_features, list(range(n)))
+            score_remaining(init_model(), state, ctx.document_features, ctx.sentence_features)
 
     def test_constant_shift_invariance(self):
         example = make_examples(1)[0]
@@ -124,10 +121,9 @@ class TestScoreRemaining:
         n = len(example.doc.sentences)
         perm = np.random.default_rng(0).permutation(n)
         state = initial_state(2)
-        base = score_remaining(model, state, ctx.document_features,
-                               ctx.sentence_features, [])
+        base = score_remaining(model, state, ctx.document_features, ctx.sentence_features)
         permuted = score_remaining(model, state, ctx.document_features,
-                                   ctx.sentence_features[perm], [])
+                                   ctx.sentence_features[perm])
         assert np.allclose(permuted, base[perm])
 
 
@@ -184,8 +180,7 @@ class TestLossJoint:
     def test_single_sentence_doc_k1_sentence_loss_zero(self):
         tree = corpusgen.flat_tree(["storm", "coast"])
         doc = Document(id="one", sentences=(tree,), reference=(("storm",),))
-        oracles = build_document_oracles(doc, OracleConfig(k=1, m=1))
-        example = TrainingExample(doc, oracles.candidates, oracles.labels)
+        example = build_document_oracles(doc, OracleConfig(k=1, m=1))
         assert loss_joint(init_model(seed=1), example, alpha=0.0) == pytest.approx(0.0)
 
     def test_alpha_zero_is_pure_extraction_loss(self):
@@ -200,28 +195,26 @@ class TestLossJoint:
         # probabilities, computed operation by operation
         for seed, example in enumerate(make_examples(5, seed=21)):
             model = init_model(seed=seed)
-            single = TrainingExample(example.doc, example.oracles[:1], example.labels)
+            single = DocumentOracles(example.doc, example.candidates[:1], example.labels)
             loss = loss_joint(model, single, alpha=1.0)
             ctx = DocumentContext(example.doc)
-            state = initial_state(len(single.oracles[0].sentence_indices))
+            state = initial_state(len(single.candidates[0].sentence_indices))
             product = 1.0
-            selected = []
-            for target in single.oracles[0].sentence_indices:
+            for target in single.candidates[0].sentence_indices:
                 probs = score_remaining(model, state, ctx.document_features,
-                                        ctx.sentence_features, selected)
+                                        ctx.sentence_features)
                 product *= probs[target]
                 for lab in example.labels[target]:
                     p_del = classify_option(
                         model, featurize_option(ctx, target, lab.option, state))
                     product *= p_del if lab.label.value == "DEL" else (1.0 - p_del)
-                selected.append(target)
                 state = advance_state(ctx, state, target)
             assert math.exp(-loss) == pytest.approx(product, rel=1e-9)
 
     def test_oracle_index_out_of_range_rejected(self):
         example = make_examples(1)[0]
         n = len(example.doc.sentences)
-        bad = TrainingExample(example.doc, (OracleCandidate((0, n), 0.5),), example.labels)
+        bad = DocumentOracles(example.doc, (OracleCandidate((0, n), 0.5),), example.labels)
         with pytest.raises(ValueError, match=f"oracle index {n} >= {n} scoreable sentences"):
             loss_joint(init_model(), bad)
 
@@ -235,7 +228,7 @@ class TestLossJoint:
         # these once compiled silently (no oracles, an empty oracle) or failed
         # with numpy's "index 0 is out of bounds" (a negative or repeated index)
         example = make_examples(1)[0]
-        bad = TrainingExample(example.doc, tuple(OracleCandidate(o, 0.5) for o in oracles),
+        bad = DocumentOracles(example.doc, tuple(OracleCandidate(o, 0.5) for o in oracles),
                               example.labels)
         with pytest.raises(ValueError, match=f"document {example.doc.id!r}.*{expected}"):
             compile_example(bad)
@@ -247,7 +240,7 @@ class TestLossJoint:
         # these once compiled with no compression loss for the missing sentences
         example = make_examples(1)[0]
         n = len(example.doc.sentences)
-        bad = TrainingExample(example.doc, example.oracles, example.labels[:rows])
+        bad = DocumentOracles(example.doc, example.candidates, example.labels[:rows])
         with pytest.raises(ValueError) as error:
             compile_example(bad)
         assert str(error.value) == (f"document {example.doc.id!r}: labels for {rows} "

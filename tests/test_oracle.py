@@ -15,7 +15,6 @@ from compsum.oracle import (
     CompressabilityBucket,
     CompressionLabel,
     LabeledOption,
-    OracleCandidate,
     OracleConfig,
     beam_search_oracle,
     bucket_of,
@@ -26,7 +25,6 @@ from compsum.oracle import (
     oracle_record,
     read_oracle_cache,
     scoreable_sentences,
-    select_training_oracles,
     write_oracle_cache,
 )
 from compsum.rouge import approx_oracle_score
@@ -90,6 +88,9 @@ class TestBeamSearch:
             beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=3))
             scores = [c.score for c in beam]
             assert scores == sorted(scores, reverse=True)
+            # build_document_oracles keeps beam[:m], so ties must be ordered too
+            keys = [(-c.score, tuple(sorted(c.sentence_indices))) for c in beam]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_indices_ordered_by_salience(self):
         rng = np.random.default_rng(6)
@@ -326,32 +327,6 @@ class TestBuckets:
         assert sum(compressability_report(labs).values()) == pytest.approx(100.0)
 
 
-class TestSelectTrainingOracles:
-    def _beam(self):
-        return [
-            OracleCandidate((0, 1), 0.9),
-            OracleCandidate((2, 0), 0.7),
-            OracleCandidate((3, 1), 0.8),
-        ]
-
-    def test_single_candidate(self):
-        beam = [OracleCandidate((0,), 0.5)]
-        assert select_training_oracles(beam, 5) == beam
-
-    def test_m_one_takes_best(self):
-        assert select_training_oracles(self._beam(), 1) == [OracleCandidate((0, 1), 0.9)]
-
-    def test_top_m_sorted_and_permutation_stable(self):
-        beam = self._beam()
-        expected = select_training_oracles(beam, 2)
-        assert [c.score for c in expected] == [0.9, 0.8]
-        assert select_training_oracles(list(reversed(beam)), 2) == expected
-
-    def test_empty_beam_rejected(self):
-        with pytest.raises(ValueError):
-            select_training_oracles([], 3)
-
-
 class TestCache:
     def test_roundtrip(self, tmp_path):
         docs = corpusgen.fixture_corpus()
@@ -359,8 +334,9 @@ class TestCache:
         entries = [build_document_oracles(doc, cfg) for doc in docs]
         path = tmp_path / "oracles.jsonl"
         assert write_oracle_cache(path, entries) == len(docs)
-        loaded = read_oracle_cache(path, {d.id: d for d in docs})
+        loaded = read_oracle_cache(path, docs)
         assert loaded == entries
+        assert all(entry.doc is doc for entry, doc in zip(loaded, docs))
 
     def test_record_schema(self):
         doc = corpusgen.fixture_corpus()[0]
@@ -383,7 +359,7 @@ class TestCache:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="stale|not produced"):
-            read_oracle_cache(path, {docs[0].id: docs[0]})
+            read_oracle_cache(path, docs[:1])
 
     def test_missing_document_rejected(self, tmp_path):
         doc = corpusgen.fixture_corpus()[0]
@@ -391,7 +367,7 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         write_oracle_cache(path, [entry])
         with pytest.raises(ValueError, match="not in corpus"):
-            read_oracle_cache(path, {})
+            read_oracle_cache(path, [])
 
     def test_repeated_document_is_located(self, tmp_path):
         # a repeated record was once trained on twice per epoch and counted
@@ -401,7 +377,7 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         write_oracle_cache(path, [*entries, entries[0]])
         with pytest.raises(ValueError) as error:
-            read_oracle_cache(path, {doc.id: doc for doc in docs})
+            read_oracle_cache(path, docs)
         assert str(error.value) == f"{path}:3: document {docs[0].id!r} repeats an earlier record"
 
     @pytest.mark.parametrize("line, message", [
@@ -416,7 +392,7 @@ class TestCache:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(line)
         with pytest.raises(ValueError, match=message):
-            read_oracle_cache(path, {doc.id: doc})
+            read_oracle_cache(path, [doc])
 
     @pytest.mark.parametrize("flipped", ["KEEP", "DEL"])
     def test_label_that_disagrees_with_its_scores_is_located(self, tmp_path, flipped):
@@ -434,7 +410,7 @@ class TestCache:
                         encoding="utf-8")
         key = (item["start"], item["end"], item["rule"])
         with pytest.raises(ValueError) as error:
-            read_oracle_cache(path, {doc.id: doc for doc in docs})
+            read_oracle_cache(path, docs)
         assert str(error.value) == (
             f"{path}:{line}: document {records[line - 1]['doc_id']!r} sentence {sent}: "
             f"option {key} is labeled {flipped}, which disagrees with "
@@ -450,9 +426,19 @@ class TestCache:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as error:
-            read_oracle_cache(path, {doc.id: doc})
+            read_oracle_cache(path, [doc])
         assert str(error.value) == (f"{path}:1: document {doc.id!r}: oracle indices "
                                     f"{json.dumps(indices)} are not a list of integers")
+
+    def test_built_oracles_are_the_beam_head_on_the_document_itself(self):
+        rng = np.random.default_rng(7)
+        for i in range(5):
+            doc = corpusgen.random_flat_doc(rng, f"h{i}", 7)
+            cfg = OracleConfig(k=2, beam_width=8, m=3)
+            entry = build_document_oracles(doc, cfg)
+            assert entry.doc is doc
+            assert list(entry.candidates) == beam_search_oracle(
+                doc, doc.reference_tokens, cfg)[:3]
 
     def test_reference_required(self):
         doc = Document(id="noref", sentences=(corpusgen.flat_tree(["a", "b"]),))

@@ -12,7 +12,7 @@ import corpusgen
 import reference_rouge
 from compsum import Document, parse_ptb
 from compsum.corpus import document_to_record, load_corpus, write_corpus
-from compsum.model import TrainConfig, TrainingExample, decode_greedy, init_model, train
+from compsum.model import TrainConfig, decode_greedy, init_model, train
 from compsum.oracle import MAX_SENTS, CompressionLabel, OracleConfig, build_document_oracles
 from compsum.pipeline import (
     CAUSE_DEDUP,
@@ -42,8 +42,7 @@ from compsum.treebank import SentenceTree, Span, TreeNode, surviving_tokens
 def trained_model(seed=5):
     docs, _ = corpusgen.learnable_corpus(count=20, seed=19)
     cfg = OracleConfig(k=2, m=5)
-    examples = [TrainingExample(d, *(lambda o: (o.candidates, o.labels))(
-        build_document_oracles(d, cfg))) for d in docs]
+    examples = [build_document_oracles(d, cfg) for d in docs]
     model, _ = train(examples, TrainConfig(epochs=2, seed=seed))
     return model, docs
 
