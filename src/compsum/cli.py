@@ -80,7 +80,10 @@ def _parse_tau_grid(spec: str) -> list[float]:
     grid = []
     value = start
     while value <= stop + 1e-9:
-        grid.append(round(value, 10))
+        # the tolerance above stop admits stop itself, never a threshold past it
+        tau = min(round(value, 10), stop)
+        if not grid or tau != grid[-1]:
+            grid.append(tau)
         value += step
     if not grid:
         raise ValueError(f"--tau-grid {spec!r} holds no threshold: start exceeds stop")
@@ -104,7 +107,7 @@ def cmd_oracle_build(args) -> int:
     cfg = _from_flags(OracleConfig, args, ORACLE_FLAGS)
     docs = _load_documents(args.corpus)
     entries = (oracle_mod.build_document_oracles(doc, cfg) for doc in docs)
-    count = oracle_mod.write_oracle_cache(args.out, entries)
+    count = oracle_mod.write_oracle_cache(args.out, cfg, entries)
     print(f"wrote oracles for {count} documents to {args.out}")
     return 0
 

@@ -23,13 +23,25 @@ stopwords and punctuation dropped, stemmed).
 Only a document's first MAX_SENTS sentences can be selected, by the oracles
 here and by training and decoding in compsum.model alike;
 scoreable_sentences() counts them and rejects a k above that count.
+
+A cache file is self-describing JSON lines. Its header record holds the
+format name and version (CACHE_VERSION), the OracleConfig, the
+rules.RULES_VERSION the labels were built under and ORACLE_PREPROCESS.
+One record per document follows, in corpus order: its id, its
+document_fingerprint, its oracles, and per sentence the labels, each with
+its option's span, rule and node label. read_oracle_cache builds the
+options from those fields without running the rules; a cache of another
+version, rules version or preprocessing, or with a document whose
+fingerprint changed, is stale and is rejected with the command that
+rebuilds it.
 """
 
 import enum
+import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -42,8 +54,8 @@ from .rouge import (
     preprocess_per_token,
     preprocess_tokens,
 )
-from .rules import CompressionOption, extract_options
-from .treebank import SentenceTree
+from .rules import RULES_VERSION, CompressionOption, RuleId, extract_options
+from .treebank import SentenceTree, Span, to_ptb
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +63,14 @@ _EXHAUSTIVE_GUARD = 10 ** 6
 
 # Leading sentences of a document that oracles, training and decoding consider
 MAX_SENTS = 30
+
+# The cache file's format, named and versioned in its header record
+CACHE_FORMAT = "compsum-oracles"
+CACHE_VERSION = 2
+_REBUILD = "rebuild it with `compsum oracle build`"
+_PREPROCESS_RECORD = {**asdict(ORACLE_PREPROCESS),
+                      "stopword_list": sorted(ORACLE_PREPROCESS.stopword_list)}
+_RULES = {rule.value: rule for rule in RuleId}
 
 
 def scoreable_sentences(doc: Document, k: int) -> int:
@@ -258,9 +278,29 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
     return DocumentOracles(doc=doc, candidates=tuple(beam[:cfg.m]), labels=tuple(labels))
 
 
+def document_fingerprint(doc: Document) -> str:
+    """SHA-256 of what a document's oracles and labels are built from: the
+    bracketed parse of each sentence, then the reference words, each as JSON."""
+    # fed piece by piece: one string of the whole document raised peak RSS
+    digest = hashlib.sha256()
+    for tree in doc.sentences:
+        digest.update(json.dumps(to_ptb(tree)).encode("utf-8"))
+    digest.update(json.dumps(doc.reference_tokens).encode("utf-8"))
+    return digest.hexdigest()
+
+
+def oracle_header(cfg: OracleConfig) -> dict:
+    """The first record of a cache file: its format and everything its
+    records were built under."""
+    return {"format": CACHE_FORMAT, "version": CACHE_VERSION,
+            "oracle_config": asdict(cfg), "rules_version": RULES_VERSION,
+            "preprocess": _PREPROCESS_RECORD}
+
+
 def oracle_record(oracles: DocumentOracles) -> dict:
     return {
         "doc_id": oracles.doc.id,
+        "fingerprint": document_fingerprint(oracles.doc),
         "oracles": [
             {"indices": list(c.sentence_indices), "score": c.score}
             for c in oracles.candidates
@@ -268,8 +308,8 @@ def oracle_record(oracles: DocumentOracles) -> dict:
         "labels": [
             [
                 {"start": lab.option.span.start, "end": lab.option.span.end,
-                 "rule": lab.option.rule.value, "r_before": lab.r_before,
-                 "r_after": lab.r_after, "label": lab.label.value}
+                 "rule": lab.option.rule.value, "node_label": lab.option.node_label,
+                 "r_before": lab.r_before, "r_after": lab.r_after, "label": lab.label.value}
                 for lab in sent
             ]
             for sent in oracles.labels
@@ -277,10 +317,12 @@ def oracle_record(oracles: DocumentOracles) -> dict:
     }
 
 
-def write_oracle_cache(path, entries: Iterable[DocumentOracles]) -> int:
+def write_oracle_cache(path, cfg: OracleConfig, entries: Iterable[DocumentOracles]) -> int:
+    """Write the header for cfg, then one record per entry; returns the entry count."""
     path = Path(path)
     count = 0
     with path.open("w", encoding="utf-8") as handle:
+        handle.write(json.dumps(oracle_header(cfg)) + "\n")
         for entry in entries:
             handle.write(json.dumps(oracle_record(entry)) + "\n")
             count += 1
@@ -290,19 +332,55 @@ def write_oracle_cache(path, entries: Iterable[DocumentOracles]) -> int:
 def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracles]:
     """Load a cache file, joining each record to its document in `documents`.
 
-    Options are re-extracted from the parse trees and joined to the cached
-    labels by (span, rule); any mismatch means the cache does not belong to
-    this corpus and is an error, as is a KEEP/DEL label that disagrees with
-    its r_before and r_after, or a document's second record. Every error
-    names the file and line.
+    The first record must be the header of this version, built under these
+    rules and this preprocessing, and each document's fingerprint must be
+    the one it was built from; otherwise the cache is stale and is an error
+    that says how to rebuild it. Options are built from the cached spans,
+    rules and node labels; a span outside its sentence, an unknown rule, a
+    KEEP/DEL label that disagrees with its r_before and r_after, or a
+    document's second record is an error too. Every error names the file
+    and line. A file with no record at all holds no entry.
     """
     by_id = {doc.id: doc for doc in documents}
     seen: set[str] = set()
-    return read_records(path, lambda record: _entry_from_record(record, by_id, seen))
+    options: dict[tuple, CompressionOption] = {}
+    header_read = False
+
+    def parse(record: dict) -> DocumentOracles | None:
+        nonlocal header_read
+        if header_read:
+            return _entry_from_record(record, by_id, seen, options)
+        _check_header(record)
+        header_read = True
+        return None
+
+    try:
+        return read_records(path, parse)[1:]
+    except FileNotFoundError:
+        raise ValueError(f"{path}: no oracle cache there; build one (format version "
+                         f"{CACHE_VERSION}) with `compsum oracle build`") from None
 
 
-def _entry_from_record(record: dict, documents: dict[str, Document],
-                       seen: set[str]) -> DocumentOracles:
+def _check_header(record: dict) -> None:
+    if record.get("format") != CACHE_FORMAT:
+        if "doc_id" in record:
+            raise ValueError(f"oracle cache has no header, so it is of format version 1; "
+                             f"this version reads version {CACHE_VERSION}: {_REBUILD}")
+        raise ValueError(f"first record is not an oracle cache header: {_REBUILD}")
+    if record["version"] != CACHE_VERSION:
+        raise ValueError(f"oracle cache is of format version {record['version']}; "
+                         f"this version reads version {CACHE_VERSION}: {_REBUILD}")
+    if record["rules_version"] != RULES_VERSION:
+        raise ValueError(f"oracle cache was labeled under rules version "
+                         f"{record['rules_version']}, the rules are version "
+                         f"{RULES_VERSION}: {_REBUILD}")
+    if record["preprocess"] != _PREPROCESS_RECORD:
+        raise ValueError(f"oracle cache was scored under other preprocessing than "
+                         f"ORACLE_PREPROCESS: {_REBUILD}")
+
+
+def _entry_from_record(record: dict, documents: dict[str, Document], seen: set[str],
+                       options: dict[tuple, CompressionOption]) -> DocumentOracles:
     doc_id = record["doc_id"]
     if doc_id not in documents:
         raise ValueError(f"document {doc_id!r} not in corpus")
@@ -310,6 +388,11 @@ def _entry_from_record(record: dict, documents: dict[str, Document],
         raise ValueError(f"document {doc_id!r} repeats an earlier record")
     seen.add(doc_id)
     doc = documents[doc_id]
+    fingerprint = document_fingerprint(doc)
+    if record["fingerprint"] != fingerprint:
+        raise ValueError(
+            f"document {doc_id!r}: the cache is stale: it was built from fingerprint "
+            f"{record['fingerprint']}, the corpus has {fingerprint}; {_REBUILD}")
     if len(record["labels"]) != len(doc.sentences):
         raise ValueError(
             f"document {doc_id!r}: cache has {len(record['labels'])} sentences, "
@@ -323,21 +406,31 @@ def _entry_from_record(record: dict, documents: dict[str, Document],
         candidates.append(OracleCandidate(tuple(indices), float(entry["score"])))
     labels = []
     for sent_index, cached in enumerate(record["labels"]):
-        by_key = {(opt.span.start, opt.span.end, opt.rule.value): opt
-                  for opt in extract_options(doc.sentences[sent_index])}
+        n_tokens = len(doc.sentences[sent_index].tokens)
         sent_labels = []
         for item in cached:
-            key = (item["start"], item["end"], item["rule"])
-            if key not in by_key:
+            start, end, rule = key = (item["start"], item["end"], item["rule"])
+            if not (type(start) is int and type(end) is int and 0 <= start < end <= n_tokens):
                 raise ValueError(
-                    f"document {doc_id!r} sentence {sent_index}: cached option "
-                    f"{key} not produced by the rules; stale cache?")
+                    f"document {doc_id!r} sentence {sent_index}: cached option {key} "
+                    f"is no span of the sentence's {n_tokens} tokens")
+            if rule not in _RULES:
+                raise ValueError(
+                    f"document {doc_id!r} sentence {sent_index}: cached option {key} "
+                    f"names an unknown rule")
             r_before, r_after = float(item["r_before"]), float(item["r_after"])
             label = CompressionLabel(item["label"])
             if label is not _label(r_before, r_after):
                 raise ValueError(
                     f"document {doc_id!r} sentence {sent_index}: option {key} is labeled "
                     f"{label.value}, which disagrees with r_before={r_before}, r_after={r_after}")
-            sent_labels.append(LabeledOption(by_key[key], r_before, r_after, label))
+            # an option is immutable, so one object serves every label of
+            # an equal option in the file
+            option_key = (*key, item["node_label"])
+            option = options.get(option_key)
+            if option is None:
+                option = options[option_key] = CompressionOption(
+                    Span(start, end), _RULES[rule], item["node_label"])
+            sent_labels.append(LabeledOption(option, r_before, r_after, label))
         labels.append(tuple(sent_labels))
     return DocumentOracles(doc, tuple(candidates), tuple(labels))

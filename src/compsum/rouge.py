@@ -60,11 +60,6 @@ class PreprocessConfig:
 ORACLE_PREPROCESS = PreprocessConfig(lowercase=True, remove_stopwords=True, stem=True)
 
 
-def oracle_preprocess(cfg: PreprocessConfig) -> PreprocessConfig:
-    """cfg with stopword removal and stemming forced on, as the oracle score uses it."""
-    return replace(cfg, remove_stopwords=True, stem=True)
-
-
 def preprocess_per_token(tokens: Sequence[str], cfg: PreprocessConfig) -> list[str | None]:
     """Each token's preprocessed form, or None where preprocessing drops it.
 
@@ -163,7 +158,7 @@ def approx_oracle_score(
     The stopword/stem flags are forced on (the list and lowercasing come
     from cfg); this is the cheap stand-in for full ROUGE during search.
     """
-    effective = oracle_preprocess(cfg)
+    effective = replace(cfg, remove_stopwords=True, stem=True)
     cand = preprocess_tokens(candidate, effective)
     ref = preprocess_tokens(reference, effective)
     return approx_score_pretokenized(cand, ref)

@@ -25,6 +25,12 @@ class RuleId(enum.Enum):
 
 RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
 
+# Bumped by hand whenever extract_options can emit other options for the same
+# tree. An oracle cache records the version its labels were built under and
+# is rejected under any other; tests/test_rules.py pins the rules' output
+# per version, so a change to the output that keeps the version fails there.
+RULES_VERSION = 1
+
 
 @dataclass(frozen=True)
 class CompressionOption:

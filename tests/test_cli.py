@@ -23,9 +23,9 @@ from compsum.cli import (
     build_parser,
     main,
 )
-from compsum.corpus import write_corpus
+from compsum.corpus import load_corpus, write_corpus
 from compsum.model import TrainConfig, init_model, load_model, save_model
-from compsum.oracle import OracleConfig
+from compsum.oracle import OracleConfig, document_fingerprint
 from compsum.pipeline import SummarizeConfig
 
 
@@ -40,6 +40,11 @@ def corpus_path(tmp_path_factory):
 
 def _structured_error(capsys) -> str:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def _cached_ids(oracles: Path) -> list[str]:
+    """The document ids of a cache file's records, after its header."""
+    return [json.loads(line)["doc_id"] for line in oracles.read_text().splitlines()[1:]]
 
 
 def test_options_extract(corpus_path, tmp_path, capsys):
@@ -80,7 +85,7 @@ def test_mistyped_reference_record_is_skipped(tmp_path, capsys):
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
                  "--k", "2"]) == 0
     valid_ids = [d.id for i, d in enumerate(docs) if i != 1]
-    assert [json.loads(line)["doc_id"] for line in oracles.read_text().splitlines()] == valid_ids
+    assert _cached_ids(oracles) == valid_ids
     assert main(["train", "--corpus", str(corpus), "--oracles", str(oracles),
                  "--out", str(model_file), "--epochs", "1"]) == 0
     assert main(["evaluate", "--corpus", str(corpus), "--model", str(model_file),
@@ -101,8 +106,7 @@ def test_misshaped_sentences_record_is_skipped(tmp_path):
     oracles = tmp_path / "oracles.jsonl"
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
                  "--k", "2"]) == 0
-    assert [json.loads(line)["doc_id"] for line in oracles.read_text().splitlines()] == [
-        docs[1].id]
+    assert _cached_ids(oracles) == [docs[1].id]
 
 
 def test_full_workflow(corpus_path, tmp_path, capsys):
@@ -112,8 +116,9 @@ def test_full_workflow(corpus_path, tmp_path, capsys):
 
     assert main(["oracle", "build", "--corpus", str(corpus_path),
                  "--out", str(oracles), "--k", "2", "--beam", "8", "--m", "5"]) == 0
-    record = json.loads(oracles.read_text().splitlines()[0])
-    assert set(record) == {"doc_id", "oracles", "labels"}
+    header, record = map(json.loads, oracles.read_text().splitlines()[:2])
+    assert (header["format"], header["version"]) == ("compsum-oracles", 2)
+    assert set(record) == {"doc_id", "fingerprint", "oracles", "labels"}
     assert len(record["oracles"]) <= 5
 
     assert main(["train", "--corpus", str(corpus_path), "--oracles", str(oracles),
@@ -351,6 +356,17 @@ def test_tau_grid_of_too_many_thresholds_is_error(grid):
     assert len(_parse_tau_grid("0:1:0.0001")) == MAX_TAU_POINTS
 
 
+@pytest.mark.parametrize("grid, expected", [
+    ("0.5:0.5:1e-12", [0.5]),
+    ("0.2:0.2000000004:1e-10", [0.2, 0.2000000001, 0.2000000002, 0.2000000003, 0.2000000004]),
+    ("0:1:0.1", [i / 10 for i in range(11)]),
+])
+def test_tau_grid_never_repeats_or_passes_stop(grid, expected):
+    # 0.5:0.5:1e-12 once held 1001 thresholds, 11 of them distinct once
+    # rounded, and 0.2:0.2000000004:1e-10 ran on to 0.2000000013
+    assert _parse_tau_grid(grid) == expected
+
+
 def test_gradcheck_of_an_empty_cache_is_error(corpus_path, tmp_path, capsys):
     # an empty cache once printed "overall max relative error: 0.000e+00" and exited 0
     oracles = tmp_path / "oracles.jsonl"
@@ -414,10 +430,13 @@ def _golden_corpus():
     return docs
 
 
-# SHA-256 of the oracle cache written for _golden_corpus() by the subset
-# scorer that re-counted n-grams of every joined candidate. The count-based
-# scorer must reproduce it byte for byte.
-GOLDEN_ORACLES_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7bba64a71a"
+# SHA-256 of the oracle cache written for _golden_corpus(). The cache of
+# format version 2 adds a header record, each document's fingerprint and each
+# label's node label; without them it must still be the version-1 file,
+# GOLDEN_ORACLES_V1_SHA256, which the subset scorer that re-counted n-grams
+# of every joined candidate wrote and the count-based scorer reproduced.
+GOLDEN_ORACLES_SHA256 = "2282ba26e0e1d901501c522e58901fd2909c92c0748daba1979778d56a9e5507"
+GOLDEN_ORACLES_V1_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7bba64a71a"
 
 
 # SHA-256 of what train, summarize, evaluate --json and sweep write for
@@ -460,6 +479,14 @@ def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
                  "--k", "2"]) == 0
     assert hashlib.sha256(oracles.read_bytes()).hexdigest() == GOLDEN_ORACLES_SHA256
+    records = [json.loads(line) for line in oracles.read_text(encoding="utf-8").splitlines()]
+    assert "doc_id" not in records[0]
+    for record in records[1:]:
+        del record["fingerprint"]
+        for item in (item for sent in record["labels"] for item in sent):
+            del item["node_label"]
+    v1_bytes = "".join(json.dumps(record) + "\n" for record in records[1:]).encode("utf-8")
+    assert hashlib.sha256(v1_bytes).hexdigest() == GOLDEN_ORACLES_V1_SHA256
 
 
 def test_model_and_outputs_bytes_are_pinned(tmp_path, capsys):
@@ -501,6 +528,86 @@ def test_train_on_corrupted_cache_names_file_and_line(corpus_path, tmp_path, cap
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"].startswith(f"{oracles}:4: malformed JSON")
+
+
+def _edit_jsonl(path: Path, line: int, edit) -> None:
+    """Apply edit to the record on a JSONL file's line (0-based) in place."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[line])
+    edit(record)
+    lines[line] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _flat_parse(record: dict) -> None:
+    sentence = record["sentences"][0]
+    sentence["parse"] = "(S " + " ".join(f"(NN {tok})" for tok in sentence["tokens"]) + ")"
+
+
+def _first_label(record: dict) -> dict:
+    return next(item for sent in record["labels"] for item in sent)
+
+
+def _drop_header(oracles: Path) -> None:
+    lines = oracles.read_text(encoding="utf-8").splitlines()
+    oracles.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+
+
+REBUILD = "rebuild it with `compsum oracle build`"
+
+
+# (file edited, its 0-based line edited, the edit, the cache line the error
+# names, what the error says); the cache's line 0 is its header, line 1 the
+# first document's record, and "fingerprint" stands for the stale-document
+# message the test computes
+STALE_CACHES = {
+    "changed-reference": ("corpus", 1, lambda rec: rec.update(
+        reference=[["completely", "different", "words"]]), 3, "fingerprint"),
+    "reparsed": ("corpus", 0, _flat_parse, 2, "fingerprint"),
+    "v1-headerless": ("oracles", None, None, 1,
+                      "oracle cache has no header, so it is of format version 1; this version "
+                      f"reads version 2: {REBUILD}"),
+    "rules-version": ("oracles", 0, lambda rec: rec.update(rules_version=2), 1,
+                      f"oracle cache was labeled under rules version 2, the rules are "
+                      f"version 1: {REBUILD}"),
+    "preprocess": ("oracles", 0, lambda rec: rec["preprocess"].update(stem=False), 1,
+                   f"oracle cache was scored under other preprocessing than "
+                   f"ORACLE_PREPROCESS: {REBUILD}"),
+    "span-past-end": ("oracles", 1, lambda rec: _first_label(rec).update(end=99), 2,
+                      "is no span of the sentence's"),
+    "unknown-rule": ("oracles", 1, lambda rec: _first_label(rec).update(rule="NO_SUCH_RULE"),
+                     2, "names an unknown rule"),
+}
+
+
+@pytest.mark.parametrize("case", list(STALE_CACHES))
+def test_stale_cache_is_located_error(tmp_path, capsys, case):
+    # a cache built against another reference was once trained on with exit 0
+    which, edited, edit, line, message = STALE_CACHES[case]
+    docs, _ = corpusgen.learnable_corpus(count=3, seed=31)
+    files = {"corpus": tmp_path / "corpus.jsonl", "oracles": tmp_path / "oracles.jsonl"}
+    write_corpus(files["corpus"], docs)
+    assert main(["oracle", "build", "--corpus", str(files["corpus"]),
+                 "--out", str(files["oracles"]), "--k", "2"]) == 0
+    cached = [json.loads(text) for text in files["oracles"].read_text().splitlines()]
+    if edit is None:
+        _drop_header(files["oracles"])
+    else:
+        _edit_jsonl(files[which], edited, edit)
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(files["corpus"]), "--oracles", str(files["oracles"]),
+                 "--out", str(tmp_path / "model.json")]) == 1
+    error = _structured_error(capsys)
+    assert error.startswith(f"{files['oracles']}:{line}: ")
+    if message == "fingerprint":
+        record = cached[line - 1]
+        doc = next(d for d in load_corpus(files["corpus"]) if d.id == record["doc_id"])
+        assert error.endswith(
+            f"document {doc.id!r}: the cache is stale: it was built from fingerprint "
+            f"{record['fingerprint']}, the corpus has {document_fingerprint(doc)}; {REBUILD}")
+    else:
+        assert message in error
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_duplicate_document_id_is_error(tmp_path, capsys):
@@ -572,10 +679,10 @@ def test_oracle_index_beyond_max_sents_is_error(tmp_path, capsys):
     write_corpus(corpus, [doc])
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
                  "--k", "1"]) == 0
-    record = json.loads(oracles.read_text(encoding="utf-8"))
+    header, record = map(json.loads, oracles.read_text(encoding="utf-8").splitlines())
     assert all(max(o["indices"]) < 30 for o in record["oracles"])
     record["oracles"][0]["indices"] = [40]
-    oracles.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    oracles.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     commands = (["train", "--out", str(tmp_path / "model.json")], ["gradcheck"])
     for command in commands:
         capsys.readouterr()

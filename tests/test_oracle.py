@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpusgen
 from compsum import Document, parse_ptb
+from compsum import oracle as oracle_mod
 from compsum.oracle import (
     MAX_SENTS,
     CompressabilityBucket,
@@ -20,8 +22,10 @@ from compsum.oracle import (
     bucket_of,
     build_document_oracles,
     compressability_report,
+    document_fingerprint,
     exhaustive_oracle,
     label_compressions,
+    oracle_header,
     oracle_record,
     read_oracle_cache,
     scoreable_sentences,
@@ -327,58 +331,98 @@ class TestBuckets:
         assert sum(compressability_report(labs).values()) == pytest.approx(100.0)
 
 
+def _write_cache(path, records, cfg=OracleConfig(k=1, m=1)):
+    """A cache file of hand-made document records after the header for cfg."""
+    path.write_text("".join(json.dumps(record) + "\n"
+                            for record in [oracle_header(cfg), *records]), encoding="utf-8")
+
+
 class TestCache:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
         docs = corpusgen.fixture_corpus()
         cfg = OracleConfig(k=1, m=3)
         entries = [build_document_oracles(doc, cfg) for doc in docs]
         path = tmp_path / "oracles.jsonl"
-        assert write_oracle_cache(path, entries) == len(docs)
+        assert write_oracle_cache(path, cfg, entries) == len(docs)
+
+        def no_rules(tree):
+            raise AssertionError("the cache is read without running the rules")
+
+        monkeypatch.setattr(oracle_mod, "extract_options", no_rules)
         loaded = read_oracle_cache(path, docs)
         assert loaded == entries
         assert all(entry.doc is doc for entry, doc in zip(loaded, docs))
+        # one object per distinct option, shared by every label of it
+        options = [lab.option for entry in loaded for lab in entry.all_labeled()]
+        assert len(set(map(id, options))) == len(set(options)) < len(options)
 
     def test_record_schema(self):
         doc = corpusgen.fixture_corpus()[0]
-        entry = build_document_oracles(doc, OracleConfig(k=1, m=2))
+        cfg = OracleConfig(k=1, m=2)
+        header = oracle_header(cfg)
+        assert set(header) == {"format", "version", "oracle_config", "rules_version",
+                               "preprocess"}
+        assert (header["version"], header["oracle_config"]) == (2, {"k": 1, "beam_width": 8,
+                                                                     "m": 2})
+        entry = build_document_oracles(doc, cfg)
         record = oracle_record(entry)
-        assert set(record) == {"doc_id", "oracles", "labels"}
+        assert set(record) == {"doc_id", "fingerprint", "oracles", "labels"}
+        assert record["fingerprint"] == document_fingerprint(doc)
         assert all(set(o) == {"indices", "score"} for o in record["oracles"])
         assert len(record["labels"]) == len(doc.sentences)
         for sent in record["labels"]:
             for item in sent:
-                assert set(item) == {"start", "end", "rule", "r_before", "r_after", "label"}
+                assert set(item) == {"start", "end", "rule", "node_label", "r_before",
+                                     "r_after", "label"}
+
+    def test_fingerprint_covers_parses_and_reference_words(self):
+        doc = corpusgen.fixture_corpus()[0]
+        tokens = doc.sentences[0].tokens
+        flat = replace(doc, sentences=(corpusgen.flat_tree(tokens), *doc.sentences[1:]))
+        assert flat.sentences[0].tokens == tokens
+        reworded = replace(doc, reference=(("completely", "different", "words"),))
+        fingerprints = [document_fingerprint(d) for d in (doc, flat, reworded)]
+        assert len(set(fingerprints)) == 3
+        # oracles and labels see the reference as one word list
+        resplit = replace(doc, reference=tuple((tok,) for tok in doc.reference_tokens))
+        assert document_fingerprint(resplit) == fingerprints[0]
 
     def test_stale_cache_rejected(self, tmp_path):
         docs = corpusgen.fixture_corpus()
-        entry = build_document_oracles(docs[0], OracleConfig(k=1, m=1))
-        record = oracle_record(entry)
-        for sent in record["labels"]:
-            for item in sent:
-                item["start"] += 1  # corrupt the span
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        cfg = OracleConfig(k=1, m=1)
+        path = tmp_path / "stale.jsonl"
+        write_oracle_cache(path, cfg, [build_document_oracles(docs[0], cfg)])
+        changed = replace(docs[0], reference=(("completely", "different", "words"),))
         with pytest.raises(ValueError, match="stale|not produced"):
-            read_oracle_cache(path, docs[:1])
+            read_oracle_cache(path, [changed])
 
     def test_missing_document_rejected(self, tmp_path):
         doc = corpusgen.fixture_corpus()[0]
-        entry = build_document_oracles(doc, OracleConfig(k=1, m=1))
+        cfg = OracleConfig(k=1, m=1)
+        entry = build_document_oracles(doc, cfg)
         path = tmp_path / "cache.jsonl"
-        write_oracle_cache(path, [entry])
+        write_oracle_cache(path, cfg, [entry])
         with pytest.raises(ValueError, match="not in corpus"):
             read_oracle_cache(path, [])
+
+    def test_missing_file_is_error_naming_the_build_command(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(ValueError) as error:
+            read_oracle_cache(path, [])
+        assert str(error.value) == (f"{path}: no oracle cache there; build one (format "
+                                    f"version 2) with `compsum oracle build`")
 
     def test_repeated_document_is_located(self, tmp_path):
         # a repeated record was once trained on twice per epoch and counted
         # twice by stats --oracles
         docs = corpusgen.fixture_corpus()[:2]
-        entries = [build_document_oracles(doc, OracleConfig(k=1, m=1)) for doc in docs]
+        cfg = OracleConfig(k=1, m=1)
+        entries = [build_document_oracles(doc, cfg) for doc in docs]
         path = tmp_path / "cache.jsonl"
-        write_oracle_cache(path, [*entries, entries[0]])
+        write_oracle_cache(path, cfg, [*entries, entries[0]])
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, docs)
-        assert str(error.value) == f"{path}:3: document {docs[0].id!r} repeats an earlier record"
+        assert str(error.value) == f"{path}:4: document {docs[0].id!r} repeats an earlier record"
 
     @pytest.mark.parametrize("line, message", [
         ("{not json\n", r"bad\.jsonl:2: malformed JSON"),
@@ -388,11 +432,27 @@ class TestCache:
     def test_bad_line_is_located(self, tmp_path, line, message):
         doc = corpusgen.fixture_corpus()[0]
         path = tmp_path / "bad.jsonl"
-        write_oracle_cache(path, [build_document_oracles(doc, OracleConfig(k=1, m=1))])
+        write_oracle_cache(path, OracleConfig(k=1, m=1), [])
         with path.open("a", encoding="utf-8") as handle:
             handle.write(line)
         with pytest.raises(ValueError, match=message):
             read_oracle_cache(path, [doc])
+
+    @pytest.mark.parametrize("header, message", [
+        ({"doc_id": "a"}, "oracle cache has no header, so it is of format version 1; "
+                          "this version reads version 2: rebuild it with `compsum oracle build`"),
+        ({"labels": []}, "first record is not an oracle cache header: "
+                         "rebuild it with `compsum oracle build`"),
+        ({"format": "compsum-oracles", "version": 3},
+         "oracle cache is of format version 3; this version reads version 2: "
+         "rebuild it with `compsum oracle build`"),
+    ], ids=["v1-record", "no-header", "version-3"])
+    def test_first_record_that_is_no_v2_header_is_located(self, tmp_path, header, message):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as error:
+            read_oracle_cache(path, [])
+        assert str(error.value) == f"{path}:1: {message}"
 
     @pytest.mark.parametrize("flipped", ["KEEP", "DEL"])
     def test_label_that_disagrees_with_its_scores_is_located(self, tmp_path, flipped):
@@ -401,18 +461,17 @@ class TestCache:
         records = [oracle_record(build_document_oracles(doc, OracleConfig(k=1, m=1)))
                    for doc in docs]
         line, sent, item = next(
-            (line, sent, item) for line, record in enumerate(records, start=1)
+            (line, sent, item) for line, record in enumerate(records, start=2)
             for sent, items in enumerate(record["labels"]) for item in items
             if item["label"] != flipped)
         item["label"] = flipped
         path = tmp_path / "bad.jsonl"
-        path.write_text("".join(json.dumps(record) + "\n" for record in records),
-                        encoding="utf-8")
+        _write_cache(path, records)
         key = (item["start"], item["end"], item["rule"])
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, docs)
         assert str(error.value) == (
-            f"{path}:{line}: document {records[line - 1]['doc_id']!r} sentence {sent}: "
+            f"{path}:{line}: document {records[line - 2]['doc_id']!r} sentence {sent}: "
             f"option {key} is labeled {flipped}, which disagrees with "
             f"r_before={item['r_before']}, r_after={item['r_after']}")
 
@@ -424,10 +483,10 @@ class TestCache:
         record = oracle_record(build_document_oracles(doc, OracleConfig(k=1, m=1)))
         record["oracles"][0]["indices"] = indices
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        _write_cache(path, [record])
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, [doc])
-        assert str(error.value) == (f"{path}:1: document {doc.id!r}: oracle indices "
+        assert str(error.value) == (f"{path}:2: document {doc.id!r}: oracle indices "
                                     f"{json.dumps(indices)} are not a list of integers")
 
     def test_built_oracles_are_the_beam_head_on_the_document_itself(self):

@@ -18,7 +18,6 @@ from compsum.rouge import (
     _lcs_length,
     approx_oracle_score,
     approx_score_pretokenized,
-    oracle_preprocess,
     preprocess_per_token,
     preprocess_tokens,
     rouge_l,
@@ -264,10 +263,12 @@ class TestPreprocessPerToken:
             None, "cat", None, "ran"]
 
     def test_oracle_preprocess_forces_flags_keeps_the_rest(self):
+        # approx_oracle_score forces stopword removal and stemming on, and
+        # takes lowercasing and the stopword list from its cfg
         cfg = PreprocessConfig(lowercase=False, stopword_list=frozenset({"qq"}))
-        forced = oracle_preprocess(cfg)
-        assert (forced.remove_stopwords, forced.stem) == (True, True)
-        assert (forced.lowercase, forced.stopword_list) == (False, frozenset({"qq"}))
+        assert approx_oracle_score(["qq", "cats", "ran"], ["cat", "ran"], cfg) == 1.0
+        assert approx_oracle_score(["the", "cat"], ["the", "cat"], cfg) == 1.0
+        assert approx_oracle_score(["QQ", "cat"], ["cat"], cfg) == pytest.approx(1 / 3)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["The", "cats", "of", ",", "ran", "Ran", "running", "."]),

@@ -1,13 +1,16 @@
 """Compression-option extraction: 15 hand-annotated fixtures plus the
 layout invariants every emitted option list must satisfy."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpusgen
 from compsum.rules import (
+    RULES_VERSION,
     CompressionOption,
     PartialOverlapError,
     RuleId,
@@ -289,3 +292,25 @@ def test_option_record_format():
         "sent_index": 0,
         "options": [{"start": 1, "end": 5, "rule": "APPOSITIVE_NP", "label": "NP"}],
     }
+
+
+# SHA-256 of the options extract_options emits for the trees of
+# fixture_corpus(), learnable_corpus(count=20, seed=7) and FIXTURES, one
+# option_record line per sentence, by the RULES_VERSION that emits them. An
+# oracle cache is trusted to hold the rules' options when it names the
+# current version, so output that changes under the same version is a bug.
+RULES_OUTPUT_SHA256 = {
+    1: "da808b7d2ee3bce248b88f586b47b8d85ca059a6c5a67e14edd22e5f39e1629e",
+}
+
+
+def test_rules_output_is_pinned_by_rules_version():
+    trees = [(doc.id, doc.sentences) for doc in
+             corpusgen.fixture_corpus() + corpusgen.learnable_corpus(count=20, seed=7)[0]]
+    trees += [(name, (parse_ptb(source),)) for name, source, _ in FIXTURES]
+    dump = "".join(json.dumps(option_record(name, i, extract_options(tree))) + "\n"
+                   for name, sentences in trees for i, tree in enumerate(sentences))
+    digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
+    assert digest == RULES_OUTPUT_SHA256.get(RULES_VERSION), (
+        f"extract_options output changed (sha256 {digest}) under RULES_VERSION "
+        f"{RULES_VERSION}: bump RULES_VERSION and pin the new digest under it")

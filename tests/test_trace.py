@@ -73,6 +73,44 @@ print(json.dumps({"calls": calls, "docs": len(docs), "taus": len(grid),
 """
 
 
+TRACED_TRAIN = """
+import json, sys
+sys.path[:0] = sys.argv[1:4]
+import spans
+import compsum.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+import corpusgen
+from compsum.corpus import write_corpus
+corpus, oracles, model = sys.argv[4:7]
+write_corpus(corpus, corpusgen.learnable_corpus(count=4, seed=3)[0])
+main = compsum.cli.main
+codes = [main(["oracle", "build", "--corpus", corpus, "--out", oracles, "--k", "2"])]
+built = dict(tracer.calls)
+codes.append(main(["train", "--corpus", corpus, "--oracles", oracles, "--out", model,
+                   "--epochs", "1"]))
+codes.append(main(["gradcheck", "--corpus", corpus, "--oracles", oracles, "--samples", "1",
+                   "--hidden", "2"]))
+print(json.dumps({"codes": codes, "built": built, "calls": tracer.calls}))
+"""
+
+
+def test_traced_train_and_gradcheck_run_no_rules(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_TRAIN,
+         str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"),
+         *(str(tmp_path / name) for name in ("corpus.jsonl", "oracles.jsonl", "model.json"))],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    built, calls = result["built"], result["calls"]
+    assert result["codes"] == [0, 0, 0]
+    assert built["rules.extract"] > 0
+    # the cache holds every option, so reading it back runs no rule
+    assert calls["oracle.cache_read"] == 2
+    assert calls["rules.extract"] == built["rules.extract"]
+
+
 def test_traced_sweep_renders_and_scores_each_distinct_summary_once():
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_SWEEP,
