@@ -156,12 +156,6 @@ def _compression_forward(params: dict, option_feats: np.ndarray):
     return hidden, hidden @ params["w2"] + params["b2"][0]
 
 
-def extraction_scores(params: dict, decoder_input: np.ndarray,
-                      sent_feats: np.ndarray) -> np.ndarray:
-    """Raw pointer scores for each row of sent_feats."""
-    return _extraction_forward(params, decoder_input, sent_feats)[1]
-
-
 def score_remaining(
     model: Model,
     state,
@@ -175,7 +169,7 @@ def score_remaining(
     if not remaining:
         raise ValueError("all sentences already selected")
     decoder_input = np.concatenate([state.vector, doc_feats])
-    scores = extraction_scores(model.params, decoder_input, sent_feats[remaining])
+    _, scores = _extraction_forward(model.params, decoder_input, sent_feats[remaining])
     shifted = scores - scores.max()
     weights = np.exp(shifted)
     probs = np.zeros(n, dtype=np.float64)
@@ -221,10 +215,9 @@ class TrainConfig:
     epochs: int = 2
     seed: int = 0
     hidden_size: int = DEFAULT_HIDDEN_SIZE
-    positive_class_weight: float = 1.0
 
     def __post_init__(self):
-        for field in ("alpha", "learning_rate", "positive_class_weight"):
+        for field in ("alpha", "learning_rate"):
             if not math.isfinite(getattr(self, field)):
                 raise ValueError(f"{field}={getattr(self, field)} must be finite")
         if self.alpha < 0:
@@ -254,31 +247,15 @@ class CompiledExample:
 
 
 def compile_example(example: DocumentOracles) -> CompiledExample:
-    """Precompute all teacher-forced features; they do not depend on weights.
-
-    Every oracle must be a nonempty list of distinct indices among the
-    document's first MAX_SENTS sentences, and there must be at least one;
-    the labels hold one tuple per sentence of the document.
-    """
+    """Precompute all teacher-forced features; they do not depend on weights."""
     doc = example.doc
-    if not example.candidates:
-        raise ValueError(f"document {doc.id!r} has no oracles")
-    if len(example.labels) != len(doc.sentences):
-        raise ValueError(f"document {doc.id!r}: labels for {len(example.labels)} sentences, "
-                         f"document has {len(doc.sentences)}")
     ctx = DocumentContext(doc)
     n = min(MAX_SENTS, len(doc.sentences))
     steps: list[_Step] = []
     for oracle in example.candidates:
         indices = oracle.sentence_indices
-        if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
-            raise ValueError(f"document {doc.id!r}: oracle {list(indices)} is not a nonempty "
-                             f"list of distinct sentence indices >= 0")
         state = initial_state(len(indices))
         for target in indices:
-            if target >= n:
-                raise ValueError(
-                    f"document {doc.id!r}: oracle index {target} >= {n} scoreable sentences")
             remaining = np.array([i for i in range(n) if i not in state.selected],
                                  dtype=np.int64)
             target_pos = int(np.nonzero(remaining == target)[0][0])
@@ -310,8 +287,7 @@ def _logsumexp(z: np.ndarray):
     return m + np.log(np.exp(z - m).sum())
 
 
-def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float,
-                   pos_weight: float = 1.0):
+def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float):
     # Accumulates in the dtype of the inputs so the extended-precision
     # gradient-check path is not silently rounded back to float64.
     sent_nll = compiled.sent_feats.dtype.type(0.0)
@@ -323,13 +299,11 @@ def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float,
         if step.option_feats.shape[0]:
             _, z = _compression_forward(params, step.option_feats)
             y = step.option_targets
-            weights = np.where(y == 1.0, pos_weight, 1.0)
-            comp_nll += (weights * (np.logaddexp(0.0, z) - y * z)).sum()
+            comp_nll += (np.logaddexp(0.0, z) - y * z).sum()
     return sent_nll / compiled.oracle_count + alpha * comp_nll
 
 
-def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: float,
-                             pos_weight: float = 1.0):
+def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: float):
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     sent_nll = 0.0
     comp_nll = 0.0
@@ -351,9 +325,8 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
         if step.option_feats.shape[0]:
             hidden, z = _compression_forward(params, step.option_feats)
             y = step.option_targets
-            weights = np.where(y == 1.0, pos_weight, 1.0)
-            comp_nll += float((weights * (np.logaddexp(0.0, z) - y * z)).sum())
-            dzc = alpha * weights * (_sigmoid(z) - y)
+            comp_nll += float((np.logaddexp(0.0, z) - y * z).sum())
+            dzc = alpha * (_sigmoid(z) - y)
             grads["w2"] += hidden.T @ dzc
             grads["b2"] += dzc.sum(keepdims=True)
             dhid = np.outer(dzc, params["w2"]) * (1.0 - hidden * hidden)
@@ -365,7 +338,7 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
 
 def loss_joint(model: Model, example: DocumentOracles, alpha: float = 1.0) -> float:
     """Teacher-forced extraction NLL (averaged over oracles) plus alpha times
-    the summed, unweighted compression NLL over the oracle sentences' options."""
+    the summed compression NLL over the oracle sentences' options."""
     return float(_loss_compiled(model.params, compile_example(example), alpha))
 
 
@@ -384,8 +357,7 @@ def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model,
     for epoch in range(cfg.epochs):
         losses = []
         for ce in compiled:
-            loss, grads = _loss_and_grads_compiled(
-                model.params, ce, cfg.alpha, cfg.positive_class_weight)
+            loss, grads = _loss_and_grads_compiled(model.params, ce, cfg.alpha)
             losses.append(loss)
             step += 1
             for name in PARAM_ORDER:
@@ -405,7 +377,7 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 _REFINE_THRESHOLD = 1e-5
-# The gradient check differentiates the unweighted joint loss at this alpha and step.
+# The gradient check differentiates the joint loss at this alpha and step.
 _CHECK_ALPHA = 1.0
 _CHECK_STEP = 1e-5
 

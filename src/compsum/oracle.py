@@ -29,11 +29,14 @@ format name and version (CACHE_VERSION), the OracleConfig, the
 rules.RULES_VERSION the labels were built under and ORACLE_PREPROCESS.
 One record per document follows, in corpus order: its id, its
 document_fingerprint, its oracles, and per sentence the labels, each with
-its option's span, rule and node label. read_oracle_cache builds the
-options from those fields without running the rules; a cache of another
-version, rules version or preprocessing, or with a document whose
-fingerprint changed, is stale and is rejected with the command that
-rebuilds it.
+its option's span, rule and node label. read_oracle_cache joins record i
+to corpus document i and builds the options from those fields without
+running the rules; a cache of another version, rules version or
+preprocessing, with a record out of corpus order or short of the corpus's
+end, or with a document whose fingerprint changed, is stale and is
+rejected with the command that rebuilds it. A DocumentOracles checks
+itself: it holds at least one oracle, each of distinct scoreable
+sentences, and one label tuple per sentence.
 """
 
 import enum
@@ -257,11 +260,31 @@ def compressability_report(
 @dataclass(frozen=True)
 class DocumentOracles:
     """One document's supervision: the document, its oracles best first, and
-    the KEEP/DEL labels of its options."""
+    the KEEP/DEL labels of its options. There is at least one oracle, each
+    a nonempty list of distinct indices among the document's first
+    MAX_SENTS sentences, and one label tuple per sentence."""
 
     doc: Document
     candidates: tuple[OracleCandidate, ...]
     labels: tuple[tuple[LabeledOption, ...], ...]  # per sentence
+
+    def __post_init__(self):
+        doc = self.doc
+        if not self.candidates:
+            raise ValueError(f"document {doc.id!r} has no oracles")
+        if len(self.labels) != len(doc.sentences):
+            raise ValueError(f"document {doc.id!r}: labels for {len(self.labels)} sentences, "
+                             f"document has {len(doc.sentences)}")
+        n = min(MAX_SENTS, len(doc.sentences))
+        for oracle in self.candidates:
+            indices = oracle.sentence_indices
+            if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
+                raise ValueError(f"document {doc.id!r}: oracle {list(indices)} is not a "
+                                 f"nonempty list of distinct sentence indices >= 0")
+            beyond = [i for i in indices if i >= n]
+            if beyond:
+                raise ValueError(f"document {doc.id!r}: oracle index {beyond[0]} >= {n} "
+                                 f"scoreable sentences")
 
     def all_labeled(self) -> list[LabeledOption]:
         return [item for sent in self.labels for item in sent]
@@ -330,35 +353,41 @@ def write_oracle_cache(path, cfg: OracleConfig, entries: Iterable[DocumentOracle
 
 
 def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracles]:
-    """Load a cache file, joining each record to its document in `documents`.
+    """Load a cache file, joining its i-th record to the i-th of `documents`,
+    the order `oracle build` writes them in.
 
     The first record must be the header of this version, built under these
-    rules and this preprocessing, and each document's fingerprint must be
-    the one it was built from; otherwise the cache is stale and is an error
-    that says how to rebuild it. Options are built from the cached spans,
-    rules and node labels; a span outside its sentence, an unknown rule, a
-    KEEP/DEL label that disagrees with its r_before and r_after, or a
-    document's second record is an error too. Every error names the file
-    and line. A file with no record at all holds no entry.
+    rules and this preprocessing; each record must be of the document at
+    its place, with the fingerprint it was built from, and every document
+    must have one. Otherwise the cache is stale and is an error that says
+    how to rebuild it. Options are built from the cached spans, rules and
+    node labels; a span outside its sentence, an unknown rule, a KEEP/DEL
+    label that disagrees with its r_before and r_after, or a record
+    DocumentOracles rejects is an error too. Every error names the file,
+    and the line of a record.
     """
-    by_id = {doc.id: doc for doc in documents}
-    seen: set[str] = set()
+    corpus = iter(documents)
     options: dict[tuple, CompressionOption] = {}
     header_read = False
 
     def parse(record: dict) -> DocumentOracles | None:
         nonlocal header_read
         if header_read:
-            return _entry_from_record(record, by_id, seen, options)
+            return _entry_from_record(record, next(corpus, None), options)
         _check_header(record)
         header_read = True
         return None
 
     try:
-        return read_records(path, parse)[1:]
+        entries = read_records(path, parse)[1:]
     except FileNotFoundError:
         raise ValueError(f"{path}: no oracle cache there; build one (format version "
                          f"{CACHE_VERSION}) with `compsum oracle build`") from None
+    missing = next(corpus, None)
+    if missing is not None:
+        raise ValueError(f"{path}: no record of document {missing.id!r} or the documents "
+                         f"after it: the cache is stale; {_REBUILD}")
+    return entries
 
 
 def _check_header(record: dict) -> None:
@@ -379,24 +408,18 @@ def _check_header(record: dict) -> None:
                          f"ORACLE_PREPROCESS: {_REBUILD}")
 
 
-def _entry_from_record(record: dict, documents: dict[str, Document], seen: set[str],
+def _entry_from_record(record: dict, doc: Document | None,
                        options: dict[tuple, CompressionOption]) -> DocumentOracles:
     doc_id = record["doc_id"]
-    if doc_id not in documents:
-        raise ValueError(f"document {doc_id!r} not in corpus")
-    if doc_id in seen:
-        raise ValueError(f"document {doc_id!r} repeats an earlier record")
-    seen.add(doc_id)
-    doc = documents[doc_id]
+    if doc is None or doc.id != doc_id:
+        at_place = "no document" if doc is None else f"document {doc.id!r}"
+        raise ValueError(f"record of document {doc_id!r} where the corpus has {at_place}: "
+                         f"the cache is stale; {_REBUILD}")
     fingerprint = document_fingerprint(doc)
     if record["fingerprint"] != fingerprint:
         raise ValueError(
             f"document {doc_id!r}: the cache is stale: it was built from fingerprint "
             f"{record['fingerprint']}, the corpus has {fingerprint}; {_REBUILD}")
-    if len(record["labels"]) != len(doc.sentences):
-        raise ValueError(
-            f"document {doc_id!r}: cache has {len(record['labels'])} sentences, "
-            f"corpus has {len(doc.sentences)}")
     candidates = []
     for entry in record["oracles"]:
         indices = entry["indices"]
@@ -406,7 +429,9 @@ def _entry_from_record(record: dict, documents: dict[str, Document], seen: set[s
         candidates.append(OracleCandidate(tuple(indices), float(entry["score"])))
     labels = []
     for sent_index, cached in enumerate(record["labels"]):
-        n_tokens = len(doc.sentences[sent_index].tokens)
+        # a row past the last sentence is left to DocumentOracles to reject
+        n_tokens = (len(doc.sentences[sent_index].tokens) if sent_index < len(doc.sentences)
+                    else math.inf)
         sent_labels = []
         for item in cached:
             start, end, rule = key = (item["start"], item["end"], item["rule"])

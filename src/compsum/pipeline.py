@@ -5,11 +5,11 @@ once and computes each selected sentence's compression options and their
 deletion probabilities; none of that depends on the threshold tau.
 render() then deletes the options whose probability clears the threshold
 and optionally applies unigram-coverage deduplication. summarize() is
-render(score_document(...)). evaluate_corpus() and sweep_threshold() score
-each document with a reference once and share one per-document loop over
-their taus: it preprocesses the reference once, renders a summary once per
-set of options the model deletes, and ROUGE-scores it once per distinct
-text, reusing both at every tau that gives the same key. Dedup keeps a
+render(score_document(...)). evaluate_corpus() is sweep_threshold() at one
+tau: both make one in-order pass over the corpus that scores each document
+with a reference once, preprocesses its reference once, renders a summary
+once per set of options the model deletes and ROUGE-scores it once per
+distinct text, then keeps only its rows and token counts. Dedup keeps a
 count of live tokens per type instead of rescanning the summary for each
 option, and ROUGE-L uses a bit-parallel LCS. Decoding selects among a
 document's first oracle.MAX_SENTS sentences, the same leading sentences the
@@ -23,7 +23,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -229,24 +229,6 @@ def score_summary(summary: Summary, doc: Document,
         rouge_l=rouge_l(candidate, reference))
 
 
-def _score_referenced(model: Model, corpus: Sequence[Document],
-                      k: int) -> tuple[list[ScoredDocument], int]:
-    """Score every document that has a reference; returns them and the skip
-    count. A corpus in which no document has one is an error."""
-    scored = []
-    for doc in corpus:
-        if doc.reference:
-            scored.append(score_document(model, doc, k))
-        else:
-            logger.warning("document %s has no reference; skipped", doc.id)
-    skipped = len(corpus) - len(scored)
-    if not scored:
-        raise ValueError(f"no document has a reference summary ({skipped} skipped)")
-    if skipped:
-        logger.warning("%d document(s) skipped for missing references", skipped)
-    return scored, skipped
-
-
 def _rendered_rows(scored: ScoredDocument, taus: Sequence[float],
                    dedup: bool) -> list[tuple[Summary, EvaluationRow]]:
     """The summary of one scored document and its ROUGE row at each tau.
@@ -272,21 +254,44 @@ def _rendered_rows(scored: ScoredDocument, taus: Sequence[float],
     return out
 
 
-def _evaluation(rows: Sequence[EvaluationRow], skipped: int) -> EvaluationResult:
-    return EvaluationResult(
-        rows=tuple(rows),
-        mean1=_mean_scores([r.rouge1 for r in rows]),
-        mean2=_mean_scores([r.rouge2 for r in rows]),
-        mean_l=_mean_scores([r.rouge_l for r in rows]),
-        skipped=skipped)
+def _evaluate(model: Model, corpus: Iterable[Document], taus: Sequence[float],
+              cfg: SummarizeConfig) -> tuple[list[EvaluationResult], list[int], int]:
+    """One in-order pass that keeps, of each document with a reference, only
+    its rows and summary token counts at each tau. Returns the evaluation
+    and token count per tau, and the token count before deletions. A corpus
+    in which no document has a reference is an error."""
+    rows: list[list[EvaluationRow]] = [[] for _ in taus]
+    tokens_after = [0] * len(taus)
+    tokens_before = evaluated = skipped = 0
+    for doc in corpus:
+        if not doc.reference:
+            logger.warning("document %s has no reference; skipped", doc.id)
+            skipped += 1
+            continue
+        scored = score_document(model, doc, cfg.k)
+        evaluated += 1
+        tokens_before += sum(len(doc.sentences[sent.index].tokens) for sent in scored.sentences)
+        for t, (summary, row) in enumerate(_rendered_rows(scored, taus, cfg.dedup)):
+            rows[t].append(row)
+            tokens_after[t] += sum(len(sent) for sent in summary.text)
+    if not evaluated:
+        raise ValueError(f"no document has a reference summary ({skipped} skipped)")
+    if skipped:
+        logger.warning("%d document(s) skipped for missing references", skipped)
+    results = [EvaluationResult(
+        rows=tuple(at_tau),
+        mean1=_mean_scores([r.rouge1 for r in at_tau]),
+        mean2=_mean_scores([r.rouge2 for r in at_tau]),
+        mean_l=_mean_scores([r.rouge_l for r in at_tau]),
+        skipped=skipped) for at_tau in rows]
+    return results, tokens_after, tokens_before
 
 
-def evaluate_corpus(model: Model, corpus: Sequence[Document],
+def evaluate_corpus(model: Model, corpus: Iterable[Document],
                     cfg: SummarizeConfig) -> EvaluationResult:
     """Per-document ROUGE rows plus component-wise corpus means."""
-    scored, skipped = _score_referenced(model, corpus, cfg.k)
-    rows = [_rendered_rows(s, [cfg.tau], cfg.dedup)[0][1] for s in scored]
-    return _evaluation(rows, skipped)
+    (result,), _, _ = _evaluate(model, corpus, [cfg.tau], cfg)
+    return result
 
 
 @dataclass(frozen=True)
@@ -299,7 +304,7 @@ class SweepPoint:
     compression_ratio: float
 
 
-def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence[float],
+def sweep_threshold(model: Model, corpus: Iterable[Document], tau_grid: Sequence[float],
                     cfg: SummarizeConfig = SummarizeConfig()) -> list[SweepPoint]:
     """Evaluate each threshold; reports averaged F1 and the token-level
     compression ratio (summary tokens after deletions / before). Each
@@ -307,18 +312,12 @@ def sweep_threshold(model: Model, corpus: Sequence[Document], tau_grid: Sequence
     ROUGE-scored once for the whole grid."""
     for tau in tau_grid:
         SummarizeConfig(k=cfg.k, tau=tau, dedup=cfg.dedup)  # rejects a bad tau up front
-    scored, skipped = _score_referenced(model, corpus, cfg.k)
-    tokens_before = sum(len(s.doc.sentences[sent.index].tokens)
-                        for s in scored for sent in s.sentences)
-    per_doc = [_rendered_rows(s, tau_grid, cfg.dedup) for s in scored]
+    results, tokens_after, tokens_before = _evaluate(model, corpus, tau_grid, cfg)
     points = []
-    for t, tau in enumerate(tau_grid):
-        at_tau = [doc_rows[t] for doc_rows in per_doc]
-        result = _evaluation([row for _, row in at_tau], skipped)
-        tokens_after = sum(len(sent) for summary, _ in at_tau for sent in summary.text)
-        ratio = tokens_after / tokens_before
+    for tau, result, after in zip(tau_grid, results, tokens_after):
         f1_1, f1_2, f1_l = result.mean1.f1, result.mean2.f1, result.mean_l.f1
-        points.append(SweepPoint(tau, f1_1, f1_2, f1_l, (f1_1 + f1_2 + f1_l) / 3.0, ratio))
+        points.append(SweepPoint(tau, f1_1, f1_2, f1_l, (f1_1 + f1_2 + f1_l) / 3.0,
+                                 after / tokens_before))
     return points
 
 

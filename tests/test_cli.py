@@ -255,10 +255,8 @@ def test_flag_defaults_are_the_config_defaults():
     assert by_command["gradcheck"].get_default("hidden") == init_model().hidden_size
     # Every config field is set by a flag of its command (dedup by
     # --no-dedup), so none holds a value the command line cannot change.
-    # positive_class_weight is the one exception, until the ROADMAP's
-    # "expose positive_class_weight on the train CLI" lands.
     for config, flags, others in ((OracleConfig, ORACLE_FLAGS, ()),
-                                  (TrainConfig, TRAIN_FLAGS, ("positive_class_weight",)),
+                                  (TrainConfig, TRAIN_FLAGS, ()),
                                   (SummarizeConfig, SUMMARIZE_FLAGS, ("dedup",))):
         assert {f.name for f in fields(config)} == {*flags.values(), *others}, config.__name__
 
@@ -373,7 +371,10 @@ def test_gradcheck_of_an_empty_cache_is_error(corpus_path, tmp_path, capsys):
     oracles.write_text("", encoding="utf-8")
     code = main(["gradcheck", "--corpus", str(corpus_path), "--oracles", str(oracles)])
     assert code == 1
-    assert _structured_error(capsys) == f"{oracles} holds no oracle record to check"
+    first = next(load_corpus(corpus_path)).id
+    assert _structured_error(capsys) == (
+        f"{oracles}: no record of document {first!r} or the documents after it: "
+        f"the cache is stale; {REBUILD}")
 
 
 @pytest.mark.parametrize("command", [["evaluate"], ["sweep", "--out", "sweep.csv"]],
@@ -450,25 +451,29 @@ GOLDEN_ORACLES_V1_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa
 # gives with those keys put back. Before that its train_config lost
 # "max_sents" (the limit became the constant oracle.MAX_SENTS):
 # MODEL_WITH_MAX_SENTS_SHA256 is the older file, with that key put back too.
+# Last, train_config lost "positive_class_weight", which nothing set to any
+# value but 1.0: MODEL_WITH_CLASS_WEIGHT_SHA256 is the file with it put back.
 GOLDEN_OUTPUTS_SHA256 = {
-    "model.json": "3b37cc9de856a293a6ef1e478c5faca886f62973aac1c9b75c54f2a1a8798070",
+    "model.json": "6da85c585c94937c0117ce8ee89fafc993c5df9d8aca232a8df467bb32e22f90",
     "summaries.jsonl": "56303d0932777e402ec222024d070e772ffa56979e0bd9790af2c44265d439c6",
     "evaluation.json": "215e9a057088a8b89c5ca19724d6818fc7c82cc3ea9bd7e0666f20fa55d81345",
     "sweep.csv": "116094869e8bdff7fc9f295bdc52b8f1d9676aec49e7ab18c3f664b154c5fd20",
 }
+MODEL_WITH_CLASS_WEIGHT_SHA256 = "3b37cc9de856a293a6ef1e478c5faca886f62973aac1c9b75c54f2a1a8798070"
 MODEL_WITH_ADAM_FIELDS_SHA256 = "eef0190bdc2c8d324c1dcc5819c20d0d68ea6ada1b5498bfdd08a496d338ad0b"
 MODEL_WITH_MAX_SENTS_SHA256 = "4fc8763bf11fedc5917da8e917458e03a0fd7de4d66eee3c36307c581a7ee2ec"
 
 
 def _older_model_file(payload: dict) -> dict:
-    """The model file as written before the Adam fields, the oracle count and
-    the model's second seed were removed, with its keys in their old order."""
+    """The model file as written before the Adam fields, the oracle count,
+    the model's second seed and the positive class weight were removed, with
+    its keys in their old order."""
     config = payload["train_config"]
     old_config = {"alpha": config["alpha"], "learning_rate": config["learning_rate"],
                   "epochs": config["epochs"], "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
                   "seed": config["seed"], "hidden_size": config["hidden_size"],
                   "oracles_per_doc": 5,
-                  "positive_class_weight": config["positive_class_weight"]}
+                  "positive_class_weight": 1.0}
     return {**payload, "train_config": old_config, "seed": config["seed"]}
 
 
@@ -507,7 +512,11 @@ def test_model_and_outputs_bytes_are_pinned(tmp_path, capsys):
     payload = json.loads(Path(out["model.json"]).read_text(encoding="utf-8"))
     assert "seed" not in payload
     assert list(payload["train_config"]) == [
-        "alpha", "learning_rate", "epochs", "seed", "hidden_size", "positive_class_weight"]
+        "alpha", "learning_rate", "epochs", "seed", "hidden_size"]
+    weighted = {**payload, "train_config": {**payload["train_config"],
+                                            "positive_class_weight": 1.0}}
+    weighted_bytes = json.dumps(weighted).encode("utf-8")
+    assert hashlib.sha256(weighted_bytes).hexdigest() == MODEL_WITH_CLASS_WEIGHT_SHA256
     older = _older_model_file(payload)
     old_bytes = json.dumps(older).encode("utf-8")
     assert hashlib.sha256(old_bytes).hexdigest() == MODEL_WITH_ADAM_FIELDS_SHA256
@@ -610,6 +619,51 @@ def test_stale_cache_is_located_error(tmp_path, capsys, case):
     assert not (tmp_path / "model.json").exists()
 
 
+def _cached_commands(files: dict, tmp_path: Path) -> list[list[str]]:
+    """train, gradcheck and stats --oracles on the corpus and cache in files."""
+    data = ["--corpus", str(files["corpus"]), "--oracles", str(files["oracles"])]
+    return [["train", *data, "--out", str(tmp_path / "model.json")],
+            ["gradcheck", *data, "--hidden", "2", "--samples", "1"],
+            ["stats", *data, "--out", str(tmp_path / "stats.csv")]]
+
+
+def test_cache_of_part_of_the_corpus_is_error(tmp_path, capsys):
+    # a cache of the first 2 of 6 documents was once trained on with exit 0,
+    # the other 4 documents left out in silence
+    docs, _ = corpusgen.learnable_corpus(count=6, seed=31)
+    files = {"corpus": tmp_path / "corpus.jsonl", "oracles": tmp_path / "oracles.jsonl"}
+    write_corpus(files["corpus"], docs[:2])
+    assert main(["oracle", "build", "--corpus", str(files["corpus"]),
+                 "--out", str(files["oracles"]), "--k", "2"]) == 0
+    write_corpus(files["corpus"], docs)
+    for command in _cached_commands(files, tmp_path):
+        capsys.readouterr()
+        assert main(command) == 1, command[0]
+        assert _structured_error(capsys) == (
+            f"{files['oracles']}: no record of document {docs[2].id!r} or the documents "
+            f"after it: the cache is stale; {REBUILD}")
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "stats.csv").exists()
+
+
+def test_cache_in_another_order_than_the_corpus_is_located_error(tmp_path, capsys):
+    docs, _ = corpusgen.learnable_corpus(count=4, seed=31)
+    files = {"corpus": tmp_path / "corpus.jsonl", "oracles": tmp_path / "oracles.jsonl"}
+    write_corpus(files["corpus"], docs)
+    assert main(["oracle", "build", "--corpus", str(files["corpus"]),
+                 "--out", str(files["oracles"]), "--k", "2"]) == 0
+    lines = files["oracles"].read_text(encoding="utf-8").splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    files["oracles"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in _cached_commands(files, tmp_path):
+        capsys.readouterr()
+        assert main(command) == 1, command[0]
+        assert _structured_error(capsys) == (
+            f"{files['oracles']}:3: record of document {docs[2].id!r} where the corpus has "
+            f"document {docs[1].id!r}: the cache is stale; {REBUILD}")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_duplicate_document_id_is_error(tmp_path, capsys):
     docs = corpusgen.fixture_corpus()
     corpus = tmp_path / "dup.jsonl"
@@ -688,4 +742,4 @@ def test_oracle_index_beyond_max_sents_is_error(tmp_path, capsys):
         capsys.readouterr()
         assert main([*command, "--corpus", str(corpus), "--oracles", str(oracles)]) == 1
         assert _structured_error(capsys) == (
-            "document 'b0': oracle index 40 >= 30 scoreable sentences")
+            f"{oracles}:2: document 'b0': oracle index 40 >= 30 scoreable sentences")

@@ -402,8 +402,11 @@ class TestCache:
         entry = build_document_oracles(doc, cfg)
         path = tmp_path / "cache.jsonl"
         write_oracle_cache(path, cfg, [entry])
-        with pytest.raises(ValueError, match="not in corpus"):
+        with pytest.raises(ValueError) as error:
             read_oracle_cache(path, [])
+        assert str(error.value) == (
+            f"{path}:2: record of document {doc.id!r} where the corpus has no document: "
+            f"the cache is stale; rebuild it with `compsum oracle build`")
 
     def test_missing_file_is_error_naming_the_build_command(self, tmp_path):
         path = tmp_path / "absent.jsonl"
@@ -422,7 +425,9 @@ class TestCache:
         write_oracle_cache(path, cfg, [*entries, entries[0]])
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, docs)
-        assert str(error.value) == f"{path}:4: document {docs[0].id!r} repeats an earlier record"
+        assert str(error.value) == (
+            f"{path}:4: record of document {docs[0].id!r} where the corpus has no document: "
+            f"the cache is stale; rebuild it with `compsum oracle build`")
 
     @pytest.mark.parametrize("line, message", [
         ("{not json\n", r"bad\.jsonl:2: malformed JSON"),
@@ -474,6 +479,22 @@ class TestCache:
             f"{path}:{line}: document {records[line - 2]['doc_id']!r} sentence {sent}: "
             f"option {key} is labeled {flipped}, which disagrees with "
             f"r_before={item['r_before']}, r_after={item['r_after']}")
+
+    @pytest.mark.parametrize("extra", [[], [{"start": 0, "end": 1, "rule": "ADVP",
+                                             "node_label": "ADVP", "r_before": 0.0,
+                                             "r_after": 0.0, "label": "KEEP"}]],
+                             ids=["empty-row", "labeled-row"])
+    def test_label_row_past_the_last_sentence_is_located(self, tmp_path, extra):
+        doc = corpusgen.fixture_corpus()[0]
+        record = oracle_record(build_document_oracles(doc, OracleConfig(k=1, m=1)))
+        record["labels"].append(extra)
+        path = tmp_path / "bad.jsonl"
+        _write_cache(path, [record])
+        n = len(doc.sentences)
+        with pytest.raises(ValueError) as error:
+            read_oracle_cache(path, [doc])
+        assert str(error.value) == (f"{path}:2: document {doc.id!r}: labels for {n + 1} "
+                                    f"sentences, document has {n}")
 
     @pytest.mark.parametrize("indices", [[1.5, 0], "10", [True, 0]],
                              ids=["float", "string", "boolean"])

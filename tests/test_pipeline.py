@@ -559,6 +559,20 @@ class TestSweep:
             assert [_point_values(p) for p in points] == [
                 _fresh_values(scored, tau, dedup) for tau in GRID_101]
 
+    def test_one_shot_generator_gives_the_list_result(self, caplog):
+        # the corpus is read in one in-order pass: its length was once taken
+        # first, so a generator was rejected with a TypeError
+        model, docs = trained_model()
+        corpus = [docs[0], Document(id="noref", sentences=docs[1].sentences), *docs[2:6]]
+        grid = [0.0, 0.45, 0.9]
+        for dedup in (False, True):
+            cfg = SummarizeConfig(k=2, tau=0.45, dedup=dedup)
+            with caplog.at_level(logging.WARNING):
+                assert evaluate_corpus(model, iter(corpus), cfg) == evaluate_corpus(
+                    model, corpus, cfg)
+                assert sweep_threshold(model, (doc for doc in corpus), grid, cfg) == (
+                    sweep_threshold(model, corpus, grid, cfg))
+
     def test_bad_tau_rejected_before_scoring(self, monkeypatch):
         import compsum.pipeline as pipeline_mod
 
