@@ -18,7 +18,7 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import pipeline
-from .corpus import load_corpus, read_records
+from .corpus import load_corpus, read_records, write_records
 from .model import DEFAULT_HIDDEN_SIZE, TrainConfig
 from .oracle import OracleConfig
 from .pipeline import SummarizeConfig
@@ -92,13 +92,8 @@ def _parse_tau_grid(spec: str) -> list[float]:
 
 def cmd_options_extract(args) -> int:
     docs = _load_documents(args.corpus)
-    count = 0
-    with Path(args.out).open("w", encoding="utf-8") as handle:
-        for doc in docs:
-            for i, tree in enumerate(doc.sentences):
-                record = option_record(doc.id, i, extract_options(tree))
-                handle.write(json.dumps(record) + "\n")
-                count += 1
+    count = write_records(args.out, (option_record(doc.id, i, extract_options(tree))
+                                     for doc in docs for i, tree in enumerate(doc.sentences)))
     print(f"wrote options for {count} sentences to {args.out}")
     return 0
 
@@ -127,13 +122,12 @@ def cmd_summarize(args) -> int:
     cfg = _from_flags(SummarizeConfig, args, SUMMARIZE_FLAGS, dedup=not args.no_dedup)
     docs = _load_documents(args.corpus)
     model = model_mod.load_model(args.model)
-    with Path(args.out).open("w", encoding="utf-8") as handle:
-        for doc in docs:
-            summary = pipeline.summarize(model, doc, cfg)
-            record = pipeline.summary_to_record(summary)
-            record["rendered"] = " ".join(" ".join(sent) for sent in summary.text)
-            handle.write(json.dumps(record) + "\n")
-    print(f"wrote {len(docs)} summaries to {args.out}")
+    summaries = (pipeline.summarize(model, doc, cfg) for doc in docs)
+    count = write_records(args.out, (
+        {**pipeline.summary_to_record(summary),
+         "rendered": " ".join(" ".join(sent) for sent in summary.text)}
+        for summary in summaries))
+    print(f"wrote {count} summaries to {args.out}")
     return 0
 
 
@@ -175,7 +169,8 @@ def cmd_stats(args) -> int:
         oracles = oracle_mod.read_oracle_cache(args.oracles, docs)
     summaries = None
     if args.summaries:
-        summaries = read_records(args.summaries, pipeline.summary_from_record)
+        summaries = read_records(args.summaries, docs, pipeline.summary_from_record,
+                                 "the summaries are stale; rerun `compsum summarize`")
     rows = pipeline.stats_report(docs, oracles, summaries)
     pipeline.write_stats_csv(args.out, rows)
     print(f"{'node':8} {'len':>6} {'% comps':>8} {'comp acc':>9} {'dedup':>7}")

@@ -1,13 +1,18 @@
-"""JSONL corpus ingestion and serialization.
+"""JSONL files: the corpus, and the one-record-per-document artifacts that
+each stage hands to the next.
 
-One JSON object per line: {"id", "sentences": [{"tokens", "parse"}],
-"reference": [[token, ...], ...]}. A record is rejected with a warning that
-names its line and id (or "?") when it is not an object with an id, when
-sentences is not a list of objects that each have a parse and tokens, when
-a parse is not a string or does not parse, when a token list or a
-reference sentence is not a list of strings, or when a token list
+A corpus is one JSON object per line: {"id", "sentences": [{"tokens",
+"parse"}], "reference": [[token, ...], ...]}. A record is rejected with a
+warning that names its line and id (or "?") when it is not an object with
+an id, when sentences is not a list of objects that each have a parse and
+tokens, when a parse is not a string or does not parse, when a token list
+or a reference sentence is not a list of strings, or when a token list
 disagrees with its parse leaves (after bracket unescaping); remaining
 records still load.
+
+Every JSONL file is written by write_records, so a command that fails
+leaves no partial file. read_records reads an artifact of the corpus (the
+oracle cache, the summaries) back, joining its i-th record to document i.
 """
 
 import json
@@ -42,27 +47,32 @@ def _unescape(tokens: Iterable[str]) -> tuple[str, ...]:
     return tuple(BRACKET_UNESCAPE.get(tok, tok) for tok in tokens)
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each nonblank line of a file."""
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                yield lineno, line
+
+
 def load_corpus(path) -> Iterator[Document]:
     """Stream documents from a JSONL file, skipping invalid records with a warning."""
     path = Path(path)
     count = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                logger.warning("line %d: malformed JSON (%s); record skipped", lineno, exc)
-                continue
-            try:
-                doc = document_from_record(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                doc_id = record.get("id", "?") if isinstance(record, dict) else "?"
-                logger.warning("line %d: document %s rejected: %s", lineno, doc_id, exc)
-                continue
-            count += 1
-            yield doc
+    for lineno, line in _lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            logger.warning("line %d: malformed JSON (%s); record skipped", lineno, exc)
+            continue
+        try:
+            doc = document_from_record(record)
+        except (KeyError, TypeError, ValueError) as exc:
+            doc_id = record.get("id", "?") if isinstance(record, dict) else "?"
+            logger.warning("line %d: document %s rejected: %s", lineno, doc_id, exc)
+            continue
+        count += 1
+        yield doc
     if count == 0:
         logger.warning("no documents loaded from %s", path)
 
@@ -129,39 +139,75 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def read_records(path, parse: Callable[[dict], T]) -> list[T]:
-    """parse(record) for each JSON object line of a file; blank lines are skipped.
+def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Document], T],
+                 stale: str, header: Callable[[dict], None] | None = None) -> list[T]:
+    """parse(record, doc) for each JSON object line of a file, doc being the
+    i-th of `documents` for the i-th record; blank lines are skipped.
 
-    Unlike load_corpus nothing is skipped with a warning: malformed JSON, a
-    line that is not an object, a missing key, or a TypeError or ValueError
-    from parse is a ValueError that names the file and line.
+    header, when given, checks the first record instead. A record whose
+    doc_id is not that of the document at its place, or a document left
+    without a record, is an error ending in `stale`, which says how to
+    remake the file. Nothing is skipped: malformed JSON, a line that is not
+    an object, a missing key, or a TypeError or ValueError from header or
+    parse is a ValueError that names the file and line.
     """
     path = Path(path)
+    corpus = iter(documents)
     out = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+    for lineno, line in _lines(path):
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not a JSON object")
+            if header is not None:
+                header(record)
+                header = None
                 continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not a JSON object")
-                out.append(parse(record))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
-                                 f"at column {exc.colno}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            doc = next(corpus, None)
+            if doc is None or doc.id != record["doc_id"]:
+                at_place = "no document" if doc is None else f"document {doc.id!r}"
+                raise ValueError(f"record of document {record['doc_id']!r} where the corpus "
+                                 f"has {at_place}: {stale}")
+            out.append(parse(record, doc))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
+                             f"at column {exc.colno}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    missing = next(corpus, None)
+    if missing is not None:
+        raise ValueError(f"{path}: no record of document {missing.id!r} or the documents "
+                         f"after it: {stale}")
     return out
 
 
-def write_corpus(path, docs: Iterable[Document]) -> int:
+def write_records(path, records: Iterable[dict]) -> int:
+    """Write each record as one JSON line; returns the count.
+
+    The records go to `<path>.partial`, which replaces path only after the
+    last one, so a failure (which removes the partial file and is re-raised)
+    leaves whatever was at path untouched.
+    """
     path = Path(path)
+    # a symlink, device or pipe (say /dev/stdout) is written through, never replaced
+    in_place = path.is_symlink() or (path.exists() and not path.is_file())
+    target = path if in_place else path.with_name(path.name + ".partial")
     count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(json.dumps(document_to_record(doc)) + "\n")
-            count += 1
+    try:
+        with target.open("w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record) + "\n")
+                count += 1
+        if not in_place:
+            target.replace(path)
+    except BaseException:
+        if not in_place:
+            target.unlink(missing_ok=True)
+        raise
     return count
+
+
+def write_corpus(path, docs: Iterable[Document]) -> int:
+    return write_records(path, map(document_to_record, docs))

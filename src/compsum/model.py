@@ -31,7 +31,7 @@ from .features import (
     featurize_option,
     initial_state,
 )
-from .oracle import MAX_SENTS, CompressionLabel, DocumentOracles, scoreable_sentences
+from .oracle import CompressionLabel, DocumentOracles, scoreable_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -250,7 +250,7 @@ def compile_example(example: DocumentOracles) -> CompiledExample:
     """Precompute all teacher-forced features; they do not depend on weights."""
     doc = example.doc
     ctx = DocumentContext(doc)
-    n = min(MAX_SENTS, len(doc.sentences))
+    n = scoreable_sentences(doc)
     steps: list[_Step] = []
     for oracle in example.candidates:
         indices = oracle.sentence_indices

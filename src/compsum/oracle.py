@@ -24,7 +24,8 @@ Only a document's first MAX_SENTS sentences can be selected, by the oracles
 here and by training and decoding in compsum.model alike;
 scoreable_sentences() counts them and rejects a k above that count.
 
-A cache file is self-describing JSON lines. Its header record holds the
+A cache file is self-describing JSON lines, written and read through
+compsum.corpus (write_records, read_records). Its header record holds the
 format name and version (CACHE_VERSION), the OracleConfig, the
 rules.RULES_VERSION the labels were built under and ORACLE_PREPROCESS.
 One record per document follows, in corpus order: its id, its
@@ -45,11 +46,10 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations
-from pathlib import Path
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .corpus import Document, read_records
+from .corpus import Document, read_records, write_records
 from .rouge import (
     ORACLE_PREPROCESS,
     ReferenceGrams,
@@ -76,7 +76,7 @@ _PREPROCESS_RECORD = {**asdict(ORACLE_PREPROCESS),
 _RULES = {rule.value: rule for rule in RuleId}
 
 
-def scoreable_sentences(doc: Document, k: int) -> int:
+def scoreable_sentences(doc: Document, k: int = 0) -> int:
     """How many leading sentences of doc can be selected; an error if fewer than k."""
     n = min(MAX_SENTS, len(doc.sentences))
     if n < k:
@@ -275,7 +275,7 @@ class DocumentOracles:
         if len(self.labels) != len(doc.sentences):
             raise ValueError(f"document {doc.id!r}: labels for {len(self.labels)} sentences, "
                              f"document has {len(doc.sentences)}")
-        n = min(MAX_SENTS, len(doc.sentences))
+        n = scoreable_sentences(doc)
         for oracle in self.candidates:
             indices = oracle.sentence_indices
             if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
@@ -342,19 +342,12 @@ def oracle_record(oracles: DocumentOracles) -> dict:
 
 def write_oracle_cache(path, cfg: OracleConfig, entries: Iterable[DocumentOracles]) -> int:
     """Write the header for cfg, then one record per entry; returns the entry count."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(oracle_header(cfg)) + "\n")
-        for entry in entries:
-            handle.write(json.dumps(oracle_record(entry)) + "\n")
-            count += 1
-    return count
+    return write_records(path, chain([oracle_header(cfg)], map(oracle_record, entries))) - 1
 
 
 def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracles]:
     """Load a cache file, joining its i-th record to the i-th of `documents`,
-    the order `oracle build` writes them in.
+    the order `oracle build` writes them in (corpus.read_records).
 
     The first record must be the header of this version, built under these
     rules and this preprocessing; each record must be of the document at
@@ -366,28 +359,14 @@ def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracl
     DocumentOracles rejects is an error too. Every error names the file,
     and the line of a record.
     """
-    corpus = iter(documents)
     options: dict[tuple, CompressionOption] = {}
-    header_read = False
-
-    def parse(record: dict) -> DocumentOracles | None:
-        nonlocal header_read
-        if header_read:
-            return _entry_from_record(record, next(corpus, None), options)
-        _check_header(record)
-        header_read = True
-        return None
-
     try:
-        entries = read_records(path, parse)[1:]
+        return read_records(path, documents,
+                            lambda record, doc: _entry_from_record(record, doc, options),
+                            f"the cache is stale; {_REBUILD}", header=_check_header)
     except FileNotFoundError:
         raise ValueError(f"{path}: no oracle cache there; build one (format version "
                          f"{CACHE_VERSION}) with `compsum oracle build`") from None
-    missing = next(corpus, None)
-    if missing is not None:
-        raise ValueError(f"{path}: no record of document {missing.id!r} or the documents "
-                         f"after it: the cache is stale; {_REBUILD}")
-    return entries
 
 
 def _check_header(record: dict) -> None:
@@ -408,23 +387,18 @@ def _check_header(record: dict) -> None:
                          f"ORACLE_PREPROCESS: {_REBUILD}")
 
 
-def _entry_from_record(record: dict, doc: Document | None,
+def _entry_from_record(record: dict, doc: Document,
                        options: dict[tuple, CompressionOption]) -> DocumentOracles:
-    doc_id = record["doc_id"]
-    if doc is None or doc.id != doc_id:
-        at_place = "no document" if doc is None else f"document {doc.id!r}"
-        raise ValueError(f"record of document {doc_id!r} where the corpus has {at_place}: "
-                         f"the cache is stale; {_REBUILD}")
     fingerprint = document_fingerprint(doc)
     if record["fingerprint"] != fingerprint:
         raise ValueError(
-            f"document {doc_id!r}: the cache is stale: it was built from fingerprint "
+            f"document {doc.id!r}: the cache is stale: it was built from fingerprint "
             f"{record['fingerprint']}, the corpus has {fingerprint}; {_REBUILD}")
     candidates = []
     for entry in record["oracles"]:
         indices = entry["indices"]
         if type(indices) is not list or any(type(i) is not int for i in indices):
-            raise ValueError(f"document {doc_id!r}: oracle indices {json.dumps(indices)} "
+            raise ValueError(f"document {doc.id!r}: oracle indices {json.dumps(indices)} "
                              f"are not a list of integers")
         candidates.append(OracleCandidate(tuple(indices), float(entry["score"])))
     labels = []
@@ -437,17 +411,17 @@ def _entry_from_record(record: dict, doc: Document | None,
             start, end, rule = key = (item["start"], item["end"], item["rule"])
             if not (type(start) is int and type(end) is int and 0 <= start < end <= n_tokens):
                 raise ValueError(
-                    f"document {doc_id!r} sentence {sent_index}: cached option {key} "
+                    f"document {doc.id!r} sentence {sent_index}: cached option {key} "
                     f"is no span of the sentence's {n_tokens} tokens")
             if rule not in _RULES:
                 raise ValueError(
-                    f"document {doc_id!r} sentence {sent_index}: cached option {key} "
+                    f"document {doc.id!r} sentence {sent_index}: cached option {key} "
                     f"names an unknown rule")
             r_before, r_after = float(item["r_before"]), float(item["r_after"])
             label = CompressionLabel(item["label"])
             if label is not _label(r_before, r_after):
                 raise ValueError(
-                    f"document {doc_id!r} sentence {sent_index}: option {key} is labeled "
+                    f"document {doc.id!r} sentence {sent_index}: option {key} is labeled "
                     f"{label.value}, which disagrees with r_before={r_before}, r_after={r_after}")
             # an option is immutable, so one object serves every label of
             # an equal option in the file

@@ -19,6 +19,7 @@ EVAL_PREPROCESS (lowercasing only). Everything here is a pure function of
 """
 
 import csv
+import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -30,10 +31,10 @@ import numpy as np
 from .corpus import Document
 from .features import DocumentContext, featurize_option
 from .model import Model, classify_option, greedy_steps
-from .oracle import CompressionLabel, DocumentOracles
+from .oracle import CompressionLabel, DocumentOracles, scoreable_sentences
 from .rouge import PreprocessConfig, RougeScore, is_punctuation, preprocess_tokens, rouge_l, rouge_n
 from .rules import CompressionOption, RuleId, extract_options
-from .treebank import Span
+from .treebank import Span, surviving_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -409,15 +410,43 @@ def summary_to_record(summary: Summary) -> dict:
     }
 
 
-def summary_from_record(record: dict) -> Summary:
-    return Summary(
-        doc_id=record["doc_id"],
-        selected=tuple(record["selected"]),
-        deletions=tuple(
-            AppliedDeletion(d["sentence"], Span(d["start"], d["end"]),
-                            d["cause"], RuleId(d["rule"]), d["label"])
-            for d in record["deletions"]),
-        text=tuple(tuple(sent) for sent in record["text"]))
+def summary_from_record(record: dict, doc: Document) -> Summary:
+    """The summary a record holds, checked against its document: selected
+    holds distinct scoreable sentences; each deletion is in one of them, is
+    caused by MODEL or DEDUP, and has the span, rule and label of one of its
+    sentence's extract_options, from which it is built; text is the selected
+    sentences' words outside the deleted spans, in document order."""
+    selected = record["selected"]
+    n = scoreable_sentences(doc)
+    if (type(selected) is not list or any(type(i) is not int or not 0 <= i < n for i in selected)
+            or len(set(selected)) < len(selected)):
+        raise ValueError(f"document {doc.id!r}: selected {json.dumps(selected)} is not a list "
+                         f"of distinct indices among its {n} scoreable sentences")
+    options = {i: extract_options(doc.sentences[i]) for i in selected}
+    deletions = []
+    for d in record["deletions"]:
+        sentence, cause = d["sentence"], d["cause"]
+        if type(sentence) is not int or sentence not in options:
+            raise ValueError(f"document {doc.id!r}: deletion in sentence "
+                             f"{json.dumps(sentence)}, which is not selected")
+        if cause not in (CAUSE_MODEL, CAUSE_DEDUP):
+            raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion cause "
+                             f"{json.dumps(cause)} is neither {CAUSE_MODEL} nor {CAUSE_DEDUP}")
+        key = [d["start"], d["end"], d["rule"], d["label"]]
+        option = next((o for o in options[sentence]
+                       if [o.span.start, o.span.end, o.rule.value, o.node_label] == key), None)
+        if option is None:
+            raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
+                             f"{json.dumps(key)} is none of the sentence's options")
+        deletions.append(AppliedDeletion(sentence, option.span, cause, option.rule,
+                                         option.node_label))
+    text = [surviving_tokens(doc.sentences[i], [d.span for d in deletions if d.sentence == i])
+            for i in sorted(selected)]
+    if record["text"] != text:
+        raise ValueError(f"document {doc.id!r}: text is not the selected sentences' words "
+                         f"outside the deleted spans")
+    return Summary(doc_id=doc.id, selected=tuple(selected), deletions=tuple(deletions),
+                   text=tuple(map(tuple, text)))
 
 
 def write_evaluation_csv(path, result: EvaluationResult) -> None:

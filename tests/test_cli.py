@@ -27,6 +27,7 @@ from compsum.corpus import load_corpus, write_corpus
 from compsum.model import TrainConfig, init_model, load_model, save_model
 from compsum.oracle import OracleConfig, document_fingerprint
 from compsum.pipeline import SummarizeConfig
+from compsum.rules import RuleId
 
 
 @pytest.fixture(scope="module")
@@ -293,20 +294,156 @@ def test_rejected_value_is_named_by_its_flag(corpus_path, oracles_path, tmp_path
     assert not out.exists()
 
 
+def _first_sentence_summary(doc: Document) -> str:
+    """A summaries line for doc that selects its first sentence and deletes nothing."""
+    return json.dumps({"doc_id": doc.id, "selected": [0], "deletions": [],
+                       "text": [list(doc.sentences[0].tokens)]})
+
+
 @pytest.mark.parametrize("lines, expected", [
     (["{not json"], ":1: malformed JSON"),
-    (['{"doc_id": "a", "selected": [0], "deletions": [], "text": [["w"]]}', "",
-      '{"doc_id": "b", "deletions": [], "text": []}'], ":3: missing key 'selected'"),
+    ([_first_sentence_summary, "", '{"doc_id": "doc0001", "deletions": [], "text": []}'],
+     ":3: missing key 'selected'"),
     (["[1]"], ":1: record is not a JSON object"),
 ])
 def test_bad_summaries_record_names_file_and_line(corpus_path, tmp_path, capsys,
                                                   lines, expected):
+    # a function in lines stands for its line for the corpus's first document
+    first = next(load_corpus(corpus_path))
     summaries = tmp_path / "summaries.jsonl"
-    summaries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    summaries.write_text("\n".join(line(first) if callable(line) else line
+                                   for line in lines) + "\n", encoding="utf-8")
     code = main(["stats", "--corpus", str(corpus_path), "--summaries", str(summaries),
                  "--out", str(tmp_path / "stats.csv")])
     assert code == 1
     assert _structured_error(capsys).startswith(f"{summaries}{expected}")
+
+
+RERUN = "the summaries are stale; rerun `compsum summarize`"
+
+
+def _summarized(tmp_path: Path, docs, *flags: str) -> dict:
+    """Files of docs summarized by an untrained model; the corpus file holds docs."""
+    files = {name: tmp_path / name for name in
+             ("corpus.jsonl", "model.json", "summaries.jsonl", "stats.csv")}
+    write_corpus(files["corpus.jsonl"], docs)
+    save_model(init_model(hidden_size=4, seed=0), files["model.json"])
+    assert main(["summarize", "--corpus", str(files["corpus.jsonl"]),
+                 "--model", str(files["model.json"]), "--out", str(files["summaries.jsonl"]),
+                 "--k", "2", *flags]) == 0
+    return files
+
+
+def _stats_error(files: dict, capsys) -> str:
+    capsys.readouterr()
+    assert main(["stats", "--corpus", str(files["corpus.jsonl"]),
+                 "--summaries", str(files["summaries.jsonl"]),
+                 "--out", str(files["stats.csv"])]) == 1
+    assert not files["stats.csv"].exists()
+    return _structured_error(capsys)
+
+
+def _swap_lines(path: Path, i: int, j: int) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[i], lines[j] = lines[j], lines[i]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["first-two-of-six", "two-swapped", "one-past-the-end"])
+def test_summaries_out_of_corpus_order_are_located_error(tmp_path, capsys, case):
+    # stats --summaries once joined nothing to the corpus and exited 0 on each
+    docs, _ = corpusgen.learnable_corpus(count=6, seed=3)
+    summarized = docs[:2] if case == "first-two-of-six" else docs
+    files = _summarized(tmp_path, summarized)
+    path = files["summaries.jsonl"]
+    if case == "first-two-of-six":
+        write_corpus(files["corpus.jsonl"], docs)
+        expected = f"{path}: no record of document {docs[2].id!r} or the documents after it"
+    elif case == "two-swapped":
+        _swap_lines(path, 1, 2)
+        expected = (f"{path}:2: record of document {docs[2].id!r} where the corpus has "
+                    f"document {docs[1].id!r}")
+    else:
+        write_corpus(files["corpus.jsonl"], docs[:5])
+        expected = (f"{path}:6: record of document {docs[5].id!r} where the corpus has "
+                    f"no document")
+    assert _stats_error(files, capsys) == f"{expected}: {RERUN}"
+
+
+def _first_deletion(record: dict) -> dict:
+    return record["deletions"][0]
+
+
+def _other_rule(deletion: dict) -> None:
+    deletion["rule"] = next(rule.value for rule in RuleId if rule.value != deletion["rule"])
+
+
+SUMMARY_RECORD_FAULTS = {
+    "selected-not-a-list": (lambda rec: rec.update(selected="x"),
+                            "selected \"x\" is not a list of distinct indices"),
+    "selected-twice": (lambda rec: rec.update(selected=rec["selected"][:1] * 2),
+                       "is not a list of distinct indices"),
+    "selected-past-the-end": (lambda rec: rec.update(selected=[1000]),
+                              "selected [1000] is not a list of distinct indices"),
+    "deletion-sentence-not-selected": (
+        lambda rec: _first_deletion(rec).update(sentence=1000000),
+        "deletion in sentence 1000000, which is not selected"),
+    "deletion-cause": (lambda rec: _first_deletion(rec).update(cause="x"),
+                       'deletion cause "x" is neither MODEL nor DEDUP'),
+    "deletion-label-null": (lambda rec: _first_deletion(rec).update(label=None),
+                            "is none of the sentence's options"),
+    "deletion-span-no-option": (lambda rec: _first_deletion(rec).update(start=0, end=10 ** 6),
+                                "is none of the sentence's options"),
+    "deletion-rule-of-another-option": (lambda rec: _other_rule(_first_deletion(rec)),
+                                        "is none of the sentence's options"),
+    "text": (lambda rec: rec["text"][0].append("extra"),
+             "text is not the selected sentences' words outside the deleted spans"),
+}
+
+
+@pytest.mark.parametrize("case", [*SUMMARY_RECORD_FAULTS, "another-corpus"])
+def test_summary_record_is_checked_against_its_document(tmp_path, capsys, case):
+    # stats once read every one of these records and exited 0
+    docs, _ = corpusgen.learnable_corpus(count=6, seed=3)
+    files = _summarized(tmp_path, docs, "--tau", "1.0", "--no-dedup")
+    path = files["summaries.jsonl"]
+    if case == "another-corpus":
+        other, _ = corpusgen.learnable_corpus(count=6, seed=99)
+        assert [doc.id for doc in other] == [doc.id for doc in docs]
+        (tmp_path / "other").mkdir()
+        files = {**_summarized(tmp_path / "other", other, "--tau", "1.0", "--no-dedup"),
+                 "corpus.jsonl": files["corpus.jsonl"]}
+        line, message = 1, "text is not the selected sentences' words"
+    else:
+        edit, message = SUMMARY_RECORD_FAULTS[case]
+        records = [json.loads(text) for text in path.read_text().splitlines()]
+        line = next(i for i, rec in enumerate(records, start=1) if rec["deletions"])
+        _edit_jsonl(path, line - 1, edit)
+    error = _stats_error(files, capsys)
+    assert error.startswith(f"{files['summaries.jsonl']}:{line}: document ")
+    assert message in error
+
+
+@pytest.mark.parametrize("command", ["summarize", "oracle build"])
+def test_failed_command_leaves_no_partial_artifact(tmp_path, capsys, command):
+    # each once left an empty summaries file, or a cache of only its header
+    docs, _ = corpusgen.learnable_corpus(count=6, seed=3)
+    files = _summarized(tmp_path, docs)
+    out = tmp_path / "out.jsonl"
+    argv = [*command.split(), "--corpus", str(files["corpus.jsonl"]), "--out", str(out),
+            "--k", "7"]
+    if command == "summarize":
+        argv += ["--model", str(files["model.json"])]
+    expected = f"document {docs[0].id!r} has 6 scoreable sentences but k=7"
+    for before in (None, b"kept\n"):
+        if before is not None:
+            out.write_bytes(before)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert _structured_error(capsys) == expected
+        assert (out.read_bytes() if out.exists() else None) == before
+        assert sorted(path.name for path in tmp_path.iterdir() if "out" in path.name) == (
+            [] if before is None else ["out.jsonl"])
 
 
 def test_missing_corpus_is_structured_error(tmp_path, capsys):

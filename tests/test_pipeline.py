@@ -82,6 +82,16 @@ class TestLoadCorpus:
         assert write_corpus(path, docs) == len(docs)
         assert list(load_corpus(path)) == docs
 
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        docs = corpusgen.fixture_corpus()[:2]
+        real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        real.write_text("old\n", encoding="utf-8")
+        link.symlink_to(real)
+        assert write_corpus(link, docs) == len(docs)
+        assert link.is_symlink()
+        assert list(load_corpus(real)) == docs
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
@@ -403,7 +413,7 @@ class TestSummarize:
     def test_record_roundtrip(self):
         model, docs = trained_model()
         summary = summarize(model, docs[2], SummarizeConfig(k=2, tau=0.8))
-        assert summary_from_record(summary_to_record(summary)) == summary
+        assert summary_from_record(summary_to_record(summary), docs[2]) == summary
 
     def test_threshold_monotone_nesting(self):
         model, docs = trained_model()
