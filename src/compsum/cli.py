@@ -19,7 +19,7 @@ from . import model as model_mod
 from . import oracle as oracle_mod
 from . import pipeline
 from .corpus import load_corpus, read_records, write_records
-from .model import DEFAULT_HIDDEN_SIZE, TrainConfig
+from .model import CONFIG_JSON_TYPES, DEFAULT_HIDDEN_SIZE, TrainConfig
 from .oracle import OracleConfig
 from .pipeline import SummarizeConfig
 from .rules import extract_options, option_record
@@ -290,11 +290,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     return parser, leaves
 
 
-# The JSON types a config value may have, by the type of value its flag takes
-_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                 str: ((str,), "a string"), bool: ((bool,), "true or false")}
-
-
 def _apply_config(path, parsers) -> str | None:
     """Make a config file's values the defaults of the parsers that have their
     flags; returns the error when the file is rejected.
@@ -318,7 +313,7 @@ def _apply_config(path, parsers) -> str | None:
     for parser, action in actions:
         value = defaults[action.dest]
         kind = bool if action.nargs == 0 else action.type or str
-        allowed, name = _CONFIG_TYPES[kind]
+        allowed, name = CONFIG_JSON_TYPES[kind]
         if type(value) not in allowed:
             return (f"config {path}: key {action.dest!r} holds {json.dumps(value)}, but "
                     f"{max(action.option_strings, key=len)} takes {name}")

@@ -8,7 +8,8 @@ an id, when sentences is not a list of objects that each have a parse and
 tokens, when a parse is not a string or does not parse, when a token list
 or a reference sentence is not a list of strings, or when a token list
 disagrees with its parse leaves (after bracket unescaping); remaining
-records still load.
+records still load. A parse is only checked here, as parse_ptb would
+check it; its tree is built when a command first reads it.
 
 Every JSONL file is written by write_records, so a command that fails
 leaves no partial file. read_records reads an artifact of the corpus (the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .treebank import BRACKET_ESCAPE, BRACKET_UNESCAPE, ParseError, SentenceTree, parse_ptb, to_ptb
+from .treebank import BRACKET_ESCAPE, BRACKET_UNESCAPE, ParseError, SentenceTree
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +44,8 @@ class Document:
         return [tok for sent in self.reference for tok in sent]
 
 
-def _unescape(tokens: Iterable[str]) -> tuple[str, ...]:
-    return tuple(BRACKET_UNESCAPE.get(tok, tok) for tok in tokens)
+def _unescape(tokens: list[str]) -> tuple[str, ...]:
+    return tuple(map(BRACKET_UNESCAPE.get, tokens, tokens))
 
 
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -95,7 +96,7 @@ def document_from_record(record: dict) -> Document:
         if not isinstance(parse, str):
             raise ValueError(f"sentence {i}: parse is not a string")
         try:
-            tree = parse_ptb(parse)
+            tree = SentenceTree.from_ptb(parse)
         except ParseError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
         tokens = _unescape(_strings(sent["tokens"], f"sentence {i}: tokens"))
@@ -120,6 +121,9 @@ def _strings(value, what: str) -> list[str]:
 def document_to_record(doc: Document) -> dict:
     """Inverse of document_from_record; escapes bracket tokens on the way out.
 
+    Each parse is written as the sentence holds it (see SentenceTree.parse),
+    so a document read back has the same fingerprint (oracle.document_fingerprint).
+
     A token or reference word that is itself a bracket code (say "-LRB-")
     would be read back unescaped, so it is a ValueError.
     """
@@ -132,7 +136,7 @@ def document_to_record(doc: Document) -> dict:
         "id": doc.id,
         "sentences": [
             {"tokens": [BRACKET_ESCAPE.get(t, t) for t in tree.tokens],
-             "parse": to_ptb(tree)}
+             "parse": tree.parse}
             for tree in doc.sentences
         ],
         "reference": [[BRACKET_ESCAPE.get(t, t) for t in sent] for sent in doc.reference],

@@ -15,7 +15,7 @@ oracle.DocumentOracles, as oracle building or the cache reader returns it.
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -101,6 +101,12 @@ def save_model(model: Model, path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+# The JSON types a config value may have, by the Python type of the value:
+# a TrainConfig field in a model file, or a flag's default in a config file
+CONFIG_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                     str: ((str,), "a string"), bool: ((bool,), "true or false")}
+
+
 def load_model(path) -> Model:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -128,11 +134,39 @@ def load_model(path) -> Model:
             if not np.isfinite(arr).all():
                 raise ModelFormatError(f"parameter {name} holds a non-finite weight")
             params[name] = arr
-    except (KeyError, TypeError, ValueError) as exc:
+        _check_train_config(payload["train_config"])
+    except KeyError as exc:
+        raise ModelFormatError(f"corrupt model file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    return Model(hidden_size=hidden, params=params, train_config=payload.get("train_config"))
+    return Model(hidden_size=hidden, params=params, train_config=payload["train_config"])
+
+
+def _check_train_config(config) -> None:
+    """A ValueError unless config is null or an object of exactly
+    TrainConfig's fields, each of its JSON type and a value TrainConfig
+    accepts."""
+    if config is None:
+        return
+    if not isinstance(config, dict):
+        raise ValueError(f"train_config: {json.dumps(config)} is not null or an object")
+    defaults = {field.name: field.default for field in fields(TrainConfig)}
+    unknown = sorted(config.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"train_config: unknown key(s) {', '.join(map(repr, unknown))}")
+    for name, default in defaults.items():
+        if name not in config:
+            raise ValueError(f"train_config: missing key {name!r}")
+        allowed, kind = CONFIG_JSON_TYPES[type(default)]
+        if type(config[name]) not in allowed:
+            raise ValueError(f"train_config: key {name!r} holds {json.dumps(config[name])}, "
+                             f"not {kind}")
+    try:
+        TrainConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"train_config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

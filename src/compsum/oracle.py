@@ -35,9 +35,11 @@ to corpus document i and builds the options from those fields without
 running the rules; a cache of another version, rules version or
 preprocessing, with a record out of corpus order or short of the corpus's
 end, or with a document whose fingerprint changed, is stale and is
-rejected with the command that rebuilds it. A DocumentOracles checks
-itself: it holds at least one oracle, each of distinct scoreable
-sentences, and one label tuple per sentence.
+rejected with the command that rebuilds it. The fingerprint hashes each
+parse as the corpus stores it, so reading a cache builds no tree, and a
+corpus edited only in a parse's whitespace also makes its cache stale. A
+DocumentOracles checks itself: it holds at least one oracle, each of
+distinct scoreable sentences, and one label tuple per sentence.
 """
 
 import enum
@@ -58,7 +60,7 @@ from .rouge import (
     preprocess_tokens,
 )
 from .rules import RULES_VERSION, CompressionOption, RuleId, extract_options
-from .treebank import SentenceTree, Span, to_ptb
+from .treebank import SentenceTree, Span
 
 logger = logging.getLogger(__name__)
 
@@ -303,11 +305,13 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
 
 def document_fingerprint(doc: Document) -> str:
     """SHA-256 of what a document's oracles and labels are built from: the
-    bracketed parse of each sentence, then the reference words, each as JSON."""
+    bracketed parse of each sentence as stored, then the reference words,
+    each as JSON. A parse is hashed as written, so even a whitespace edit of
+    the corpus makes its cache stale; equal parses are equal trees."""
     # fed piece by piece: one string of the whole document raised peak RSS
     digest = hashlib.sha256()
     for tree in doc.sentences:
-        digest.update(json.dumps(to_ptb(tree)).encode("utf-8"))
+        digest.update(json.dumps(tree.parse).encode("utf-8"))
     digest.update(json.dumps(doc.reference_tokens).encode("utf-8"))
     return digest.hexdigest()
 

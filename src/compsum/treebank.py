@@ -1,15 +1,22 @@
 """Bracketed constituency trees: parsing, token spans, surviving tokens.
 
-Trees arrive as standard bracketed strings, one per sentence. `parse_ptb`
-reads one in a single left-to-right pass over its lexemes and builds each
-node as its bracket closes; the character offset of a fault is worked out
-only when a ParseError is raised. Nodes are immutable tuples, equal and
-hashed by value. Every node caches its half-open token span; a sentence's
-words are a plain tuple of strings, and bracket words are stored unescaped
-("(" rather than "-LRB-"); escaping happens only
-when a tree is serialized back to bracketed form. Traversal (`iter_nodes`,
-`leaves`) and serialization (`to_ptb`) keep their own stack, so no tree
-depth reaches the interpreter's recursion limit.
+Trees arrive as standard bracketed strings, one per sentence. Reading one
+is two passes over its lexemes: `_scan` makes every check and returns the
+words, and `_build` makes the nodes of a text `_scan` accepted, each as its
+bracket closes; `parse_ptb` is the one followed by the other. The character
+offset of a fault is worked out only when a ParseError is raised.
+
+A SentenceTree holds the bracketed string and the words; its tree is built
+on first use. `SentenceTree.from_ptb` only checks the string, so a command
+that never reads a sentence's `root` (training reads words only, decoding
+the trees of the selected sentences only) never builds it.
+
+Nodes are immutable tuples, equal and hashed by value. Every node caches
+its half-open token span; a sentence's words are a plain tuple of strings,
+and bracket words are stored unescaped ("(" rather than "-LRB-"); escaping
+happens only when a tree is serialized back to bracketed form. Traversal
+(`iter_nodes`, `leaves`) and serialization (`to_ptb`) keep their own stack,
+so no tree depth reaches the interpreter's recursion limit.
 """
 
 import re
@@ -26,6 +33,8 @@ BRACKET_UNESCAPE = {
 }
 BRACKET_ESCAPE = {text: code for code, text in BRACKET_UNESCAPE.items()}
 
+# The lexemes as a regular expression; used only to locate a fault, since
+# _lex gives the same lexemes faster.
 _LEX = re.compile(r"\(|\)|[^()\s]+")
 
 # Deepest bracket nesting accepted; real parses stay far below it.
@@ -33,6 +42,8 @@ MAX_DEPTH = 200
 
 # Builds a node without its public constructor's checks, for the parser.
 _new = tuple.__new__
+# Sets a field of an immutable SentenceTree.
+_set = object.__setattr__
 
 
 class ParseError(ValueError):
@@ -97,9 +108,58 @@ class TreeNode(NamedTuple):
         return [node for node in self.iter_nodes() if not node.children]
 
 
-class SentenceTree(NamedTuple):
-    root: TreeNode
-    tokens: tuple[str, ...]     # leaf i's word is tokens[i]
+class SentenceTree:
+    """One sentence: its bracketed parse, its words and the tree of the parse.
+
+    `parse` is the bracketed string as read, or `to_ptb` of a tree built
+    from nodes; leaf i's word is tokens[i]. `root` is built from `parse` (by
+    parse_ptb) on first access and then kept, so a command that reads only
+    the words builds no tree. Immutable; equal and hashed by (root, tokens).
+    """
+
+    __slots__ = ("parse", "tokens", "_root")
+
+    def __init__(self, root: TreeNode, tokens: tuple[str, ...]):
+        _set(self, "_root", root)
+        _set(self, "tokens", tokens)
+        _set(self, "parse", to_ptb(self))
+
+    @classmethod
+    def from_ptb(cls, text: str) -> "SentenceTree":
+        """The sentence of one bracketed tree, with its root not yet built.
+
+        The text is checked as parse_ptb checks it: the same text raises the
+        same ParseError, and the tokens are those parse_ptb would give.
+        """
+        return _made(text, _scan(text, _lex(text)), None)
+
+    @property
+    def root(self) -> TreeNode:
+        root = self._root
+        if root is None:
+            root = parse_ptb(self.parse).root
+            _set(self, "_root", root)
+        return root
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SentenceTree is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SentenceTree is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SentenceTree):
+            return NotImplemented
+        return self.tokens == other.tokens and self.root == other.root
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.tokens))
+
+    def __reduce__(self):
+        return _made, (self.parse, self.tokens, self._root)
+
+    def __repr__(self) -> str:
+        return f"SentenceTree(parse={self.parse!r}, tokens={self.tokens!r})"
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -108,6 +168,21 @@ class SentenceTree(NamedTuple):
     def token_texts(self) -> tuple[str, ...]:
         """The words themselves; an alias of `tokens`."""
         return self.tokens
+
+
+def _made(parse: str, tokens: tuple[str, ...], root: TreeNode | None) -> SentenceTree:
+    """A SentenceTree of checked fields; root None is built on first access."""
+    tree = object.__new__(SentenceTree)
+    _set(tree, "parse", parse)
+    _set(tree, "tokens", tokens)
+    _set(tree, "_root", root)
+    return tree
+
+
+def _lex(text: str) -> list[str]:
+    """The lexemes of a bracketed string: "(", ")" and each run of other
+    non-whitespace characters; the list _LEX.findall gives, made faster."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def parse_ptb(text: str) -> SentenceTree:
@@ -121,16 +196,22 @@ def parse_ptb(text: str) -> SentenceTree:
     unlabeled internal node, only once the whole tree is well formed, at
     the first such node in pre-order.
     """
-    lexemes = _LEX.findall(text)
+    lexemes = _lex(text)
+    return _build(text, lexemes, _scan(text, lexemes))
+
+
+def _scan(text: str, lexemes: list[str]) -> tuple[str, ...]:
+    """Check that the lexemes of text are one well-formed tree and return its
+    words, unescaped. This is the one place a ParseError is raised for a
+    fault of the tree; it counts children rather than building nodes."""
     n = len(lexemes)
     if not n:
         raise ParseError("empty input", 0)
     if lexemes[0] != "(":
         raise _located("expected '('", text, 0)
-    tokens: list[str] = []
-    top: list[TreeNode] = []
-    kids = top              # children of the innermost open node
-    open_nodes = []         # (parent's kids, label, first token, lexeme index)
+    words: list[str] = []
+    kids = 0                # children of the innermost open node so far
+    open_nodes = []         # (parent's children so far, lexeme index) per open node
     depth = 0
     first_unlabeled = -1    # lexeme index of the first unlabeled node below the root
     unescape = BRACKET_UNESCAPE.get
@@ -147,9 +228,8 @@ def parse_ptb(text: str) -> SentenceTree:
                 word = lexemes[i + 2]
                 if label != "(" and label != ")" and word != "(" and word != ")":
                     # the common leaf "(TAG word)"
-                    index = len(tokens)
-                    tokens.append(unescape(word, word))
-                    kids.append(_new(TreeNode, (label, (), _new(Span, (index, index + 1)))))
+                    words.append(unescape(word, word))
+                    kids += 1
                     i += 4
                     if not depth:
                         break
@@ -157,26 +237,24 @@ def parse_ptb(text: str) -> SentenceTree:
             if i + 1 >= n:
                 raise ParseError("unbalanced parentheses", len(text))
             label = lexemes[i + 1]
+            open_nodes.append((kids, i))
             if label == "(" or label == ")":
                 if depth and first_unlabeled < 0:
                     first_unlabeled = i
-                open_nodes.append((kids, "", len(tokens), i))
                 i += 1
             else:
-                open_nodes.append((kids, label, len(tokens), i))
                 i += 2
-            kids = []
+            kids = 0
             depth += 1
         elif lexeme == ")":
-            parent, label, start, opened = open_nodes.pop()
+            parent_kids, opened = open_nodes.pop()
             if not kids:
                 raise _located("node with no children", text, opened)
-            parent.append(_new(TreeNode, (label, tuple(kids), _new(Span, (start, len(tokens))))))
-            kids = parent
             depth -= 1
             i += 1
             if not depth:
-                break
+                break           # kids is the root's child count
+            kids = parent_kids + 1
         elif kids:
             raise _located("mixed token and subtree content", text, i)
         elif i + 1 >= n:
@@ -187,14 +265,52 @@ def parse_ptb(text: str) -> SentenceTree:
             raise _located("mixed token and subtree content", text, i + 1)
     if i < n:
         raise _located("trailing content after tree", text, i)
-    root = top[0]
-    if not root.label:
-        if len(root.children) != 1:
-            raise _located("unlabeled internal node", text, 0)
-        root = root.children[0]
+    if (lexemes[1] == "(" or lexemes[1] == ")") and kids != 1:
+        raise _located("unlabeled internal node", text, 0)
     if first_unlabeled >= 0:
         raise _located("unlabeled internal node", text, first_unlabeled)
-    return _new(SentenceTree, (root, tuple(tokens)))
+    return tuple(words)
+
+
+def _build(text: str, lexemes: list[str], words: tuple[str, ...]) -> SentenceTree:
+    """The tree of lexemes that _scan accepted, with the words it returned.
+
+    Checks nothing: in an accepted tree every node opens with "(" followed by
+    a label or (unlabeled) by "(", and a label followed by a word is a leaf.
+    Each node is built as its bracket closes.
+    """
+    top: list[TreeNode] = []
+    kids = top              # children of the innermost open node
+    open_nodes = []         # (parent's kids, label, first token) per open node
+    index = 0               # words placed so far
+    i = 0
+    while True:
+        if lexemes[i] == ")":
+            parent, label, start = open_nodes.pop()
+            parent.append(_new(TreeNode, (label, tuple(kids), _new(Span, (start, index)))))
+            kids = parent
+            i += 1
+        else:
+            label = lexemes[i + 1]
+            if label == "(":
+                open_nodes.append((kids, "", index))
+                kids = []
+                i += 1
+                continue
+            if lexemes[i + 2] == "(":
+                open_nodes.append((kids, label, index))
+                kids = []
+                i += 2
+                continue
+            kids.append(_new(TreeNode, (label, (), _new(Span, (index, index + 1)))))
+            index += 1
+            i += 4
+        if not open_nodes:
+            break
+    root = top[0]
+    if not root.label:
+        root = root.children[0]
+    return _made(text, words, root)
 
 
 def _located(message: str, text: str, index: int) -> ParseError:

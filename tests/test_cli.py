@@ -4,7 +4,7 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +455,45 @@ def test_missing_corpus_is_structured_error(tmp_path, capsys):
     assert "error" in payload and payload["command"] == "options"
 
 
+# edits of a model file written by save_model, and the error after its path
+MALFORMED_MODELS = {
+    "config-not-an-object": (lambda p: p.update(train_config=5),
+                             "train_config: 5 is not null or an object"),
+    "config-value-mistyped": (lambda p: p["train_config"].update(alpha="nonsense"),
+                              "train_config: key 'alpha' holds \"nonsense\", not a number"),
+    "config-bool-for-integer": (lambda p: p["train_config"].update(epochs=True),
+                                "train_config: key 'epochs' holds true, not an integer"),
+    "config-key-missing": (lambda p: p["train_config"].pop("seed"),
+                           "train_config: missing key 'seed'"),
+    "config-key-unknown": (lambda p: p["train_config"].update(max_sents=30),
+                           "train_config: unknown key(s) 'max_sents'"),
+    "config-value-rejected": (lambda p: p["train_config"].update(alpha=-1),
+                              "train_config: alpha=-1 must be >= 0"),
+    "no-weights": (lambda p: p.pop("weights"), "missing key 'weights'"),
+    "no-train-config": (lambda p: p.pop("train_config"), "missing key 'train_config'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+def test_malformed_model_file_is_located_error(corpus_path, tmp_path, capsys, case):
+    # every config case once loaded and summarized with exit 0, and a file
+    # without weights failed with the bare KeyError text "'weights'"
+    edit, expected = MALFORMED_MODELS[case]
+    model = init_model(seed=0)
+    model.train_config = asdict(TrainConfig())
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["summarize", "--corpus", str(corpus_path), "--model", str(path),
+                 "--out", str(tmp_path / "summaries.jsonl")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == f"corrupt model file {path}: {expected}"
+
+
 def test_bad_tau_grid_is_error(corpus_path, tmp_path, capsys):
     model_file = tmp_path / "model.json"
     oracles = tmp_path / "oracles.jsonl"
@@ -690,6 +729,11 @@ def _flat_parse(record: dict) -> None:
     sentence["parse"] = "(S " + " ".join(f"(NN {tok})" for tok in sentence["tokens"]) + ")"
 
 
+def _respaced_parse(record: dict) -> None:
+    sentence = record["sentences"][0]
+    sentence["parse"] = sentence["parse"].replace(" (", "  (", 1)
+
+
 def _first_label(record: dict) -> dict:
     return next(item for sent in record["labels"] for item in sent)
 
@@ -710,6 +754,8 @@ STALE_CACHES = {
     "changed-reference": ("corpus", 1, lambda rec: rec.update(
         reference=[["completely", "different", "words"]]), 3, "fingerprint"),
     "reparsed": ("corpus", 0, _flat_parse, 2, "fingerprint"),
+    # the same tree: the fingerprint hashes each parse as stored
+    "respaced-parse": ("corpus", 0, _respaced_parse, 2, "fingerprint"),
     "v1-headerless": ("oracles", None, None, 1,
                       "oracle cache has no header, so it is of format version 1; this version "
                       f"reads version 2: {REBUILD}"),

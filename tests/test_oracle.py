@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import corpusgen
 from compsum import Document, parse_ptb
 from compsum import oracle as oracle_mod
+from compsum.corpus import document_from_record, document_to_record
 from compsum.oracle import (
     MAX_SENTS,
     CompressabilityBucket,
@@ -386,6 +387,19 @@ class TestCache:
         # oracles and labels see the reference as one word list
         resplit = replace(doc, reference=tuple((tok,) for tok in doc.reference_tokens))
         assert document_fingerprint(resplit) == fingerprints[0]
+
+    def test_fingerprint_hashes_each_parse_as_stored(self):
+        doc = corpusgen.fixture_corpus()[0]
+        source = doc.sentences[0].parse
+        respaced = replace(doc, sentences=(parse_ptb(source.replace(" (", "  (", 1)),
+                                           *doc.sentences[1:]))
+        # the same tree from another string: a cache of one is stale for the other
+        assert respaced.sentences == doc.sentences
+        assert document_fingerprint(respaced) != document_fingerprint(doc)
+        # a corpus written and read back keeps each parse, so its fingerprints
+        for original in (doc, respaced):
+            loaded = document_from_record(document_to_record(original))
+            assert document_fingerprint(loaded) == document_fingerprint(original)
 
     def test_stale_cache_rejected(self, tmp_path):
         docs = corpusgen.fixture_corpus()

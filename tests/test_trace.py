@@ -9,6 +9,7 @@ interpreter because it patches the imported modules in place.
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +96,48 @@ print(json.dumps({"codes": codes, "built": built, "calls": tracer.calls}))
 """
 
 
+# Runs the command chain and records, per command, the bracketed strings whose
+# tree was built (through the one binding SentenceTree.root calls) and the
+# count of treebank.parse spans.
+TRACED_COMMANDS = """
+import json, sys
+from collections import Counter
+sys.path[:0] = sys.argv[1:4]
+import spans
+import compsum.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+import corpusgen
+import compsum.treebank as treebank
+from compsum.corpus import write_corpus
+corpus, oracles, model, summaries = sys.argv[4:8]
+write_corpus(corpus, corpusgen.learnable_corpus(count=4, seed=3)[0])
+texts = Counter()
+traced_parse = treebank.parse_ptb
+def counted_parse(text):
+    texts[text] += 1
+    return traced_parse(text)
+treebank.parse_ptb = counted_parse
+data = ["--corpus", corpus, "--oracles", oracles]
+decode = ["--corpus", corpus, "--model", model, "--k", "2"]
+commands = {
+    "oracle build": ["oracle", "build", "--corpus", corpus, "--out", oracles, "--k", "2"],
+    "train": ["train", *data, "--out", model, "--epochs", "1"],
+    "gradcheck": ["gradcheck", *data, "--samples", "1", "--hidden", "2"],
+    "summarize": ["summarize", *decode, "--out", summaries],
+    "evaluate": ["evaluate", *decode],
+}
+codes, built, parse_spans = [], {}, {}
+for name, argv in commands.items():
+    texts.clear()
+    before = tracer.calls["treebank.parse"]
+    codes.append(compsum.cli.main(argv))
+    built[name] = dict(texts)
+    parse_spans[name] = tracer.calls["treebank.parse"] - before
+print(json.dumps({"codes": codes, "built": built, "spans": parse_spans}))
+"""
+
+
 def test_traced_train_and_gradcheck_run_no_rules(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_TRAIN,
@@ -127,7 +170,8 @@ def test_traced_sweep_renders_and_scores_each_distinct_summary_once():
     assert calls["rouge.preprocess"] == docs + result["texts"]
 
 
-def test_traced_load_parses_each_sentence_once(tmp_path):
+def test_traced_load_builds_no_tree(tmp_path):
+    # loading once built every sentence's tree; it now only checks each parse
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_LOAD,
          str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"),
@@ -138,7 +182,34 @@ def test_traced_load_parses_each_sentence_once(tmp_path):
     assert result["docs"] == 6
     assert result["calls"]["corpus.load"] == 1
     assert result["counts"]["corpus.docs_loaded"] == 6
-    assert result["calls"]["treebank.parse"] == result["sentences"] > 6
+    assert result["sentences"] > 6
+    assert "treebank.parse" not in result["calls"]
+
+
+def test_traced_commands_build_only_the_trees_they_read(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_COMMANDS,
+         str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"),
+         *(str(tmp_path / name) for name in
+           ("corpus.jsonl", "oracles.jsonl", "model.json", "summaries.jsonl"))],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    built = result["built"]
+    assert result["codes"] == [0] * len(built)
+    corpus = [json.loads(line) for line in (tmp_path / "corpus.jsonl").open()]
+    parses = [sent["parse"] for record in corpus for sent in record["sentences"]]
+    # oracle build reads every sentence's options: each tree once, none twice
+    assert built["oracle build"] == dict(Counter(parses))
+    # training and the gradient check read words only
+    assert built["train"] == built["gradcheck"] == {}
+    # decoding reads the options of the selected sentences only
+    summaries = [json.loads(line) for line in (tmp_path / "summaries.jsonl").open()]
+    selected = Counter(corpus[i]["sentences"][j]["parse"]
+                       for i, summary in enumerate(summaries) for j in summary["selected"])
+    assert sum(selected.values()) == 2 * len(corpus)
+    assert built["summarize"] == built["evaluate"] == dict(selected)
+    assert result["spans"] == {command: sum(texts.values()) for command, texts in built.items()}
 
 
 def test_spans_install_and_trace_each_decode_step():

@@ -1,5 +1,9 @@
 """Treebank parsing, spans, and surviving tokens."""
 
+import copy
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +12,11 @@ import reference_treebank
 from conftest import startup_recursion_limit
 from corpusgen import deep_chain
 from compsum import Document
-from compsum.corpus import document_to_record
+from compsum.corpus import document_from_record, document_to_record
 from compsum.treebank import (
+    _LEX,
+    _lex,
+    BRACKET_ESCAPE,
     MAX_DEPTH,
     ParseError,
     PartialOverlapError,
@@ -46,10 +53,31 @@ def _outcome(parse, text):
         return str(exc), exc.offset
 
 
+def _loaded(text):
+    """The sentence of a corpus record whose one parse is text, loaded as a
+    command loads it, with its tree built afterwards."""
+    try:
+        expected = reference_treebank.parse_ptb(text).tokens
+    except ParseError:
+        expected = ()
+    record = {"id": "d", "sentences": [
+        {"parse": text, "tokens": [BRACKET_ESCAPE.get(tok, tok) for tok in expected]}]}
+    try:
+        (sentence,) = document_from_record(record).sentences
+    except ValueError as exc:
+        assert isinstance(exc.__cause__, ParseError), exc
+        raise exc.__cause__
+    assert sentence.parse == text and sentence.tokens == expected
+    return sentence
+
+
 def _check_against_reference(text):
+    expected = _outcome(reference_treebank.parse_ptb, text)
     with startup_recursion_limit():
-        outcome = _outcome(parse_ptb, text)
-    assert outcome == _outcome(reference_treebank.parse_ptb, text)
+        assert _outcome(parse_ptb, text) == expected
+        # a load rejects what the reference rejects, with its message and
+        # offset, and the tree it builds later is the reference's tree
+        assert _outcome(_loaded, text) == expected
 
 
 @st.composite
@@ -63,6 +91,22 @@ def _trees(draw, depth=0):
     label = draw(st.sampled_from(["S", "NP", ""]))
     kids = draw(st.lists(_trees(depth + 1), min_size=1, max_size=3))
     return f"({label}{space}" + " ".join(kids) + ")"
+
+
+class TestLex:
+    def test_split_lexer_matches_regex_lexer_at_each_space_and_bracket(self):
+        # every character the regular expression or str.split takes for whitespace
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace() or re.match(r"\s", c)]
+        assert " " in spaces and "\x1c" in spaces and "\u3000" in spaces
+        for c in [*spaces, "(", ")"]:
+            for text in (f"w{c}w", f"(X{c}w{c})", f"{c}{c}(w{c}", c):
+                assert _lex(text) == _LEX.findall(text), repr(c)
+
+    def test_split_lexer_matches_regex_lexer_over_every_code_point(self):
+        # adjacent, so a character the two lexers class differently would
+        # split or join a lexeme of one and not of the other
+        text = "".join(map(chr, range(0x110000)))
+        assert _lex(text) == _LEX.findall(text)
 
 
 class TestParse:
@@ -237,14 +281,35 @@ class TestNodes:
 
     def test_immutable(self):
         tree = parse_ptb(self.SOURCE)
-        for obj, field in [(tree, "root"), (tree, "tokens"), (tree.root, "label"),
-                           (tree.root.span, "start")]:
+        for obj, field in [(tree, "root"), (tree, "tokens"), (tree, "parse"),
+                           (tree.root, "label"), (tree.root.span, "start")]:
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)
         with pytest.raises(AttributeError):
             tree.root.extra = 1
         with pytest.raises(TypeError):
             tree.tokens[0] = "dog"
+
+    def test_tree_of_a_checked_string_is_built_on_first_use(self):
+        wrapped = f"( {self.SOURCE} )"
+        lazy = SentenceTree.from_ptb(wrapped)
+        assert (lazy.parse, lazy.tokens, len(lazy)) == (wrapped, ("the", "cat", "sat"), 3)
+        parsed = parse_ptb(self.SOURCE)
+        assert lazy == parsed and hash(lazy) == hash(parsed)
+        assert lazy.root is lazy.root
+        with pytest.raises(ParseError, match="unbalanced"):
+            SentenceTree.from_ptb(self.SOURCE[:-1])
+
+    @pytest.mark.parametrize("make", [SentenceTree.from_ptb, parse_ptb])
+    def test_copies_keep_parse_tokens_and_tree(self, make):
+        tree = make(f"(ROOT  {self.SOURCE})")
+        for copied in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+            assert (copied.parse, copied.tokens, copied) == (tree.parse, tree.tokens, tree)
+
+    def test_tree_built_from_nodes_holds_its_serialization(self):
+        parsed = parse_ptb(f"( {self.SOURCE} )")
+        built = SentenceTree(parsed.root, parsed.tokens)
+        assert built == parsed and built.parse == to_ptb(parsed) == self.SOURCE
 
     def test_span_order_length_and_repr(self):
         assert sorted([Span(2, 3), Span(0, 2), Span(0, 1)]) == [Span(0, 1), Span(0, 2), Span(2, 3)]
