@@ -167,11 +167,16 @@ def cmd_stats(args) -> int:
     oracles = None
     if args.oracles:
         oracles = oracle_mod.read_oracle_cache(args.oracles, docs)
+    # the rules run once per sentence, for the summaries' check and the report
+    options = [[extract_options(tree) for tree in doc.sentences] for doc in docs]
     summaries = None
     if args.summaries:
-        summaries = read_records(args.summaries, docs, pipeline.summary_from_record,
-                                 "the summaries are stale; rerun `compsum summarize`")
-    rows = pipeline.stats_report(docs, oracles, summaries)
+        by_id = {doc.id: doc_options for doc, doc_options in zip(docs, options)}
+        summaries = read_records(
+            args.summaries, docs,
+            lambda record, doc: pipeline.summary_from_record(record, doc, by_id[doc.id]),
+            "the summaries are stale; rerun `compsum summarize`")
+    rows = pipeline.stats_report(docs, oracles, summaries, options)
     pipeline.write_stats_csv(args.out, rows)
     print(f"{'node':8} {'len':>6} {'% comps':>8} {'comp acc':>9} {'dedup':>7}")
     for row in rows:

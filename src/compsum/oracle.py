@@ -8,17 +8,24 @@ deleted. A DocumentOracles holds the document with its oracles and labels:
 it is the one record of a document's supervision, built here or read back
 from a cache file, and what compsum.model trains on.
 
-Scores are computed from counts (rouge.ReferenceGrams). A document's
-reference is preprocessed once; a subset's score comes from its sentences'
-unigrams and bigrams that occur in the reference, so no candidate is
-re-tokenized or re-counted. A subset is scored as its sentences joined in
-document order, so a bigram that crosses a sentence boundary counts: the
+Scores are computed from counts (rouge.ReferenceGrams), by delta. A
+document's reference, and each of its sentences, is preprocessed once, for
+the beam and the labels alike. A subset is scored as its sentences joined
+in document order, so a bigram that crosses a sentence boundary counts: the
 last token of one selected sentence and the first token of the next,
-passing over sentences that preprocessing leaves empty. A label scores the
-sentence's per-token preprocessing with the option's span cut out. Every
-score is the float approx_score_pretokenized gives on the joined tokens.
-All text is preprocessed with the fixed rouge.ORACLE_PREPROCESS (lowercase,
-stopwords and punctuation dropped, stemmed).
+passing over sentences that preprocessing leaves empty. Each beam state
+keeps the counts of its shared unigrams and bigrams, their clipped match
+totals and its length; an extension by sentence i is scored from them
+without being counted: i's shared grams are added (a gram matches while
+its count is below the reference's), the bigram that joined i's nonempty
+neighbours goes and up to two joins to i come. Only the states a round
+keeps get counts of their own, their parent's plus that change. A label
+scores the sentence's counts less the option's span: the span's grams and
+the bigrams at its two ends go, the bigram across the cut comes. The match
+counts are the integers rouge_n computes, so every score is the float
+approx_score_pretokenized gives on the joined tokens. All text is
+preprocessed with the fixed rouge.ORACLE_PREPROCESS (lowercase, stopwords
+and punctuation dropped, stemmed).
 
 Only a document's first MAX_SENTS sentences can be selected, by the oracles
 here and by training and decoding in compsum.model alike;
@@ -47,9 +54,10 @@ import hashlib
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Document, read_records, write_records
 from .rouge import (
@@ -151,19 +159,86 @@ def _reference_grams(reference: Sequence[str] | ReferenceGrams) -> ReferenceGram
     return ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
 
 
-def _sentence_grams(doc: Document, n: int, grams: ReferenceGrams) -> list[SharedGrams]:
-    return [grams.shared(preprocess_tokens(tree.tokens, ORACLE_PREPROCESS))
-            for tree in doc.sentences[:n]]
+def _sentence_grams(doc: Document, n: int, grams: ReferenceGrams,
+                    per_token: Sequence[Sequence[str | None]] | None = None,
+                    ) -> list[SharedGrams]:
+    if per_token is None:
+        per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS)
+                     for tree in doc.sentences[:n]]
+    return [grams.shared([tok for tok in tokens if tok is not None])
+            for tokens in per_token[:n]]
 
 
 def _salience_order(indices: Iterable[int], individual: Sequence[float]) -> tuple[int, ...]:
     return tuple(sorted(indices, key=lambda i: (-individual[i], i)))
 
 
+def _match_change(counts: dict, ref_counts: Counter, change: dict, sign: int = 1) -> int:
+    """How many more clipped matches counts has once sign * change is added to it."""
+    total = 0
+    for gram, step in change.items():
+        count, ref = counts.get(gram, 0), ref_counts[gram]
+        after = count + sign * step
+        total += (after if after < ref else ref) - (count if count < ref else ref)
+    return total
+
+
+class _BeamState(NamedTuple):
+    """A sentence subset, with the counts of the shared grams of its
+    sentences' tokens joined in document order."""
+
+    indices: tuple[int, ...]   # sorted
+    joined: tuple[int, ...]    # those with tokens
+    unigrams: dict
+    bigrams: dict
+    unigram_matches: int
+    bigram_matches: int
+    length: int
+    score: float
+
+
+_EMPTY_STATE = _BeamState((), (), {}, {}, 0, 0, 0, 0.0)
+
+
+def _bigram_change(grams: ReferenceGrams, state: _BeamState, sents: Sequence[SharedGrams],
+                   i: int, before: int) -> dict:
+    """The shared bigrams that inserting sentence i after the first `before`
+    of state.joined adds (or, negative, removes): its own, and if it has
+    tokens, at the joins the one between its neighbours goes and one to
+    each comes."""
+    tokens = sents[i].tokens
+    if not tokens:
+        return sents[i].bigrams
+    joins = []
+    if before:
+        last = sents[state.joined[before - 1]].tokens[-1]
+        joins.append(((last, tokens[0]), 1))
+    if before < len(state.joined):
+        first = sents[state.joined[before]].tokens[0]
+        joins.append(((tokens[-1], first), 1))
+        if before:
+            joins.append(((last, first), -1))
+    change = None
+    for pair, step in joins:
+        if pair in grams.bigrams:
+            if change is None:
+                change = Counter(sents[i].bigrams)
+            change[pair] += step
+    return sents[i].bigrams if change is None else change
+
+
+def _add_counts(counts: dict, change: dict) -> dict:
+    out = dict(counts)
+    for gram, step in change.items():
+        out[gram] = out.get(gram, 0) + step
+    return out
+
+
 def beam_search_oracle(
     doc: Document,
     reference: Sequence[str] | ReferenceGrams,
     cfg: OracleConfig,
+    per_token: Sequence[Sequence[str | None]] | None = None,
 ) -> list[OracleCandidate]:
     """Final beam of scored k-subsets, best first.
 
@@ -171,30 +246,54 @@ def beam_search_oracle(
     among the first MAX_SENTS, scores the concatenation, and keeps the top
     beam_width states. Ties prefer the lexicographically smaller index set.
     `reference` is the reference's tokens, or their ReferenceGrams already
-    preprocessed with ORACLE_PREPROCESS.
+    preprocessed with ORACLE_PREPROCESS; `per_token`, when given, is
+    preprocess_per_token of each sentence with ORACLE_PREPROCESS.
+
+    An extension is scored from its state's counts changed by the one
+    sentence it adds; only the states kept get counts of their own.
     """
     n = scoreable_sentences(doc, cfg.k)
     grams = _reference_grams(reference)
-    sents = _sentence_grams(doc, n, grams)
-    individual = [grams.score_joined([sent]) for sent in sents]
-    beam: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    sents = _sentence_grams(doc, n, grams, per_token)
+    individual = [grams.score_counts(sent.unigram_matches, sent.bigram_matches,
+                                     len(sent.tokens)) for sent in sents]
+    beam = [_EMPTY_STATE]
     for _ in range(cfg.k):
         seen: set[tuple[int, ...]] = set()
-        scored: list[tuple[tuple[int, ...], float]] = []
-        for indices, _score in beam:
-            used = set(indices)
+        scored = []
+        for state in beam:
+            indices = state.indices
+            at = before = 0  # how many of indices, and of state.joined, precede i
             for i in range(n):
-                if i in used:
+                if at < len(indices) and indices[at] == i:
+                    at += 1
+                    before += bool(sents[i].tokens)
                     continue
-                extended = tuple(sorted((*indices, i)))
+                extended = (*indices[:at], i, *indices[at:])
                 if extended in seen:
                     continue
                 seen.add(extended)
-                scored.append((extended, grams.score_joined([sents[j] for j in extended])))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        beam = scored[:cfg.beam_width]
-    return [OracleCandidate(_salience_order(indices, individual), score)
-            for indices, score in beam]
+                sent = sents[i]
+                bigrams = _bigram_change(grams, state, sents, i, before)
+                unigram_matches = state.unigram_matches + _match_change(
+                    state.unigrams, grams.unigrams, sent.unigrams)
+                bigram_matches = state.bigram_matches + _match_change(
+                    state.bigrams, grams.bigrams, bigrams)
+                score = grams.score_counts(unigram_matches, bigram_matches,
+                                           state.length + len(sent.tokens))
+                scored.append((-score, extended, state, i,
+                               bigrams, unigram_matches, bigram_matches))
+        scored.sort(key=lambda item: item[:2])
+        beam = []
+        for neg_score, extended, state, i, bigrams, *matches in scored[:cfg.beam_width]:
+            sent = sents[i]
+            joined = tuple(sorted((*state.joined, i))) if sent.tokens else state.joined
+            beam.append(_BeamState(
+                extended, joined, _add_counts(state.unigrams, sent.unigrams),
+                _add_counts(state.bigrams, bigrams), *matches,
+                state.length + len(sent.tokens), -neg_score))
+    return [OracleCandidate(_salience_order(state.indices, individual), state.score)
+            for state in beam]
 
 
 def exhaustive_oracle(doc: Document, reference: Sequence[str], k: int) -> OracleCandidate:
@@ -223,24 +322,51 @@ def _label(r_before: float, r_after: float) -> CompressionLabel:
     return CompressionLabel.DEL if r_after > r_before else CompressionLabel.KEEP
 
 
+def _cut_score(grams: ReferenceGrams, sent: SharedGrams, start: int, end: int) -> float:
+    """Score of sent's tokens with tokens[start:end] (nonempty) cut out: the
+    span's grams and the bigrams at its two ends go, the bigram across the
+    cut comes."""
+    tokens = sent.tokens
+    window = tokens[max(start - 1, 0):end + 1]
+    cut_unigrams = Counter(filter(grams.unigrams.__contains__, tokens[start:end]))
+    cut_bigrams = Counter(filter(grams.bigrams.__contains__, zip(window, window[1:])))
+    unigram_matches = sent.unigram_matches + _match_change(
+        sent.unigrams, grams.unigrams, cut_unigrams, -1)
+    bigram_matches = sent.bigram_matches + _match_change(
+        sent.bigrams, grams.bigrams, cut_bigrams, -1)
+    if 0 < start and end < len(tokens):
+        bridge = (tokens[start - 1], tokens[end])
+        if sent.bigrams[bridge] - cut_bigrams[bridge] < grams.bigrams[bridge]:
+            bigram_matches += 1
+    return grams.score_counts(unigram_matches, bigram_matches, len(tokens) - (end - start))
+
+
 def label_compressions(
     sentence: SentenceTree,
     options: Sequence[CompressionOption],
     reference: Sequence[str] | ReferenceGrams,
+    per_token: Sequence[str | None] | None = None,
 ) -> list[LabeledOption]:
     """Context-free KEEP/DEL labels: DEL iff deleting the option alone helps.
 
-    Every option is scored independently with all other options untouched.
-    `reference` is the reference's tokens, or their ReferenceGrams already
-    preprocessed with ORACLE_PREPROCESS.
+    Every option is scored independently with all other options untouched,
+    from the sentence's counts less its span's. `reference` is the
+    reference's tokens, or their ReferenceGrams already preprocessed with
+    ORACLE_PREPROCESS; `per_token`, when given, is the sentence's
+    preprocess_per_token with ORACLE_PREPROCESS.
     """
     grams = _reference_grams(reference)
-    per_token = preprocess_per_token(sentence.tokens, ORACLE_PREPROCESS)
-    r_before = grams.score_tokens([tok for tok in per_token if tok is not None])
+    if per_token is None:
+        per_token = preprocess_per_token(sentence.tokens, ORACLE_PREPROCESS)
+    kept = [0]  # kept[j]: how many of the first j tokens preprocessing keeps
+    for tok in per_token:
+        kept.append(kept[-1] + (tok is not None))
+    sent = grams.shared([tok for tok in per_token if tok is not None])
+    r_before = grams.score_counts(sent.unigram_matches, sent.bigram_matches, len(sent.tokens))
     labeled = []
     for option in options:
-        survivors = per_token[:option.span.start] + per_token[option.span.end:]
-        r_after = grams.score_tokens([tok for tok in survivors if tok is not None])
+        start, end = kept[option.span.start], kept[option.span.end]
+        r_after = r_before if start == end else _cut_score(grams, sent, start, end)
         labeled.append(LabeledOption(option, r_before, r_after, _label(r_before, r_after)))
     return labeled
 
@@ -296,10 +422,11 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
     if not doc.reference:
         raise ValueError(f"document {doc.id!r} has no reference summary")
     grams = _reference_grams(doc.reference_tokens)
-    beam = beam_search_oracle(doc, grams, cfg)
+    per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS) for tree in doc.sentences]
+    beam = beam_search_oracle(doc, grams, cfg, per_token)
     labels = []
-    for tree in doc.sentences:
-        labels.append(tuple(label_compressions(tree, extract_options(tree), grams)))
+    for tree, tokens in zip(doc.sentences, per_token):
+        labels.append(tuple(label_compressions(tree, extract_options(tree), grams, tokens)))
     return DocumentOracles(doc=doc, candidates=tuple(beam[:cfg.m]), labels=tuple(labels))
 
 

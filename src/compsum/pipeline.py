@@ -337,19 +337,24 @@ class StatsRow:
 
 def stats_report(corpus: Sequence[Document],
                  oracles: Sequence[DocumentOracles] | None = None,
-                 summaries: Sequence[Summary] | None = None) -> list[StatsRow]:
+                 summaries: Sequence[Summary] | None = None,
+                 options: Sequence[Sequence[Sequence[CompressionOption]]] | None = None,
+                 ) -> list[StatsRow]:
     """Aggregate option statistics per constituency node type.
 
     pct_of_comps is the share among applied deletions when summaries are
     given, otherwise the share among all available options. comp_acc is the
     oracle DEL rate for the type; dedup_pct the share of its applied
-    deletions coming from deduplication rather than the model.
+    deletions coming from deduplication rather than the model. `options`,
+    when given, holds each document's extract_options per sentence.
     """
+    if options is None:
+        options = [[extract_options(tree) for tree in doc.sentences] for doc in corpus]
     lengths: dict[str, list[int]] = {}
     option_counts: dict[str, int] = {}
-    for doc in corpus:
-        for tree in doc.sentences:
-            for option in extract_options(tree):
+    for doc_options in options:
+        for sentence_options in doc_options:
+            for option in sentence_options:
                 lengths.setdefault(option.node_label, []).append(len(option.span))
                 option_counts[option.node_label] = option_counts.get(option.node_label, 0) + 1
 
@@ -410,19 +415,24 @@ def summary_to_record(summary: Summary) -> dict:
     }
 
 
-def summary_from_record(record: dict, doc: Document) -> Summary:
+def summary_from_record(record: dict, doc: Document,
+                        doc_options: Sequence[Sequence[CompressionOption]] | None = None,
+                        ) -> Summary:
     """The summary a record holds, checked against its document: selected
     holds distinct scoreable sentences; each deletion is in one of them, is
     caused by MODEL or DEDUP, and has the span, rule and label of one of its
     sentence's extract_options, from which it is built; text is the selected
-    sentences' words outside the deleted spans, in document order."""
+    sentences' words outside the deleted spans, in document order.
+    `doc_options`, when given, holds the document's extract_options per
+    sentence, so the rules are not run again."""
     selected = record["selected"]
     n = scoreable_sentences(doc)
     if (type(selected) is not list or any(type(i) is not int or not 0 <= i < n for i in selected)
             or len(set(selected)) < len(selected)):
         raise ValueError(f"document {doc.id!r}: selected {json.dumps(selected)} is not a list "
                          f"of distinct indices among its {n} scoreable sentences")
-    options = {i: extract_options(doc.sentences[i]) for i in selected}
+    options = {i: extract_options(doc.sentences[i]) if doc_options is None else doc_options[i]
+               for i in selected}
     deletions = []
     for d in record["deletions"]:
         sentence, cause = d["sentence"], d["cause"]

@@ -170,33 +170,43 @@ def approx_score_pretokenized(candidate: Sequence[str], reference: Sequence[str]
     return 0.5 * (rouge_n(candidate, refs, 1).f1 + rouge_n(candidate, refs, 2).f1)
 
 
-def _clipped_f1(counts: Counter, ref_counts: Counter, cand_total: int, ref_total: int) -> float:
-    """rouge_n's F1 against one reference, from the candidate's n-gram counts."""
+def _count_f1(matches: int, cand_total: int, ref_total: int) -> float:
+    """rouge_n's F1 from its clipped match count and the two n-gram totals."""
     if cand_total <= 0 or ref_total <= 0:
         return 0.0
-    # the sum over grams of min(count, reference count)
-    matches = sum(map(min, counts.values(), map(ref_counts.__getitem__, counts)))
     return _f1(matches / cand_total, matches / ref_total)
 
 
+def _clipped_matches(counts: Counter, ref_counts: Counter) -> int:
+    """The sum over grams of min(count, reference count)."""
+    return sum(map(min, counts.values(), map(ref_counts.__getitem__, counts)))
+
+
 class SharedGrams(NamedTuple):
-    """Preprocessed tokens with, in order, their unigrams and bigrams that occur in a reference."""
+    """Preprocessed tokens with the counts of their unigrams and bigrams that
+    occur in a reference, and how many of each match it (clipped)."""
 
     tokens: tuple[str, ...]
-    unigrams: list[str]
-    bigrams: list[tuple[str, str]]
+    unigrams: Counter
+    bigrams: Counter
+    unigram_matches: int
+    bigram_matches: int
 
 
 class ReferenceGrams:
     """approx_score_pretokenized against one fixed reference, computed from counts.
 
-    A candidate needs only its length and the unigrams and bigrams it shares
-    with the reference: other grams never match. Token lists joined end to
-    end share the grams each list shares plus, at each join, the bigram of
-    the last token before it and the first token after it. The match counts
-    and totals are the integers rouge_n computes and go through the same
-    _f1, so every score is the same float as approx_score_pretokenized's on
-    the joined tokens.
+    A candidate needs only its length and the counts of the unigrams and
+    bigrams it shares with the reference: other grams never match. Token
+    lists joined end to end share the grams each list shares plus, at each
+    join, the bigram of the last token before it and the first token after
+    it. score_counts turns the clipped match counts and the length into the
+    score, so a caller that changes a candidate by a few grams (compsum.oracle
+    adds a sentence to a beam state, or cuts a span from a sentence) updates
+    the counts by those grams and rescores without recounting the rest. The
+    match counts and totals are the integers rouge_n computes and go through
+    the same _f1, so every score is the same float as
+    approx_score_pretokenized's on the joined tokens.
     """
 
     def __init__(self, reference: Sequence[str]):
@@ -206,28 +216,35 @@ class ReferenceGrams:
 
     def shared(self, tokens: Sequence[str]) -> SharedGrams:
         tokens = tuple(tokens)
-        return SharedGrams(
-            tokens,
-            [tok for tok in tokens if tok in self.unigrams],
-            [pair for pair in zip(tokens, tokens[1:]) if pair in self.bigrams])
+        unigrams = Counter(tok for tok in tokens if tok in self.unigrams)
+        bigrams = Counter(pair for pair in zip(tokens, tokens[1:]) if pair in self.bigrams)
+        return SharedGrams(tokens, unigrams, bigrams,
+                           _clipped_matches(unigrams, self.unigrams),
+                           _clipped_matches(bigrams, self.bigrams))
+
+    def score_counts(self, unigram_matches: int, bigram_matches: int, length: int) -> float:
+        """Score of `length` tokens with these clipped unigram and bigram matches."""
+        return 0.5 * (_count_f1(unigram_matches, length, self.length)
+                      + _count_f1(bigram_matches, length - 1, self.length - 1))
 
     def score_joined(self, parts: Iterable[SharedGrams]) -> float:
         """Score of the parts' tokens joined in order; empty parts add no join."""
-        unigrams: list[str] = []
-        bigrams: list[tuple[str, str]] = []
+        unigrams: Counter = Counter()
+        bigrams: Counter = Counter()
         length = 0
         last = None
         for part in parts:
             if not part.tokens:
                 continue
-            unigrams += part.unigrams
-            bigrams += part.bigrams
+            unigrams.update(part.unigrams)
+            bigrams.update(part.bigrams)
             if last is not None:
-                bigrams.append((last, part.tokens[0]))
+                bigrams[last, part.tokens[0]] += 1
             last = part.tokens[-1]
             length += len(part.tokens)
-        return 0.5 * (_clipped_f1(Counter(unigrams), self.unigrams, length, self.length)
-                      + _clipped_f1(Counter(bigrams), self.bigrams, length - 1, self.length - 1))
+        return self.score_counts(_clipped_matches(unigrams, self.unigrams),
+                                 _clipped_matches(bigrams, self.bigrams), length)
 
     def score_tokens(self, tokens: Sequence[str]) -> float:
-        return self.score_joined([self.shared(tokens)])
+        shared = self.shared(tokens)
+        return self.score_counts(shared.unigram_matches, shared.bigram_matches, len(tokens))

@@ -2,14 +2,16 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpusgen
+import reference_oracle
 from compsum import Document, parse_ptb
 from compsum import oracle as oracle_mod
 from compsum.corpus import document_from_record, document_to_record
@@ -32,7 +34,13 @@ from compsum.oracle import (
     scoreable_sentences,
     write_oracle_cache,
 )
-from compsum.rouge import approx_oracle_score
+from compsum.rouge import (
+    ORACLE_PREPROCESS,
+    ReferenceGrams,
+    approx_oracle_score,
+    preprocess_per_token,
+    preprocess_tokens,
+)
 from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
 from compsum.treebank import Span
 
@@ -180,6 +188,101 @@ class TestScoresFromCounts:
                         texts[:span.start] + texts[span.end:], reference)
                     checked += 1
         assert checked > 100
+
+
+def _every_span(n_tokens: int) -> list[CompressionOption]:
+    return [CompressionOption(Span(a, b), RuleId.PARENTHETICAL, "PRN")
+            for a in range(n_tokens) for b in range(a + 1, n_tokens + 1)]
+
+
+class TestIncrementalScores:
+    """The beam and the labels score by delta; the from-scratch scorers of
+    reference_oracle must give the same candidates, ties and floats."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(_words, min_size=1, max_size=5), min_size=3, max_size=9),
+           st.lists(_words, min_size=1, max_size=8), st.integers(1, 3), st.integers(1, 8))
+    def test_beam_equals_the_from_scratch_beam(self, sentences, reference, k, beam_width):
+        doc = Document(id="h", sentences=tuple(corpusgen.flat_tree(s) for s in sentences),
+                       reference=(tuple(reference),))
+        cfg = OracleConfig(k=k, beam_width=beam_width, m=beam_width)
+        expected = reference_oracle.beam_search_oracle(doc, reference, cfg)
+        assert beam_search_oracle(doc, reference, cfg) == expected
+        # build_document_oracles feeds the beam the sentences it preprocessed
+        assert list(build_document_oracles(doc, cfg).candidates) == expected
+
+    def test_beam_over_sentences_that_preprocess_to_nothing(self):
+        sentences = [["the", ","], ["storm", "of"], ["."], ["coast", "storms"], ["of", "the"]]
+        reference = ["storm", "coast", "storm"]
+        doc = Document(id="e", sentences=tuple(corpusgen.flat_tree(s) for s in sentences),
+                       reference=(tuple(reference),))
+        for k in (1, 2, 3):
+            for beam_width in (1, 3, 8):
+                cfg = OracleConfig(k=k, beam_width=beam_width, m=1)
+                beam = beam_search_oracle(doc, reference, cfg)
+                assert beam == reference_oracle.beam_search_oracle(doc, reference, cfg)
+        # an empty sentence ties with the subset without it
+        scores = {tuple(sorted(c.sentence_indices)): c.score
+                  for c in beam_search_oracle(doc, reference, OracleConfig(k=3))}
+        assert scores[(0, 1, 3)] == scores[(1, 2, 3)] == approx_oracle_score(
+            ["storm", "coast", "storms"], reference)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_words, min_size=1, max_size=10), st.lists(_words, min_size=1, max_size=8))
+    @example(["the", "storm", ",", "storm", "reached", "coast", "."],
+             ["storm", "reached", "storm", "coast"])
+    def test_labels_of_every_span_equal_fresh_scores(self, tokens, reference):
+        # every span: at either end, of dropped tokens only, all but one token
+        tree = corpusgen.flat_tree(tokens)
+        options = _every_span(len(tokens))
+        labeled = label_compressions(tree, options, reference)
+        assert labeled == reference_oracle.label_compressions(tree, options, reference)
+        r_before = approx_oracle_score(tokens, reference)
+        for lab in labeled:
+            span = lab.option.span
+            assert lab.r_before == r_before
+            assert lab.r_after == approx_oracle_score(
+                tokens[:span.start] + tokens[span.end:], reference)
+        per_token = preprocess_per_token(tokens, ORACLE_PREPROCESS)
+        assert label_compressions(tree, options, reference, per_token) == labeled
+
+    def test_news_shaped_document_with_clipped_bridges(self):
+        rng = np.random.default_rng(18)
+        vocab = ["storm", "coast", "reached", "winds", "rain", "flood"]
+        sentences = [[str(w) for w in rng.choice(vocab, size=int(rng.integers(3, 9)))]
+                     for _ in range(MAX_SENTS + 5)]
+        reference = [tok for sent in sentences[:3] for tok in sent]
+        doc = Document(id="news", sentences=tuple(map(corpusgen.flat_tree, sentences)),
+                       reference=(tuple(reference),))
+        cfg = OracleConfig(k=4, beam_width=8, m=8)
+        oracles = build_document_oracles(doc, cfg)
+        assert list(oracles.candidates) == reference_oracle.beam_search_oracle(
+            doc, reference, cfg)
+        ref_bigrams = Counter(zip(reference, reference[1:]))
+        clipped_bridges = 0
+        for cand in oracles.candidates:
+            picked = [sentences[i] for i in sorted(cand.sentence_indices)]
+            joined = [tok for sent in picked for tok in sent]
+            assert cand.score == approx_oracle_score(joined, reference)
+            counts = Counter(zip(joined, joined[1:]))
+            clipped_bridges += sum(
+                counts[bridge] > ref_bigrams[bridge] > 0
+                for bridge in ((a[-1], b[0]) for a, b in zip(picked, picked[1:])))
+        assert clipped_bridges > 0
+        # flat trees have no rule options, so label every span
+        grams = ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
+        for tree in doc.sentences:
+            options = _every_span(len(tree.tokens))
+            assert label_compressions(tree, options, grams) == (
+                reference_oracle.label_compressions(tree, options, grams))
+
+    def test_parsed_documents_beam_equals_the_from_scratch_beam(self):
+        # the labels of these documents are checked in TestScoresFromCounts
+        docs = corpusgen.fixture_corpus() + corpusgen.learnable_corpus(count=10, seed=3)[0]
+        for doc in docs:
+            cfg = OracleConfig(k=min(3, len(doc.sentences)), beam_width=8, m=8)
+            assert list(build_document_oracles(doc, cfg).candidates) == (
+                reference_oracle.beam_search_oracle(doc, doc.reference_tokens, cfg))
 
 
 class TestExhaustive:

@@ -96,6 +96,32 @@ print(json.dumps({"codes": codes, "built": built, "calls": tracer.calls}))
 """
 
 
+TRACED_STATS = """
+import json, sys
+sys.path[:0] = sys.argv[1:4]
+import spans
+import compsum.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+import corpusgen
+from compsum.corpus import write_corpus
+from compsum.model import init_model, save_model
+corpus, oracles, model, summaries, stats = sys.argv[4:9]
+docs = corpusgen.learnable_corpus(count=4, seed=3)[0]
+write_corpus(corpus, docs)
+save_model(init_model(seed=0), model)
+main = compsum.cli.main
+codes = [main(["oracle", "build", "--corpus", corpus, "--out", oracles, "--k", "2"]),
+         main(["summarize", "--corpus", corpus, "--model", model, "--k", "2",
+               "--out", summaries])]
+before = tracer.calls["rules.extract"]
+codes.append(main(["stats", "--corpus", corpus, "--oracles", oracles,
+                   "--summaries", summaries, "--out", stats]))
+print(json.dumps({"codes": codes, "extract": tracer.calls["rules.extract"] - before,
+                  "sentences": sum(len(doc.sentences) for doc in docs)}))
+"""
+
+
 # Runs the command chain and records, per command, the bracketed strings whose
 # tree was built (through the one binding SentenceTree.root calls) and the
 # count of treebank.parse spans.
@@ -152,6 +178,20 @@ def test_traced_train_and_gradcheck_run_no_rules(tmp_path):
     # the cache holds every option, so reading it back runs no rule
     assert calls["oracle.cache_read"] == 2
     assert calls["rules.extract"] == built["rules.extract"]
+
+
+def test_traced_stats_runs_the_rules_once_per_sentence(tmp_path):
+    # the summaries' check and the report share one extraction
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_STATS,
+         str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"),
+         *(str(tmp_path / name) for name in
+           ("corpus.jsonl", "oracles.jsonl", "model.json", "summaries.jsonl", "stats.csv"))],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["extract"] == result["sentences"]
 
 
 def test_traced_sweep_renders_and_scores_each_distinct_summary_once():
