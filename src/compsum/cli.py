@@ -176,7 +176,7 @@ def cmd_stats(args) -> int:
             args.summaries, docs,
             lambda record, doc: pipeline.summary_from_record(record, doc, by_id[doc.id]),
             "the summaries are stale; rerun `compsum summarize`")
-    rows = pipeline.stats_report(docs, oracles, summaries, options)
+    rows = pipeline.stats_report(options, oracles, summaries)
     pipeline.write_stats_csv(args.out, rows)
     print(f"{'node':8} {'len':>6} {'% comps':>8} {'comp acc':>9} {'dedup':>7}")
     for row in rows:

@@ -8,24 +8,27 @@ deleted. A DocumentOracles holds the document with its oracles and labels:
 it is the one record of a document's supervision, built here or read back
 from a cache file, and what compsum.model trains on.
 
-Scores are computed from counts (rouge.ReferenceGrams), by delta. A
-document's reference, and each of its sentences, is preprocessed once, for
-the beam and the labels alike. A subset is scored as its sentences joined
-in document order, so a bigram that crosses a sentence boundary counts: the
-last token of one selected sentence and the first token of the next,
-passing over sentences that preprocessing leaves empty. Each beam state
-keeps the counts of its shared unigrams and bigrams, their clipped match
-totals and its length; an extension by sentence i is scored from them
-without being counted: i's shared grams are added (a gram matches while
-its count is below the reference's), the bigram that joined i's nonempty
-neighbours goes and up to two joins to i come. Only the states a round
-keeps get counts of their own, their parent's plus that change. A label
-scores the sentence's counts less the option's span: the span's grams and
-the bigrams at its two ends go, the bigram across the cut comes. The match
-counts are the integers rouge_n computes, so every score is the float
-approx_score_pretokenized gives on the joined tokens. All text is
-preprocessed with the fixed rouge.ORACLE_PREPROCESS (lowercase, stopwords
-and punctuation dropped, stemmed).
+Scores are computed from counts (rouge.ReferenceGrams), by delta.
+build_document_oracles preprocesses a document's reference and each of its
+sentences, and counts each sentence's shared grams, once; the beam and the
+labels take those as their inputs and compute none of their own. A subset
+is scored as its sentences joined in document order, so a bigram that
+crosses a sentence boundary counts: the last token of one selected
+sentence and the first token of the next, passing over sentences that
+preprocessing leaves empty. Each beam state keeps the counts of its shared
+unigrams and bigrams, their clipped match totals and its length; an
+extension by sentence i is scored from them without being counted: i's
+shared grams are added (a gram matches while its count is below the
+reference's), the bigram that joined i's nonempty neighbours goes and up
+to two joins to i come. Only the states a round keeps get counts of their
+own, their parent's plus that change. A label scores the sentence's counts
+less the option's span: the span's grams and the bigrams at its two ends
+go, the bigram across the cut comes. The match counts are the integers
+rouge_n computes, so every score is the float approx_score_pretokenized
+gives on the joined tokens. All text is preprocessed with the fixed
+rouge.ORACLE_PREPROCESS (lowercase, stopwords and punctuation dropped,
+stemmed). The exhaustive oracle and the from-scratch beam and labels that
+the tests compare these with live in tests/reference_oracle.py.
 
 Only a document's first MAX_SENTS sentences can be selected, by the oracles
 here and by training and decoding in compsum.model alike;
@@ -56,7 +59,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Document, read_records, write_records
@@ -68,11 +71,9 @@ from .rouge import (
     preprocess_tokens,
 )
 from .rules import RULES_VERSION, CompressionOption, RuleId, extract_options
-from .treebank import SentenceTree, Span
+from .treebank import Span
 
 logger = logging.getLogger(__name__)
-
-_EXHAUSTIVE_GUARD = 10 ** 6
 
 # Leading sentences of a document that oracles, training and decoding consider
 MAX_SENTS = 30
@@ -153,22 +154,6 @@ def bucket_of(labeled: LabeledOption) -> CompressabilityBucket:
     return CompressabilityBucket.STRONG_POSITIVE
 
 
-def _reference_grams(reference: Sequence[str] | ReferenceGrams) -> ReferenceGrams:
-    if isinstance(reference, ReferenceGrams):
-        return reference
-    return ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
-
-
-def _sentence_grams(doc: Document, n: int, grams: ReferenceGrams,
-                    per_token: Sequence[Sequence[str | None]] | None = None,
-                    ) -> list[SharedGrams]:
-    if per_token is None:
-        per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS)
-                     for tree in doc.sentences[:n]]
-    return [grams.shared([tok for tok in tokens if tok is not None])
-            for tokens in per_token[:n]]
-
-
 def _salience_order(indices: Iterable[int], individual: Sequence[float]) -> tuple[int, ...]:
     return tuple(sorted(indices, key=lambda i: (-individual[i], i)))
 
@@ -234,27 +219,20 @@ def _add_counts(counts: dict, change: dict) -> dict:
     return out
 
 
-def beam_search_oracle(
-    doc: Document,
-    reference: Sequence[str] | ReferenceGrams,
-    cfg: OracleConfig,
-    per_token: Sequence[Sequence[str | None]] | None = None,
-) -> list[OracleCandidate]:
-    """Final beam of scored k-subsets, best first.
+def beam_search_oracle(grams: ReferenceGrams, sents: Sequence[SharedGrams],
+                       cfg: OracleConfig) -> list[OracleCandidate]:
+    """Final beam of scored k-subsets of sents, best first.
 
-    Each of k rounds extends every beam state with every unused sentence
-    among the first MAX_SENTS, scores the concatenation, and keeps the top
-    beam_width states. Ties prefer the lexicographically smaller index set.
-    `reference` is the reference's tokens, or their ReferenceGrams already
-    preprocessed with ORACLE_PREPROCESS; `per_token`, when given, is
-    preprocess_per_token of each sentence with ORACLE_PREPROCESS.
+    `grams` is the reference preprocessed with ORACLE_PREPROCESS, and sents
+    are its shared grams of each scoreable sentence, in document order.
+    Each of k rounds extends every beam state with every unused sentence,
+    scores the concatenation, and keeps the top beam_width states. Ties
+    prefer the lexicographically smaller index set.
 
     An extension is scored from its state's counts changed by the one
     sentence it adds; only the states kept get counts of their own.
     """
-    n = scoreable_sentences(doc, cfg.k)
-    grams = _reference_grams(reference)
-    sents = _sentence_grams(doc, n, grams, per_token)
+    n = len(sents)
     individual = [grams.score_counts(sent.unigram_matches, sent.bigram_matches,
                                      len(sent.tokens)) for sent in sents]
     beam = [_EMPTY_STATE]
@@ -296,28 +274,6 @@ def beam_search_oracle(
             for state in beam]
 
 
-def exhaustive_oracle(doc: Document, reference: Sequence[str], k: int) -> OracleCandidate:
-    """True argmax over all k-subsets of the first MAX_SENTS sentences;
-    guards against combinatorial blowup."""
-    n = scoreable_sentences(doc, k)
-    grams = _reference_grams(reference)
-    sents = _sentence_grams(doc, n, grams)
-    total = math.comb(n, k)
-    if total > _EXHAUSTIVE_GUARD:
-        raise ValueError(
-            f"C({n},{k}) = {total} subsets exceeds the exhaustive-search guard "
-            f"of {_EXHAUSTIVE_GUARD}")
-    individual = [grams.score_joined([sent]) for sent in sents]
-    best: tuple[int, ...] | None = None
-    best_score = -1.0
-    for indices in combinations(range(n), k):
-        score = grams.score_joined([sents[i] for i in indices])
-        if score > best_score:
-            best, best_score = indices, score
-    assert best is not None
-    return OracleCandidate(_salience_order(best, individual), best_score)
-
-
 def _label(r_before: float, r_after: float) -> CompressionLabel:
     return CompressionLabel.DEL if r_after > r_before else CompressionLabel.KEEP
 
@@ -341,27 +297,19 @@ def _cut_score(grams: ReferenceGrams, sent: SharedGrams, start: int, end: int) -
     return grams.score_counts(unigram_matches, bigram_matches, len(tokens) - (end - start))
 
 
-def label_compressions(
-    sentence: SentenceTree,
-    options: Sequence[CompressionOption],
-    reference: Sequence[str] | ReferenceGrams,
-    per_token: Sequence[str | None] | None = None,
-) -> list[LabeledOption]:
+def label_compressions(grams: ReferenceGrams, per_token: Sequence[str | None],
+                       sent: SharedGrams, options: Sequence[CompressionOption],
+                       ) -> list[LabeledOption]:
     """Context-free KEEP/DEL labels: DEL iff deleting the option alone helps.
 
-    Every option is scored independently with all other options untouched,
-    from the sentence's counts less its span's. `reference` is the
-    reference's tokens, or their ReferenceGrams already preprocessed with
-    ORACLE_PREPROCESS; `per_token`, when given, is the sentence's
-    preprocess_per_token with ORACLE_PREPROCESS.
+    `grams` is the reference preprocessed with ORACLE_PREPROCESS; per_token
+    is the sentence's preprocess_per_token with it, and sent the shared
+    grams of the tokens it keeps. Every option is scored independently with
+    all other options untouched, from the sentence's counts less its span's.
     """
-    grams = _reference_grams(reference)
-    if per_token is None:
-        per_token = preprocess_per_token(sentence.tokens, ORACLE_PREPROCESS)
     kept = [0]  # kept[j]: how many of the first j tokens preprocessing keeps
     for tok in per_token:
         kept.append(kept[-1] + (tok is not None))
-    sent = grams.shared([tok for tok in per_token if tok is not None])
     r_before = grams.score_counts(sent.unigram_matches, sent.bigram_matches, len(sent.tokens))
     labeled = []
     for option in options:
@@ -419,15 +367,19 @@ class DocumentOracles:
 
 
 def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
-    if not doc.reference:
+    """The oracles and labels of doc. The reference and each sentence are
+    preprocessed, and each sentence's shared grams counted, once for both."""
+    reference = doc.reference_tokens
+    if not reference:
         raise ValueError(f"document {doc.id!r} has no reference summary")
-    grams = _reference_grams(doc.reference_tokens)
+    n = scoreable_sentences(doc, cfg.k)
+    grams = ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
     per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS) for tree in doc.sentences]
-    beam = beam_search_oracle(doc, grams, cfg, per_token)
-    labels = []
-    for tree, tokens in zip(doc.sentences, per_token):
-        labels.append(tuple(label_compressions(tree, extract_options(tree), grams, tokens)))
-    return DocumentOracles(doc=doc, candidates=tuple(beam[:cfg.m]), labels=tuple(labels))
+    sents = [grams.shared([tok for tok in tokens if tok is not None]) for tokens in per_token]
+    beam = beam_search_oracle(grams, sents[:n], cfg)
+    labels = tuple(tuple(label_compressions(grams, tokens, sent, extract_options(tree)))
+                   for tree, tokens, sent in zip(doc.sentences, per_token, sents))
+    return DocumentOracles(doc=doc, candidates=tuple(beam[:cfg.m]), labels=labels)
 
 
 def document_fingerprint(doc: Document) -> str:

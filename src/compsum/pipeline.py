@@ -9,13 +9,18 @@ render(score_document(...)). evaluate_corpus() is sweep_threshold() at one
 tau: both make one in-order pass over the corpus that scores each document
 with a reference once, preprocesses its reference once, renders a summary
 once per set of options the model deletes and ROUGE-scores it once per
-distinct text, then keeps only its rows and token counts. Dedup keeps a
-count of live tokens per type instead of rescanning the summary for each
-option, and ROUGE-L uses a bit-parallel LCS. Decoding selects among a
-document's first oracle.MAX_SENTS sentences, the same leading sentences the
-oracles were built from; ROUGE always preprocesses with the fixed
-EVAL_PREPROCESS (lowercasing only). Everything here is a pure function of
-(model, document, config), and nothing is cached across documents or calls.
+distinct text, then keeps only its rows and token counts; a document
+whose reference has no words is skipped. Dedup keeps a count of live
+tokens per type instead of rescanning the summary for each option, and
+ROUGE-L uses a bit-parallel LCS. Decoding selects among a document's first
+oracle.MAX_SENTS sentences, the same leading sentences the oracles were
+built from, so SummarizeConfig caps k there as OracleConfig does. ROUGE
+always preprocesses with the fixed EVAL_PREPROCESS (lowercasing only).
+Everything here is a pure function of (model, document, config), and
+nothing is cached across documents or calls. What a caller has already
+computed is passed, never computed again: score_summary takes the
+preprocessed reference, and summary_from_record and stats_report take the
+options extract_options gave each sentence.
 """
 
 import csv
@@ -31,7 +36,7 @@ import numpy as np
 from .corpus import Document
 from .features import DocumentContext, featurize_option
 from .model import Model, classify_option, greedy_steps
-from .oracle import CompressionLabel, DocumentOracles, scoreable_sentences
+from .oracle import MAX_SENTS, CompressionLabel, DocumentOracles, scoreable_sentences
 from .rouge import PreprocessConfig, RougeScore, is_punctuation, preprocess_tokens, rouge_l, rouge_n
 from .rules import CompressionOption, RuleId, extract_options
 from .treebank import Span, surviving_tokens
@@ -53,8 +58,8 @@ class SummarizeConfig:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau={self.tau} must lie in [0, 1]")
-        if self.k < 1:
-            raise ValueError(f"k={self.k} must be >= 1")
+        if not 1 <= self.k <= MAX_SENTS:
+            raise ValueError(f"k={self.k} must satisfy 1 <= k <= {MAX_SENTS}")
 
 
 @dataclass(frozen=True)
@@ -213,18 +218,12 @@ def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
         float(np.mean([s.f1 for s in scores])))
 
 
-def score_summary(summary: Summary, doc: Document,
-                  reference: Sequence[str] | None = None) -> EvaluationRow:
-    """ROUGE-1/2/L of a summary against its document's reference.
-
-    reference is that reference already preprocessed, for a caller that
-    scores many summaries of one document; by default it is preprocessed here.
-    """
+def score_summary(summary: Summary, reference: Sequence[str]) -> EvaluationRow:
+    """ROUGE-1/2/L of a summary against its document's reference words,
+    preprocessed with EVAL_PREPROCESS."""
     candidate = preprocess_tokens([t for sent in summary.text for t in sent], EVAL_PREPROCESS)
-    if reference is None:
-        reference = preprocess_tokens(doc.reference_tokens, EVAL_PREPROCESS)
     return EvaluationRow(
-        doc_id=doc.id,
+        doc_id=summary.doc_id,
         rouge1=rouge_n(candidate, [reference], 1),
         rouge2=rouge_n(candidate, [reference], 2),
         rouge_l=rouge_l(candidate, reference))
@@ -239,8 +238,7 @@ def _rendered_rows(scored: ScoredDocument, taus: Sequence[float],
     functions of those keys, so every tau gets the values a fresh render
     and score_summary would give.
     """
-    doc = scored.doc
-    reference = preprocess_tokens(doc.reference_tokens, EVAL_PREPROCESS)
+    reference = preprocess_tokens(scored.doc.reference_tokens, EVAL_PREPROCESS)
     summaries: dict[tuple[bool, ...], Summary] = {}
     rows: dict[tuple[tuple[str, ...], ...], EvaluationRow] = {}
     out = []
@@ -250,7 +248,7 @@ def _rendered_rows(scored: ScoredDocument, taus: Sequence[float],
             summaries[deleted] = _render(scored, deleted, dedup)
         summary = summaries[deleted]
         if summary.text not in rows:
-            rows[summary.text] = score_summary(summary, doc, reference)
+            rows[summary.text] = score_summary(summary, reference)
         out.append((summary, rows[summary.text]))
     return out
 
@@ -265,7 +263,7 @@ def _evaluate(model: Model, corpus: Iterable[Document], taus: Sequence[float],
     tokens_after = [0] * len(taus)
     tokens_before = evaluated = skipped = 0
     for doc in corpus:
-        if not doc.reference:
+        if not doc.reference_tokens:
             logger.warning("document %s has no reference; skipped", doc.id)
             skipped += 1
             continue
@@ -335,21 +333,17 @@ class StatsRow:
     dedup_pct: float | None
 
 
-def stats_report(corpus: Sequence[Document],
+def stats_report(options: Sequence[Sequence[Sequence[CompressionOption]]],
                  oracles: Sequence[DocumentOracles] | None = None,
-                 summaries: Sequence[Summary] | None = None,
-                 options: Sequence[Sequence[Sequence[CompressionOption]]] | None = None,
-                 ) -> list[StatsRow]:
+                 summaries: Sequence[Summary] | None = None) -> list[StatsRow]:
     """Aggregate option statistics per constituency node type.
 
+    `options` holds each document's extract_options per sentence.
     pct_of_comps is the share among applied deletions when summaries are
     given, otherwise the share among all available options. comp_acc is the
     oracle DEL rate for the type; dedup_pct the share of its applied
-    deletions coming from deduplication rather than the model. `options`,
-    when given, holds each document's extract_options per sentence.
+    deletions coming from deduplication rather than the model.
     """
-    if options is None:
-        options = [[extract_options(tree) for tree in doc.sentences] for doc in corpus]
     lengths: dict[str, list[int]] = {}
     option_counts: dict[str, int] = {}
     for doc_options in options:
@@ -416,23 +410,20 @@ def summary_to_record(summary: Summary) -> dict:
 
 
 def summary_from_record(record: dict, doc: Document,
-                        doc_options: Sequence[Sequence[CompressionOption]] | None = None,
-                        ) -> Summary:
+                        doc_options: Sequence[Sequence[CompressionOption]]) -> Summary:
     """The summary a record holds, checked against its document: selected
     holds distinct scoreable sentences; each deletion is in one of them, is
     caused by MODEL or DEDUP, and has the span, rule and label of one of its
     sentence's extract_options, from which it is built; text is the selected
     sentences' words outside the deleted spans, in document order.
-    `doc_options`, when given, holds the document's extract_options per
-    sentence, so the rules are not run again."""
+    `doc_options` holds the document's extract_options per sentence."""
     selected = record["selected"]
     n = scoreable_sentences(doc)
     if (type(selected) is not list or any(type(i) is not int or not 0 <= i < n for i in selected)
             or len(set(selected)) < len(selected)):
         raise ValueError(f"document {doc.id!r}: selected {json.dumps(selected)} is not a list "
                          f"of distinct indices among its {n} scoreable sentences")
-    options = {i: extract_options(doc.sentences[i]) if doc_options is None else doc_options[i]
-               for i in selected}
+    options = {i: doc_options[i] for i in selected}
     deletions = []
     for d in record["deletions"]:
         sentence, cause = d["sentence"], d["cause"]

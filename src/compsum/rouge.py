@@ -2,12 +2,15 @@
 
 All metrics operate on pre-tokenized sequences. Preprocessing (lowercase,
 stopword removal, stemming) is a separate, explicit step so the metric
-functions themselves stay pure.
+functions themselves stay pure. ReferenceGrams is the approximate score in
+counts: it gives a candidate's shared grams (shared) and turns clipped match
+counts into the score (score_counts), so compsum.oracle can change the counts
+by delta; how they are joined or cut is left to that caller.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .stemming import stem
 
@@ -226,25 +229,3 @@ class ReferenceGrams:
         """Score of `length` tokens with these clipped unigram and bigram matches."""
         return 0.5 * (_count_f1(unigram_matches, length, self.length)
                       + _count_f1(bigram_matches, length - 1, self.length - 1))
-
-    def score_joined(self, parts: Iterable[SharedGrams]) -> float:
-        """Score of the parts' tokens joined in order; empty parts add no join."""
-        unigrams: Counter = Counter()
-        bigrams: Counter = Counter()
-        length = 0
-        last = None
-        for part in parts:
-            if not part.tokens:
-                continue
-            unigrams.update(part.unigrams)
-            bigrams.update(part.bigrams)
-            if last is not None:
-                bigrams[last, part.tokens[0]] += 1
-            last = part.tokens[-1]
-            length += len(part.tokens)
-        return self.score_counts(_clipped_matches(unigrams, self.unigrams),
-                                 _clipped_matches(bigrams, self.bigrams), length)
-
-    def score_tokens(self, tokens: Sequence[str]) -> float:
-        shared = self.shared(tokens)
-        return self.score_counts(shared.unigram_matches, shared.bigram_matches, len(tokens))

@@ -202,7 +202,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
         if all(cand.span.compatible(span) for span in kept_spans):
             kept_spans.append(cand.span)
             options.append(CompressionOption(cand.span, cand.rule, cand.node_label))
-    return sorted(options, key=lambda o: (o.span.start, -len(o.span)))
+    return options  # spans are unique, so already in (start, -length) order
 
 
 def _dedupe(candidates: list[_Candidate]) -> list[_Candidate]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import corpusgen
+from reference_oracle import exhaustive_oracle, oracle_inputs
 from test_rouge import all_subsequences, brute_ngram_score
 from test_rules import FIXTURES
 
@@ -43,7 +44,6 @@ from compsum.oracle import (
     beam_search_oracle,
     build_document_oracles,
     compressability_report,
-    exhaustive_oracle,
 )
 from compsum.pipeline import (
     CAUSE_MODEL,
@@ -130,14 +130,16 @@ def test_criterion_03_beam_matches_exhaustive():
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, min(3, n) + 1))
         doc = corpusgen.random_flat_doc(rng, f"small{i}", n)
-        beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=k))
+        grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+        beam = beam_search_oracle(grams, sents, OracleConfig(k=k))
         best = exhaustive_oracle(doc, doc.reference_tokens, k)
         assert beam[0].score <= best.score + 1e-12
         assert beam[0].score == pytest.approx(best.score, abs=1e-12), f"small doc {i}"
     matches = 0
     for i in range(50):
         doc = corpusgen.random_flat_doc(rng, f"large{i}", 10)
-        beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=3))
+        grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+        beam = beam_search_oracle(grams, sents, OracleConfig(k=3))
         best = exhaustive_oracle(doc, doc.reference_tokens, 3)
         assert beam[0].score <= best.score + 1e-12, "beam must never exceed exhaustive"
         matches += abs(beam[0].score - best.score) < 1e-12
@@ -302,7 +304,8 @@ def test_criterion_09_report_formats():
     docs2, _ = corpusgen.learnable_corpus(count=8, seed=91)
     model, _ = train(make_training_examples(docs2), TrainConfig(epochs=1, seed=1))
     summaries = [summarize(model, d, SummarizeConfig(k=1, tau=0.6)) for d in docs]
-    rows = stats_report(docs, oracles, summaries)
+    options = [[extract_options(tree) for tree in doc.sentences] for doc in docs]
+    rows = stats_report(options, oracles, summaries)
     assert rows, "stats report is non-empty"
     for row in rows:
         assert hasattr(row, "mean_len")       # Len

@@ -568,6 +568,52 @@ def test_corpus_without_references_is_error(tmp_path, capsys, monkeypatch, comma
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def _with_wordless_reference(tmp_path: Path) -> tuple[list[Document], Path]:
+    """A corpus file whose second document's reference is one empty sentence."""
+    docs, _ = corpusgen.learnable_corpus(count=6, seed=5)
+    docs[1] = Document(id=docs[1].id, sentences=docs[1].sentences, reference=((),))
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, docs)
+    assert json.loads(corpus.read_text().splitlines()[1])["reference"] == [[]]
+    return docs, corpus
+
+
+def test_oracle_build_rejects_a_reference_without_words(tmp_path, capsys):
+    # it once built oracle [0, 1] with score 0.0 and only KEEP labels for it
+    docs, corpus = _with_wordless_reference(tmp_path)
+    out = tmp_path / "oracles.jsonl"
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(out), "--k", "2"]) == 1
+    assert _structured_error(capsys) == f"document {docs[1].id!r} has no reference summary"
+    assert not out.exists()
+
+
+def test_evaluate_skips_a_reference_without_words(tmp_path, capsys):
+    # it once evaluated the document and gave it all-zero ROUGE rows
+    docs, corpus = _with_wordless_reference(tmp_path)
+    model_file, evaluation = tmp_path / "model.json", tmp_path / "evaluation.json"
+    save_model(init_model(hidden_size=4, seed=0), model_file)
+    assert main(["evaluate", "--corpus", str(corpus), "--model", str(model_file),
+                 "--k", "2", "--json", str(evaluation)]) == 0
+    assert "documents evaluated: 5 (skipped 1)" in capsys.readouterr().out
+    result = json.loads(evaluation.read_text())
+    assert [row["doc_id"] for row in result["documents"]] == [
+        doc.id for doc in docs if doc is not docs[1]]
+
+
+@pytest.mark.parametrize("command", [["summarize", "--out", "out.jsonl"], ["evaluate"],
+                                     ["sweep", "--out", "sweep.csv"]],
+                         ids=["summarize", "evaluate", "sweep"])
+def test_k_above_max_sents_is_error_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # the error once came from the first document short of k, after the
+    # corpus and the model were read; neither file exists here
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--corpus", "absent.jsonl", "--model", "absent.json", "--k", "31"])
+    assert code == 1
+    assert _structured_error(capsys) == "--k 31 must satisfy 1 <= k <= 30"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gradcheck_of_no_samples_is_error(corpus_path, tmp_path, capsys):
     oracles = tmp_path / "oracles.jsonl"
     main(["oracle", "build", "--corpus", str(corpus_path), "--out", str(oracles), "--k", "2"])

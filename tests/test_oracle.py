@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpusgen
 import reference_oracle
+from reference_oracle import exhaustive_oracle, oracle_inputs
 from compsum import Document, parse_ptb
 from compsum import oracle as oracle_mod
 from compsum.corpus import document_from_record, document_to_record
@@ -26,7 +27,6 @@ from compsum.oracle import (
     build_document_oracles,
     compressability_report,
     document_fingerprint,
-    exhaustive_oracle,
     label_compressions,
     oracle_header,
     oracle_record,
@@ -39,7 +39,6 @@ from compsum.rouge import (
     ReferenceGrams,
     approx_oracle_score,
     preprocess_per_token,
-    preprocess_tokens,
 )
 from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
 from compsum.treebank import Span
@@ -70,7 +69,8 @@ class TestBeamSearch:
     def test_single_sentence_doc(self):
         tree = corpusgen.flat_tree(["storm", "reached", "coast"])
         doc = Document(id="one", sentences=(tree,), reference=(("storm", "coast"),))
-        beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=1, m=1))
+        grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+        beam = beam_search_oracle(grams, sents, OracleConfig(k=1, m=1))
         assert len(beam) == 1
         assert beam[0].sentence_indices == (0,)
         assert beam[0].score == approx_oracle_score(
@@ -84,7 +84,8 @@ class TestBeamSearch:
         )
         doc = Document(id="v", sentences=sents,
                        reference=(("storm", "reached", "coast", "early"),))
-        beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=1, m=1))
+        grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+        beam = beam_search_oracle(grams, sents, OracleConfig(k=1, m=1))
         assert beam[0].sentence_indices == (2,)
         assert beam[0].score == 1.0
 
@@ -92,13 +93,14 @@ class TestBeamSearch:
         doc = Document(id="short-doc", sentences=(corpusgen.flat_tree(["a"]),),
                        reference=(("a",),))
         with pytest.raises(ValueError, match="short-doc"):
-            beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=2))
+            build_document_oracles(doc, OracleConfig(k=2))
 
     def test_beam_scores_non_increasing(self):
         rng = np.random.default_rng(5)
         for i in range(10):
             doc = corpusgen.random_flat_doc(rng, f"b{i}", 7)
-            beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=3))
+            grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+            beam = beam_search_oracle(grams, sents, OracleConfig(k=3))
             scores = [c.score for c in beam]
             assert scores == sorted(scores, reverse=True)
             # build_document_oracles keeps beam[:m], so ties must be ordered too
@@ -113,7 +115,8 @@ class TestBeamSearch:
                 j: approx_oracle_score(list(doc.sentences[j].token_texts),
                                        doc.reference_tokens)
                 for j in range(7)}
-            for cand in beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=3)):
+            grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+            for cand in beam_search_oracle(grams, sents, OracleConfig(k=3)):
                 saliences = [individual[j] for j in cand.sentence_indices]
                 assert saliences == sorted(saliences, reverse=True)
 
@@ -123,7 +126,8 @@ class TestBeamSearch:
             n = int(rng.integers(3, 7))
             k = int(rng.integers(1, min(3, n) + 1))
             doc = corpusgen.random_flat_doc(rng, f"e{i}", n)
-            beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=k))
+            grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+            beam = beam_search_oracle(grams, sents, OracleConfig(k=k))
             best = exhaustive_oracle(doc, doc.reference_tokens, k)
             assert beam[0].score <= best.score + 1e-12
             assert beam[0].score == pytest.approx(best.score, abs=1e-12)
@@ -134,7 +138,8 @@ class TestBeamSearch:
         perfect = corpusgen.flat_tree(["target", "tokens", "here"])
         doc = Document(id="m", sentences=sents + (perfect,),
                        reference=(("target", "tokens", "here"),))
-        beam = beam_search_oracle(doc, doc.reference_tokens, OracleConfig(k=1))
+        # build_document_oracles passes the beam the scoreable sentences alone
+        beam = build_document_oracles(doc, OracleConfig(k=1, m=8)).candidates
         assert all(MAX_SENTS not in c.sentence_indices for c in beam)
         assert MAX_SENTS not in exhaustive_oracle(doc, doc.reference_tokens, 1).sentence_indices
 
@@ -168,7 +173,8 @@ class TestScoresFromCounts:
             return approx_oracle_score(
                 [tok for i in sorted(indices) for tok in sentences[i]], reference)
 
-        for cand in beam_search_oracle(doc, reference, OracleConfig(k=k, m=1)):
+        grams, _, sents = oracle_inputs(doc.sentences, reference)
+        for cand in beam_search_oracle(grams, sents, OracleConfig(k=k, m=1)):
             assert cand.score == fresh(cand.sentence_indices)
         best = exhaustive_oracle(doc, reference, k)
         assert best.score == max(fresh(c) for c in combinations(range(len(sentences)), k))
@@ -207,7 +213,8 @@ class TestIncrementalScores:
                        reference=(tuple(reference),))
         cfg = OracleConfig(k=k, beam_width=beam_width, m=beam_width)
         expected = reference_oracle.beam_search_oracle(doc, reference, cfg)
-        assert beam_search_oracle(doc, reference, cfg) == expected
+        grams, _, sents = oracle_inputs(doc.sentences, reference)
+        assert beam_search_oracle(grams, sents, cfg) == expected
         # build_document_oracles feeds the beam the sentences it preprocessed
         assert list(build_document_oracles(doc, cfg).candidates) == expected
 
@@ -216,14 +223,15 @@ class TestIncrementalScores:
         reference = ["storm", "coast", "storm"]
         doc = Document(id="e", sentences=tuple(corpusgen.flat_tree(s) for s in sentences),
                        reference=(tuple(reference),))
+        grams, _, sents = oracle_inputs(doc.sentences, reference)
         for k in (1, 2, 3):
             for beam_width in (1, 3, 8):
                 cfg = OracleConfig(k=k, beam_width=beam_width, m=1)
-                beam = beam_search_oracle(doc, reference, cfg)
+                beam = beam_search_oracle(grams, sents, cfg)
                 assert beam == reference_oracle.beam_search_oracle(doc, reference, cfg)
         # an empty sentence ties with the subset without it
         scores = {tuple(sorted(c.sentence_indices)): c.score
-                  for c in beam_search_oracle(doc, reference, OracleConfig(k=3))}
+                  for c in beam_search_oracle(grams, sents, OracleConfig(k=3))}
         assert scores[(0, 1, 3)] == scores[(1, 2, 3)] == approx_oracle_score(
             ["storm", "coast", "storms"], reference)
 
@@ -235,7 +243,8 @@ class TestIncrementalScores:
         # every span: at either end, of dropped tokens only, all but one token
         tree = corpusgen.flat_tree(tokens)
         options = _every_span(len(tokens))
-        labeled = label_compressions(tree, options, reference)
+        grams, (tree_tokens,), (sent,) = oracle_inputs([tree], reference)
+        labeled = label_compressions(grams, tree_tokens, sent, options)
         assert labeled == reference_oracle.label_compressions(tree, options, reference)
         r_before = approx_oracle_score(tokens, reference)
         for lab in labeled:
@@ -244,7 +253,7 @@ class TestIncrementalScores:
             assert lab.r_after == approx_oracle_score(
                 tokens[:span.start] + tokens[span.end:], reference)
         per_token = preprocess_per_token(tokens, ORACLE_PREPROCESS)
-        assert label_compressions(tree, options, reference, per_token) == labeled
+        assert label_compressions(grams, per_token, sent, options) == labeled
 
     def test_news_shaped_document_with_clipped_bridges(self):
         rng = np.random.default_rng(18)
@@ -270,11 +279,11 @@ class TestIncrementalScores:
                 for bridge in ((a[-1], b[0]) for a, b in zip(picked, picked[1:])))
         assert clipped_bridges > 0
         # flat trees have no rule options, so label every span
-        grams = ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
-        for tree in doc.sentences:
+        grams, per_token, sents = oracle_inputs(doc.sentences, reference)
+        for tree, tokens, sent in zip(doc.sentences, per_token, sents):
             options = _every_span(len(tree.tokens))
-            assert label_compressions(tree, options, grams) == (
-                reference_oracle.label_compressions(tree, options, grams))
+            assert label_compressions(grams, tokens, sent, options) == (
+                reference_oracle.label_compressions(tree, options, reference))
 
     def test_parsed_documents_beam_equals_the_from_scratch_beam(self):
         # the labels of these documents are checked in TestScoresFromCounts
@@ -317,7 +326,8 @@ class TestLabeling:
             "(S (NP (DT the) (JJ gleaming) (NN senate)) (VP (VBD approved) (NP (DT the) (NN budget))) (. .))")
         options = normalize_options(extract_options(tree), len(tree.tokens))
         reference = ["senate", "approved", "budget"]
-        labeled = label_compressions(tree, options, reference)
+        grams, (per_token,), (sent,) = oracle_inputs([tree], reference)
+        labeled = label_compressions(grams, per_token, sent, options)
         by_span = {(l.option.span.start, l.option.span.end): l for l in labeled}
         assert by_span[(1, 2)].label is CompressionLabel.DEL
         assert by_span[(1, 2)].r_after > by_span[(1, 2)].r_before
@@ -327,7 +337,8 @@ class TestLabeling:
             "(S (NP (DT the) (JJ senate) (NN panel)) (VP (VBD met)) (. .))")
         options = normalize_options(extract_options(tree), len(tree.tokens))
         reference = ["senate"]
-        labeled = label_compressions(tree, options, reference)
+        grams, (per_token,), (sent,) = oracle_inputs([tree], reference)
+        labeled = label_compressions(grams, per_token, sent, options)
         (lab,) = [l for l in labeled if l.option.span == Span(1, 2)]
         assert lab.label is CompressionLabel.KEEP
         assert lab.r_after < lab.r_before
@@ -336,7 +347,8 @@ class TestLabeling:
         tree = parse_ptb(
             "(S (NP (DT the) (JJ rusty) (NN gate)) (VP (VBD creaked)) (. .))")
         options = normalize_options(extract_options(tree), len(tree.tokens))
-        labeled = label_compressions(tree, options, ["unrelated", "words"])
+        grams, (per_token,), (sent,) = oracle_inputs([tree], ["unrelated", "words"])
+        labeled = label_compressions(grams, per_token, sent, options)
         for lab in labeled:
             assert lab.r_before == 0.0 and lab.r_after == 0.0
             assert lab.label is CompressionLabel.KEEP
@@ -371,7 +383,8 @@ class TestLabeling:
             "artists and their felines .").split()
         tree = parse_ptb(source)
         options = normalize_options(extract_options(tree), len(tree.tokens))
-        labeled = label_compressions(tree, options, reference)
+        grams, (per_token,), (sent,) = oracle_inputs([tree], reference)
+        labeled = label_compressions(grams, per_token, sent, options)
         by_text = {
             " ".join(tree.token_texts[l.option.span.start:l.option.span.end]): l
             for l in labeled}
@@ -385,10 +398,11 @@ class TestLabeling:
 
     def test_labels_are_context_free_roundtrip(self):
         for doc in corpusgen.fixture_corpus():
-            for tree in doc.sentences:
+            grams, per_token, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+            for tree, tokens, sent in zip(doc.sentences, per_token, sents):
                 options = normalize_options(extract_options(tree), len(tree.tokens))
-                once = label_compressions(tree, options, doc.reference_tokens)
-                twice = label_compressions(tree, options, doc.reference_tokens)
+                once = label_compressions(grams, tokens, sent, options)
+                twice = label_compressions(grams, tokens, sent, options)
                 assert once == twice
                 for lab in once:
                     if lab.label is CompressionLabel.DEL:
@@ -634,8 +648,26 @@ class TestCache:
             cfg = OracleConfig(k=2, beam_width=8, m=3)
             entry = build_document_oracles(doc, cfg)
             assert entry.doc is doc
-            assert list(entry.candidates) == beam_search_oracle(
-                doc, doc.reference_tokens, cfg)[:3]
+            grams, _, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+            assert list(entry.candidates) == beam_search_oracle(grams, sents, cfg)[:3]
+
+    def test_each_sentence_shares_grams_once_for_beam_and_labels(self, monkeypatch):
+        # the beam and the labels once each counted the shared grams of the
+        # first MAX_SENTS sentences: 65 counts for these 35 sentences
+        counted = []
+        shared = ReferenceGrams.shared
+
+        def counting(grams, tokens):
+            counted.append(tuple(tokens))
+            return shared(grams, tokens)
+
+        monkeypatch.setattr(ReferenceGrams, "shared", counting)
+        doc = corpusgen.random_flat_doc(np.random.default_rng(19), "long", MAX_SENTS + 5)
+        build_document_oracles(doc, OracleConfig())
+        per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS)
+                     for tree in doc.sentences]
+        assert counted == [tuple(tok for tok in tokens if tok is not None)
+                           for tokens in per_token]
 
     def test_reference_required(self):
         doc = Document(id="noref", sentences=(corpusgen.flat_tree(["a", "b"]),))

@@ -17,6 +17,7 @@ from compsum.oracle import MAX_SENTS, CompressionLabel, OracleConfig, build_docu
 from compsum.pipeline import (
     CAUSE_DEDUP,
     CAUSE_MODEL,
+    EVAL_PREPROCESS,
     AppliedDeletion,
     ScoredDocument,
     ScoredSentence,
@@ -35,6 +36,7 @@ from compsum.pipeline import (
     summary_to_record,
     sweep_threshold,
 )
+from compsum.rouge import preprocess_tokens
 from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
 from compsum.treebank import SentenceTree, Span, TreeNode, surviving_tokens
 
@@ -413,7 +415,8 @@ class TestSummarize:
     def test_record_roundtrip(self):
         model, docs = trained_model()
         summary = summarize(model, docs[2], SummarizeConfig(k=2, tau=0.8))
-        assert summary_from_record(summary_to_record(summary), docs[2]) == summary
+        doc_options = [extract_options(tree) for tree in docs[2].sentences]
+        assert summary_from_record(summary_to_record(summary), docs[2], doc_options) == summary
 
     def test_threshold_monotone_nesting(self):
         model, docs = trained_model()
@@ -466,7 +469,8 @@ class TestEvaluate:
             selected = sorted(summarize(model, doc, cfg).selected)
             raw = Summary(doc_id=doc.id, selected=tuple(selected), deletions=(),
                           text=tuple(doc.sentences[i].token_texts for i in selected))
-            assert score_summary(raw, doc) == row
+            assert score_summary(raw, preprocess_tokens(doc.reference_tokens,
+                                                        EVAL_PREPROCESS)) == row
 
     def test_missing_reference_skipped_and_counted(self, caplog):
         model, docs = trained_model()
@@ -489,7 +493,8 @@ def _point_values(point):
 def _fresh_values(scored, tau, dedup):
     """A sweep point from a fresh render and score_summary of every document."""
     summaries = [render(s, tau, dedup) for s in scored]
-    rows = [score_summary(summary, s.doc) for summary, s in zip(summaries, scored)]
+    rows = [score_summary(summary, preprocess_tokens(s.doc.reference_tokens, EVAL_PREPROCESS))
+            for summary, s in zip(summaries, scored)]
     f1 = [float(np.mean([getattr(row, name).f1 for row in rows]))
           for name in ("rouge1", "rouge2", "rouge_l")]
     before = sum(len(s.doc.sentences[sent.index].tokens)
@@ -618,7 +623,7 @@ class TestScoreOnceRenderMany:
         assert sorted(s.index for s in scored.sentences) == list(range(MAX_SENTS))
         assert sorted(decode_greedy(model, doc, MAX_SENTS)) == list(range(MAX_SENTS))
         with pytest.raises(ValueError, match=f"30 scoreable sentences but k={MAX_SENTS + 1}"):
-            summarize(model, doc, SummarizeConfig(k=MAX_SENTS + 1))
+            score_document(model, doc, MAX_SENTS + 1)
 
 
 _SCORED = [score_document(init_model(seed=0), doc, 2)
@@ -641,16 +646,21 @@ class TestRenderWithoutDedup:
         assert summary.text == expected
 
 
+def _options(docs):
+    """Each document's extract_options per sentence, as stats_report takes them."""
+    return [[extract_options(tree) for tree in doc.sentences] for doc in docs]
+
+
 class TestStats:
     def test_option_only_shares(self):
         docs = corpusgen.fixture_corpus()
-        rows = stats_report(docs)
+        rows = stats_report(_options(docs))
         assert sum(row.pct_of_comps for row in rows) == pytest.approx(100.0)
         assert all(row.comp_acc is None and row.dedup_pct is None for row in rows)
 
     def test_single_token_options_have_length_one(self):
         docs = corpusgen.fixture_corpus()
-        rows = {row.node_label: row for row in stats_report(docs)}
+        rows = {row.node_label: row for row in stats_report(_options(docs))}
         assert rows["JJ"].mean_len == 1.0
 
     def test_full_report_has_table_columns(self):
@@ -659,7 +669,7 @@ class TestStats:
         oracles = [build_document_oracles(d, cfg) for d in docs[:6]]
         summaries = [summarize(model, d, SummarizeConfig(k=2, tau=0.6))
                      for d in docs[:6]]
-        rows = stats_report(docs[:6], oracles, summaries)
+        rows = stats_report(_options(docs[:6]), oracles, summaries)
         for row in rows:
             assert row.mean_len >= 1.0
             assert row.comp_acc is None or 0.0 <= row.comp_acc <= 100.0

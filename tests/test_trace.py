@@ -237,14 +237,16 @@ def test_traced_commands_build_only_the_trees_they_read(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     built = result["built"]
     assert result["codes"] == [0] * len(built)
-    corpus = [json.loads(line) for line in (tmp_path / "corpus.jsonl").open()]
+    corpus = [json.loads(line)
+              for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
     parses = [sent["parse"] for record in corpus for sent in record["sentences"]]
     # oracle build reads every sentence's options: each tree once, none twice
     assert built["oracle build"] == dict(Counter(parses))
     # training and the gradient check read words only
     assert built["train"] == built["gradcheck"] == {}
     # decoding reads the options of the selected sentences only
-    summaries = [json.loads(line) for line in (tmp_path / "summaries.jsonl").open()]
+    summaries = [json.loads(line)
+                 for line in (tmp_path / "summaries.jsonl").read_text().splitlines()]
     selected = Counter(corpus[i]["sentences"][j]["parse"]
                        for i, summary in enumerate(summaries) for j in summary["selected"])
     assert sum(selected.values()) == 2 * len(corpus)
