@@ -3,10 +3,17 @@
 Eight concrete tree patterns produce deletable token spans. Emitted spans
 are guaranteed nest-or-disjoint: any two options are disjoint or one
 contains the other, so any subset of them can be deleted together.
+
+`extract_options` walks a tree once, collecting its internal nodes and the
+tag of each token. A child is looked up once by its label (each distinct
+label's base and kind are worked out once and kept) and skipped unless some
+rule matches that kind under its parent's base label; what a rule reads
+below the child (its first leaf, the first verb of a VP, the head
+preposition of a PP) comes from the tags of the child's span.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .treebank import PartialOverlapError  # noqa: F401  (normalize_options raises it)
 from .treebank import SentenceTree, Span, TreeNode, ensure_nest_or_disjoint
@@ -51,38 +58,69 @@ _WH_PHRASE_LABELS = {"WHNP", "WHADVP", "WHPP"}
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = set(_OPENERS.values())
 
+# The phrases some rule names, by base label.
+_RULE_PHRASES = frozenset({"NP", "SBAR", "ADJP", "ADVP", "VP", "PP", "PRN"})
+# The child kinds (see _Kinds) some rule matches, by the parent's base label.
+_MATCHED_UNDER = {
+    "NP": frozenset({"NP", "SBAR", "ADJP", *_ADJ_TAGS, "VP", "PRN"}),
+    "S": frozenset({"SBAR", "ADVP", "PP", "PRN"}),
+    "VP": frozenset({"SBAR", "ADVP", "RB", "PP", "PRN"}),
+}
+_MATCHED_ELSEWHERE = frozenset({"PRN"})
 
-def _base(label: str) -> str:
-    # Strip function tags / indices (NP-SBJ -> NP) but keep -LRB- style labels.
-    head = label.split("=")[0].split("-")[0]
-    return head if head else label
+
+class _Bases(dict):
+    """label -> base label, computed once per distinct label."""
+
+    def __missing__(self, label: str) -> str:
+        # Strip function tags / indices (NP-SBJ -> NP) but keep -LRB- style labels.
+        head = label.split("=")[0].split("-")[0]
+        base = self[label] = head if head else label
+        return base
 
 
-def _first_verb_tag(node: TreeNode) -> str | None:
-    for leaf in node.leaves():
-        if leaf.label.startswith("VB"):
-            return leaf.label
-    return None
+class _Kinds(dict):
+    """label -> what a rule matches a child of that label by: its base label
+    when a rule names that phrase, the label itself when it is a JJ* or RB
+    tag (matched on leaves only), otherwise None."""
+
+    def __missing__(self, label: str) -> str | None:
+        base = _BASE[label]
+        if base in _RULE_PHRASES:
+            kind = base
+        elif label in _ADJ_TAGS or label == "RB":
+            kind = label
+        else:
+            kind = None
+        self[label] = kind
+        return kind
+
+
+_BASE = _Bases()
+_KIND = _Kinds()
 
 
 def _is_comma(node: TreeNode, texts) -> bool:
-    return node.is_leaf and texts[node.span.start] == ","
+    return not node.children and texts[node.span.start] == ","
 
 
-def _head_preposition(pp: TreeNode, texts) -> str | None:
-    for leaf in pp.leaves():
-        if leaf.label in ("IN", "TO"):
-            return texts[leaf.span.start].lower()
-    return None
-
-
-@dataclass
+@dataclass(slots=True)
 class _Candidate:
     span: Span
     rule: RuleId
     node_label: str
     parent_span: Span | None  # absorption never reaches outside this
     absorb: bool
+    rank: int = field(init=False)  # the rule's position in RuleId
+
+    def __post_init__(self):
+        self.rank = RULE_ORDER[self.rule]
+
+
+def _layout_key(cand: _Candidate) -> tuple[int, int, int]:
+    """(start, -length, rule rank)."""
+    start, end = cand.span
+    return start, start - end, cand.rank
 
 
 def extract_options(tree: SentenceTree) -> list[CompressionOption]:
@@ -93,89 +131,112 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     never emitted. The output is already what normalize_options would return,
     so callers use it as is.
     """
-    n = len(tree.tokens)
     texts = tree.tokens
-    candidates: list[_Candidate] = []
+    n = len(texts)
 
-    for node in tree.root.iter_nodes():
-        if node.is_leaf:
-            continue
-        parent_label = _base(node.label)
+    # One pre-order walk: the internal nodes, and the tag of each token. A
+    # child's first leaf is tags[child.span.start], and its leaves are the
+    # tags of its span.
+    nodes: list[TreeNode] = []
+    tags: list[str] = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            nodes.append(node)
+            stack.extend(reversed(node.children))
+        else:
+            tags.append(node.label)
+
+    candidates: list[_Candidate] = []
+    add = candidates.append
+    for node in nodes:
+        parent = _BASE[node.label]
+        matched = _MATCHED_UNDER.get(parent, _MATCHED_ELSEWHERE)
         kids = node.children
         for idx, child in enumerate(kids):
-            child_label = _base(child.label)
+            kind = _KIND[child.label]
+            if kind not in matched:
+                continue
+            label, grandkids, span = child
 
-            # Appositive: NP child of NP between a comma and a comma or the
-            # constituent end; the commas belong to the span.
-            if child_label == "NP" and parent_label == "NP" and idx > 0:
-                prev = kids[idx - 1]
-                if _is_comma(prev, texts):
-                    nxt = kids[idx + 1] if idx + 1 < len(kids) else None
-                    if nxt is None:
-                        span = Span(prev.span.start, child.span.end)
-                    elif _is_comma(nxt, texts):
-                        span = Span(prev.span.start, nxt.span.end)
-                    else:
-                        span = None
-                    if span is not None:
-                        candidates.append(_Candidate(
-                            span, RuleId.APPOSITIVE_NP, child.label,
-                            node.span, absorb=False))
+            if kind == "NP":
+                # Appositive: NP child of NP between a comma and a comma or
+                # the constituent end; the commas belong to the span.
+                if idx and _is_comma(kids[idx - 1], texts):
+                    start = kids[idx - 1].span.start
+                    if idx + 1 == len(kids):
+                        add(_Candidate(Span(start, span.end), RuleId.APPOSITIVE_NP,
+                                       label, node.span, absorb=False))
+                    elif _is_comma(kids[idx + 1], texts):
+                        add(_Candidate(Span(start, kids[idx + 1].span.end),
+                                       RuleId.APPOSITIVE_NP, label, node.span,
+                                       absorb=False))
 
-            if child_label == "SBAR":
-                first_leaf = child.leaves()[0]
-                if parent_label == "NP" and (
-                        first_leaf.label in _WH_LEAF_TAGS
-                        or _base(child.children[0].label) in _WH_PHRASE_LABELS):
-                    candidates.append(_Candidate(
-                        child.span, RuleId.RELATIVE_CLAUSE, child.label,
-                        node.span, absorb=True))
-                elif parent_label in ("S", "VP") and first_leaf.label == "IN":
-                    candidates.append(_Candidate(
-                        child.span, RuleId.ADVERBIAL_CLAUSE, child.label,
-                        node.span, absorb=True))
+            elif kind == "SBAR":
+                # A leaf labelled SBAR is no clause.
+                if not grandkids:
+                    continue
+                first_tag = tags[span.start]
+                if parent == "NP":
+                    if (first_tag in _WH_LEAF_TAGS
+                            or _BASE[grandkids[0].label] in _WH_PHRASE_LABELS):
+                        add(_Candidate(span, RuleId.RELATIVE_CLAUSE, label,
+                                       node.span, absorb=True))
+                elif first_tag == "IN":
+                    add(_Candidate(span, RuleId.ADVERBIAL_CLAUSE, label,
+                                   node.span, absorb=True))
 
-            # Pre-modifying ADJP or bare adjective inside an NP, provided a
-            # nominal head follows (so the NP head itself is never an option).
-            if parent_label == "NP" and (
-                    child_label == "ADJP"
-                    or (child.is_leaf and child.label in _ADJ_TAGS)):
-                if any(_base(sib.label).startswith("NN") or _base(sib.label) == "NX"
-                       for sib in kids[idx + 1:]):
-                    candidates.append(_Candidate(
-                        child.span, RuleId.ADJP_IN_NP, child.label,
-                        node.span, absorb=True))
+            elif kind == "ADVP":
+                add(_Candidate(span, RuleId.ADVP, label, node.span, absorb=True))
 
-            if child_label == "ADVP" and parent_label in ("S", "VP"):
-                candidates.append(_Candidate(
-                    child.span, RuleId.ADVP, child.label, node.span, absorb=True))
+            elif kind == "VP":
+                # Gerundive VP in an NP: its first verb is a VBG.
+                for tag in tags[span.start:span.end]:
+                    if tag.startswith("VB"):
+                        if tag == "VBG":
+                            add(_Candidate(span, RuleId.GERUNDIVE_VP_IN_NP, label,
+                                           node.span, absorb=True))
+                        break
 
-            # Bare RB pre-modifier of a VP: an RB leaf before the first verb.
-            if parent_label == "VP" and child.is_leaf and child.label == "RB":
-                verb_positions = [j for j, sib in enumerate(kids)
-                                  if sib.is_leaf and sib.label.startswith("VB")]
-                if verb_positions and idx < verb_positions[0]:
-                    candidates.append(_Candidate(
-                        child.span, RuleId.ADVP, child.label, node.span, absorb=True))
+            elif kind == "PP":
+                # Adjunct PP: no NP to its right, or a listed head preposition.
+                if any(_BASE[sib.label] == "NP" for sib in kids[idx + 1:]):
+                    prep = None
+                    for i in range(span.start, span.end):
+                        if tags[i] in ("IN", "TO"):
+                            prep = texts[i].lower()
+                            break
+                    if prep not in DEFAULT_ADJUNCT_PREPOSITIONS:
+                        continue
+                add(_Candidate(span, RuleId.PP_CONFIG, label, node.span, absorb=True))
 
-            if child_label == "VP" and parent_label == "NP":
-                if _first_verb_tag(child) == "VBG":
-                    candidates.append(_Candidate(
-                        child.span, RuleId.GERUNDIVE_VP_IN_NP, child.label,
-                        node.span, absorb=True))
+            elif kind == "PRN":
+                add(_Candidate(span, RuleId.PARENTHETICAL, label, node.span, absorb=True))
 
-            if child_label == "PP" and parent_label in ("VP", "S"):
-                has_np_right = any(_base(sib.label) == "NP" for sib in kids[idx + 1:])
-                prep = _head_preposition(child, texts)
-                if not has_np_right or (prep is not None and prep in DEFAULT_ADJUNCT_PREPOSITIONS):
-                    candidates.append(_Candidate(
-                        child.span, RuleId.PP_CONFIG, child.label,
-                        node.span, absorb=True))
+            elif kind == "RB":
+                # Bare RB pre-modifier of a VP: an RB leaf before the first verb.
+                if grandkids:
+                    continue
+                for j, sib in enumerate(kids):
+                    if not sib.children and sib.label.startswith("VB"):
+                        if idx < j:
+                            add(_Candidate(span, RuleId.ADVP, label, node.span,
+                                           absorb=True))
+                        break
 
-            if child_label == "PRN":
-                candidates.append(_Candidate(
-                    child.span, RuleId.PARENTHETICAL, child.label,
-                    node.span, absorb=True))
+            else:
+                # Pre-modifying ADJP or bare adjective (a JJ* leaf) inside an
+                # NP, provided a nominal head follows (so the NP head itself
+                # is never an option).
+                if kind != "ADJP" and grandkids:
+                    continue
+                for sib in kids[idx + 1:]:
+                    base = _BASE[sib.label]
+                    if base.startswith("NN") or base == "NX":
+                        add(_Candidate(span, RuleId.ADJP_IN_NP, label,
+                                       node.span, absorb=True))
+                        break
 
     # Matching bracket pairs outside any PRN constituent, brackets absorbed.
     stack: list[tuple[str, int]] = []
@@ -193,22 +254,29 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     _absorb_commas(candidates, texts)
     candidates = _dedupe(candidates)
 
+    # Kept in (start, -length) order, the options that contain a start form
+    # a chain, innermost last; a candidate partially overlaps a kept option
+    # only if it ends past the innermost one that contains its start.
     options: list[CompressionOption] = []
-    kept_spans: list[Span] = []
-    for cand in sorted(candidates,
-                       key=lambda c: (c.span.start, -len(c.span), RULE_ORDER[c.rule])):
-        if len(cand.span) >= n:
+    enclosing: list[Span] = []
+    for cand in sorted(candidates, key=_layout_key):
+        span = cand.span
+        start, end = span
+        if end - start >= n:
             continue
-        if all(cand.span.compatible(span) for span in kept_spans):
-            kept_spans.append(cand.span)
-            options.append(CompressionOption(cand.span, cand.rule, cand.node_label))
+        while enclosing and enclosing[-1].end <= start:
+            enclosing.pop()
+        if enclosing and end > enclosing[-1].end:
+            continue
+        enclosing.append(span)
+        options.append(CompressionOption(span, cand.rule, cand.node_label))
     return options  # spans are unique, so already in (start, -length) order
 
 
 def _dedupe(candidates: list[_Candidate]) -> list[_Candidate]:
     by_span: dict[Span, _Candidate] = {}
     for cand in sorted(candidates,
-                       key=lambda c: (RULE_ORDER[c.rule], c.span.start, -len(c.span))):
+                       key=lambda c: (c.rank, c.span.start, c.span.start - c.span.end)):
         by_span.setdefault(cand.span, cand)
     return list(by_span.values())
 
@@ -220,25 +288,25 @@ def _absorb_commas(candidates: list[_Candidate], texts) -> None:
     the widened span stays nested-or-disjoint with every other candidate, so
     the global layout invariant survives absorption.
     """
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (candidates[i].span.start,
-                                  -len(candidates[i].span),
-                                  RULE_ORDER[candidates[i].rule]))
+    order = sorted(range(len(candidates)), key=lambda i: _layout_key(candidates[i]))
     for i in order:
         cand = candidates[i]
-        if not cand.absorb or cand.parent_span is None:
+        parent = cand.parent_span
+        if not cand.absorb or parent is None:
+            continue
+        start, end = cand.span
+        left = start > parent.start and texts[start - 1] == ","
+        right = end < parent.end and texts[end] == ","
+        if not (left or right):
             continue
         others = [c.span for j, c in enumerate(candidates) if j != i]
-        span = cand.span
-        left = span.start - 1
-        if left >= cand.parent_span.start and texts[left] == ",":
-            widened = Span(left, span.end)
+        if left:
+            widened = Span(start - 1, end)
             if all(widened.compatible(other) for other in others):
                 cand.span = widened
                 continue
-        right = span.end
-        if right < cand.parent_span.end and texts[right] == ",":
-            widened = Span(span.start, right + 1)
+        if right:
+            widened = Span(start, end + 1)
             if all(widened.compatible(other) for other in others):
                 cand.span = widened
 

@@ -15,8 +15,8 @@ Nodes are immutable tuples, equal and hashed by value. Every node caches
 its half-open token span; a sentence's words are a plain tuple of strings,
 and bracket words are stored unescaped ("(" rather than "-LRB-"); escaping
 happens only when a tree is serialized back to bracketed form. Traversal
-(`iter_nodes`, `leaves`) and serialization (`to_ptb`) keep their own stack,
-so no tree depth reaches the interpreter's recursion limit.
+(`iter_nodes`) and serialization (`to_ptb`) keep their own stack, so no tree
+depth reaches the interpreter's recursion limit.
 """
 
 import re
@@ -103,9 +103,6 @@ class TreeNode(NamedTuple):
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def leaves(self) -> list["TreeNode"]:
-        return [node for node in self.iter_nodes() if not node.children]
 
 
 class SentenceTree:

@@ -2,7 +2,8 @@
 
 Kept only as an oracle for differential tests: `_parse_node` builds a tree
 of raw tuples carrying each bracket's character offset, and `_build` walks
-it again to make the nodes. Nothing in `src/` imports it.
+it again to make the nodes. `leaves(node)` lists a subtree's leaves for
+tests that count or compare them. Nothing in `src/` imports it.
 """
 
 import re
@@ -83,3 +84,8 @@ def _build(raw, tokens: list[str]) -> TreeNode:
         raise ParseError("unlabeled internal node", offset)
     kids = tuple(_build(child, tokens) for child in children)
     return TreeNode(label=label, children=kids, span=Span(kids[0].span.start, kids[-1].span.end))
+
+
+def leaves(node: TreeNode) -> list[TreeNode]:
+    """The leaves of node's subtree, in token order."""
+    return [n for n in node.iter_nodes() if not n.children]

@@ -71,6 +71,24 @@ def test_options_extract_skips_too_deep_record(tmp_path, capsys):
     assert len(lines) == len(docs[1].sentences)
 
 
+def test_leaf_labelled_sbar_in_np_gets_no_option(tmp_path, capsys):
+    # the clause rules read an SBAR's first child, which a leaf has none of
+    record = {"id": "leaf-sbar",
+              "sentences": [{"tokens": ["man", "who", "ran"],
+                             "parse": "(S (NP (NN man) (SBAR who)) (VP (VBD ran)))"}],
+              "reference": [["man", "ran"]]}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "options.jsonl"
+    assert main(["options", "extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [
+        {"doc_id": "leaf-sbar", "sent_index": 0, "options": []}]
+    oracles = tmp_path / "oracles.jsonl"
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
+                 "--k", "1"]) == 0
+    assert json.loads(oracles.read_text().splitlines()[1])["labels"] == [[]]
+
+
 def test_mistyped_reference_record_is_skipped(tmp_path, capsys):
     docs, _ = corpusgen.learnable_corpus(count=4, seed=31)
     corpus = tmp_path / "corpus.jsonl"

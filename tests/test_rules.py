@@ -2,13 +2,14 @@
 layout invariants every emitted option list must satisfy."""
 
 import hashlib
-import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpusgen
+import reference_rules
 from compsum.rules import (
     RULES_VERSION,
     CompressionOption,
@@ -206,21 +207,44 @@ class TestInvariants:
         assert all(tok in it for tok in rendered)  # subsequence check
 
 
+_PHRASE_LABELS = ["S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP", "PRN", "X", "WHNP",
+                  "NX", "NP-SBJ", "PP-LOC=1", "SBAR-ADV", "VP-2", "ADVP-TMP=2", "S-1"]
+_POS_TAGS = ["DT", "NN", "NNS", "JJ", "RB", "IN", "VBD", "VBG", "WDT", ",",
+             ".", "-LRB-", "-RRB-", "CC", "TO", "WP"]
+_WORDS = ["alpha", "beta", "gamma", "delta", "eps", "on", "who", "because",
+          "with", "near", "quickly"]
+
+
 def _random_tree_source(rng, depth=0):
-    labels = ["S", "NP", "VP", "PP", "SBAR", "ADJP", "ADVP", "PRN", "X", "WHNP"]
-    pos_tags = ["DT", "NN", "NNS", "JJ", "RB", "IN", "VBD", "VBG", "WDT", ",",
-                ".", "-LRB-", "-RRB-", "CC", "TO", "WP"]
-    words = ["alpha", "beta", "gamma", "delta", "eps", "on", "who", "because",
-             "with", "near", "quickly"]
+    # phrases with function tags and indices (NP-SBJ, PP-LOC=1), unary
+    # chains, -NONE- empty elements and leaves labelled as phrases
     if depth >= 4 or rng.random() < 0.35:
-        pos = pos_tags[rng.integers(0, len(pos_tags))]
+        roll = rng.random()
+        if roll < 0.08:
+            return f"(-NONE- *T*-{int(rng.integers(1, 4))})"
+        if roll < 0.2:
+            label = _PHRASE_LABELS[rng.integers(0, len(_PHRASE_LABELS))]
+            return f"({label} {_WORDS[rng.integers(0, len(_WORDS))]})"
+        pos = _POS_TAGS[rng.integers(0, len(_POS_TAGS))]
         if pos in (",", ".", "-LRB-", "-RRB-"):
             return f"({pos} {pos})"
-        return f"({pos} {words[rng.integers(0, len(words))]})"
-    label = labels[rng.integers(0, len(labels))]
+        return f"({pos} {_WORDS[rng.integers(0, len(_WORDS))]})"
+    label = _PHRASE_LABELS[rng.integers(0, len(_PHRASE_LABELS))]
+    if rng.random() < 0.15:
+        return f"({label} {_random_tree_source(rng, depth)})"
     kids = " ".join(_random_tree_source(rng, depth + 1)
                     for _ in range(int(rng.integers(1, 5))))
     return f"({label} {kids})"
+
+
+def _adversarial_trees():
+    """800 adversarial trees, then the fixtures and the learnable corpus."""
+    rng = np.random.default_rng(2024)
+    adversarial = [parse_ptb(_random_tree_source(rng)) for _ in range(800)]
+    fixtures = [parse_ptb(source) for _, source, _ in FIXTURES]
+    docs, _ = corpusgen.learnable_corpus(count=50, seed=5)
+    learnable = [tree for doc in docs for tree in doc.sentences]
+    return adversarial + fixtures + learnable
 
 
 def test_layout_invariant_on_adversarial_trees():
@@ -228,20 +252,21 @@ def test_layout_invariant_on_adversarial_trees():
     # the fixtures and the learnable corpus: extraction must emit a renderable
     # layout that normalize_options leaves unchanged, which is why callers use
     # extract_options output without re-checking it
-    import numpy as np
-
     rng = np.random.default_rng(2024)
-    adversarial = (parse_ptb(_random_tree_source(rng)) for _ in range(800))
-    fixtures = [parse_ptb(source) for _, source, _ in FIXTURES]
-    docs, _ = corpusgen.learnable_corpus(count=50, seed=5)
-    learnable = [tree for doc in docs for tree in doc.sentences]
-    for tree in itertools.chain(adversarial, fixtures, learnable):
+    for tree in _adversarial_trees():
         options = extract_options(tree)
         assert normalize_options(options, len(tree.tokens)) == options
         if options:
             mask = int(rng.integers(0, 2 ** min(len(options), 12)))
             spans = [o.span for i, o in enumerate(options) if mask & (1 << i)]
             surviving_tokens(tree, spans)
+
+
+def test_options_equal_the_reference_matcher():
+    # the one-walk matcher against the per-child one it replaced, on label
+    # shapes the output pin does not cover
+    for tree in _adversarial_trees():
+        assert extract_options(tree) == reference_rules.extract_options(tree), tree.parse
 
 
 _LEARNABLE_TREES = [tree for doc in corpusgen.learnable_corpus(count=25, seed=3)[0]
