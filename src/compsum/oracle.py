@@ -27,8 +27,10 @@ go, the bigram across the cut comes. The match counts are the integers
 rouge_n computes, so every score is the float approx_score_pretokenized
 gives on the joined tokens. All text is preprocessed with the fixed
 rouge.ORACLE_PREPROCESS (lowercase, stopwords and punctuation dropped,
-stemmed). The exhaustive oracle and the from-scratch beam and labels that
-the tests compare these with live in tests/reference_oracle.py.
+stemmed). A reference that it leaves without a word is an error naming the
+document, since every subset would score 0.0 and every label be KEEP. The
+exhaustive oracle and the from-scratch beam and labels that the tests
+compare these with live in tests/reference_oracle.py.
 
 Only a document's first MAX_SENTS sentences can be selected, by the oracles
 here and by training and decoding in compsum.model alike;
@@ -373,7 +375,10 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
     if not reference:
         raise ValueError(f"document {doc.id!r} has no reference summary")
     n = scoreable_sentences(doc, cfg.k)
-    grams = ReferenceGrams(preprocess_tokens(reference, ORACLE_PREPROCESS))
+    kept = preprocess_tokens(reference, ORACLE_PREPROCESS)
+    if not kept:
+        raise ValueError(f"document {doc.id!r} has no reference word left after preprocessing")
+    grams = ReferenceGrams(kept)
     per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS) for tree in doc.sentences]
     sents = [grams.shared([tok for tok in tokens if tok is not None]) for tokens in per_token]
     beam = beam_search_oracle(grams, sents[:n], cfg)

@@ -4,19 +4,21 @@ Eight concrete tree patterns produce deletable token spans. Emitted spans
 are guaranteed nest-or-disjoint: any two options are disjoint or one
 contains the other, so any subset of them can be deleted together.
 
-`extract_options` walks a tree once, collecting its internal nodes and the
-tag of each token. A child is looked up once by its label (each distinct
-label's base and kind are worked out once and kept) and skipped unless some
-rule matches that kind under its parent's base label; what a rule reads
-below the child (its first leaf, the first verb of a VP, the head
-preposition of a PP) comes from the tags of the child's span.
+`extract_options` reads per-node arrays, not nodes: `treebank.node_arrays`
+fills, from the sentence's checked parse, each node's label, token span and
+children in pre-order and each token's tag, so no pipeline command builds
+tree nodes. A child is looked up once by its label (each distinct label's
+base and kind are worked out once and kept) and skipped unless some rule
+matches that kind under its parent's base label; what a rule reads below
+the child (its first leaf, the first verb of a VP, the head preposition of
+a PP) comes from the tags of the child's span.
 """
 
 import enum
 from dataclasses import dataclass, field
 
 from .treebank import PartialOverlapError  # noqa: F401  (normalize_options raises it)
-from .treebank import SentenceTree, Span, TreeNode, ensure_nest_or_disjoint
+from .treebank import SentenceTree, Span, ensure_nest_or_disjoint, node_arrays
 
 
 class RuleId(enum.Enum):
@@ -100,8 +102,8 @@ _BASE = _Bases()
 _KIND = _Kinds()
 
 
-def _is_comma(node: TreeNode, texts) -> bool:
-    return not node.children and texts[node.span.start] == ","
+def _is_comma(node: int, kids, starts, texts) -> bool:
+    return not kids[node] and texts[starts[node]] == ","
 
 
 @dataclass(slots=True)
@@ -109,7 +111,7 @@ class _Candidate:
     span: Span
     rule: RuleId
     node_label: str
-    parent_span: Span | None  # absorption never reaches outside this
+    parent_span: tuple[int, int] | None  # absorption never reaches outside this
     absorb: bool
     rank: int = field(init=False)  # the rule's position in RuleId
 
@@ -133,95 +135,91 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     """
     texts = tree.tokens
     n = len(texts)
-
-    # One pre-order walk: the internal nodes, and the tag of each token. A
-    # child's first leaf is tags[child.span.start], and its leaves are the
-    # tags of its span.
-    nodes: list[TreeNode] = []
-    tags: list[str] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            nodes.append(node)
-            stack.extend(reversed(node.children))
-        else:
-            tags.append(node.label)
+    # Node i's first leaf is tags[starts[i]], and its leaves are the tags of
+    # its span.
+    labels, starts, ends, kids, tags = node_arrays(tree.parse)
 
     candidates: list[_Candidate] = []
     add = candidates.append
-    for node in nodes:
-        parent = _BASE[node.label]
+    for node, children in enumerate(kids):
+        if not children:
+            continue
+        parent = _BASE[labels[node]]
         matched = _MATCHED_UNDER.get(parent, _MATCHED_ELSEWHERE)
-        kids = node.children
-        for idx, child in enumerate(kids):
-            kind = _KIND[child.label]
+        for idx, child in enumerate(children):
+            label = labels[child]
+            kind = _KIND[label]
             if kind not in matched:
                 continue
-            label, grandkids, span = child
+            start = starts[child]
+            end = ends[child]
+            outer = (starts[node], ends[node])
 
             if kind == "NP":
                 # Appositive: NP child of NP between a comma and a comma or
                 # the constituent end; the commas belong to the span.
-                if idx and _is_comma(kids[idx - 1], texts):
-                    start = kids[idx - 1].span.start
-                    if idx + 1 == len(kids):
-                        add(_Candidate(Span(start, span.end), RuleId.APPOSITIVE_NP,
-                                       label, node.span, absorb=False))
-                    elif _is_comma(kids[idx + 1], texts):
-                        add(_Candidate(Span(start, kids[idx + 1].span.end),
-                                       RuleId.APPOSITIVE_NP, label, node.span,
+                if idx and _is_comma(children[idx - 1], kids, starts, texts):
+                    first = starts[children[idx - 1]]
+                    if idx + 1 == len(children):
+                        add(_Candidate(Span(first, end), RuleId.APPOSITIVE_NP,
+                                       label, outer, absorb=False))
+                    elif _is_comma(children[idx + 1], kids, starts, texts):
+                        add(_Candidate(Span(first, ends[children[idx + 1]]),
+                                       RuleId.APPOSITIVE_NP, label, outer,
                                        absorb=False))
 
             elif kind == "SBAR":
                 # A leaf labelled SBAR is no clause.
+                grandkids = kids[child]
                 if not grandkids:
                     continue
-                first_tag = tags[span.start]
+                first_tag = tags[start]
                 if parent == "NP":
                     if (first_tag in _WH_LEAF_TAGS
-                            or _BASE[grandkids[0].label] in _WH_PHRASE_LABELS):
-                        add(_Candidate(span, RuleId.RELATIVE_CLAUSE, label,
-                                       node.span, absorb=True))
+                            or _BASE[labels[grandkids[0]]] in _WH_PHRASE_LABELS):
+                        add(_Candidate(Span(start, end), RuleId.RELATIVE_CLAUSE,
+                                       label, outer, absorb=True))
                 elif first_tag == "IN":
-                    add(_Candidate(span, RuleId.ADVERBIAL_CLAUSE, label,
-                                   node.span, absorb=True))
+                    add(_Candidate(Span(start, end), RuleId.ADVERBIAL_CLAUSE,
+                                   label, outer, absorb=True))
 
             elif kind == "ADVP":
-                add(_Candidate(span, RuleId.ADVP, label, node.span, absorb=True))
+                add(_Candidate(Span(start, end), RuleId.ADVP, label, outer, absorb=True))
 
             elif kind == "VP":
                 # Gerundive VP in an NP: its first verb is a VBG.
-                for tag in tags[span.start:span.end]:
+                for tag in tags[start:end]:
                     if tag.startswith("VB"):
                         if tag == "VBG":
-                            add(_Candidate(span, RuleId.GERUNDIVE_VP_IN_NP, label,
-                                           node.span, absorb=True))
+                            add(_Candidate(Span(start, end), RuleId.GERUNDIVE_VP_IN_NP,
+                                           label, outer, absorb=True))
                         break
 
             elif kind == "PP":
                 # Adjunct PP: no NP to its right, or a listed head preposition.
-                if any(_BASE[sib.label] == "NP" for sib in kids[idx + 1:]):
+                if any(_BASE[labels[sib]] == "NP" for sib in children[idx + 1:]):
                     prep = None
-                    for i in range(span.start, span.end):
+                    for i in range(start, end):
                         if tags[i] in ("IN", "TO"):
                             prep = texts[i].lower()
                             break
                     if prep not in DEFAULT_ADJUNCT_PREPOSITIONS:
                         continue
-                add(_Candidate(span, RuleId.PP_CONFIG, label, node.span, absorb=True))
+                add(_Candidate(Span(start, end), RuleId.PP_CONFIG, label, outer,
+                               absorb=True))
 
             elif kind == "PRN":
-                add(_Candidate(span, RuleId.PARENTHETICAL, label, node.span, absorb=True))
+                add(_Candidate(Span(start, end), RuleId.PARENTHETICAL, label, outer,
+                               absorb=True))
 
             elif kind == "RB":
                 # Bare RB pre-modifier of a VP: an RB leaf before the first verb.
-                if grandkids:
+                if kids[child]:
                     continue
-                for j, sib in enumerate(kids):
-                    if not sib.children and sib.label.startswith("VB"):
+                for j, sib in enumerate(children):
+                    if not kids[sib] and labels[sib].startswith("VB"):
                         if idx < j:
-                            add(_Candidate(span, RuleId.ADVP, label, node.span,
+                            add(_Candidate(Span(start, end), RuleId.ADVP, label, outer,
                                            absorb=True))
                         break
 
@@ -229,13 +227,13 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                 # Pre-modifying ADJP or bare adjective (a JJ* leaf) inside an
                 # NP, provided a nominal head follows (so the NP head itself
                 # is never an option).
-                if kind != "ADJP" and grandkids:
+                if kind != "ADJP" and kids[child]:
                     continue
-                for sib in kids[idx + 1:]:
-                    base = _BASE[sib.label]
+                for sib in children[idx + 1:]:
+                    base = _BASE[labels[sib]]
                     if base.startswith("NN") or base == "NX":
-                        add(_Candidate(span, RuleId.ADJP_IN_NP, label,
-                                       node.span, absorb=True))
+                        add(_Candidate(Span(start, end), RuleId.ADJP_IN_NP, label,
+                                       outer, absorb=True))
                         break
 
     # Matching bracket pairs outside any PRN constituent, brackets absorbed.
@@ -295,8 +293,9 @@ def _absorb_commas(candidates: list[_Candidate], texts) -> None:
         if not cand.absorb or parent is None:
             continue
         start, end = cand.span
-        left = start > parent.start and texts[start - 1] == ","
-        right = end < parent.end and texts[end] == ","
+        parent_start, parent_end = parent
+        left = start > parent_start and texts[start - 1] == ","
+        right = end < parent_end and texts[end] == ","
         if not (left or right):
             continue
         others = [c.span for j, c in enumerate(candidates) if j != i]

@@ -2,26 +2,32 @@
 
 Trees arrive as standard bracketed strings, one per sentence. Reading one
 is two passes over its lexemes: `_scan` makes every check and returns the
-words, and `_build` makes the nodes of a text `_scan` accepted, each as its
-bracket closes; `parse_ptb` is the one followed by the other. The character
-offset of a fault is worked out only when a ParseError is raised.
+words, and a second pass, which checks nothing, reads the text `_scan`
+accepted. `node_arrays` is the pass the pipeline uses: it fills, for each
+node in pre-order, its label, first and end token and children, and for
+each token its tag, which is all the compression rules read. `_build` makes
+`TreeNode`s instead, each as its bracket closes; `parse_ptb` is `_scan`
+followed by `_build`. The character offset of a fault is worked out only
+when a ParseError is raised.
 
-A SentenceTree holds the bracketed string and the words; its tree is built
-on first use. `SentenceTree.from_ptb` only checks the string, so a command
-that never reads a sentence's `root` (training reads words only, decoding
-the trees of the selected sentences only) never builds it.
+A SentenceTree holds the bracketed string and the words. `from_ptb` only
+checks the string, and no pipeline command builds a `TreeNode`: the rules
+read `node_arrays(tree.parse)`, made on demand and not kept, so a loaded
+sentence stays its string and its words. `SentenceTree.root` is built on
+first use, for equality, for `to_ptb` of a tree built from nodes and for
+tests.
 
 Nodes are immutable tuples, equal and hashed by value. Every node caches
 its half-open token span; a sentence's words are a plain tuple of strings,
 and bracket words are stored unescaped ("(" rather than "-LRB-"); escaping
-happens only when a tree is serialized back to bracketed form. Traversal
-(`iter_nodes`) and serialization (`to_ptb`) keep their own stack, so no tree
-depth reaches the interpreter's recursion limit.
+happens only when a tree is serialized back to bracketed form. Every pass
+keeps its own stack, so no tree depth reaches the interpreter's recursion
+limit.
 """
 
 import re
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 BRACKET_UNESCAPE = {
     "-LRB-": "(",
@@ -96,22 +102,15 @@ class TreeNode(NamedTuple):
     def is_leaf(self) -> bool:
         return not self.children
 
-    def iter_nodes(self) -> Iterator["TreeNode"]:
-        """Pre-order traversal of this subtree."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
 
 class SentenceTree:
     """One sentence: its bracketed parse, its words and the tree of the parse.
 
     `parse` is the bracketed string as read, or `to_ptb` of a tree built
-    from nodes; leaf i's word is tokens[i]. `root` is built from `parse` (by
-    parse_ptb) on first access and then kept, so a command that reads only
-    the words builds no tree. Immutable; equal and hashed by (root, tokens).
+    from nodes; leaf i's word is tokens[i]. The rules read
+    `node_arrays(parse)`. A loaded sentence's `root` is built from `parse`,
+    checked at load, on first access and then kept; no pipeline command
+    reads it. Immutable; equal and hashed by (root, tokens).
     """
 
     __slots__ = ("parse", "tokens", "_root")
@@ -134,7 +133,7 @@ class SentenceTree:
     def root(self) -> TreeNode:
         root = self._root
         if root is None:
-            root = parse_ptb(self.parse).root
+            root = _build(_lex(self.parse))
             _set(self, "_root", root)
         return root
 
@@ -194,7 +193,8 @@ def parse_ptb(text: str) -> SentenceTree:
     the first such node in pre-order.
     """
     lexemes = _lex(text)
-    return _build(text, lexemes, _scan(text, lexemes))
+    words = _scan(text, lexemes)
+    return _made(text, words, _build(lexemes))
 
 
 def _scan(text: str, lexemes: list[str]) -> tuple[str, ...]:
@@ -269,18 +269,19 @@ def _scan(text: str, lexemes: list[str]) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _build(text: str, lexemes: list[str], words: tuple[str, ...]) -> SentenceTree:
-    """The tree of lexemes that _scan accepted, with the words it returned.
+def _build(lexemes: list[str]) -> TreeNode:
+    """The root node of lexemes that _scan accepted.
 
-    Checks nothing: in an accepted tree every node opens with "(" followed by
-    a label or (unlabeled) by "(", and a label followed by a word is a leaf.
-    Each node is built as its bracket closes.
+    Checks nothing: in an accepted tree only the outer wrapper may be
+    unlabeled, every other node opens with "(" followed by a label, and a
+    label followed by a word is a leaf. Each node is built as its bracket
+    closes.
     """
     top: list[TreeNode] = []
     kids = top              # children of the innermost open node
     open_nodes = []         # (parent's kids, label, first token) per open node
     index = 0               # words placed so far
-    i = 0
+    i = 1 if lexemes[1] == "(" else 0   # past an unlabeled outer wrapper
     while True:
         if lexemes[i] == ")":
             parent, label, start = open_nodes.pop()
@@ -289,11 +290,6 @@ def _build(text: str, lexemes: list[str], words: tuple[str, ...]) -> SentenceTre
             i += 1
         else:
             label = lexemes[i + 1]
-            if label == "(":
-                open_nodes.append((kids, "", index))
-                kids = []
-                i += 1
-                continue
             if lexemes[i + 2] == "(":
                 open_nodes.append((kids, label, index))
                 kids = []
@@ -304,10 +300,62 @@ def _build(text: str, lexemes: list[str], words: tuple[str, ...]) -> SentenceTre
             i += 4
         if not open_nodes:
             break
-    root = top[0]
-    if not root.label:
-        root = root.children[0]
-    return _made(text, words, root)
+    return top[0]
+
+
+class NodeArrays(NamedTuple):
+    """The nodes of a parse in pre-order, as parallel lists, and the tag of
+    each token. Node i covers tokens starts[i] to ends[i] - 1; kids[i] lists
+    the indices of its children, and is empty for a leaf."""
+
+    labels: list[str]
+    starts: list[int]
+    ends: list[int]
+    kids: list[Sequence[int]]
+    tags: list[str]
+
+
+def node_arrays(text: str) -> NodeArrays:
+    """The NodeArrays of a bracketed string that _scan accepted.
+
+    Checks nothing, as _build, and reads the same tree in the same order.
+    """
+    lexemes = _lex(text)
+    labels: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    kids: list[Sequence[int]] = []
+    tags: list[str] = []
+    siblings: list[int] = []    # children of the innermost open node
+    open_nodes = []             # (index, parent's children) per open node
+    index = 0                   # tokens placed so far
+    i = 1 if lexemes[1] == "(" else 0   # past an unlabeled outer wrapper
+    while True:
+        if lexemes[i] == ")":
+            node, siblings = open_nodes.pop()
+            ends[node] = index
+            i += 1
+        else:
+            label = lexemes[i + 1]
+            node = len(labels)
+            siblings.append(node)
+            labels.append(label)
+            starts.append(index)
+            if lexemes[i + 2] == "(":
+                ends.append(0)      # filled in as its bracket closes
+                open_nodes.append((node, siblings))
+                siblings = []
+                kids.append(siblings)
+                i += 2
+                continue
+            index += 1
+            ends.append(index)
+            kids.append(())
+            tags.append(label)
+            i += 4
+        if not open_nodes:
+            break
+    return _new(NodeArrays, (labels, starts, ends, kids, tags))
 
 
 def _located(message: str, text: str, index: int) -> ParseError:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from compsum.rules import DEFAULT_ADJUNCT_PREPOSITIONS, CompressionOption, RuleId
 from compsum.treebank import SentenceTree, Span, TreeNode
 
-from reference_treebank import leaves
+from reference_treebank import iter_nodes, leaves
 
 RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
 
@@ -68,7 +68,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     texts = tree.tokens
     candidates: list[_Candidate] = []
 
-    for node in tree.root.iter_nodes():
+    for node in iter_nodes(tree.root):
         if node.is_leaf:
             continue
         parent_label = _base(node.label)

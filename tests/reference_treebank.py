@@ -2,11 +2,13 @@
 
 Kept only as an oracle for differential tests: `_parse_node` builds a tree
 of raw tuples carrying each bracket's character offset, and `_build` walks
-it again to make the nodes. `leaves(node)` lists a subtree's leaves for
-tests that count or compare them. Nothing in `src/` imports it.
+it again to make the nodes. `iter_nodes(node)` walks a subtree in pre-order
+and `leaves(node)` lists its leaves, for tests that walk real nodes or count
+and compare them. Nothing in `src/` imports it.
 """
 
 import re
+from typing import Iterator
 
 from compsum.treebank import (
     BRACKET_UNESCAPE,
@@ -86,6 +88,15 @@ def _build(raw, tokens: list[str]) -> TreeNode:
     return TreeNode(label=label, children=kids, span=Span(kids[0].span.start, kids[-1].span.end))
 
 
+def iter_nodes(node: TreeNode) -> Iterator[TreeNode]:
+    """Pre-order traversal of node's subtree, with a stack of its own."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def leaves(node: TreeNode) -> list[TreeNode]:
     """The leaves of node's subtree, in token order."""
-    return [n for n in node.iter_nodes() if not n.children]
+    return [n for n in iter_nodes(node) if not n.children]

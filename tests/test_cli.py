@@ -605,6 +605,20 @@ def test_oracle_build_rejects_a_reference_without_words(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_build_rejects_a_reference_that_preprocessing_empties(tmp_path, capsys):
+    # stopwords and punctuation only: it once built oracle [0, 1] with score
+    # 0.0 and only KEEP labels, which train would learn from
+    docs, _ = corpusgen.learnable_corpus(count=2, seed=5)
+    docs[1] = Document(id=docs[1].id, sentences=docs[1].sentences,
+                       reference=(("the", "of", "."),))
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "oracles.jsonl"
+    write_corpus(corpus, docs)
+    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(out), "--k", "2"]) == 1
+    assert _structured_error(capsys) == (
+        f"document {docs[1].id!r} has no reference word left after preprocessing")
+    assert not out.exists()
+
+
 def test_evaluate_skips_a_reference_without_words(tmp_path, capsys):
     # it once evaluated the document and gave it all-zero ROUGE rows
     docs, corpus = _with_wordless_reference(tmp_path)

@@ -95,6 +95,13 @@ class TestBeamSearch:
         with pytest.raises(ValueError, match="short-doc"):
             build_document_oracles(doc, OracleConfig(k=2))
 
+    def test_reference_with_no_word_left_after_preprocessing_is_error(self):
+        # it once got oracle (0, 1, 2) with score 0.0 and only KEEP labels
+        doc = corpusgen.learnable_corpus(count=2, seed=5)[0][0]
+        doc = Document(id=doc.id, sentences=doc.sentences, reference=(("the", "of", "."),))
+        with pytest.raises(ValueError, match=f"document {doc.id!r} has no reference word left"):
+            build_document_oracles(doc, OracleConfig())
+
     def test_beam_scores_non_increasing(self):
         rng = np.random.default_rng(5)
         for i in range(10):
@@ -215,8 +222,13 @@ class TestIncrementalScores:
         expected = reference_oracle.beam_search_oracle(doc, reference, cfg)
         grams, _, sents = oracle_inputs(doc.sentences, reference)
         assert beam_search_oracle(grams, sents, cfg) == expected
-        # build_document_oracles feeds the beam the sentences it preprocessed
-        assert list(build_document_oracles(doc, cfg).candidates) == expected
+        # build_document_oracles feeds the beam the sentences it preprocessed,
+        # and rejects a reference that preprocessing leaves without a word
+        if grams.length:
+            assert list(build_document_oracles(doc, cfg).candidates) == expected
+        else:
+            with pytest.raises(ValueError, match="no reference word left"):
+                build_document_oracles(doc, cfg)
 
     def test_beam_over_sentences_that_preprocess_to_nothing(self):
         sentences = [["the", ","], ["storm", "of"], ["."], ["coast", "storms"], ["of", "the"]]

@@ -3,6 +3,7 @@ layout invariants every emitted option list must satisfy."""
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpusgen
 import reference_rules
+from reference_treebank import iter_nodes
 from compsum.rules import (
     RULES_VERSION,
     CompressionOption,
@@ -20,7 +22,14 @@ from compsum.rules import (
     option_record,
 )
 from compsum import treebank
-from compsum.treebank import Span, ensure_nest_or_disjoint, parse_ptb, surviving_tokens
+from compsum.treebank import (
+    MAX_DEPTH,
+    SentenceTree,
+    Span,
+    ensure_nest_or_disjoint,
+    parse_ptb,
+    surviving_tokens,
+)
 
 # Each fixture: source tree, {(start, end): rule} gold annotation.
 FIXTURES = [
@@ -180,7 +189,7 @@ class TestInvariants:
         for tree in _all_fixture_trees():
             texts = tree.token_texts
             allowed = set()
-            for node in tree.root.iter_nodes():
+            for node in iter_nodes(tree.root):
                 span = node.span
                 allowed.add((span.start, span.end))
                 if span.start > 0 and texts[span.start - 1] == ",":
@@ -267,6 +276,75 @@ def test_options_equal_the_reference_matcher():
     # shapes the output pin does not cover
     for tree in _adversarial_trees():
         assert extract_options(tree) == reference_rules.extract_options(tree), tree.parse
+
+
+def _arrays_of(tree):
+    """What treebank.node_arrays gives, read off the tree's real nodes."""
+    nodes = list(iter_nodes(tree.root))
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return ([node.label for node in nodes],
+            [node.span.start for node in nodes],
+            [node.span.end for node in nodes],
+            [[index[id(child)] for child in node.children] for node in nodes],
+            [node.label for node in nodes if not node.children])
+
+
+def test_node_arrays_are_the_nodes_of_the_parsed_tree():
+    for tree in _adversarial_trees():
+        labels, starts, ends, kids, tags = treebank.node_arrays(tree.parse)
+        assert (labels, starts, ends, [list(k) for k in kids], tags) == _arrays_of(tree)
+
+
+def test_loaded_parsed_and_hand_built_trees_give_the_reference_options():
+    # the rules read the parse of each: as loaded (its root never built), as
+    # parse_ptb read it, and as to_ptb wrote it for a tree built from nodes
+    for tree in _adversarial_trees():
+        expected = reference_rules.extract_options(tree)
+        loaded = SentenceTree.from_ptb(tree.parse)
+        hand_built = SentenceTree(tree.root, tree.tokens)
+        assert hand_built.parse == treebank.to_ptb(tree)
+        for sentence in (loaded, parse_ptb(tree.parse), hand_built):
+            assert extract_options(sentence) == expected, sentence.parse
+        assert loaded._root is None
+
+
+def _frames() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+_CHAIN_DEPTH = MAX_DEPTH - 3    # the sentence below adds the last three levels
+
+
+@pytest.mark.parametrize("source,spans", [
+    # the unlabeled outer wrapper
+    ("( (S (NP (NP (NNP John)) (, ,) (NP (DT a) (NN doctor)) (, ,)) (VP (VBD spoke)) (. .)))",
+     [(1, 5)]),
+    # a leaf labelled SBAR inside an NP is no clause
+    ("(S (NP (NN man) (SBAR who)) (VP (VBD ran)))", []),
+    # bracket words inside a PRN, and outside one as a bare pair
+    ("(S (NP (NP (DT The) (NN deal)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))"
+     " (VP (VBD closed) (-LRB- -LRB-) (NN x) (-RRB- -RRB-)) (. .))",
+     [(2, 5), (6, 9)]),
+    # a chain MAX_DEPTH deep
+    ("(X " * _CHAIN_DEPTH + "(S (ADVP (RB However)) (, ,) (NP (PRP he)) (VP (VBD ran)))"
+     + ")" * _CHAIN_DEPTH, [(0, 2)]),
+], ids=["outer-wrapper", "leaf-sbar-in-np", "brackets-in-and-out-of-prn", "max-depth-chain"])
+def test_edge_shapes_give_the_reference_options(source, spans):
+    loaded = SentenceTree.from_ptb(source)
+    expected = reference_rules.extract_options(parse_ptb(source))
+    assert [(o.span.start, o.span.end) for o in expected] == spans
+    # room for extract_options' own calls, far less than one frame per level
+    raised = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 30)
+    try:
+        options = extract_options(loaded)
+    finally:
+        sys.setrecursionlimit(raised)
+    assert options == expected
+    assert loaded._root is None
 
 
 _LEARNABLE_TREES = [tree for doc in corpusgen.learnable_corpus(count=25, seed=3)[0]

@@ -122,9 +122,11 @@ print(json.dumps({"codes": codes, "extract": tracer.calls["rules.extract"] - bef
 """
 
 
-# Runs the command chain and records, per command, the bracketed strings whose
-# tree was built (through the one binding SentenceTree.root calls) and the
-# count of treebank.parse spans.
+# Runs the command chain and records, per command, the bracketed strings the
+# rules read (through the one binding of treebank.node_arrays that
+# extract_options calls), the count of treebank.parse spans and the count of
+# trees built from nodes (treebank._build, which SentenceTree.root and
+# parse_ptb call).
 TRACED_COMMANDS = """
 import json, sys
 from collections import Counter
@@ -134,16 +136,23 @@ import compsum.cli
 tracer = spans.Tracer()
 spans.install(tracer)
 import corpusgen
+import compsum.rules as rules
 import compsum.treebank as treebank
 from compsum.corpus import write_corpus
 corpus, oracles, model, summaries = sys.argv[4:8]
 write_corpus(corpus, corpusgen.learnable_corpus(count=4, seed=3)[0])
 texts = Counter()
-traced_parse = treebank.parse_ptb
-def counted_parse(text):
+fill = rules.node_arrays
+def counted_fill(text):
     texts[text] += 1
-    return traced_parse(text)
-treebank.parse_ptb = counted_parse
+    return fill(text)
+rules.node_arrays = counted_fill
+builds = Counter()
+build = treebank._build
+def counted_build(lexemes):
+    builds["trees"] += 1
+    return build(lexemes)
+treebank._build = counted_build
 data = ["--corpus", corpus, "--oracles", oracles]
 decode = ["--corpus", corpus, "--model", model, "--k", "2"]
 commands = {
@@ -153,14 +162,16 @@ commands = {
     "summarize": ["summarize", *decode, "--out", summaries],
     "evaluate": ["evaluate", *decode],
 }
-codes, built, parse_spans = [], {}, {}
+codes, read, parse_spans, built = [], {}, {}, {}
 for name, argv in commands.items():
     texts.clear()
+    builds.clear()
     before = tracer.calls["treebank.parse"]
     codes.append(compsum.cli.main(argv))
-    built[name] = dict(texts)
+    read[name] = dict(texts)
     parse_spans[name] = tracer.calls["treebank.parse"] - before
-print(json.dumps({"codes": codes, "built": built, "spans": parse_spans}))
+    built[name] = builds["trees"]
+print(json.dumps({"codes": codes, "read": read, "spans": parse_spans, "built": built}))
 """
 
 
@@ -235,23 +246,24 @@ def test_traced_commands_build_only_the_trees_they_read(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    built = result["built"]
-    assert result["codes"] == [0] * len(built)
+    read = result["read"]
+    assert result["codes"] == [0] * len(read)
     corpus = [json.loads(line)
               for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
     parses = [sent["parse"] for record in corpus for sent in record["sentences"]]
-    # oracle build reads every sentence's options: each tree once, none twice
-    assert built["oracle build"] == dict(Counter(parses))
+    # oracle build reads every sentence's options: each parse once, none twice
+    assert read["oracle build"] == dict(Counter(parses))
     # training and the gradient check read words only
-    assert built["train"] == built["gradcheck"] == {}
+    assert read["train"] == read["gradcheck"] == {}
     # decoding reads the options of the selected sentences only
     summaries = [json.loads(line)
                  for line in (tmp_path / "summaries.jsonl").read_text().splitlines()]
     selected = Counter(corpus[i]["sentences"][j]["parse"]
                        for i, summary in enumerate(summaries) for j in summary["selected"])
     assert sum(selected.values()) == 2 * len(corpus)
-    assert built["summarize"] == built["evaluate"] == dict(selected)
-    assert result["spans"] == {command: sum(texts.values()) for command, texts in built.items()}
+    assert read["summarize"] == read["evaluate"] == dict(selected)
+    # the rules read the parse itself: no command calls parse_ptb or builds nodes
+    assert result["spans"] == result["built"] == {command: 0 for command in read}
 
 
 def test_spans_install_and_trace_each_decode_step():

@@ -11,7 +11,7 @@ import corpusgen
 import reference_treebank
 from conftest import startup_recursion_limit
 from corpusgen import deep_chain
-from compsum import Document
+from compsum import Document, treebank
 from compsum.corpus import document_from_record, document_to_record
 from compsum.treebank import (
     _LEX,
@@ -300,6 +300,26 @@ class TestNodes:
         with pytest.raises(ParseError, match="unbalanced"):
             SentenceTree.from_ptb(self.SOURCE[:-1])
 
+    @pytest.mark.parametrize("text", [SOURCE, f"( {SOURCE} )", "(NN w)", "( (NN w))",
+                                      deep_chain(MAX_DEPTH)],
+                             ids=["tree", "wrapped-tree", "leaf", "wrapped-leaf",
+                                  "max-depth-chain"])
+    def test_root_of_a_loaded_sentence_is_built_without_a_second_scan(self, text,
+                                                                     monkeypatch):
+        scanned = []
+        scan = treebank._scan
+
+        def counted_scan(text, lexemes):
+            scanned.append(text)
+            return scan(text, lexemes)
+
+        monkeypatch.setattr(treebank, "_scan", counted_scan)
+        lazy = SentenceTree.from_ptb(text)
+        assert scanned == [text]
+        root = lazy.root
+        assert scanned == [text]
+        assert root == parse_ptb(text).root
+
     @pytest.mark.parametrize("make", [SentenceTree.from_ptb, parse_ptb])
     def test_copies_keep_parse_tokens_and_tree(self, make):
         tree = make(f"(ROOT  {self.SOURCE})")
@@ -318,7 +338,8 @@ class TestNodes:
 
     def test_iter_nodes_is_pre_order(self):
         tree = parse_ptb(self.SOURCE)
-        assert [n.label for n in tree.root.iter_nodes()] == ["S", "NP", "DT", "NN", "VP", "VBD"]
+        assert [n.label for n in reference_treebank.iter_nodes(tree.root)] == [
+            "S", "NP", "DT", "NN", "VP", "VBD"]
         assert [n.label for n in reference_treebank.leaves(tree.root)] == ["DT", "NN", "VBD"]
 
     def test_hand_built_deep_chain_serializes_and_traverses(self):
@@ -330,7 +351,7 @@ class TestNodes:
         with startup_recursion_limit():
             source = to_ptb(tree)
             record = document_to_record(doc)
-            labels = [n.label for n in tree.root.iter_nodes()]
+            labels = [n.label for n in reference_treebank.iter_nodes(tree.root)]
             leaves = [n.label for n in reference_treebank.leaves(tree.root)]
         assert source == deep_chain(600)
         assert record["sentences"][0]["parse"] == source
@@ -350,7 +371,7 @@ class TestSpans:
 
     def test_internal_span_is_union_of_children(self):
         tree = parse_ptb("(S (NP (DT the) (JJ big) (NN dog)) (VP (VBD ran)))")
-        for node in tree.root.iter_nodes():
+        for node in reference_treebank.iter_nodes(tree.root):
             if node.children:
                 assert node.span.start == node.children[0].span.start
                 assert node.span.end == node.children[-1].span.end
@@ -358,7 +379,7 @@ class TestSpans:
     def test_span_length_equals_leaf_count(self):
         tree = parse_ptb(
             "(S (NP (NP (DT the) (NN cat)) (PP (IN on) (NP (DT the) (NN mat)))) (VP (VBD sat)))")
-        for node in tree.root.iter_nodes():
+        for node in reference_treebank.iter_nodes(tree.root):
             assert len(node.span) == len(reference_treebank.leaves(node))
 
     def test_invalid_span_rejected(self):
