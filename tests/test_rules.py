@@ -272,10 +272,18 @@ def test_layout_invariant_on_adversarial_trees():
 
 
 def test_options_equal_the_reference_matcher():
-    # the one-walk matcher against the per-child one it replaced, on label
-    # shapes the output pin does not cover
+    # the array matcher against the node-walking one it replaced, on label
+    # shapes the output pin does not cover; the rules read the parse of each
+    # sentence: as loaded (its root never built), as parse_ptb read it, and as
+    # to_ptb wrote it for a tree built from nodes
     for tree in _adversarial_trees():
-        assert extract_options(tree) == reference_rules.extract_options(tree), tree.parse
+        expected = reference_rules.extract_options(tree)
+        loaded = SentenceTree.from_ptb(tree.parse)
+        hand_built = SentenceTree(tree.root, tree.tokens)
+        assert hand_built.parse == treebank.to_ptb(tree)
+        for sentence in (loaded, tree, hand_built):
+            assert extract_options(sentence) == expected, sentence.parse
+        assert loaded._root is None
 
 
 def _arrays_of(tree):
@@ -293,19 +301,6 @@ def test_node_arrays_are_the_nodes_of_the_parsed_tree():
     for tree in _adversarial_trees():
         labels, starts, ends, kids, tags = treebank.node_arrays(tree.parse)
         assert (labels, starts, ends, [list(k) for k in kids], tags) == _arrays_of(tree)
-
-
-def test_loaded_parsed_and_hand_built_trees_give_the_reference_options():
-    # the rules read the parse of each: as loaded (its root never built), as
-    # parse_ptb read it, and as to_ptb wrote it for a tree built from nodes
-    for tree in _adversarial_trees():
-        expected = reference_rules.extract_options(tree)
-        loaded = SentenceTree.from_ptb(tree.parse)
-        hand_built = SentenceTree(tree.root, tree.tokens)
-        assert hand_built.parse == treebank.to_ptb(tree)
-        for sentence in (loaded, parse_ptb(tree.parse), hand_built):
-            assert extract_options(sentence) == expected, sentence.parse
-        assert loaded._root is None
 
 
 def _frames() -> int:
