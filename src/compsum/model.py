@@ -10,6 +10,9 @@ are computed by hand and checked against central finite differences;
 training is plain adaptive-moment gradient descent (Adam's published
 rates) over one document per step, on every oracle of its
 oracle.DocumentOracles, as oracle building or the cache reader returns it.
+A document's oracles mostly share their leading picks, so each distinct
+teacher-forced step is compiled and run once per loss, and its terms are
+added as often as the oracles take it, in their order.
 """
 
 import json
@@ -21,17 +24,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document
 from .features import (
     DECODER_INPUT_DIM,
     OPTION_FEATURE_DIM,
     SENTENCE_FEATURE_DIM,
+    DecoderState,
     DocumentContext,
     advance_state,
     featurize_option,
     initial_state,
 )
-from .oracle import CompressionLabel, DocumentOracles, scoreable_sentences
+from .oracle import CompressionLabel, DocumentOracles, LabeledOption, scoreable_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -80,12 +83,6 @@ def init_model(hidden_size: int = DEFAULT_HIDDEN_SIZE, seed: int = 0) -> Model:
     return Model(hidden_size=hidden_size, params=params)
 
 
-def models_equal(a: Model, b: Model) -> bool:
-    return (a.hidden_size == b.hidden_size
-            and set(a.params) == set(b.params)
-            and all(np.array_equal(a.params[k], b.params[k]) for k in a.params))
-
-
 class ModelFormatError(ValueError):
     """Model file is corrupt, has wrong shapes, or an unknown version."""
 
@@ -123,7 +120,9 @@ def load_model(path) -> Model:
         raise ModelFormatError(f"model feature dimensions {payload.get('feature_dims')} "
                                f"do not match this build {FEATURE_DIMS}")
     try:
-        hidden = int(payload["hidden_size"])
+        hidden = payload["hidden_size"]
+        if type(hidden) is not int or hidden < 1:
+            raise ValueError(f"hidden_size {json.dumps(hidden)} is not an integer >= 1")
         shapes = param_shapes(hidden)
         params = {}
         for name in PARAM_ORDER:
@@ -134,14 +133,18 @@ def load_model(path) -> Model:
             if not np.isfinite(arr).all():
                 raise ModelFormatError(f"parameter {name} holds a non-finite weight")
             params[name] = arr
-        _check_train_config(payload["train_config"])
+        config = payload["train_config"]
+        _check_train_config(config)
+        if config is not None and config["hidden_size"] != hidden:
+            raise ValueError(f"hidden_size {hidden} does not match "
+                             f"train_config hidden_size {config['hidden_size']}")
     except KeyError as exc:
         raise ModelFormatError(f"corrupt model file {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    return Model(hidden_size=hidden, params=params, train_config=payload["train_config"])
+    return Model(hidden_size=hidden, params=params, train_config=config)
 
 
 def _check_train_config(config) -> None:
@@ -227,11 +230,6 @@ def greedy_steps(model: Model, ctx: DocumentContext, k: int):
         state = advance_state(ctx, state, pick)
 
 
-def decode_greedy(model: Model, doc: Document, k: int) -> list[int]:
-    """Greedy argmax decoding for k sentences; ties pick the lower index."""
-    return [pick for pick, _ in greedy_steps(model, DocumentContext(doc), k)]
-
-
 def classify_option(model: Model, feats: np.ndarray) -> float:
     """Deletion probability of one compression option."""
     _, z = _compression_forward(model.params, feats[None, :])
@@ -267,142 +265,222 @@ class TrainConfig:
 @dataclass
 class _Step:
     decoder_input: np.ndarray        # (DECODER_INPUT_DIM,)
-    remaining: np.ndarray            # unselected sentence indices
-    target_pos: int                  # position of the gold pick in `remaining`
+    sent_feats: np.ndarray           # (r, SENTENCE_FEATURE_DIM), the unselected sentences
+    target_pos: int                  # row of the gold pick in `sent_feats`
     option_feats: np.ndarray         # (c, OPTION_FEATURE_DIM), possibly c == 0
     option_targets: np.ndarray       # (c,), 1.0 for DEL
 
 
 @dataclass
 class CompiledExample:
-    sent_feats: np.ndarray
-    steps: list[_Step]
+    steps: list[_Step]               # each distinct teacher-forced step once
+    order: list[int]                 # every oracle's steps in turn, as indices into `steps`
     oracle_count: int
 
 
 def compile_example(example: DocumentOracles) -> CompiledExample:
-    """Precompute all teacher-forced features; they do not depend on weights."""
+    """Precompute the teacher-forced steps; they do not depend on the weights.
+
+    A step is a function of its key (k, ordered prefix, target), k being the
+    oracle's length, by which the state vector divides. Oracles that share
+    leading picks share steps, so each distinct key is compiled once, and
+    `order` lists the steps of every oracle, pick by pick.
+    """
     doc = example.doc
     ctx = DocumentContext(doc)
-    n = scoreable_sentences(doc)
+    sent_feats = ctx.sentence_features[:scoreable_sentences(doc)]
     steps: list[_Step] = []
+    order: list[int] = []
+    # (k, ordered prefix + target) -> (its index in steps, the state after it)
+    known: dict[tuple, tuple[int, DecoderState]] = {}
     for oracle in example.candidates:
-        indices = oracle.sentence_indices
-        state = initial_state(len(indices))
-        for target in indices:
-            remaining = np.array([i for i in range(n) if i not in state.selected],
-                                 dtype=np.int64)
-            target_pos = int(np.nonzero(remaining == target)[0][0])
-            sent_labels = example.labels[target]
-            if sent_labels:
-                option_feats = np.stack([
-                    featurize_option(ctx, target, lab.option, state)
-                    for lab in sent_labels])
-                option_targets = np.array(
-                    [1.0 if lab.label is CompressionLabel.DEL else 0.0
-                     for lab in sent_labels])
-            else:
-                option_feats = np.zeros((0, OPTION_FEATURE_DIM))
-                option_targets = np.zeros(0)
-            steps.append(_Step(
-                decoder_input=np.concatenate([state.vector, ctx.document_features]),
-                remaining=remaining,
-                target_pos=target_pos,
-                option_feats=option_feats,
-                option_targets=option_targets,
-            ))
-            state = advance_state(ctx, state, target)
-    return CompiledExample(sent_feats=ctx.sentence_features[:n],
-                           steps=steps, oracle_count=len(example.candidates))
+        picks = oracle.sentence_indices
+        state = initial_state(len(picks))
+        for depth, target in enumerate(picks):
+            key = (len(picks), picks[:depth + 1])
+            if key not in known:
+                known[key] = (len(steps), advance_state(ctx, state, target))
+                steps.append(_compile_step(ctx, sent_feats, state, target,
+                                           example.labels[target]))
+            index, state = known[key]
+            order.append(index)
+    return CompiledExample(steps=steps, order=order, oracle_count=len(example.candidates))
+
+
+def _compile_step(ctx: DocumentContext, sent_feats: np.ndarray, state: DecoderState,
+                  target: int, labels: Sequence[LabeledOption]) -> _Step:
+    remaining = [i for i in range(len(sent_feats)) if i not in state.selected]
+    if labels:
+        option_feats = np.stack([featurize_option(ctx, target, lab.option, state)
+                                 for lab in labels])
+        option_targets = np.array([1.0 if lab.label is CompressionLabel.DEL else 0.0
+                                   for lab in labels])
+    else:
+        option_feats = np.zeros((0, OPTION_FEATURE_DIM))
+        option_targets = np.zeros(0)
+    return _Step(decoder_input=np.concatenate([state.vector, ctx.document_features]),
+                 sent_feats=sent_feats[remaining],
+                 target_pos=remaining.index(target),
+                 option_feats=option_feats,
+                 option_targets=option_targets)
 
 
 def _logsumexp(z: np.ndarray):
     m = z.max()
-    return m + np.log(np.exp(z - m).sum())
+    return m + np.log(np.add.reduce(np.exp(z - m)))
+
+
+# Each loss computes a distinct step's terms once and adds them to its sums
+# in `order`, as often as the step recurs: the same additions in the same
+# sequence as computing every step anew. A step without options adds a zero
+# compression term (and gradient), which leaves a sum that starts at +0.0
+# bit for bit.
 
 
 def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float):
     # Accumulates in the dtype of the inputs so the extended-precision
     # gradient-check path is not silently rounded back to float64.
-    sent_nll = compiled.sent_feats.dtype.type(0.0)
-    comp_nll = compiled.sent_feats.dtype.type(0.0)
+    zero = compiled.steps[0].sent_feats.dtype.type(0.0)
+    sent_terms = []
+    comp_terms = []
     for step in compiled.steps:
-        _, scores = _extraction_forward(params, step.decoder_input,
-                                        compiled.sent_feats[step.remaining])
-        sent_nll += _logsumexp(scores) - scores[step.target_pos]
+        _, scores = _extraction_forward(params, step.decoder_input, step.sent_feats)
+        sent_terms.append(_logsumexp(scores) - scores[step.target_pos])
         if step.option_feats.shape[0]:
             _, z = _compression_forward(params, step.option_feats)
             y = step.option_targets
-            comp_nll += (np.logaddexp(0.0, z) - y * z).sum()
+            comp_terms.append(np.add.reduce(np.logaddexp(0.0, z) - y * z))
+        else:
+            comp_terms.append(zero)
+    sent_nll = comp_nll = zero
+    for index in compiled.order:
+        sent_nll += sent_terms[index]
+        comp_nll += comp_terms[index]
     return sent_nll / compiled.oracle_count + alpha * comp_nll
 
 
-def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: float):
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    sent_nll = 0.0
-    comp_nll = 0.0
+def _flat_buffer(shapes: dict[str, tuple[int, ...]], *lead: int):
+    """A zeroed float64 array of shape (*lead, total size of shapes) and, per
+    name in order, a view of the next slice of its last axis shaped
+    (*lead, *shape)."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = np.zeros((*lead, sum(sizes)))
+    views = {}
+    start = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = flat[..., start:start + size].reshape(*lead, *shape)
+        start += size
+    return flat, views
+
+
+def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
+    """The extraction NLL averaged over the oracles, the compression NLL, and
+    the gradient of extraction + alpha * compression, flat in PARAM_ORDER."""
+    steps = compiled.steps
+    increments, step_grads = _flat_buffer(
+        {name: params[name].shape for name in PARAM_ORDER}, len(steps))
+    sent_terms = []
+    comp_terms = []
     inv_m = 1.0 / compiled.oracle_count
-    for step in compiled.steps:
-        feats = compiled.sent_feats[step.remaining]
+    w_m, w2 = params["w_m"], params["w2"]
+    for index, step in enumerate(steps):
+        feats = step.sent_feats
         act, scores = _extraction_forward(params, step.decoder_input, feats)
         logz = _logsumexp(scores)
-        sent_nll += logz - scores[step.target_pos]
+        sent_terms.append(logz - scores[step.target_pos])
         dz = np.exp(scores - logz)
         dz[step.target_pos] -= 1.0
         dz *= inv_m
-        grads["w_m"] += act.T @ dz
-        dact = np.outer(dz, params["w_m"]) * (1.0 - act * act)
-        grads["w_h"] += dact.T @ feats
-        grads["b_s"] += dact.sum(axis=0)
-        grads["w_d"] += np.outer(dact.sum(axis=0), step.decoder_input)
+        step_grads["w_m"][index] = act.T @ dz
+        dact = dz[:, None] * w_m * (1.0 - act * act)
+        step_grads["w_h"][index] = dact.T @ feats
+        dact_sum = np.add.reduce(dact, axis=0)
+        step_grads["b_s"][index] = dact_sum
+        np.multiply(dact_sum[:, None], step.decoder_input, out=step_grads["w_d"][index])
 
         if step.option_feats.shape[0]:
             hidden, z = _compression_forward(params, step.option_feats)
             y = step.option_targets
-            comp_nll += float((np.logaddexp(0.0, z) - y * z).sum())
+            comp_terms.append(float(np.add.reduce(np.logaddexp(0.0, z) - y * z)))
             dzc = alpha * (_sigmoid(z) - y)
-            grads["w2"] += hidden.T @ dzc
-            grads["b2"] += dzc.sum(keepdims=True)
-            dhid = np.outer(dzc, params["w2"]) * (1.0 - hidden * hidden)
-            grads["w1"] += dhid.T @ step.option_feats
-            grads["b1"] += dhid.sum(axis=0)
-    loss = sent_nll * inv_m + alpha * comp_nll
-    return loss, grads
+            step_grads["w2"][index] = hidden.T @ dzc
+            step_grads["b2"][index] = np.add.reduce(dzc, keepdims=True)
+            dhid = dzc[:, None] * w2 * (1.0 - hidden * hidden)
+            step_grads["w1"][index] = dhid.T @ step.option_feats
+            step_grads["b1"][index] = np.add.reduce(dhid, axis=0)
+        else:
+            comp_terms.append(0.0)
+    sent_nll = 0.0
+    comp_nll = 0.0
+    grad = np.zeros(increments.shape[1])
+    for index in compiled.order:
+        sent_nll += sent_terms[index]
+        comp_nll += comp_terms[index]
+        grad += increments[index]
+    return sent_nll * inv_m, comp_nll, grad
 
 
-def loss_joint(model: Model, example: DocumentOracles, alpha: float = 1.0) -> float:
-    """Teacher-forced extraction NLL (averaged over oracles) plus alpha times
-    the summed compression NLL over the oracle sentences' options."""
-    return float(_loss_compiled(model.params, compile_example(example), alpha))
+def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: float):
+    """The joint loss and its gradient by parameter name."""
+    extraction, compression, grad = _loss_terms_and_grad(params, compiled, alpha)
+    flat, grads = _flat_buffer({name: params[name].shape for name in PARAM_ORDER})
+    flat[...] = grad
+    return extraction + alpha * compression, grads
 
 
 def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model, list[float]]:
     """Adaptive-moment gradient descent, one document per step, seeded and
-    deterministic. Returns the model and the per-epoch mean loss trace."""
+    deterministic. Returns the model and the per-epoch mean loss trace, and
+    logs each epoch's mean loss, extraction NLL and compression NLL.
+
+    The parameters and both moments are each one flat buffer (the model's
+    per-name arrays are views of its parameter buffer), so one update is a
+    few elementwise operations over every weight, each element computed as
+    a per-name update would compute it.
+    """
     if not examples:
         raise ValueError("empty training corpus")
     model = init_model(cfg.hidden_size, cfg.seed)
     model.train_config = asdict(cfg)
+    flat, views = _flat_buffer(param_shapes(cfg.hidden_size))
+    for name in PARAM_ORDER:
+        views[name][...] = model.params[name]
+    model.params = views
     compiled = [compile_example(example) for example in examples]
-    moment1 = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-    moment2 = {name: np.zeros_like(arr) for name, arr in model.params.items()}
+    moment1 = np.zeros_like(flat)
+    moment2 = np.zeros_like(flat)
+    update = np.empty_like(flat)
+    denom = np.empty_like(flat)
     step = 0
     trace: list[float] = []
     for epoch in range(cfg.epochs):
-        losses = []
+        losses, extraction, compression = [], [], []
         for ce in compiled:
-            loss, grads = _loss_and_grads_compiled(model.params, ce, cfg.alpha)
-            losses.append(loss)
+            sent_nll, comp_nll, grad = _loss_terms_and_grad(model.params, ce, cfg.alpha)
+            losses.append(sent_nll + cfg.alpha * comp_nll)
+            extraction.append(sent_nll)
+            compression.append(comp_nll)
             step += 1
-            for name in PARAM_ORDER:
-                g = grads[name]
-                moment1[name] = _BETA1 * moment1[name] + (1 - _BETA1) * g
-                moment2[name] = _BETA2 * moment2[name] + (1 - _BETA2) * g * g
-                m_hat = moment1[name] / (1 - _BETA1 ** step)
-                v_hat = moment2[name] / (1 - _BETA2 ** step)
-                model.params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+            # moment1 = beta1 * moment1 + (1 - beta1) * grad
+            moment1 *= _BETA1
+            np.multiply(1 - _BETA1, grad, out=update)
+            moment1 += update
+            # moment2 = beta2 * moment2 + (1 - beta2) * grad * grad
+            moment2 *= _BETA2
+            np.multiply(1 - _BETA2, grad, out=update)
+            update *= grad
+            moment2 += update
+            # params -= learning_rate * m_hat / (sqrt(v_hat) + eps)
+            np.divide(moment2, 1 - _BETA2 ** step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += _EPS
+            np.divide(moment1, 1 - _BETA1 ** step, out=update)
+            np.multiply(cfg.learning_rate, update, out=update)
+            update /= denom
+            flat -= update
         trace.append(float(np.mean(losses)))
-        logger.info("epoch %d: mean loss %.6f", epoch + 1, trace[-1])
+        logger.info("epoch %d: mean loss %.6f, extraction NLL %.6f, compression NLL %.6f",
+                    epoch + 1, trace[-1], np.mean(extraction), np.mean(compression))
     return model, trace
 
 
@@ -418,13 +496,13 @@ _CHECK_STEP = 1e-5
 
 def _as_longdouble(compiled: CompiledExample) -> CompiledExample:
     steps = [_Step(decoder_input=s.decoder_input.astype(np.longdouble),
-                   remaining=s.remaining,
+                   sent_feats=s.sent_feats.astype(np.longdouble),
                    target_pos=s.target_pos,
                    option_feats=s.option_feats.astype(np.longdouble),
                    option_targets=s.option_targets.astype(np.longdouble))
              for s in compiled.steps]
-    return CompiledExample(sent_feats=compiled.sent_feats.astype(np.longdouble),
-                           steps=steps, oracle_count=compiled.oracle_count)
+    return CompiledExample(steps=steps, order=compiled.order,
+                           oracle_count=compiled.oracle_count)
 
 
 def _central_difference(params, compiled, name, idx, step_size):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import corpusgen
+from reference_model import decode_greedy, loss_joint, models_equal
 from reference_oracle import exhaustive_oracle, oracle_inputs
 from test_rouge import all_subsequences, brute_ngram_score
 from test_rules import FIXTURES
@@ -24,12 +25,9 @@ from compsum.model import (
     TrainConfig,
     classify_option,
     compile_example,
-    decode_greedy,
     gradient_check,
     init_model,
     load_model,
-    loss_joint,
-    models_equal,
     save_model,
     score_remaining,
     train,

@@ -487,6 +487,12 @@ MALFORMED_MODELS = {
                            "train_config: unknown key(s) 'max_sents'"),
     "config-value-rejected": (lambda p: p["train_config"].update(alpha=-1),
                               "train_config: alpha=-1 must be >= 0"),
+    "hidden-size-string": (lambda p: p.update(hidden_size="32"),
+                           'hidden_size "32" is not an integer >= 1'),
+    "hidden-size-fraction": (lambda p: p.update(hidden_size=32.7),
+                             "hidden_size 32.7 is not an integer >= 1"),
+    "hidden-size-disagrees": (lambda p: p["train_config"].update(hidden_size=16),
+                              "hidden_size 32 does not match train_config hidden_size 16"),
     "no-weights": (lambda p: p.pop("weights"), "missing key 'weights'"),
     "no-train-config": (lambda p: p.pop("train_config"), "missing key 'train_config'"),
 }

@@ -1,31 +1,36 @@
 """Extraction scorer, compression classifier, joint loss, training loop."""
 
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 import corpusgen
+import reference_model
+from reference_model import decode_greedy, loss_joint, models_equal
 from compsum import Document
+from compsum import model as model_mod
 from compsum.features import DocumentContext, advance_state, featurize_option, initial_state
 from compsum.model import (
+    PARAM_ORDER,
     Model,
     ModelFormatError,
     TrainConfig,
     classify_option,
     compile_example,
-    decode_greedy,
     gradient_check,
     init_model,
     load_model,
-    loss_joint,
-    models_equal,
     param_shapes,
     save_model,
     score_remaining,
     train,
+    _as_longdouble,
     _extraction_forward,
     _loss_and_grads_compiled,
+    _loss_compiled,
 )
 from compsum.oracle import DocumentOracles, OracleCandidate, OracleConfig, build_document_oracles
 
@@ -252,6 +257,101 @@ class TestLossJoint:
             assert loss_joint(stepped, example) < loss
 
 
+def with_oracles(example, oracles, empty=()):
+    """example with the given oracles, and no options in the sentences `empty`."""
+    labels = tuple(() if i in empty else sent for i, sent in enumerate(example.labels))
+    return DocumentOracles(example.doc, tuple(OracleCandidate(tuple(o), 0.5) for o in oracles),
+                           labels)
+
+
+def hand_built_examples():
+    # document 0 of make_examples(seed=3) has 6 sentences, each with options
+    example = make_examples(1, seed=3, k=3)[0]
+    return {
+        "shared-prefixes": with_oracles(example, [(0, 2, 1), (0, 2, 4), (0, 3, 1), (5, 2, 1)]),
+        "duplicated-oracle": with_oracles(example, [(1, 0), (1, 0), (2, 0)]),
+        "lengths-2-and-3": with_oracles(example, [(0, 1), (0, 1, 2), (0, 3), (0, 1)]),
+        "targets-without-options": with_oracles(example, [(0, 2, 1), (0, 2, 3), (2, 0, 1)],
+                                                empty=(0, 2)),
+    }
+
+
+def assert_same_as_step_by_step(example, model):
+    """Every loss and gradient of compiling each distinct step once equals,
+    bit for bit, that of compiling and running every step in turn."""
+    compiled = compile_example(example)
+    reference = reference_model.compile_example(example)
+    assert len(compiled.order) == len(reference.steps)
+    for alpha in (0.0, 0.7, 1.0):
+        loss, grads = _loss_and_grads_compiled(model.params, compiled, alpha)
+        expected, expected_grads = reference_model._loss_and_grads_compiled(
+            model.params, reference, alpha)
+        assert loss == expected
+        for name in PARAM_ORDER:
+            assert np.array_equal(grads[name], expected_grads[name]), name
+        assert (_loss_compiled(model.params, compiled, alpha)
+                == reference_model._loss_compiled(model.params, reference, alpha))
+    wide = {name: arr.astype(np.longdouble) for name, arr in model.params.items()}
+    wide_loss = _loss_compiled(wide, _as_longdouble(compiled), 1.0)
+    assert wide_loss.dtype == np.longdouble
+    assert wide_loss == reference_model._loss_compiled(
+        wide, reference_model._as_longdouble(reference), 1.0)
+
+
+class TestDistinctSteps:
+    def test_learnable_corpus_losses_and_gradients_equal_the_reference(self):
+        examples = make_examples(8, seed=3, k=3)
+        for seed, example in enumerate(examples):
+            assert_same_as_step_by_step(example, init_model(seed=seed))
+        # the oracles share their leading picks, so there is something to share
+        assert sum(len(compile_example(e).steps) for e in examples) < sum(
+            len(reference_model.compile_example(e).steps) for e in examples)
+
+    @pytest.mark.parametrize("case", list(hand_built_examples()))
+    def test_hand_built_oracles_equal_the_reference(self, case):
+        example = hand_built_examples()[case]
+        for seed in (0, 1):
+            assert_same_as_step_by_step(example, init_model(seed=seed))
+        assert_same_as_step_by_step(example, zero_model())
+
+    def test_training_equals_the_reference(self):
+        examples = make_examples(6, seed=3, k=3) + list(hand_built_examples().values())
+        for cfg in (TrainConfig(epochs=3, seed=5), TrainConfig(epochs=2, seed=1, alpha=0.3,
+                                                                 learning_rate=0.01)):
+            model, trace = train(examples, cfg)
+            expected, expected_trace = reference_model.train(examples, cfg)
+            assert trace == expected_trace
+            for name in PARAM_ORDER:
+                assert np.array_equal(model.params[name], expected.params[name]), name
+            assert model.train_config == expected.train_config
+
+    def test_each_distinct_step_is_featurized_once(self, monkeypatch):
+        # (0,) and (0, 1) start oracles of length 2 and of length 3: the state
+        # vector divides by the length, so those steps differ and are not merged
+        example = hand_built_examples()["lengths-2-and-3"]
+        calls = []
+        featurize = model_mod.featurize_option
+
+        def counting(ctx, target, option, state):
+            calls.append((state.k, state.selected + (target,), option))
+            return featurize(ctx, target, option, state)
+
+        monkeypatch.setattr(model_mod, "featurize_option", counting)
+        compiled = compile_example(example)
+        keys = {(len(o.sentence_indices), o.sentence_indices[:depth + 1])
+                for o in example.candidates for depth in range(len(o.sentence_indices))}
+        assert len(keys) == 6
+        assert len(compiled.steps) == len(keys)
+        assert len(compiled.order) == 9
+        assert len(calls) == len(set(calls)) == sum(
+            len(example.labels[prefix[-1]]) for _, prefix in keys)
+        assert {(k, prefix) for k, prefix, _ in calls} == keys
+        # the second pick of (0, 1) and of (0, 1, 2): same prefix and target, other k
+        k2_step = compiled.steps[compiled.order[1]]
+        k3_step = compiled.steps[compiled.order[3]]
+        assert not np.array_equal(k2_step.decoder_input, k3_step.decoder_input)
+
+
 class TestGradientCheck:
     def test_correct_gradients_pass(self):
         example = make_examples(1, seed=41)[0]
@@ -307,6 +407,23 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], TrainConfig())
 
+    def test_epoch_log_splits_the_loss(self, caplog):
+        # one document: the epoch means are the losses at the initialization
+        example = make_examples(1, seed=52)[0]
+        cfg = TrainConfig(epochs=2, seed=5, alpha=0.5)
+        with caplog.at_level(logging.INFO, logger="compsum.model"):
+            _, trace = train([example], cfg)
+        initial = init_model(cfg.hidden_size, cfg.seed)
+        extraction = loss_joint(initial, example, alpha=0.0)
+        compression = loss_joint(initial, example, alpha=1.0) - extraction
+        messages = [record.getMessage() for record in caplog.records
+                    if record.name == "compsum.model"]
+        assert len(messages) == 2
+        assert messages[0] == (f"epoch 1: mean loss {trace[0]:.6f}, "
+                               f"extraction NLL {extraction:.6f}, "
+                               f"compression NLL {compression:.6f}")
+        assert messages[1].startswith(f"epoch 2: mean loss {trace[1]:.6f}, extraction NLL ")
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(alpha=-1.0)
@@ -348,7 +465,6 @@ class TestPersistence:
             load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import json
         model = init_model(seed=1)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -359,7 +475,6 @@ class TestPersistence:
             load_model(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        import json
         model = init_model(seed=1)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -381,8 +496,38 @@ class TestPersistence:
             load_model(path)
         assert str(error.value) == "parameter w1 holds a non-finite weight"
 
+    @pytest.mark.parametrize("value, expected", [
+        ("32", 'hidden_size "32" is not an integer >= 1'),
+        (32.7, "hidden_size 32.7 is not an integer >= 1"),
+        (32.0, "hidden_size 32.0 is not an integer >= 1"),
+        (True, "hidden_size true is not an integer >= 1"),
+        (0, "hidden_size 0 is not an integer >= 1"),
+    ])
+    def test_hidden_size_that_is_not_an_integer_rejected(self, tmp_path, value, expected):
+        # "32" and 32.7 once loaded as 32
+        path = tmp_path / "model.json"
+        save_model(init_model(seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["hidden_size"] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as error:
+            load_model(path)
+        assert str(error.value) == f"corrupt model file {path}: {expected}"
+
+    def test_hidden_size_that_disagrees_with_the_config_rejected(self, tmp_path):
+        # a train_config of hidden size 16 once loaded beside 32-wide weights
+        model, _ = train(make_examples(1, seed=61), TrainConfig(epochs=0, hidden_size=4))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["train_config"]["hidden_size"] = 16
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as error:
+            load_model(path)
+        assert str(error.value) == (f"corrupt model file {path}: hidden_size 4 does not "
+                                    f"match train_config hidden_size 16")
+
     def test_missing_weights_rejected(self, tmp_path):
-        import json
         model = init_model(seed=1)
         path = tmp_path / "model.json"
         save_model(model, path)
