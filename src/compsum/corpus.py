@@ -2,14 +2,15 @@
 each stage hands to the next.
 
 A corpus is one JSON object per line: {"id", "sentences": [{"tokens",
-"parse"}], "reference": [[token, ...], ...]}. A record is rejected with a
-warning that names its line and id (or "?") when it is not an object with
-an id, when sentences is not a list of objects that each have a parse and
+"parse"}], "reference": [[token, ...], ...]}. An id is a string or an
+integer, read as its decimal string. A record is rejected with a warning
+that names its line and id (or "?") when it is not an object with such an
+id, when sentences is not a list of objects that each have a parse and
 tokens, when a parse is not a string or does not parse, when a token list
 or a reference sentence is not a list of strings, or when a token list
 disagrees with its parse leaves (after bracket unescaping); remaining
-records still load. A parse is only checked here, as parse_ptb would
-check it; its tree is built when a command first reads it.
+records still load. A parse is only checked here (treebank.parse_ptb says
+how); a sentence keeps the parse string and its words.
 
 Every JSONL file is written by write_records, so a command that fails
 leaves no partial file. read_records reads an artifact of the corpus (the
@@ -82,6 +83,8 @@ def document_from_record(record: dict) -> Document:
     if not isinstance(record, dict) or "id" not in record:
         raise ValueError("record is not an object with an id")
     doc_id = record["id"]
+    if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+        raise ValueError("id is not a string or an integer")
     raw_sentences = record.get("sentences")
     if not isinstance(raw_sentences, list):
         raise ValueError("sentences is not a list of objects")

@@ -2,20 +2,18 @@
 
 Trees arrive as standard bracketed strings, one per sentence. Reading one
 is two passes over its lexemes: `_scan` makes every check and returns the
-words, and a second pass, which checks nothing, reads the text `_scan`
-accepted. `node_arrays` is the pass the pipeline uses: it fills, for each
-node in pre-order, its label, first and end token and children, and for
-each token its tag, which is all the compression rules read. `_build` makes
-`TreeNode`s instead, each as its bracket closes; `parse_ptb` is `_scan`
-followed by `_build`. The character offset of a fault is worked out only
+words, and `node_arrays`, which checks nothing, reads the text `_scan`
+accepted. It fills, for each node in pre-order, its label, first and end
+token and children, and for each token its tag, which is all the
+compression rules read. The character offset of a fault is worked out only
 when a ParseError is raised.
 
-A SentenceTree holds the bracketed string and the words. `from_ptb` only
-checks the string, and no pipeline command builds a `TreeNode`: the rules
-read `node_arrays(tree.parse)`, made on demand and not kept, so a loaded
-sentence stays its string and its words. `SentenceTree.root` is built on
-first use, for equality, for `to_ptb` of a tree built from nodes and for
-tests.
+A SentenceTree holds the bracketed string and the words; `parse_ptb` and
+`SentenceTree.from_ptb` only check the string. No pipeline command builds a
+`TreeNode`: the rules read `node_arrays(tree.parse)`, made on demand and
+not kept, so a loaded sentence stays its string and its words.
+`SentenceTree.root` is made from those same arrays on first use, for
+equality, for `to_ptb` of a tree built from nodes and for tests.
 
 Nodes are immutable tuples, equal and hashed by value. Every node caches
 its half-open token span; a sentence's words are a plain tuple of strings,
@@ -98,19 +96,15 @@ class TreeNode(NamedTuple):
     children: tuple["TreeNode", ...]
     span: Span
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 class SentenceTree:
     """One sentence: its bracketed parse, its words and the tree of the parse.
 
     `parse` is the bracketed string as read, or `to_ptb` of a tree built
     from nodes; leaf i's word is tokens[i]. The rules read
-    `node_arrays(parse)`. A loaded sentence's `root` is built from `parse`,
-    checked at load, on first access and then kept; no pipeline command
-    reads it. Immutable; equal and hashed by (root, tokens).
+    `node_arrays(parse)`. Unless given, `root` is made from the same arrays
+    on first access and then kept; no pipeline command reads it.
+    Immutable; equal and hashed by (root, tokens).
     """
 
     __slots__ = ("parse", "tokens", "_root")
@@ -122,18 +116,15 @@ class SentenceTree:
 
     @classmethod
     def from_ptb(cls, text: str) -> "SentenceTree":
-        """The sentence of one bracketed tree, with its root not yet built.
-
-        The text is checked as parse_ptb checks it: the same text raises the
-        same ParseError, and the tokens are those parse_ptb would give.
-        """
-        return _made(text, _scan(text, _lex(text)), None)
+        """The sentence of one bracketed tree, checked as parse_ptb
+        describes; its root is made on first access."""
+        return _made(text, _scan(text, _lex(text)))
 
     @property
     def root(self) -> TreeNode:
         root = self._root
         if root is None:
-            root = _build(_lex(self.parse))
+            root = _root_node(node_arrays(self.parse))
             _set(self, "_root", root)
         return root
 
@@ -152,7 +143,7 @@ class SentenceTree:
         return hash((self.root, self.tokens))
 
     def __reduce__(self):
-        return _made, (self.parse, self.tokens, self._root)
+        return _made, (self.parse, self.tokens)
 
     def __repr__(self) -> str:
         return f"SentenceTree(parse={self.parse!r}, tokens={self.tokens!r})"
@@ -166,12 +157,12 @@ class SentenceTree:
         return self.tokens
 
 
-def _made(parse: str, tokens: tuple[str, ...], root: TreeNode | None) -> SentenceTree:
-    """A SentenceTree of checked fields; root None is built on first access."""
+def _made(parse: str, tokens: tuple[str, ...]) -> SentenceTree:
+    """A SentenceTree of checked fields, its root made on first access."""
     tree = object.__new__(SentenceTree)
     _set(tree, "parse", parse)
     _set(tree, "tokens", tokens)
-    _set(tree, "_root", root)
+    _set(tree, "_root", None)
     return tree
 
 
@@ -182,7 +173,8 @@ def _lex(text: str) -> list[str]:
 
 
 def parse_ptb(text: str) -> SentenceTree:
-    """Parse one bracketed tree into a SentenceTree.
+    """Check one bracketed tree and return its SentenceTree, whose root is
+    made on first access (SentenceTree.from_ptb).
 
     A single unlabeled outer wrapper "( ... )" is silently unwrapped.
     Escaped bracket tokens (-LRB- etc.) are stored unescaped; their
@@ -192,9 +184,7 @@ def parse_ptb(text: str) -> SentenceTree:
     unlabeled internal node, only once the whole tree is well formed, at
     the first such node in pre-order.
     """
-    lexemes = _lex(text)
-    words = _scan(text, lexemes)
-    return _made(text, words, _build(lexemes))
+    return SentenceTree.from_ptb(text)
 
 
 def _scan(text: str, lexemes: list[str]) -> tuple[str, ...]:
@@ -269,40 +259,6 @@ def _scan(text: str, lexemes: list[str]) -> tuple[str, ...]:
     return tuple(words)
 
 
-def _build(lexemes: list[str]) -> TreeNode:
-    """The root node of lexemes that _scan accepted.
-
-    Checks nothing: in an accepted tree only the outer wrapper may be
-    unlabeled, every other node opens with "(" followed by a label, and a
-    label followed by a word is a leaf. Each node is built as its bracket
-    closes.
-    """
-    top: list[TreeNode] = []
-    kids = top              # children of the innermost open node
-    open_nodes = []         # (parent's kids, label, first token) per open node
-    index = 0               # words placed so far
-    i = 1 if lexemes[1] == "(" else 0   # past an unlabeled outer wrapper
-    while True:
-        if lexemes[i] == ")":
-            parent, label, start = open_nodes.pop()
-            parent.append(_new(TreeNode, (label, tuple(kids), _new(Span, (start, index)))))
-            kids = parent
-            i += 1
-        else:
-            label = lexemes[i + 1]
-            if lexemes[i + 2] == "(":
-                open_nodes.append((kids, label, index))
-                kids = []
-                i += 2
-                continue
-            kids.append(_new(TreeNode, (label, (), _new(Span, (index, index + 1)))))
-            index += 1
-            i += 4
-        if not open_nodes:
-            break
-    return top[0]
-
-
 class NodeArrays(NamedTuple):
     """The nodes of a parse in pre-order, as parallel lists, and the tag of
     each token. Node i covers tokens starts[i] to ends[i] - 1; kids[i] lists
@@ -318,7 +274,9 @@ class NodeArrays(NamedTuple):
 def node_arrays(text: str) -> NodeArrays:
     """The NodeArrays of a bracketed string that _scan accepted.
 
-    Checks nothing, as _build, and reads the same tree in the same order.
+    Checks nothing: in an accepted tree only the outer wrapper may be
+    unlabeled, every other node opens with "(" followed by a label, and a
+    label followed by a word is a leaf.
     """
     lexemes = _lex(text)
     labels: list[str] = []
@@ -356,6 +314,17 @@ def node_arrays(text: str) -> NodeArrays:
         if not open_nodes:
             break
     return _new(NodeArrays, (labels, starts, ends, kids, tags))
+
+
+def _root_node(arrays: NodeArrays) -> TreeNode:
+    """The root TreeNode of a parse's NodeArrays. The pre-order is walked
+    backwards, so each node is made after its children."""
+    labels, starts, ends, kids, _ = arrays
+    nodes: list = [None] * len(labels)
+    for i in range(len(labels) - 1, -1, -1):
+        nodes[i] = _new(TreeNode, (labels[i], tuple([nodes[k] for k in kids[i]]),
+                                   _new(Span, (starts[i], ends[i]))))
+    return nodes[0]
 
 
 def _located(message: str, text: str, index: int) -> ParseError:

@@ -37,7 +37,7 @@ def _first_verb_tag(node: TreeNode) -> str | None:
 
 
 def _is_comma(node: TreeNode, texts) -> bool:
-    return node.is_leaf and texts[node.span.start] == ","
+    return not node.children and texts[node.span.start] == ","
 
 
 def _head_preposition(pp: TreeNode, texts) -> str | None:
@@ -69,7 +69,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     candidates: list[_Candidate] = []
 
     for node in iter_nodes(tree.root):
-        if node.is_leaf:
+        if not node.children:
             continue
         parent_label = _base(node.label)
         kids = node.children
@@ -110,7 +110,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
             # nominal head follows (so the NP head itself is never an option).
             if parent_label == "NP" and (
                     child_label == "ADJP"
-                    or (child.is_leaf and child.label in _ADJ_TAGS)):
+                    or (not child.children and child.label in _ADJ_TAGS)):
                 if any(_base(sib.label).startswith("NN") or _base(sib.label) == "NX"
                        for sib in kids[idx + 1:]):
                     candidates.append(_Candidate(
@@ -122,9 +122,9 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                     child.span, RuleId.ADVP, child.label, node.span, absorb=True))
 
             # Bare RB pre-modifier of a VP: an RB leaf before the first verb.
-            if parent_label == "VP" and child.is_leaf and child.label == "RB":
+            if parent_label == "VP" and not child.children and child.label == "RB":
                 verb_positions = [j for j, sib in enumerate(kids)
-                                  if sib.is_leaf and sib.label.startswith("VB")]
+                                  if not sib.children and sib.label.startswith("VB")]
                 if verb_positions and idx < verb_positions[0]:
                     candidates.append(_Candidate(
                         child.span, RuleId.ADVP, child.label, node.span, absorb=True))

@@ -209,6 +209,24 @@ class TestLoadCorpus:
         assert [d.id for d in loaded] == [doc.id]
         assert "line 1: document ? rejected: record is not an object with an id" in caplog.text
 
+    @pytest.mark.parametrize("doc_id,shown", [
+        (None, "None"), (True, "True"), (False, "False"), (7.0, "7.0"), (7.5, "7.5"),
+        (["d"], "['d']"), ({"a": 1}, "{'a': 1}"),
+    ], ids=["null", "true", "false", "whole-float", "float", "list", "object"])
+    def test_id_that_is_no_string_or_integer_is_rejected(self, tmp_path, caplog, doc_id, shown):
+        docs = corpusgen.fixture_corpus()[:3]
+        records = [document_to_record(d) for d in docs]
+        records[1]["id"] = doc_id
+        records[2]["id"] = 7
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        # an integer id is read as its decimal string
+        assert [d.id for d in loaded] == [docs[0].id, "7"]
+        assert (f"line 2: document {shown} rejected: id is not a string or an integer"
+                in caplog.text)
+
     def test_escaped_brackets_roundtrip(self, tmp_path):
         tree = parse_ptb("(S (NP (NN cost)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))")
         doc = Document(id="esc", sentences=(tree,), reference=(("cost", "(", "net", ")"),))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpusgen
 import reference_rules
+import reference_treebank
 from reference_treebank import iter_nodes
 from compsum.rules import (
     RULES_VERSION,
@@ -273,11 +274,12 @@ def test_layout_invariant_on_adversarial_trees():
 
 def test_options_equal_the_reference_matcher():
     # the array matcher against the node-walking one it replaced, on label
-    # shapes the output pin does not cover; the rules read the parse of each
-    # sentence: as loaded (its root never built), as parse_ptb read it, and as
-    # to_ptb wrote it for a tree built from nodes
+    # shapes the output pin does not cover, walking the nodes the reference
+    # parser made; the rules read the parse of each sentence: as loaded (its
+    # root never built), as parse_ptb read it, and as to_ptb wrote it for a
+    # tree built from nodes
     for tree in _adversarial_trees():
-        expected = reference_rules.extract_options(tree)
+        expected = reference_rules.extract_options(reference_treebank.parse_ptb(tree.parse))
         loaded = SentenceTree.from_ptb(tree.parse)
         hand_built = SentenceTree(tree.root, tree.tokens)
         assert hand_built.parse == treebank.to_ptb(tree)
@@ -287,8 +289,9 @@ def test_options_equal_the_reference_matcher():
 
 
 def _arrays_of(tree):
-    """What treebank.node_arrays gives, read off the tree's real nodes."""
-    nodes = list(iter_nodes(tree.root))
+    """What treebank.node_arrays gives, read off the nodes the reference
+    parser makes of the tree's parse."""
+    nodes = list(iter_nodes(reference_treebank.parse_ptb(tree.parse).root))
     index = {id(node): i for i, node in enumerate(nodes)}
     return ([node.label for node in nodes],
             [node.span.start for node in nodes],

@@ -125,8 +125,8 @@ print(json.dumps({"codes": codes, "extract": tracer.calls["rules.extract"] - bef
 # Runs the command chain and records, per command, the bracketed strings the
 # rules read (through the one binding of treebank.node_arrays that
 # extract_options calls), the count of treebank.parse spans and the count of
-# trees built from nodes (treebank._build, which SentenceTree.root and
-# parse_ptb call).
+# trees whose nodes were made (treebank._root_node, the one maker of TreeNodes,
+# which SentenceTree.root calls).
 TRACED_COMMANDS = """
 import json, sys
 from collections import Counter
@@ -148,11 +148,11 @@ def counted_fill(text):
     return fill(text)
 rules.node_arrays = counted_fill
 builds = Counter()
-build = treebank._build
-def counted_build(lexemes):
+build = treebank._root_node
+def counted_build(arrays):
     builds["trees"] += 1
-    return build(lexemes)
-treebank._build = counted_build
+    return build(arrays)
+treebank._root_node = counted_build
 data = ["--corpus", corpus, "--oracles", oracles]
 decode = ["--corpus", corpus, "--model", model, "--k", "2"]
 commands = {

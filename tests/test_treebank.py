@@ -318,7 +318,7 @@ class TestNodes:
         assert scanned == [text]
         root = lazy.root
         assert scanned == [text]
-        assert root == parse_ptb(text).root
+        assert root == reference_treebank.parse_ptb(text).root
 
     @pytest.mark.parametrize("make", [SentenceTree.from_ptb, parse_ptb])
     def test_copies_keep_parse_tokens_and_tree(self, make):
