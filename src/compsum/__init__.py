@@ -5,6 +5,8 @@ compression options are classified for deletion, and training supervision
 comes from beam-search oracles scored against reference summaries.
 """
 
+from __future__ import annotations
+
 from .corpus import Document, load_corpus
 from .model import TrainConfig, train
 from .oracle import OracleConfig, build_document_oracles

@@ -5,6 +5,8 @@ An optional --config JSON file supplies defaults for any flag of the chosen
 subcommand, each of the type its flag takes; explicit flags always win.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import logging

@@ -3,11 +3,13 @@ each stage hands to the next.
 
 A corpus is one JSON object per line: {"id", "sentences": [{"tokens",
 "parse"}], "reference": [[token, ...], ...]}. An id is a string or an
-integer, read as its decimal string. A record is rejected with a warning
-that names its line and id (or "?") when it is not an object with such an
-id, when sentences is not a list of objects that each have a parse and
-tokens, when a parse is not a string or does not parse, when a token list
-or a reference sentence is not a list of strings, or when a token list
+integer, read as its decimal string. A line that is not UTF-8 text or not
+JSON is skipped with a warning that names it. A record is rejected with a
+warning that names its line and id (as its JSON text when it is not a
+string; "?" when there is none) when it is not an object with such an id,
+when sentences is not a list of objects that each have a parse and tokens,
+when a parse is not a string or does not parse, when a token list or a
+reference sentence is not a list of strings, or when a token list
 disagrees with its parse leaves (after bracket unescaping); remaining
 records still load. A parse is only checked here (treebank.parse_ptb says
 how); a sentence keeps the parse string and its words.
@@ -16,6 +18,8 @@ Every JSONL file is written by write_records, so a command that fails
 leaves no partial file. read_records reads an artifact of the corpus (the
 oracle cache, the summaries) back, joining its i-th record to document i.
 """
+
+from __future__ import annotations
 
 import json
 import logging
@@ -49,9 +53,10 @@ def _unescape(tokens: list[str]) -> tuple[str, ...]:
     return tuple(map(BRACKET_UNESCAPE.get, tokens, tokens))
 
 
-def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each nonblank line of a file."""
-    with path.open("r", encoding="utf-8") as handle:
+def _lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, line) of each nonblank line of a file, undecoded, so that
+    a line that is not UTF-8 text is the fault of that line alone."""
+    with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
                 yield lineno, line
@@ -63,7 +68,10 @@ def load_corpus(path) -> Iterator[Document]:
     count = 0
     for lineno, line in _lines(path):
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            logger.warning("line %d: not UTF-8 text; record skipped", lineno)
+            continue
         except json.JSONDecodeError as exc:
             logger.warning("line %d: malformed JSON (%s); record skipped", lineno, exc)
             continue
@@ -71,7 +79,8 @@ def load_corpus(path) -> Iterator[Document]:
             doc = document_from_record(record)
         except (KeyError, TypeError, ValueError) as exc:
             doc_id = record.get("id", "?") if isinstance(record, dict) else "?"
-            logger.warning("line %d: document %s rejected: %s", lineno, doc_id, exc)
+            shown = doc_id if isinstance(doc_id, str) else json.dumps(doc_id)
+            logger.warning("line %d: document %s rejected: %s", lineno, shown, exc)
             continue
         count += 1
         yield doc
@@ -154,16 +163,17 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
     header, when given, checks the first record instead. A record whose
     doc_id is not that of the document at its place, or a document left
     without a record, is an error ending in `stale`, which says how to
-    remake the file. Nothing is skipped: malformed JSON, a line that is not
-    an object, a missing key, or a TypeError or ValueError from header or
-    parse is a ValueError that names the file and line.
+    remake the file. Nothing is skipped: a line that is not UTF-8 text,
+    malformed JSON, a line that is not an object, a missing key, or a
+    TypeError or ValueError from header or parse is a ValueError that names
+    the file and line.
     """
     path = Path(path)
     corpus = iter(documents)
     out = []
     for lineno, line in _lines(path):
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
             if not isinstance(record, dict):
                 raise ValueError("record is not a JSON object")
             if header is not None:
@@ -176,6 +186,8 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
                 raise ValueError(f"record of document {record['doc_id']!r} where the corpus "
                                  f"has {at_place}: {stale}")
             out.append(parse(record, doc))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
                              f"at column {exc.colno}") from exc

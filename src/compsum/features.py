@@ -4,6 +4,8 @@ These stand in for learned encoders: fixed-length real vectors computed
 from surface statistics. Identical inputs always give identical vectors.
 """
 
+from __future__ import annotations
+
 import math
 from collections import Counter
 from dataclasses import dataclass

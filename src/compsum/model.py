@@ -15,6 +15,8 @@ teacher-forced step is compiled and run once per loss, and its terms are
 added as often as the oracles take it, in their order.
 """
 
+from __future__ import annotations
+
 import json
 import logging
 import math
@@ -95,7 +97,7 @@ def save_model(model: Model, path) -> None:
         "weights": {name: model.params[name].tolist() for name in PARAM_ORDER},
         "train_config": model.train_config,
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, allow_nan=False), encoding="utf-8")
 
 
 # The JSON types a config value may have, by the Python type of the value:
@@ -437,6 +439,11 @@ def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model,
     per-name arrays are views of its parameter buffer), so one update is a
     few elementwise operations over every weight, each element computed as
     a per-name update would compute it.
+
+    A step so large that weights overflow is caught once per epoch: a
+    non-finite parameter is a ValueError naming it, so no such model is
+    returned. numpy's floating-point warnings are off in the epoch loop,
+    since that check reports what they would.
     """
     if not examples:
         raise ValueError("empty training corpus")
@@ -455,29 +462,34 @@ def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model,
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         losses, extraction, compression = [], [], []
-        for ce in compiled:
-            sent_nll, comp_nll, grad = _loss_terms_and_grad(model.params, ce, cfg.alpha)
-            losses.append(sent_nll + cfg.alpha * comp_nll)
-            extraction.append(sent_nll)
-            compression.append(comp_nll)
-            step += 1
-            # moment1 = beta1 * moment1 + (1 - beta1) * grad
-            moment1 *= _BETA1
-            np.multiply(1 - _BETA1, grad, out=update)
-            moment1 += update
-            # moment2 = beta2 * moment2 + (1 - beta2) * grad * grad
-            moment2 *= _BETA2
-            np.multiply(1 - _BETA2, grad, out=update)
-            update *= grad
-            moment2 += update
-            # params -= learning_rate * m_hat / (sqrt(v_hat) + eps)
-            np.divide(moment2, 1 - _BETA2 ** step, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += _EPS
-            np.divide(moment1, 1 - _BETA1 ** step, out=update)
-            np.multiply(cfg.learning_rate, update, out=update)
-            update /= denom
-            flat -= update
+        with np.errstate(all="ignore"):  # overflow is checked below
+            for ce in compiled:
+                sent_nll, comp_nll, grad = _loss_terms_and_grad(model.params, ce, cfg.alpha)
+                losses.append(sent_nll + cfg.alpha * comp_nll)
+                extraction.append(sent_nll)
+                compression.append(comp_nll)
+                step += 1
+                # moment1 = beta1 * moment1 + (1 - beta1) * grad
+                moment1 *= _BETA1
+                np.multiply(1 - _BETA1, grad, out=update)
+                moment1 += update
+                # moment2 = beta2 * moment2 + (1 - beta2) * grad * grad
+                moment2 *= _BETA2
+                np.multiply(1 - _BETA2, grad, out=update)
+                update *= grad
+                moment2 += update
+                # params -= learning_rate * m_hat / (sqrt(v_hat) + eps)
+                np.divide(moment2, 1 - _BETA2 ** step, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += _EPS
+                np.divide(moment1, 1 - _BETA1 ** step, out=update)
+                np.multiply(cfg.learning_rate, update, out=update)
+                update /= denom
+                flat -= update
+        if not np.isfinite(flat).all():
+            name = next(name for name in PARAM_ORDER if not np.isfinite(views[name]).all())
+            raise ValueError(f"training diverged: parameter {name} holds a non-finite weight "
+                             f"after epoch {epoch + 1} at learning rate {cfg.learning_rate}")
         trace.append(float(np.mean(losses)))
         logger.info("epoch %d: mean loss %.6f, extraction NLL %.6f, compression NLL %.6f",
                     epoch + 1, trace[-1], np.mean(extraction), np.mean(compression))

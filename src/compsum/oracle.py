@@ -54,6 +54,8 @@ DocumentOracles checks itself: it holds at least one oracle, each of
 distinct scoreable sentences, and one label tuple per sentence.
 """
 
+from __future__ import annotations
+
 import enum
 import hashlib
 import json

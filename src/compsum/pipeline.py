@@ -23,6 +23,8 @@ preprocessed reference, and summary_from_record and stats_report take the
 options extract_options gave each sentence.
 """
 
+from __future__ import annotations
+
 import csv
 import json
 import logging

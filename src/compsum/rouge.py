@@ -8,6 +8,8 @@ counts into the score (score_counts), so compsum.oracle can change the counts
 by delta; how they are joined or cut is left to that caller.
 """
 
+from __future__ import annotations
+
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence

@@ -14,6 +14,8 @@ the child (its first leaf, the first verb of a VP, the head preposition of
 a PP) comes from the tags of the child's span.
 """
 
+from __future__ import annotations
+
 import enum
 from dataclasses import dataclass, field
 

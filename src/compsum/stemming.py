@@ -10,6 +10,8 @@ word; since a letter's class depends only on the letters before it, the
 form of a cut word is the same cut of the form.
 """
 
+from __future__ import annotations
+
 from functools import lru_cache
 
 _VOWELS = "aeiou"

@@ -23,6 +23,8 @@ keeps its own stack, so no tree depth reaches the interpreter's recursion
 limit.
 """
 
+from __future__ import annotations
+
 import re
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence

@@ -312,6 +312,19 @@ def test_rejected_value_is_named_by_its_flag(corpus_path, oracles_path, tmp_path
     assert not out.exists()
 
 
+def test_training_that_diverges_is_error_and_saves_no_model(corpus_path, oracles_path,
+                                                             tmp_path, capsys):
+    # --lr 1e308 once saved a model of infinite weights that no command could load
+    out = tmp_path / "model.json"
+    code = main(["train", "--corpus", str(corpus_path), "--oracles", str(oracles_path),
+                 "--out", str(out), "--lr", "1e308"])
+    assert code == 1
+    assert _structured_error(capsys) == (
+        "training diverged: parameter w_d holds a non-finite weight after epoch 1 "
+        "at learning rate 1e+308")
+    assert not out.exists()
+
+
 def _first_sentence_summary(doc: Document) -> str:
     """A summaries line for doc that selects its first sentence and deletes nothing."""
     return json.dumps({"doc_id": doc.id, "selected": [0], "deletions": [],

@@ -488,13 +488,24 @@ class TestPersistence:
     def test_non_finite_weight_rejected(self, tmp_path, value):
         # a NaN model once loaded and failed later in summarize with
         # "p_del=nan must lie in [0, 1]"
-        model = init_model(seed=1)
-        model.params["w1"][2, 3] = value
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(init_model(seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["weights"]["w1"][2][3] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError) as error:
             load_model(path)
         assert str(error.value) == "parameter w1 holds a non-finite weight"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight_is_not_saved(self, tmp_path, value):
+        # such a model was once written, for every later command to reject
+        model = init_model(seed=1)
+        model.params["w1"][2, 3] = value
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            save_model(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value, expected", [
         ("32", 'hidden_size "32" is not an integer >= 1'),

@@ -573,15 +573,16 @@ class TestCache:
             f"the cache is stale; rebuild it with `compsum oracle build`")
 
     @pytest.mark.parametrize("line, message", [
-        ("{not json\n", r"bad\.jsonl:2: malformed JSON"),
-        ('{"oracles": [], "labels": []}\n', r"bad\.jsonl:2: missing key 'doc_id'"),
-        ('["a list"]\n', r"bad\.jsonl:2: record is not a JSON object"),
+        (b"{not json\n", r"bad\.jsonl:2: malformed JSON"),
+        (b'{"oracles": [], "labels": []}\n', r"bad\.jsonl:2: missing key 'doc_id'"),
+        (b'["a list"]\n', r"bad\.jsonl:2: record is not a JSON object"),
+        (b'{"doc_id": "\xff"}\n', r"bad\.jsonl:2: not UTF-8 text$"),
     ])
     def test_bad_line_is_located(self, tmp_path, line, message):
         doc = corpusgen.fixture_corpus()[0]
         path = tmp_path / "bad.jsonl"
         write_oracle_cache(path, OracleConfig(k=1, m=1), [])
-        with path.open("a", encoding="utf-8") as handle:
+        with path.open("ab") as handle:
             handle.write(line)
         with pytest.raises(ValueError, match=message):
             read_oracle_cache(path, [doc])

@@ -118,6 +118,18 @@ class TestLoadCorpus:
         assert [d.id for d in loaded] == [docs[0].id, docs[1].id]
         assert "line 2" in caplog.text
 
+    def test_line_that_is_not_utf8_skipped_with_line_number(self, tmp_path, caplog):
+        # one such byte once failed every command, naming neither file nor line
+        docs = corpusgen.fixture_corpus()[:3]
+        lines = [json.dumps(document_to_record(d)).encode("utf-8") for d in docs]
+        lines[1] = lines[1].replace(b'"id": "', b'"id": "\xff', 1)
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        assert [d.id for d in loaded] == [docs[0].id, docs[2].id]
+        assert "line 2: not UTF-8 text; record skipped" in caplog.text
+
     def test_token_mismatch_rejected_others_kept(self, tmp_path, caplog):
         docs = corpusgen.fixture_corpus()[:3]
         records = [document_to_record(d) for d in docs]
@@ -210,8 +222,8 @@ class TestLoadCorpus:
         assert "line 1: document ? rejected: record is not an object with an id" in caplog.text
 
     @pytest.mark.parametrize("doc_id,shown", [
-        (None, "None"), (True, "True"), (False, "False"), (7.0, "7.0"), (7.5, "7.5"),
-        (["d"], "['d']"), ({"a": 1}, "{'a': 1}"),
+        (None, "null"), (True, "true"), (False, "false"), (7.0, "7.0"), (7.5, "7.5"),
+        (["d"], '["d"]'), ({"a": 1}, '{"a": 1}'),
     ], ids=["null", "true", "false", "whole-float", "float", "list", "object"])
     def test_id_that_is_no_string_or_integer_is_rejected(self, tmp_path, caplog, doc_id, shown):
         docs = corpusgen.fixture_corpus()[:3]
