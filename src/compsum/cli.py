@@ -144,9 +144,8 @@ def cmd_evaluate(args) -> int:
         Path(args.json).write_text(
             json.dumps(pipeline.evaluation_to_json(result), indent=2), encoding="utf-8")
     print(f"documents evaluated: {len(result.rows)} (skipped {result.skipped})")
-    print(f"ROUGE-1 F1: {result.mean1.f1:.4f}")
-    print(f"ROUGE-2 F1: {result.mean2.f1:.4f}")
-    print(f"ROUGE-L F1: {result.mean_l.f1:.4f}")
+    for (_, label), score in zip(pipeline.METRICS, result.mean.scores):
+        print(f"{label} F1: {score.f1:.4f}")
     return 0
 
 

@@ -136,11 +136,11 @@ def document_to_record(doc: Document) -> dict:
     Each parse is written as the sentence holds it (see SentenceTree.parse),
     so a document read back has the same fingerprint (oracle.document_fingerprint).
 
-    A token or reference word that is itself a bracket code (say "-LRB-")
-    would be read back unescaped, so it is a ValueError.
+    A reference word that is itself a bracket code (say "-LRB-") would be
+    read back unescaped, so it is a ValueError. No token is one: a sentence's
+    tokens are the words its parse reads back as, which are unescaped.
     """
-    for word in (*(t for tree in doc.sentences for t in tree.tokens),
-                 *doc.reference_tokens):
+    for word in doc.reference_tokens:
         if word in BRACKET_UNESCAPE:
             raise ValueError(f"document {doc.id!r}: word {word!r} is a bracket code and "
                              f"would be read back as {BRACKET_UNESCAPE[word]!r}")

@@ -444,8 +444,11 @@ def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracl
     its place, with the fingerprint it was built from, and every document
     must have one. Otherwise the cache is stale and is an error that says
     how to rebuild it. Options are built from the cached spans, rules and
-    node labels; a span outside its sentence, an unknown rule, a KEEP/DEL
-    label that disagrees with its r_before and r_after, or a record
+    node labels; a header whose oracle_config is not an object of
+    OracleConfig's fields, each an integer it accepts, a score, r_before or
+    r_after that is not a finite JSON number, a node label that is not a
+    string, a span outside its sentence, an unknown rule, a KEEP/DEL label
+    that disagrees with its r_before and r_after, or a record
     DocumentOracles rejects is an error too. Every error names the file,
     and the line of a record.
     """
@@ -475,6 +478,16 @@ def _check_header(record: dict) -> None:
     if record["preprocess"] != _PREPROCESS_RECORD:
         raise ValueError(f"oracle cache was scored under other preprocessing than "
                          f"ORACLE_PREPROCESS: {_REBUILD}")
+    config = record["oracle_config"]
+    if (type(config) is not dict or config.keys() != asdict(OracleConfig()).keys()
+            or any(type(value) is not int for value in config.values())):
+        raise ValueError(f"oracle cache header's oracle_config {json.dumps(config)} is not "
+                         f"an object of OracleConfig's integer fields: {_REBUILD}")
+    try:
+        OracleConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"oracle cache header's oracle_config {json.dumps(config)} is "
+                         f"rejected ({exc}): {_REBUILD}") from None
 
 
 def _entry_from_record(record: dict, doc: Document,
@@ -490,7 +503,11 @@ def _entry_from_record(record: dict, doc: Document,
         if type(indices) is not list or any(type(i) is not int for i in indices):
             raise ValueError(f"document {doc.id!r}: oracle indices {json.dumps(indices)} "
                              f"are not a list of integers")
-        candidates.append(OracleCandidate(tuple(indices), float(entry["score"])))
+        score = entry["score"]
+        if type(score) not in (int, float) or not math.isfinite(score):
+            raise ValueError(f"document {doc.id!r}: oracle score {json.dumps(score)} "
+                             f"is not a finite number")
+        candidates.append(OracleCandidate(tuple(indices), float(score)))
     labels = []
     for sent_index, cached in enumerate(record["labels"]):
         # a row past the last sentence is left to DocumentOracles to reject
@@ -507,7 +524,15 @@ def _entry_from_record(record: dict, doc: Document,
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: cached option {key} "
                     f"names an unknown rule")
-            r_before, r_after = float(item["r_before"]), float(item["r_after"])
+            r_before, r_after, node_label = item["r_before"], item["r_after"], item["node_label"]
+            if (type(r_before) not in (int, float) or type(r_after) not in (int, float)
+                    or not (math.isfinite(r_before) and math.isfinite(r_after))
+                    or type(node_label) is not str):
+                raise ValueError(
+                    f"document {doc.id!r} sentence {sent_index}: cached option {key} holds "
+                    f"r_before {json.dumps(r_before)}, r_after {json.dumps(r_after)} and "
+                    f"node_label {json.dumps(node_label)}, not two finite numbers and a string")
+            r_before, r_after = float(r_before), float(r_after)
             label = CompressionLabel(item["label"])
             if label is not _label(r_before, r_after):
                 raise ValueError(
@@ -515,11 +540,11 @@ def _entry_from_record(record: dict, doc: Document,
                     f"{label.value}, which disagrees with r_before={r_before}, r_after={r_after}")
             # an option is immutable, so one object serves every label of
             # an equal option in the file
-            option_key = (*key, item["node_label"])
+            option_key = (*key, node_label)
             option = options.get(option_key)
             if option is None:
                 option = options[option_key] = CompressionOption(
-                    Span(start, end), _RULES[rule], item["node_label"])
+                    Span(start, end), _RULES[rule], node_label)
             sent_labels.append(LabeledOption(option, r_before, r_after, label))
         labels.append(tuple(sent_labels))
     return DocumentOracles(doc, tuple(candidates), tuple(labels))

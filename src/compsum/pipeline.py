@@ -12,10 +12,14 @@ once per set of options the model deletes and ROUGE-scores it once per
 distinct text, then keeps only its rows and token counts; a document
 whose reference has no words is skipped. Dedup keeps a count of live
 tokens per type instead of rescanning the summary for each option, and
-ROUGE-L uses a bit-parallel LCS. Decoding selects among a document's first
+rouge_l uses a bit-parallel LCS. Decoding selects among a document's first
 oracle.MAX_SENTS sentences, the same leading sentences the oracles were
 built from, so SummarizeConfig caps k there as OracleConfig does. ROUGE
 always preprocesses with the fixed EVAL_PREPROCESS (lowercasing only).
+Which ROUGE scores a report holds, under which keys and labels and in
+which order, is the one table METRICS: a row holds one score per entry,
+the corpus mean is itself a row with doc_id "MEAN", a sweep point holds
+each entry's mean F1, and every writer and printed line reads the table.
 Everything here is a pure function of (model, document, config), and
 nothing is cached across documents or calls. What a caller has already
 computed is passed, never computed again: score_summary takes the
@@ -196,39 +200,32 @@ def dedup_summary(doc: Document, summary: Summary,
 # Evaluation
 
 
+# The ROUGE scores every report holds, in report order: each one's key (in
+# the JSON report and as the prefix of its CSV columns) and its printed label.
+METRICS = (("rouge1", "ROUGE-1"), ("rouge2", "ROUGE-2"), ("rougeL", "ROUGE-L"))
+
+
 @dataclass(frozen=True)
 class EvaluationRow:
     doc_id: str
-    rouge1: RougeScore
-    rouge2: RougeScore
-    rouge_l: RougeScore
+    scores: tuple[RougeScore, ...]  # one per METRICS entry, in its order
 
 
 @dataclass(frozen=True)
 class EvaluationResult:
     rows: tuple[EvaluationRow, ...]
-    mean1: RougeScore
-    mean2: RougeScore
-    mean_l: RougeScore
+    mean: EvaluationRow  # doc_id "MEAN"; each component is np.mean over rows
     skipped: int
 
 
-def _mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
-    return RougeScore(
-        float(np.mean([s.precision for s in scores])),
-        float(np.mean([s.recall for s in scores])),
-        float(np.mean([s.f1 for s in scores])))
-
-
 def score_summary(summary: Summary, reference: Sequence[str]) -> EvaluationRow:
-    """ROUGE-1/2/L of a summary against its document's reference words,
-    preprocessed with EVAL_PREPROCESS."""
+    """The METRICS scores of a summary against its document's reference
+    words, preprocessed with EVAL_PREPROCESS."""
     candidate = preprocess_tokens([t for sent in summary.text for t in sent], EVAL_PREPROCESS)
-    return EvaluationRow(
-        doc_id=summary.doc_id,
-        rouge1=rouge_n(candidate, [reference], 1),
-        rouge2=rouge_n(candidate, [reference], 2),
-        rouge_l=rouge_l(candidate, reference))
+    return EvaluationRow(summary.doc_id, (
+        rouge_n(candidate, [reference], 1),
+        rouge_n(candidate, [reference], 2),
+        rouge_l(candidate, reference)))
 
 
 def _rendered_rows(scored: ScoredDocument, taus: Sequence[float],
@@ -279,18 +276,18 @@ def _evaluate(model: Model, corpus: Iterable[Document], taus: Sequence[float],
         raise ValueError(f"no document has a reference summary ({skipped} skipped)")
     if skipped:
         logger.warning("%d document(s) skipped for missing references", skipped)
-    results = [EvaluationResult(
-        rows=tuple(at_tau),
-        mean1=_mean_scores([r.rouge1 for r in at_tau]),
-        mean2=_mean_scores([r.rouge2 for r in at_tau]),
-        mean_l=_mean_scores([r.rouge_l for r in at_tau]),
-        skipped=skipped) for at_tau in rows]
+    results = []
+    for at_tau in rows:
+        # each component of each score is np.mean over the rows, in corpus order
+        mean = tuple(RougeScore(*(float(np.mean(values)) for values in zip(*scores)))
+                     for scores in zip(*(row.scores for row in at_tau)))
+        results.append(EvaluationResult(tuple(at_tau), EvaluationRow("MEAN", mean), skipped))
     return results, tokens_after, tokens_before
 
 
 def evaluate_corpus(model: Model, corpus: Iterable[Document],
                     cfg: SummarizeConfig) -> EvaluationResult:
-    """Per-document ROUGE rows plus component-wise corpus means."""
+    """Per-document ROUGE rows plus their component-wise mean row."""
     (result,), _, _ = _evaluate(model, corpus, [cfg.tau], cfg)
     return result
 
@@ -298,11 +295,12 @@ def evaluate_corpus(model: Model, corpus: Iterable[Document],
 @dataclass(frozen=True)
 class SweepPoint:
     tau: float
-    rouge1_f1: float
-    rouge2_f1: float
-    rouge_l_f1: float
-    mean_f1: float
+    f1: tuple[float, ...]  # the corpus mean F1 of each METRICS entry, in its order
     compression_ratio: float
+
+    @property
+    def mean_f1(self) -> float:
+        return sum(self.f1) / len(self.f1)
 
 
 def sweep_threshold(model: Model, corpus: Iterable[Document], tau_grid: Sequence[float],
@@ -314,12 +312,9 @@ def sweep_threshold(model: Model, corpus: Iterable[Document], tau_grid: Sequence
     for tau in tau_grid:
         SummarizeConfig(k=cfg.k, tau=tau, dedup=cfg.dedup)  # rejects a bad tau up front
     results, tokens_after, tokens_before = _evaluate(model, corpus, tau_grid, cfg)
-    points = []
-    for tau, result, after in zip(tau_grid, results, tokens_after):
-        f1_1, f1_2, f1_l = result.mean1.f1, result.mean2.f1, result.mean_l.f1
-        points.append(SweepPoint(tau, f1_1, f1_2, f1_l, (f1_1 + f1_2 + f1_l) / 3.0,
-                                 after / tokens_before))
-    return points
+    return [SweepPoint(tau, tuple(score.f1 for score in result.mean.scores),
+                       after / tokens_before)
+            for tau, result, after in zip(tau_grid, results, tokens_after)]
 
 
 # ---------------------------------------------------------------------------
@@ -455,45 +450,30 @@ def summary_from_record(record: dict, doc: Document,
 def write_evaluation_csv(path, result: EvaluationResult) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["doc_id",
-                         "rouge1_p", "rouge1_r", "rouge1_f1",
-                         "rouge2_p", "rouge2_r", "rouge2_f1",
-                         "rougeL_p", "rougeL_r", "rougeL_f1"])
-        for row in result.rows:
-            writer.writerow([row.doc_id,
-                             row.rouge1.precision, row.rouge1.recall, row.rouge1.f1,
-                             row.rouge2.precision, row.rouge2.recall, row.rouge2.f1,
-                             row.rouge_l.precision, row.rouge_l.recall, row.rouge_l.f1])
-        writer.writerow(["MEAN",
-                         result.mean1.precision, result.mean1.recall, result.mean1.f1,
-                         result.mean2.precision, result.mean2.recall, result.mean2.f1,
-                         result.mean_l.precision, result.mean_l.recall, result.mean_l.f1])
+        writer.writerow(["doc_id", *(f"{key}_{part}" for key, _ in METRICS
+                                     for part in ("p", "r", "f1"))])
+        for row in (*result.rows, result.mean):
+            writer.writerow([row.doc_id, *(value for score in row.scores for value in score)])
 
 
 def evaluation_to_json(result: EvaluationResult) -> dict:
-    def unpack(score: RougeScore) -> dict:
-        return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
+    def scores(row: EvaluationRow) -> dict:
+        return {key: score._asdict() for (key, _), score in zip(METRICS, row.scores)}
 
     return {
-        "mean": {"rouge1": unpack(result.mean1), "rouge2": unpack(result.mean2),
-                 "rougeL": unpack(result.mean_l)},
+        "mean": scores(result.mean),
         "skipped": result.skipped,
-        "documents": [
-            {"doc_id": row.doc_id, "rouge1": unpack(row.rouge1),
-             "rouge2": unpack(row.rouge2), "rougeL": unpack(row.rouge_l)}
-            for row in result.rows
-        ],
+        "documents": [{"doc_id": row.doc_id, **scores(row)} for row in result.rows],
     }
 
 
 def write_sweep_csv(path, points: Sequence[SweepPoint]) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["tau", "rouge1_f1", "rouge2_f1", "rougeL_f1",
+        writer.writerow(["tau", *(f"{key}_f1" for key, _ in METRICS),
                          "mean_f1", "compression_ratio"])
         for point in points:
-            writer.writerow([point.tau, point.rouge1_f1, point.rouge2_f1,
-                             point.rouge_l_f1, point.mean_f1, point.compression_ratio])
+            writer.writerow([point.tau, *point.f1, point.mean_f1, point.compression_ratio])
 
 
 def write_stats_csv(path, rows: Sequence[StatsRow]) -> None:

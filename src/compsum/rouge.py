@@ -1,4 +1,5 @@
-"""Token-level ROUGE-1/2/L and the fast approximate score used in search.
+"""Token-level n-gram ROUGE (rouge_n) and longest-common-subsequence ROUGE
+(rouge_l), and the fast approximate score used in search.
 
 All metrics operate on pre-tokenized sequences. Preprocessing (lowercase,
 stopword removal, stemming) is a separate, explicit step so the metric
@@ -39,8 +40,7 @@ def is_punctuation(token: str) -> bool:
     return not any(ch.isalnum() for ch in token)
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     precision: float
     recall: float
     f1: float

@@ -107,6 +107,11 @@ class SentenceTree:
     `node_arrays(parse)`. Unless given, `root` is made from the same arrays
     on first access and then kept; no pipeline command reads it.
     Immutable; equal and hashed by (root, tokens).
+
+    A tree built from nodes must read back from its parse: the parse passes
+    the checks of parse_ptb, its words are `tokens` and its root is `root`.
+    Otherwise the constructor raises a ValueError naming the parse, since
+    the rules, the corpus writer and a copy all read the parse alone.
     """
 
     __slots__ = ("parse", "tokens", "_root")
@@ -114,7 +119,17 @@ class SentenceTree:
     def __init__(self, root: TreeNode, tokens: tuple[str, ...]):
         _set(self, "_root", root)
         _set(self, "tokens", tokens)
-        _set(self, "parse", to_ptb(self))
+        parse = to_ptb(self)
+        _set(self, "parse", parse)
+        try:
+            words = _scan(parse, _lex(parse))
+        except ParseError as exc:
+            raise ValueError(f"tree writes parse {parse!r}, which does not parse: {exc}") from None
+        if words != tokens:
+            raise ValueError(f"tree writes parse {parse!r}, whose words {words!r} are not "
+                             f"its tokens {tokens!r}")
+        if _root_node(node_arrays(parse)) != root:
+            raise ValueError(f"tree writes parse {parse!r}, which reads back as another tree")
 
     @classmethod
     def from_ptb(cls, text: str) -> "SentenceTree":

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -726,12 +727,23 @@ GOLDEN_ORACLES_V1_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa
 # MODEL_WITH_MAX_SENTS_SHA256 is the older file, with that key put back too.
 # Last, train_config lost "positive_class_weight", which nothing set to any
 # value but 1.0: MODEL_WITH_CLASS_WEIGHT_SHA256 is the file with it put back.
+# The evaluate --csv file and stats --oracles --summaries were pinned later,
+# as every report was made to read its ROUGE scores from one table; so were
+# the lines evaluate and sweep print.
 GOLDEN_OUTPUTS_SHA256 = {
     "model.json": "6da85c585c94937c0117ce8ee89fafc993c5df9d8aca232a8df467bb32e22f90",
     "summaries.jsonl": "56303d0932777e402ec222024d070e772ffa56979e0bd9790af2c44265d439c6",
     "evaluation.json": "215e9a057088a8b89c5ca19724d6818fc7c82cc3ea9bd7e0666f20fa55d81345",
     "sweep.csv": "116094869e8bdff7fc9f295bdc52b8f1d9676aec49e7ab18c3f664b154c5fd20",
+    "evaluation.csv": "a68fcf9169cb9cd42abffbc9ea1cc92c19b8014514948026bad8d29f5723b14b",
+    "stats.csv": "e3f85f578b2891f15951670cd042afdd56bbee8417b459a82be8db37ffe6d4d7",
 }
+GOLDEN_EVALUATE_PRINTED = ["documents evaluated: 21 (skipped 0)", "ROUGE-1 F1: 0.5517",
+                           "ROUGE-2 F1: 0.2434", "ROUGE-L F1: 0.4637"]
+GOLDEN_SWEEP_PRINTED = (
+    [f"tau=0.{i}0 mean_f1=0.4196 ratio=0.9761" for i in range(6)]
+    + [f"tau=0.{i}0 mean_f1=0.4537 ratio=0.6925" for i in range(6, 10)]
+    + ["tau=1.00 mean_f1=0.4537 ratio=0.6925"])
 MODEL_WITH_CLASS_WEIGHT_SHA256 = "3b37cc9de856a293a6ef1e478c5faca886f62973aac1c9b75c54f2a1a8798070"
 MODEL_WITH_ADAM_FIELDS_SHA256 = "eef0190bdc2c8d324c1dcc5819c20d0d68ea6ada1b5498bfdd08a496d338ad0b"
 MODEL_WITH_MAX_SENTS_SHA256 = "4fc8763bf11fedc5917da8e917458e03a0fd7de4d66eee3c36307c581a7ee2ec"
@@ -777,8 +789,15 @@ def test_model_and_outputs_bytes_are_pinned(tmp_path, capsys):
     assert main(["train", "--corpus", corpus, "--oracles", oracles,
                  "--out", out["model.json"]]) == 0
     assert main(["summarize", *data, "--out", out["summaries.jsonl"]]) == 0
-    assert main(["evaluate", *data, "--json", out["evaluation.json"]]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", *data, "--json", out["evaluation.json"],
+                 "--csv", out["evaluation.csv"]]) == 0
+    assert capsys.readouterr().out.splitlines() == GOLDEN_EVALUATE_PRINTED
     assert main(["sweep", *data, "--out", out["sweep.csv"]]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        *GOLDEN_SWEEP_PRINTED, f"wrote sweep to {out['sweep.csv']}"]
+    assert main(["stats", "--corpus", corpus, "--oracles", oracles,
+                 "--summaries", out["summaries.jsonl"], "--out", out["stats.csv"]]) == 0
     digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                for name, path in out.items()}
     assert digests == GOLDEN_OUTPUTS_SHA256
@@ -866,6 +885,27 @@ STALE_CACHES = {
                       "is no span of the sentence's"),
     "unknown-rule": ("oracles", 1, lambda rec: _first_label(rec).update(rule="NO_SUCH_RULE"),
                      2, "names an unknown rule"),
+    # values of the wrong JSON type, each once read without a word
+    "r-before-string": ("oracles", 1, lambda rec: _first_label(rec).update(
+        r_before=str(_first_label(rec)["r_before"])), 2, 'holds r_before "'),
+    "node-label-integer": ("oracles", 1, lambda rec: _first_label(rec).update(node_label=5),
+                           2, "and node_label 5, not two finite numbers and a string"),
+    "r-after-nan": ("oracles", 1, lambda rec: _first_label(rec).update(r_after=math.nan), 2,
+                    "r_after NaN and node_label"),
+    "score-true": ("oracles", 1, lambda rec: rec["oracles"][0].update(score=True), 2,
+                   "oracle score true is not a finite number"),
+    "score-nan-string": ("oracles", 1, lambda rec: rec["oracles"][0].update(score="nan"), 2,
+                         'oracle score "nan" is not a finite number'),
+    "score-infinite": ("oracles", 1, lambda rec: rec["oracles"][0].update(score=math.inf), 2,
+                       "oracle score Infinity is not a finite number"),
+    "oracle-config-rejected": ("oracles", 0, lambda rec: rec["oracle_config"].update(k=99), 1,
+                               'oracle_config {"k": 99, "beam_width": 8, "m": 5} is rejected '
+                               f"(k=99 must satisfy 1 <= k <= 30): {REBUILD}"),
+    "oracle-config-string": ("oracles", 0, lambda rec: rec.update(oracle_config="x"), 1,
+                             f'oracle_config "x" is not an object of OracleConfig\'s integer '
+                             f"fields: {REBUILD}"),
+    "oracle-config-key-missing": ("oracles", 0, lambda rec: rec["oracle_config"].pop("m"), 1,
+                                  'oracle_config {"k": 2, "beam_width": 8} is not an object'),
 }
 
 

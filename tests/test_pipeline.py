@@ -253,15 +253,14 @@ class TestLoadCorpus:
     def test_bracket_code_word_is_not_written(self, tmp_path):
         # a word that is itself "-LRB-" would be read back as "("
         leaf = TreeNode("NN", (), Span(0, 1))
-        coded = SentenceTree(TreeNode("S", (leaf,), Span(0, 1)), ("-RRB-",))
+        with pytest.raises(ValueError, match=r"parse '\(S \(NN -RRB-\)\)'"):
+            SentenceTree(TreeNode("S", (leaf,), Span(0, 1)), ("-RRB-",))
         plain = corpusgen.flat_tree(["x"])
-        cases = [(Document(id="ref", sentences=(plain,), reference=(("-LRB-", "x"),)), "-LRB-"),
-                 (Document(id="tok", sentences=(plain, coded)), "-RRB-")]
-        for doc, word in cases:
-            with pytest.raises(ValueError, match=f"document '{doc.id}': word '{word}'"):
-                document_to_record(doc)
-            with pytest.raises(ValueError):
-                write_corpus(tmp_path / "out.jsonl", [doc])
+        doc = Document(id="ref", sentences=(plain,), reference=(("-LRB-", "x"),))
+        with pytest.raises(ValueError, match="document 'ref': word '-LRB-'"):
+            document_to_record(doc)
+        with pytest.raises(ValueError):
+            write_corpus(tmp_path / "out.jsonl", [doc])
 
 
 class TestApplyThreshold:
@@ -471,25 +470,29 @@ class TestEvaluate:
                   for d, s in zip(docs, salients)]
         result = evaluate_corpus(init_model(seed=0), single,
                                  SummarizeConfig(k=1, tau=0.0, dedup=False))
-        assert result.mean1.f1 == pytest.approx(1.0)
-        assert result.mean2.f1 == pytest.approx(1.0)
-        assert result.mean_l.f1 == pytest.approx(1.0)
+        rouge1, rouge2, rouge_l = result.mean.scores
+        assert rouge1.f1 == pytest.approx(1.0)
+        assert rouge2.f1 == pytest.approx(1.0)
+        assert rouge_l.f1 == pytest.approx(1.0)
 
     def test_disjoint_reference_scores_zero(self):
         tree = corpusgen.flat_tree(["alpha", "beta"])
         doc = Document(id="z", sentences=(tree,), reference=(("gamma", "delta"),))
         result = evaluate_corpus(init_model(seed=0), [doc],
                                  SummarizeConfig(k=1, tau=0.0, dedup=False))
-        assert result.mean1.f1 == 0.0
-        assert result.mean_l.f1 == 0.0
+        rouge1, _, rouge_l = result.mean.scores
+        assert rouge1.f1 == 0.0
+        assert rouge_l.f1 == 0.0
 
     def test_mean_is_arithmetic_mean_of_rows(self):
         model, docs = trained_model()
         result = evaluate_corpus(model, docs[:10], SummarizeConfig(k=2, tau=0.45))
-        assert result.mean1.f1 == pytest.approx(
-            float(np.mean([row.rouge1.f1 for row in result.rows])))
-        assert result.mean_l.recall == pytest.approx(
-            float(np.mean([row.rouge_l.recall for row in result.rows])))
+        assert result.mean.doc_id == "MEAN"
+        rouge1, _, rouge_l = result.mean.scores
+        assert rouge1.f1 == pytest.approx(
+            float(np.mean([row.scores[0].f1 for row in result.rows])))
+        assert rouge_l.recall == pytest.approx(
+            float(np.mean([row.scores[2].recall for row in result.rows])))
 
     def test_tau_zero_dedup_off_equals_raw_extraction(self):
         # compression code is provably inert at the extractive endpoint
@@ -517,8 +520,7 @@ GRID_101 = [i / 100 for i in range(101)]
 
 
 def _point_values(point):
-    return (point.tau, point.rouge1_f1, point.rouge2_f1, point.rouge_l_f1,
-            point.mean_f1, point.compression_ratio)
+    return (point.tau, *point.f1, point.mean_f1, point.compression_ratio)
 
 
 def _fresh_values(scored, tau, dedup):
@@ -526,8 +528,8 @@ def _fresh_values(scored, tau, dedup):
     summaries = [render(s, tau, dedup) for s in scored]
     rows = [score_summary(summary, preprocess_tokens(s.doc.reference_tokens, EVAL_PREPROCESS))
             for summary, s in zip(summaries, scored)]
-    f1 = [float(np.mean([getattr(row, name).f1 for row in rows]))
-          for name in ("rouge1", "rouge2", "rouge_l")]
+    f1 = [float(np.mean([score.f1 for score in column]))
+          for column in zip(*(row.scores for row in rows))]
     before = sum(len(s.doc.sentences[sent.index].tokens)
                  for s in scored for sent in s.sentences)
     after = sum(len(sent) for summary in summaries for sent in summary.text)
@@ -550,8 +552,8 @@ class TestSweep:
         points = sweep_threshold(model, docs[:4], [0.45],
                                  SummarizeConfig(k=2, tau=0.0, dedup=False))
         point = points[0]
-        assert point.mean_f1 == pytest.approx(
-            (point.rouge1_f1 + point.rouge2_f1 + point.rouge_l_f1) / 3.0)
+        rouge1_f1, rouge2_f1, rouge_l_f1 = point.f1
+        assert point.mean_f1 == pytest.approx((rouge1_f1 + rouge2_f1 + rouge_l_f1) / 3.0)
 
 
     def test_points_equal_evaluate_at_each_tau(self, caplog):
@@ -566,9 +568,7 @@ class TestSweep:
                 result = evaluate_corpus(model, corpus,
                                          SummarizeConfig(k=2, tau=tau, dedup=dedup))
                 assert result.skipped == 1 and len(result.rows) == 5
-                assert point.rouge1_f1 == result.mean1.f1
-                assert point.rouge2_f1 == result.mean2.f1
-                assert point.rouge_l_f1 == result.mean_l.f1
+                assert point.f1 == tuple(score.f1 for score in result.mean.scores)
 
     def test_points_equal_fresh_render_and_score_on_101_taus(self):
         model, docs = trained_model()

@@ -343,8 +343,9 @@ class TestNodes:
         assert [n.label for n in reference_treebank.leaves(tree.root)] == ["DT", "NN", "VBD"]
 
     def test_hand_built_deep_chain_serializes_and_traverses(self):
+        # a chain as deep as a parse may be; one level more would not read back
         node = TreeNode("NN", (), Span(0, 1))
-        for _ in range(599):
+        for _ in range(MAX_DEPTH - 1):
             node = TreeNode("X", (node,), Span(0, 1))
         tree = SentenceTree(root=node, tokens=("w",))
         doc = Document(id="deep", sentences=(tree,))
@@ -353,10 +354,27 @@ class TestNodes:
             record = document_to_record(doc)
             labels = [n.label for n in reference_treebank.iter_nodes(tree.root)]
             leaves = [n.label for n in reference_treebank.leaves(tree.root)]
-        assert source == deep_chain(600)
+        assert source == deep_chain(MAX_DEPTH)
         assert record["sentences"][0]["parse"] == source
-        assert labels == ["X"] * 599 + ["NN"]
+        assert labels == ["X"] * (MAX_DEPTH - 1) + ["NN"]
         assert leaves == ["NN"]
+        with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+            SentenceTree(root=TreeNode("X", (node,), Span(0, 1)), tokens=("w",))
+
+    @pytest.mark.parametrize("root, tokens, error", [
+        (TreeNode("A B", (TreeNode("NN", (), Span(0, 1)),), Span(0, 1)), ("w",),
+         "tree writes parse '(A B (NN w))', which does not parse: mixed token"),
+        (TreeNode("", (TreeNode("NN", (), Span(0, 1)),), Span(0, 1)), ("w",),
+         "tree writes parse '( (NN w))', which reads back as another tree"),
+        (TreeNode("S", (TreeNode("NN", (), Span(0, 1)),), Span(0, 1)), ("-RRB-",),
+         "tree writes parse '(S (NN -RRB-))', whose words (')',) are not its tokens"),
+    ], ids=["label-with-a-space", "empty-label", "bracket-code-token"])
+    def test_tree_whose_parse_does_not_read_back_is_rejected(self, root, tokens, error):
+        # each was once built: the rules read "(A B (NN w))" unchecked, and a
+        # pickled copy of the "( (NN w))" tree was unequal to it
+        with pytest.raises(ValueError) as err:
+            SentenceTree(root, tokens)
+        assert str(err.value).startswith(error)
 
 
 class TestSpans:
