@@ -323,7 +323,11 @@ def _apply_config(path, parsers) -> str | None:
         if type(value) not in allowed:
             return (f"config {path}: key {action.dest!r} holds {json.dumps(value)}, but "
                     f"{max(action.option_strings, key=len)} takes {name}")
-        parser.set_defaults(**{action.dest: kind(value)})
+        try:
+            value = kind(value)
+        except OverflowError:
+            return f"config {path}: key {action.dest!r} holds an integer too large for a float"
+        parser.set_defaults(**{action.dest: value})
     return None
 
 

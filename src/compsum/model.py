@@ -128,7 +128,11 @@ def load_model(path) -> Model:
         shapes = param_shapes(hidden)
         params = {}
         for name in PARAM_ORDER:
-            arr = np.asarray(payload["weights"][name], dtype=np.float64)
+            weights = payload["weights"][name]
+            for bad in _non_numbers(weights):
+                raise ModelFormatError(
+                    f"parameter {name} holds {json.dumps(bad)}, which is not a JSON number")
+            arr = np.asarray(weights, dtype=np.float64)
             if arr.shape != shapes[name]:
                 raise ModelFormatError(
                     f"parameter {name} has shape {arr.shape}, expected {shapes[name]}")
@@ -142,11 +146,27 @@ def load_model(path) -> Model:
                              f"train_config hidden_size {config['hidden_size']}")
     except KeyError as exc:
         raise ModelFormatError(f"corrupt model file {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
     return Model(hidden_size=hidden, params=params, train_config=config)
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _non_numbers(value):
+    """The items of nested JSON lists that are not numbers (a bool is not
+    one), in document order."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is not list:
+            if type(item) not in _NUMBER_TYPES:
+                yield item
+        elif not set(map(type, item)) <= _NUMBER_TYPES:   # else a list of numbers
+            pending.extend(reversed(item))
 
 
 def _check_train_config(config) -> None:

@@ -490,6 +490,15 @@ def _check_header(record: dict) -> None:
                          f"rejected ({exc}): {_REBUILD}") from None
 
 
+def _finite_number(value) -> bool:
+    """True for a JSON number, never a bool, that is a finite float; an
+    integer too large for a float is not one."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _entry_from_record(record: dict, doc: Document,
                        options: dict[tuple, CompressionOption]) -> DocumentOracles:
     fingerprint = document_fingerprint(doc)
@@ -504,7 +513,7 @@ def _entry_from_record(record: dict, doc: Document,
             raise ValueError(f"document {doc.id!r}: oracle indices {json.dumps(indices)} "
                              f"are not a list of integers")
         score = entry["score"]
-        if type(score) not in (int, float) or not math.isfinite(score):
+        if not _finite_number(score):
             raise ValueError(f"document {doc.id!r}: oracle score {json.dumps(score)} "
                              f"is not a finite number")
         candidates.append(OracleCandidate(tuple(indices), float(score)))
@@ -525,9 +534,8 @@ def _entry_from_record(record: dict, doc: Document,
                     f"document {doc.id!r} sentence {sent_index}: cached option {key} "
                     f"names an unknown rule")
             r_before, r_after, node_label = item["r_before"], item["r_after"], item["node_label"]
-            if (type(r_before) not in (int, float) or type(r_after) not in (int, float)
-                    or not (math.isfinite(r_before) and math.isfinite(r_after))
-                    or type(node_label) is not str):
+            if not (_finite_number(r_before) and _finite_number(r_after)
+                    and type(node_label) is str):
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: cached option {key} holds "
                     f"r_before {json.dumps(r_before)}, r_after {json.dumps(r_after)} and "

@@ -410,10 +410,11 @@ def summary_from_record(record: dict, doc: Document,
                         doc_options: Sequence[Sequence[CompressionOption]]) -> Summary:
     """The summary a record holds, checked against its document: selected
     holds distinct scoreable sentences; each deletion is in one of them, is
-    caused by MODEL or DEDUP, and has the span, rule and label of one of its
-    sentence's extract_options, from which it is built; text is the selected
-    sentences' words outside the deleted spans, in document order.
-    `doc_options` holds the document's extract_options per sentence."""
+    caused by MODEL or DEDUP, has the span, rule and label of one of its
+    sentence's extract_options, from which it is built, and is listed once;
+    text is the selected sentences' words outside the deleted spans, in
+    document order. `doc_options` holds the document's extract_options per
+    sentence."""
     selected = record["selected"]
     n = scoreable_sentences(doc)
     if (type(selected) is not list or any(type(i) is not int or not 0 <= i < n for i in selected)
@@ -422,6 +423,7 @@ def summary_from_record(record: dict, doc: Document,
                          f"of distinct indices among its {n} scoreable sentences")
     options = {i: doc_options[i] for i in selected}
     deletions = []
+    listed = set()
     for d in record["deletions"]:
         sentence, cause = d["sentence"], d["cause"]
         if type(sentence) is not int or sentence not in options:
@@ -436,6 +438,10 @@ def summary_from_record(record: dict, doc: Document,
         if option is None:
             raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
                              f"{json.dumps(key)} is none of the sentence's options")
+        if (sentence, option.span) in listed:
+            raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
+                             f"{json.dumps(key)} is listed twice")
+        listed.add((sentence, option.span))
         deletions.append(AppliedDeletion(sentence, option.span, cause, option.rule,
                                          option.node_label))
     text = [surviving_tokens(doc.sentences[i], [d.span for d in deletions if d.sentence == i])

@@ -4,10 +4,9 @@ Eight concrete tree patterns produce deletable token spans. Emitted spans
 are guaranteed nest-or-disjoint: any two options are disjoint or one
 contains the other, so any subset of them can be deleted together.
 
-`extract_options` reads per-node arrays, not nodes: `treebank.node_arrays`
-fills, from the sentence's checked parse, each node's label, token span and
-children in pre-order and each token's tag, so no pipeline command builds
-tree nodes. A child is looked up once by its label (each distinct label's
+`extract_options` reads per-node arrays: `treebank.node_arrays` fills,
+from the sentence's checked parse, each node's label, token span and
+children in pre-order and each token's tag. A child is looked up once by its label (each distinct label's
 base and kind are worked out once and kept) and skipped unless some rule
 matches that kind under its parent's base label; what a rule reads below
 the child (its first leaf, the first verb of a VP, the head preposition of

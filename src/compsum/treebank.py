@@ -1,26 +1,18 @@
 """Bracketed constituency trees: parsing, token spans, surviving tokens.
 
-Trees arrive as standard bracketed strings, one per sentence. Reading one
-is two passes over its lexemes: `_scan` makes every check and returns the
-words, and `node_arrays`, which checks nothing, reads the text `_scan`
-accepted. It fills, for each node in pre-order, its label, first and end
-token and children, and for each token its tag, which is all the
-compression rules read. The character offset of a fault is worked out only
-when a ParseError is raised.
+Trees arrive as standard bracketed strings, one per sentence, and a
+SentenceTree is such a string, checked, and its words. Reading one is two
+passes over its lexemes: `_scan` makes every check and returns the words,
+and `node_arrays`, which checks nothing, reads the text `_scan` accepted.
+It fills, for each node in pre-order, its label, first and end token and
+children, and for each token its tag, which is all the compression rules
+read; they make it on demand and do not keep it. The character offset of
+a fault is worked out only when a ParseError is raised.
 
-A SentenceTree holds the bracketed string and the words; `parse_ptb` and
-`SentenceTree.from_ptb` only check the string. No pipeline command builds a
-`TreeNode`: the rules read `node_arrays(tree.parse)`, made on demand and
-not kept, so a loaded sentence stays its string and its words.
-`SentenceTree.root` is made from those same arrays on first use, for
-equality, for `to_ptb` of a tree built from nodes and for tests.
-
-Nodes are immutable tuples, equal and hashed by value. Every node caches
-its half-open token span; a sentence's words are a plain tuple of strings,
-and bracket words are stored unescaped ("(" rather than "-LRB-"); escaping
-happens only when a tree is serialized back to bracketed form. Every pass
-keeps its own stack, so no tree depth reaches the interpreter's recursion
-limit.
+A sentence's words are a plain tuple of strings, and bracket words are
+stored unescaped ("(" rather than "-LRB-"); part-of-speech labels keep
+their escaped form. Every pass keeps its own stack, so no tree depth
+reaches the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ _LEX = re.compile(r"\(|\)|[^()\s]+")
 # Deepest bracket nesting accepted; real parses stay far below it.
 MAX_DEPTH = 200
 
-# Builds a node without its public constructor's checks, for the parser.
+# Builds a tuple without its public constructor's checks.
 _new = tuple.__new__
 # Sets a field of an immutable SentenceTree.
 _set = object.__setattr__
@@ -93,57 +85,29 @@ class Span(_SpanFields):
         return (not self.overlaps(other)) or self.contains(other) or other.contains(self)
 
 
-class TreeNode(NamedTuple):
-    label: str
-    children: tuple["TreeNode", ...]
-    span: Span
-
-
 class SentenceTree:
-    """One sentence: its bracketed parse, its words and the tree of the parse.
+    """One sentence: its bracketed parse, checked, and its words.
 
-    `parse` is the bracketed string as read, or `to_ptb` of a tree built
-    from nodes; leaf i's word is tokens[i]. The rules read
-    `node_arrays(parse)`. Unless given, `root` is made from the same arrays
-    on first access and then kept; no pipeline command reads it.
-    Immutable; equal and hashed by (root, tokens).
-
-    A tree built from nodes must read back from its parse: the parse passes
-    the checks of parse_ptb, its words are `tokens` and its root is `root`.
-    Otherwise the constructor raises a ValueError naming the parse, since
-    the rules, the corpus writer and a copy all read the parse alone.
+    `parse` is the bracketed string as given; leaf i's word is tokens[i].
+    The rules read `node_arrays(parse)`. Made only from a parse that passes
+    the checks of parse_ptb, by `SentenceTree(parse)`, `from_ptb`, parse_ptb
+    or unpickling. Immutable; two are equal and hash alike when their parses
+    are the same tree of the same words (see `_tree_lexemes`).
     """
 
-    __slots__ = ("parse", "tokens", "_root")
+    __slots__ = ("parse", "tokens")
 
-    def __init__(self, root: TreeNode, tokens: tuple[str, ...]):
-        _set(self, "_root", root)
-        _set(self, "tokens", tokens)
-        parse = to_ptb(self)
-        _set(self, "parse", parse)
-        try:
-            words = _scan(parse, _lex(parse))
-        except ParseError as exc:
-            raise ValueError(f"tree writes parse {parse!r}, which does not parse: {exc}") from None
-        if words != tokens:
-            raise ValueError(f"tree writes parse {parse!r}, whose words {words!r} are not "
-                             f"its tokens {tokens!r}")
-        if _root_node(node_arrays(parse)) != root:
-            raise ValueError(f"tree writes parse {parse!r}, which reads back as another tree")
+    def __new__(cls, parse: str):
+        tree = object.__new__(cls)
+        _set(tree, "tokens", _scan(parse, _lex(parse)))
+        _set(tree, "parse", parse)
+        return tree
 
     @classmethod
     def from_ptb(cls, text: str) -> "SentenceTree":
         """The sentence of one bracketed tree, checked as parse_ptb
-        describes; its root is made on first access."""
-        return _made(text, _scan(text, _lex(text)))
-
-    @property
-    def root(self) -> TreeNode:
-        root = self._root
-        if root is None:
-            root = _root_node(node_arrays(self.parse))
-            _set(self, "_root", root)
-        return root
+        describes; the same as `SentenceTree(text)`."""
+        return cls(text)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SentenceTree is immutable; cannot set {name!r}")
@@ -154,13 +118,13 @@ class SentenceTree:
     def __eq__(self, other):
         if not isinstance(other, SentenceTree):
             return NotImplemented
-        return self.tokens == other.tokens and self.root == other.root
+        return _tree_lexemes(self.parse) == _tree_lexemes(other.parse)
 
     def __hash__(self) -> int:
-        return hash((self.root, self.tokens))
+        return hash(tuple(_tree_lexemes(self.parse)))
 
     def __reduce__(self):
-        return _made, (self.parse, self.tokens)
+        return SentenceTree, (self.parse,)
 
     def __repr__(self) -> str:
         return f"SentenceTree(parse={self.parse!r}, tokens={self.tokens!r})"
@@ -174,13 +138,13 @@ class SentenceTree:
         return self.tokens
 
 
-def _made(parse: str, tokens: tuple[str, ...]) -> SentenceTree:
-    """A SentenceTree of checked fields, its root made on first access."""
-    tree = object.__new__(SentenceTree)
-    _set(tree, "parse", parse)
-    _set(tree, "tokens", tokens)
-    _set(tree, "_root", None)
-    return tree
+def _tree_lexemes(parse: str) -> list[str]:
+    """The lexemes of a checked parse without its unlabeled outer wrapper, if
+    it has one. Spacing and the wrapper aside, a parse is these lexemes, so
+    two parses give equal lists exactly when they are the same tree (labels,
+    shape) of the same words."""
+    lexemes = _lex(parse)
+    return lexemes[1:-1] if lexemes[1] == "(" else lexemes
 
 
 def _lex(text: str) -> list[str]:
@@ -190,10 +154,10 @@ def _lex(text: str) -> list[str]:
 
 
 def parse_ptb(text: str) -> SentenceTree:
-    """Check one bracketed tree and return its SentenceTree, whose root is
-    made on first access (SentenceTree.from_ptb).
+    """Check one bracketed tree and return its SentenceTree.
 
-    A single unlabeled outer wrapper "( ... )" is silently unwrapped.
+    A single unlabeled outer wrapper "( ... )" is accepted; the parse keeps
+    it, and the rules and equality read the tree inside it.
     Escaped bracket tokens (-LRB- etc.) are stored unescaped; their
     part-of-speech labels are kept as written. Brackets nested more than
     MAX_DEPTH deep are a ParseError at the first bracket past that depth.
@@ -333,17 +297,6 @@ def node_arrays(text: str) -> NodeArrays:
     return _new(NodeArrays, (labels, starts, ends, kids, tags))
 
 
-def _root_node(arrays: NodeArrays) -> TreeNode:
-    """The root TreeNode of a parse's NodeArrays. The pre-order is walked
-    backwards, so each node is made after its children."""
-    labels, starts, ends, kids, _ = arrays
-    nodes: list = [None] * len(labels)
-    for i in range(len(labels) - 1, -1, -1):
-        nodes[i] = _new(TreeNode, (labels[i], tuple([nodes[k] for k in kids[i]]),
-                                   _new(Span, (starts[i], ends[i]))))
-    return nodes[0]
-
-
 def _located(message: str, text: str, index: int) -> ParseError:
     """A ParseError at the character offset of the index-th lexeme."""
     match = next(islice(_LEX.finditer(text), index, None))
@@ -374,25 +327,3 @@ def surviving_tokens(tree: SentenceTree, deletions: Iterable[Span]) -> list[str]
         for i in range(span.start, span.end):
             dead[i] = True
     return [token for token, gone in zip(tree.tokens, dead) if not gone]
-
-
-def to_ptb(tree: SentenceTree) -> str:
-    """Serialize back to bracketed form, re-escaping bracket tokens."""
-    pieces = []
-    pending: list = [tree.root]     # nodes still to write, and the text between them
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        label, children, span = item
-        if children:
-            pieces.append("(" + label)
-            pending.append(")")
-            for child in reversed(children):
-                pending.append(child)
-                pending.append(" ")
-        else:
-            text = tree.tokens[span.start]
-            pieces.append(f"({label} {BRACKET_ESCAPE.get(text, text)})")
-    return "".join(pieces)

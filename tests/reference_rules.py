@@ -1,7 +1,9 @@
 """The rule matcher that `compsum.rules.extract_options` replaced.
 
-Kept only as an oracle for differential tests: for every child of every
-node it strips the child's label anew, and it finds an SBAR's first leaf, a
+Kept only as an oracle for differential tests. It walks the nodes that
+the reference parser (`reference_treebank.parse_ptb`) makes, not the
+arrays the library reads; for every child of every node it strips the
+child's label anew, and it finds an SBAR's first leaf, a
 VP's first verb and a PP's head preposition by walking the child's leaves.
 It matches an SBAR only when the SBAR has children, as the library does.
 Nothing in `src/` imports it.
@@ -10,9 +12,9 @@ Nothing in `src/` imports it.
 from dataclasses import dataclass
 
 from compsum.rules import DEFAULT_ADJUNCT_PREPOSITIONS, CompressionOption, RuleId
-from compsum.treebank import SentenceTree, Span, TreeNode
+from compsum.treebank import Span
 
-from reference_treebank import iter_nodes, leaves
+from reference_treebank import Tree, TreeNode, iter_nodes, leaves
 
 RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
 
@@ -56,8 +58,9 @@ class _Candidate:
     absorb: bool
 
 
-def extract_options(tree: SentenceTree) -> list[CompressionOption]:
-    """All compression options of a sentence, sorted by (start, -length).
+def extract_options(tree: Tree) -> list[CompressionOption]:
+    """All compression options of a sentence the reference parser read,
+    sorted by (start, -length).
 
     Duplicate spans keep the rule listed first in RuleId order. Options may
     nest but never partially overlap; a span covering the whole sentence is

@@ -1,28 +1,36 @@
 """The two-pass bracket parser that `compsum.treebank.parse_ptb` replaced.
 
-Kept only as an oracle for differential tests: `_parse_node` builds a tree
-of raw tuples carrying each bracket's character offset, and `_build` walks
-it again to make the nodes. `iter_nodes(node)` walks a subtree in pre-order
-and `leaves(node)` lists its leaves, for tests that walk real nodes or count
-and compare them. Nothing in `src/` imports it.
+Kept only as an oracle for differential tests, and as the one maker of
+tree nodes: `_parse_node` builds a tree of raw tuples carrying each
+bracket's character offset, and `_build` walks it again to make the
+`TreeNode`s. `parse_ptb(text)` gives a `Tree`, its root and words, equal
+by value. `iter_nodes(node)` walks a subtree in pre-order and
+`leaves(node)` lists its leaves, for tests that walk nodes or count and
+compare them. Nothing in `src/` imports it.
 """
 
 import re
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from compsum.treebank import (
-    BRACKET_UNESCAPE,
-    MAX_DEPTH,
-    ParseError,
-    SentenceTree,
-    Span,
-    TreeNode,
-)
+from compsum.treebank import BRACKET_UNESCAPE, MAX_DEPTH, ParseError, Span
 
 _LEX = re.compile(r"\(|\)|[^()\s]+")
 
 
-def parse_ptb(text: str) -> SentenceTree:
+class TreeNode(NamedTuple):
+    label: str
+    children: tuple["TreeNode", ...]
+    span: Span
+
+
+class Tree(NamedTuple):
+    """A parsed sentence: its root node and its words, unescaped."""
+
+    root: TreeNode
+    tokens: tuple[str, ...]
+
+
+def parse_ptb(text: str) -> Tree:
     lexed = [(m.group(), m.start()) for m in _LEX.finditer(text)]
     if not lexed:
         raise ParseError("empty input", 0)
@@ -34,7 +42,7 @@ def parse_ptb(text: str) -> SentenceTree:
         raw = children[0]
     tokens: list[str] = []
     root = _build(raw, tokens)
-    return SentenceTree(root=root, tokens=tuple(tokens))
+    return Tree(root, tuple(tokens))
 
 
 def _parse_node(lexed, pos, text_len, depth):

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -496,6 +497,35 @@ class TestPersistence:
         with pytest.raises(ModelFormatError) as error:
             load_model(path)
         assert str(error.value) == "parameter w1 holds a non-finite weight"
+
+    @pytest.mark.parametrize("value", ["0.5", True, None], ids=["string", "bool", "null"])
+    def test_weight_that_is_not_a_json_number_rejected(self, tmp_path, value):
+        # "0.5" and true once loaded as 0.5 and 1.0, and null was "non-finite"
+        path = tmp_path / "model.json"
+        save_model(init_model(seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["weights"]["w1"][2][3] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as error:
+            load_model(path)
+        assert str(error.value) == (f"parameter w1 holds {json.dumps(value)}, "
+                                    f"which is not a JSON number")
+
+    @pytest.mark.parametrize("place", ["weight", "train_config"])
+    def test_number_too_large_for_a_float_rejected(self, tmp_path, place):
+        # once a bare OverflowError
+        path = tmp_path / "model.json"
+        save_model(init_model(seed=1), path)
+        payload = json.loads(path.read_text())
+        if place == "weight":
+            payload["weights"]["w1"][2][3] = 10 ** 400
+        else:
+            payload["train_config"] = {**asdict(TrainConfig()), "alpha": 10 ** 400}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as error:
+            load_model(path)
+        assert str(error.value) == (f"corrupt model file {path}: "
+                                    f"int too large to convert to float")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_weight_is_not_saved(self, tmp_path, value):

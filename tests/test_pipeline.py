@@ -39,7 +39,7 @@ from compsum.pipeline import (
 )
 from compsum.rouge import preprocess_tokens
 from compsum.rules import CompressionOption, RuleId, extract_options, normalize_options
-from compsum.treebank import SentenceTree, Span, TreeNode, surviving_tokens
+from compsum.treebank import Span, surviving_tokens
 
 
 def trained_model(seed=5):
@@ -251,10 +251,12 @@ class TestLoadCorpus:
         assert loaded == doc
 
     def test_bracket_code_word_is_not_written(self, tmp_path):
-        # a word that is itself "-LRB-" would be read back as "("
-        leaf = TreeNode("NN", (), Span(0, 1))
-        with pytest.raises(ValueError, match=r"parse '\(S \(NN -RRB-\)\)'"):
-            SentenceTree(TreeNode("S", (leaf,), Span(0, 1)), ("-RRB-",))
+        # a word that is itself "-LRB-" would be read back as "("; no
+        # sentence has one, since its words are its parse's words, unescaped
+        coded = parse_ptb("(S (NN -RRB-))")
+        assert coded.tokens == (")",)
+        assert document_to_record(Document(id="tok", sentences=(coded,)))["sentences"] == [
+            {"tokens": ["-RRB-"], "parse": "(S (NN -RRB-))"}]
         plain = corpusgen.flat_tree(["x"])
         doc = Document(id="ref", sentences=(plain,), reference=(("-LRB-", "x"),))
         with pytest.raises(ValueError, match="document 'ref': word '-LRB-'"):

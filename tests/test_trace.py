@@ -124,9 +124,7 @@ print(json.dumps({"codes": codes, "extract": tracer.calls["rules.extract"] - bef
 
 # Runs the command chain and records, per command, the bracketed strings the
 # rules read (through the one binding of treebank.node_arrays that
-# extract_options calls), the count of treebank.parse spans and the count of
-# trees whose nodes were made (treebank._root_node, the one maker of TreeNodes,
-# which SentenceTree.root calls).
+# extract_options calls) and the count of treebank.parse spans.
 TRACED_COMMANDS = """
 import json, sys
 from collections import Counter
@@ -137,7 +135,6 @@ tracer = spans.Tracer()
 spans.install(tracer)
 import corpusgen
 import compsum.rules as rules
-import compsum.treebank as treebank
 from compsum.corpus import write_corpus
 corpus, oracles, model, summaries = sys.argv[4:8]
 write_corpus(corpus, corpusgen.learnable_corpus(count=4, seed=3)[0])
@@ -147,12 +144,6 @@ def counted_fill(text):
     texts[text] += 1
     return fill(text)
 rules.node_arrays = counted_fill
-builds = Counter()
-build = treebank._root_node
-def counted_build(arrays):
-    builds["trees"] += 1
-    return build(arrays)
-treebank._root_node = counted_build
 data = ["--corpus", corpus, "--oracles", oracles]
 decode = ["--corpus", corpus, "--model", model, "--k", "2"]
 commands = {
@@ -162,16 +153,14 @@ commands = {
     "summarize": ["summarize", *decode, "--out", summaries],
     "evaluate": ["evaluate", *decode],
 }
-codes, read, parse_spans, built = [], {}, {}, {}
+codes, read, parse_spans = [], {}, {}
 for name, argv in commands.items():
     texts.clear()
-    builds.clear()
     before = tracer.calls["treebank.parse"]
     codes.append(compsum.cli.main(argv))
     read[name] = dict(texts)
     parse_spans[name] = tracer.calls["treebank.parse"] - before
-    built[name] = builds["trees"]
-print(json.dumps({"codes": codes, "read": read, "spans": parse_spans, "built": built}))
+print(json.dumps({"codes": codes, "read": read, "spans": parse_spans}))
 """
 
 
@@ -262,8 +251,8 @@ def test_traced_commands_build_only_the_trees_they_read(tmp_path):
                        for i, summary in enumerate(summaries) for j in summary["selected"])
     assert sum(selected.values()) == 2 * len(corpus)
     assert read["summarize"] == read["evaluate"] == dict(selected)
-    # the rules read the parse itself: no command calls parse_ptb or builds nodes
-    assert result["spans"] == result["built"] == {command: 0 for command in read}
+    # the rules read the parse itself: no command calls parse_ptb
+    assert result["spans"] == {command: 0 for command in read}
 
 
 def test_spans_install_and_trace_each_decode_step():

@@ -5,7 +5,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import corpusgen
 import reference_treebank
@@ -22,11 +22,10 @@ from compsum.treebank import (
     PartialOverlapError,
     SentenceTree,
     Span,
-    TreeNode,
     ensure_nest_or_disjoint,
+    node_arrays,
     parse_ptb,
     surviving_tokens,
-    to_ptb,
 )
 
 
@@ -35,13 +34,16 @@ _OPENERS = ["(", "(X ", "(-LRB- ", "((", "( "]
 
 
 def _structure(tree):
-    """Labels, spans and child counts in pre-order, and the words with their positions."""
-    nodes = []
-    pending = [tree.root]
-    while pending:
-        node = pending.pop()
-        nodes.append((node.label, node.span.start, node.span.end, len(node.children)))
-        pending.extend(reversed(node.children))
+    """Labels, spans and child counts in pre-order, and the words with their
+    positions: of a SentenceTree, read off node_arrays of its parse; of the
+    reference parser's tree, read off its nodes."""
+    if isinstance(tree, SentenceTree):
+        labels, starts, ends, kids, _ = node_arrays(tree.parse)
+        nodes = [(label, start, end, len(children))
+                 for label, start, end, children in zip(labels, starts, ends, kids)]
+    else:
+        nodes = [(node.label, node.span.start, node.span.end, len(node.children))
+                 for node in reference_treebank.iter_nodes(tree.root)]
     return nodes, list(enumerate(tree.tokens))
 
 
@@ -55,7 +57,7 @@ def _outcome(parse, text):
 
 def _loaded(text):
     """The sentence of a corpus record whose one parse is text, loaded as a
-    command loads it, with its tree built afterwards."""
+    command loads it."""
     try:
         expected = reference_treebank.parse_ptb(text).tokens
     except ParseError:
@@ -76,7 +78,7 @@ def _check_against_reference(text):
     with startup_recursion_limit():
         assert _outcome(parse_ptb, text) == expected
         # a load rejects what the reference rejects, with its message and
-        # offset, and the tree it builds later is the reference's tree
+        # offset, and the nodes the rules read of it are the reference's
         assert _outcome(_loaded, text) == expected
 
 
@@ -112,17 +114,18 @@ class TestLex:
 class TestParse:
     def test_minimal_two_leaf_tree(self):
         tree = parse_ptb("(NP (DT the) (NN cat))")
-        assert tree.root.label == "NP"
-        assert tree.root.span == Span(0, 2)
+        labels, starts, ends, _, _ = node_arrays(tree.parse)
+        assert (labels[0], starts[0], ends[0]) == ("NP", 0, 2)
         assert tree.tokens == ("the", "cat")
         assert tree.token_texts is tree.tokens
 
     def test_spans_follow_leaf_order(self):
         tree = parse_ptb("(S (NP (PRP He)) (VP (VBD ran)))")
-        assert tree.root.span == Span(0, 2)
-        np_node, vp_node = tree.root.children
-        assert np_node.span == Span(0, 1)
-        assert vp_node.span == Span(1, 2)
+        _, starts, ends, kids, _ = node_arrays(tree.parse)
+        assert (starts[0], ends[0]) == (0, 2)
+        np_node, vp_node = kids[0]
+        assert (starts[np_node], ends[np_node]) == (0, 1)
+        assert (starts[vp_node], ends[vp_node]) == (1, 2)
 
     @pytest.mark.parametrize("wrapped,inner", [
         ("((S (NP (PRP He)) (VP (VBD ran))))", "(S (NP (PRP He)) (VP (VBD ran)))"),
@@ -134,22 +137,28 @@ class TestParse:
     ])
     def test_unlabeled_wrapper_unwrapped(self, wrapped, inner):
         assert parse_ptb(wrapped) == parse_ptb(inner)
+        assert hash(parse_ptb(wrapped)) == hash(parse_ptb(inner))
+        assert node_arrays(wrapped) == node_arrays(inner)
 
     def test_bracket_tokens_stored_unescaped(self):
         tree = parse_ptb("(NP (-LRB- -LRB-) (NN cost) (-RRB- -RRB-))")
         assert tree.tokens == ("(", "cost", ")")
         # labels keep their escaped form
-        assert tree.root.children[0].label == "-LRB-"
+        assert node_arrays(tree.parse).labels[1] == "-LRB-"
 
     def test_serialization_escapes_brackets(self):
         source = "(NP (-LRB- -LRB-) (NN cost) (-RRB- -RRB-))"
-        assert to_ptb(parse_ptb(source)) == source
+        record = document_to_record(Document(id="d", sentences=(parse_ptb(source),)))
+        assert record["sentences"] == [
+            {"tokens": ["-LRB-", "cost", "-RRB-"], "parse": source}]
 
     def test_roundtrip_token_sequence(self):
         source = "(S (NP (DT the) (JJ big) (NN dog)) (VP (VBD ran) (ADVP (RB home))) (. .))"
         tree = parse_ptb(source)
-        assert to_ptb(tree) == source
-        assert parse_ptb(to_ptb(tree)) == tree
+        assert tree.parse == source
+        assert parse_ptb(tree.parse) == tree
+        doc = Document(id="d", sentences=(tree,))
+        assert document_from_record(document_to_record(doc)) == doc
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
@@ -184,7 +193,8 @@ class TestParse:
         source = deep_chain(MAX_DEPTH)
         tree = parse_ptb(source)
         assert tree.tokens == ("w",)
-        assert to_ptb(tree) == source
+        assert tree.parse == source
+        assert node_arrays(source).labels == ["X"] * (MAX_DEPTH - 1) + ["NN"]
 
     @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])
     def test_too_deep_tree_reports_first_bracket_past_limit(self, depth):
@@ -234,9 +244,8 @@ class TestParse:
         docs = corpusgen.fixture_corpus() + corpusgen.learnable_corpus(200)[0]
         for doc in docs:
             for tree in doc.sentences:
-                source = to_ptb(tree)
-                _check_against_reference(source)
-                assert parse_ptb(source) == tree
+                _check_against_reference(tree.parse)
+                assert parse_ptb(tree.parse) == tree
 
     @pytest.mark.parametrize("source,first_unlabeled", [
         ("(S ((A a) (B b)) ((C c) (D d)))", 3),
@@ -254,17 +263,15 @@ class TestParse:
     def test_token_indices_consecutive(self):
         tree = parse_ptb("(S (A a) (B b) (C c) (D d))")
         assert tree.tokens == ("a", "b", "c", "d")
-        assert [leaf.span for leaf in reference_treebank.leaves(tree.root)] == [Span(i, i + 1) for i in range(4)]
+        _, starts, ends, kids, _ = node_arrays(tree.parse)
+        assert [(starts[i], ends[i]) for i in range(len(kids)) if not kids[i]] == [
+            (i, i + 1) for i in range(4)]
 
     def test_matches_hand_built_tree(self):
         parsed = parse_ptb("(S (NP (PRP He)) (VP (VBD ran)))")
-        hand_built = SentenceTree(
-            root=TreeNode("S", (
-                TreeNode("NP", (TreeNode("PRP", (), Span(0, 1)),), Span(0, 1)),
-                TreeNode("VP", (TreeNode("VBD", (), Span(1, 2)),), Span(1, 2)),
-            ), Span(0, 2)),
-            tokens=("He", "ran"))
-        assert parsed == hand_built
+        hand_built = ([("S", 0, 2, 2), ("NP", 0, 1, 1), ("PRP", 0, 1, 0),
+                       ("VP", 1, 2, 1), ("VBD", 1, 2, 0)], [(0, "He"), (1, "ran")])
+        assert _structure(parsed) == hand_built
 
 
 class TestNodes:
@@ -274,7 +281,7 @@ class TestNodes:
         a, b = parse_ptb(self.SOURCE), parse_ptb(self.SOURCE)
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != parse_ptb("(S (NP (DT the) (NN dog)) (VP (VBD sat)))")
-        assert {a.root.span: "root"}[Span(0, 3)] == "root"
+        assert {Span(0, 3): "root"}[Span(0, 3)] == "root"
         # the hash of the field tuple, as the frozen dataclasses had, so sets
         # of spans iterate in the same order
         assert hash(Span(3, 5)) == hash((3, 5))
@@ -282,21 +289,25 @@ class TestNodes:
     def test_immutable(self):
         tree = parse_ptb(self.SOURCE)
         for obj, field in [(tree, "root"), (tree, "tokens"), (tree, "parse"),
-                           (tree.root, "label"), (tree.root.span, "start")]:
+                           (Span(0, 3), "start")]:
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)
         with pytest.raises(AttributeError):
-            tree.root.extra = 1
+            tree.extra = 1
+        with pytest.raises(AttributeError):
+            del tree.parse
+        tree.__init__("(NN dog)")   # a second __init__ does not make the tree over
+        assert tree.parse == self.SOURCE
         with pytest.raises(TypeError):
             tree.tokens[0] = "dog"
 
-    def test_tree_of_a_checked_string_is_built_on_first_use(self):
+    def test_sentence_of_a_checked_string_keeps_it_as_given(self):
         wrapped = f"( {self.SOURCE} )"
-        lazy = SentenceTree.from_ptb(wrapped)
-        assert (lazy.parse, lazy.tokens, len(lazy)) == (wrapped, ("the", "cat", "sat"), 3)
+        tree = SentenceTree.from_ptb(wrapped)
+        assert (tree.parse, tree.tokens, len(tree)) == (wrapped, ("the", "cat", "sat"), 3)
         parsed = parse_ptb(self.SOURCE)
-        assert lazy == parsed and hash(lazy) == hash(parsed)
-        assert lazy.root is lazy.root
+        assert tree == parsed and hash(tree) == hash(parsed)
+        assert SentenceTree(wrapped).parse == wrapped and SentenceTree(wrapped) == tree
         with pytest.raises(ParseError, match="unbalanced"):
             SentenceTree.from_ptb(self.SOURCE[:-1])
 
@@ -306,6 +317,9 @@ class TestNodes:
                                   "max-depth-chain"])
     def test_root_of_a_loaded_sentence_is_built_without_a_second_scan(self, text,
                                                                      monkeypatch):
+        # equality, hashing, copies' equality and the rules' arrays read the
+        # checked parse without checking it again
+        other = SentenceTree.from_ptb(text)
         scanned = []
         scan = treebank._scan
 
@@ -314,11 +328,12 @@ class TestNodes:
             return scan(text, lexemes)
 
         monkeypatch.setattr(treebank, "_scan", counted_scan)
-        lazy = SentenceTree.from_ptb(text)
+        loaded = SentenceTree.from_ptb(text)
         assert scanned == [text]
-        root = lazy.root
+        assert loaded == other and hash(loaded) == hash(other)
+        structure = _structure(loaded)
         assert scanned == [text]
-        assert root == reference_treebank.parse_ptb(text).root
+        assert structure == _structure(reference_treebank.parse_ptb(text))
 
     @pytest.mark.parametrize("make", [SentenceTree.from_ptb, parse_ptb])
     def test_copies_keep_parse_tokens_and_tree(self, make):
@@ -326,10 +341,20 @@ class TestNodes:
         for copied in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
             assert (copied.parse, copied.tokens, copied) == (tree.parse, tree.tokens, tree)
 
-    def test_tree_built_from_nodes_holds_its_serialization(self):
-        parsed = parse_ptb(f"( {self.SOURCE} )")
-        built = SentenceTree(parsed.root, parsed.tokens)
-        assert built == parsed and built.parse == to_ptb(parsed) == self.SOURCE
+    @pytest.mark.parametrize("make", [
+        SentenceTree, SentenceTree.from_ptb, parse_ptb,
+        lambda text: pickle.loads(pickle.dumps(_Pickled(text))),
+    ], ids=["constructor", "from_ptb", "parse_ptb", "unpickling"])
+    @pytest.mark.parametrize("text, error", [
+        ("(A B (NN w))", "mixed token and subtree content (char 5)"),
+        ("(S (NN w)", "unbalanced parentheses (char 9)"),
+        ("(S ((NN w)))", "unlabeled internal node (char 3)"),
+    ], ids=["label-with-a-space", "unbalanced", "unlabeled-node"])
+    def test_every_way_of_making_a_sentence_checks_its_parse(self, make, text, error):
+        # the rules and a copy read the parse alone, so none is made unchecked
+        with pytest.raises(ParseError) as err:
+            make(text)
+        assert str(err.value) == error
 
     def test_span_order_length_and_repr(self):
         assert sorted([Span(2, 3), Span(0, 2), Span(0, 1)]) == [Span(0, 1), Span(0, 2), Span(2, 3)]
@@ -337,68 +362,83 @@ class TestNodes:
         assert repr(Span(0, 1)) == "Span(start=0, end=1)"
 
     def test_iter_nodes_is_pre_order(self):
-        tree = parse_ptb(self.SOURCE)
-        assert [n.label for n in reference_treebank.iter_nodes(tree.root)] == [
+        root = reference_treebank.parse_ptb(self.SOURCE).root
+        assert [n.label for n in reference_treebank.iter_nodes(root)] == [
             "S", "NP", "DT", "NN", "VP", "VBD"]
-        assert [n.label for n in reference_treebank.leaves(tree.root)] == ["DT", "NN", "VBD"]
+        assert [n.label for n in reference_treebank.leaves(root)] == ["DT", "NN", "VBD"]
 
     def test_hand_built_deep_chain_serializes_and_traverses(self):
-        # a chain as deep as a parse may be; one level more would not read back
-        node = TreeNode("NN", (), Span(0, 1))
-        for _ in range(MAX_DEPTH - 1):
-            node = TreeNode("X", (node,), Span(0, 1))
-        tree = SentenceTree(root=node, tokens=("w",))
-        doc = Document(id="deep", sentences=(tree,))
+        # a chain as deep as a parse may be; one level more is rejected
+        source = deep_chain(MAX_DEPTH)
+        doc = Document(id="deep", sentences=(SentenceTree(source),))
         with startup_recursion_limit():
-            source = to_ptb(tree)
             record = document_to_record(doc)
-            labels = [n.label for n in reference_treebank.iter_nodes(tree.root)]
-            leaves = [n.label for n in reference_treebank.leaves(tree.root)]
-        assert source == deep_chain(MAX_DEPTH)
+            labels = node_arrays(source).labels
+            root = reference_treebank.parse_ptb(source).root
+            reference_labels = [n.label for n in reference_treebank.iter_nodes(root)]
+            leaves = [n.label for n in reference_treebank.leaves(root)]
         assert record["sentences"][0]["parse"] == source
-        assert labels == ["X"] * (MAX_DEPTH - 1) + ["NN"]
+        assert labels == reference_labels == ["X"] * (MAX_DEPTH - 1) + ["NN"]
         assert leaves == ["NN"]
         with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
-            SentenceTree(root=TreeNode("X", (node,), Span(0, 1)), tokens=("w",))
+            SentenceTree(deep_chain(MAX_DEPTH + 1))
 
-    @pytest.mark.parametrize("root, tokens, error", [
-        (TreeNode("A B", (TreeNode("NN", (), Span(0, 1)),), Span(0, 1)), ("w",),
-         "tree writes parse '(A B (NN w))', which does not parse: mixed token"),
-        (TreeNode("", (TreeNode("NN", (), Span(0, 1)),), Span(0, 1)), ("w",),
-         "tree writes parse '( (NN w))', which reads back as another tree"),
-        (TreeNode("S", (TreeNode("NN", (), Span(0, 1)),), Span(0, 1)), ("-RRB-",),
-         "tree writes parse '(S (NN -RRB-))', whose words (')',) are not its tokens"),
-    ], ids=["label-with-a-space", "empty-label", "bracket-code-token"])
-    def test_tree_whose_parse_does_not_read_back_is_rejected(self, root, tokens, error):
-        # each was once built: the rules read "(A B (NN w))" unchecked, and a
-        # pickled copy of the "( (NN w))" tree was unequal to it
-        with pytest.raises(ValueError) as err:
-            SentenceTree(root, tokens)
-        assert str(err.value).startswith(error)
+    @given(_trees(), _trees(), st.sampled_from(["other", "spaced", "wrapped", "relabelled"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_exactly_when_the_reference_trees_and_words_are(self, a, b, variant):
+        # the second parse is another tree, or the first re-spaced, wrapped
+        # or with one tag changed
+        relabelled = (a.replace("(NN ", "(X ", 1) if "(NN " in a
+                      else a.replace("(X ", "(NN ", 1))
+        b = {"other": b, "spaced": a.replace("(", "( ").replace(")", " ) "),
+             "wrapped": f"({a})", "relabelled": relabelled}[variant]
+        try:
+            expected = reference_treebank.parse_ptb(a) == reference_treebank.parse_ptb(b)
+        except ParseError:
+            assume(False)
+        first, second = parse_ptb(a), parse_ptb(b)
+        assert (first == second) == expected
+        if expected:
+            assert hash(first) == hash(second)
+
+
+class _Pickled:
+    """Pickles as a SentenceTree does, with its text in place of a checked parse."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __reduce__(self):
+        make, _ = parse_ptb("(NN w)").__reduce__()
+        return make, (self.text,)
 
 
 class TestSpans:
     def test_leaf_span(self):
-        tree = parse_ptb("(S (A a) (B b) (C c) (D d))")
-        leaf = tree.root.children[3]
-        assert leaf.span == Span(3, 4)
+        _, starts, ends, kids, _ = node_arrays("(S (A a) (B b) (C c) (D d))")
+        leaf = kids[0][3]
+        assert (starts[leaf], ends[leaf]) == (3, 4)
 
     def test_root_spans_whole_sentence(self):
         tree = parse_ptb("(S (NP (DT the) (NN cat)) (VP (VBD sat)))")
-        assert tree.root.span == Span(0, len(tree.tokens))
+        _, starts, ends, _, _ = node_arrays(tree.parse)
+        assert (starts[0], ends[0]) == (0, len(tree.tokens))
 
     def test_internal_span_is_union_of_children(self):
-        tree = parse_ptb("(S (NP (DT the) (JJ big) (NN dog)) (VP (VBD ran)))")
-        for node in reference_treebank.iter_nodes(tree.root):
-            if node.children:
-                assert node.span.start == node.children[0].span.start
-                assert node.span.end == node.children[-1].span.end
+        _, starts, ends, kids, _ = node_arrays(
+            "(S (NP (DT the) (JJ big) (NN dog)) (VP (VBD ran)))")
+        for node, children in enumerate(kids):
+            if children:
+                assert starts[node] == starts[children[0]]
+                assert ends[node] == ends[children[-1]]
 
     def test_span_length_equals_leaf_count(self):
-        tree = parse_ptb(
+        _, starts, ends, kids, _ = node_arrays(
             "(S (NP (NP (DT the) (NN cat)) (PP (IN on) (NP (DT the) (NN mat)))) (VP (VBD sat)))")
-        for node in reference_treebank.iter_nodes(tree.root):
-            assert len(node.span) == len(reference_treebank.leaves(node))
+        for node in range(len(kids)):
+            leaves = [i for i in range(node, len(kids))
+                      if not kids[i] and starts[node] <= starts[i] < ends[node]]
+            assert ends[node] - starts[node] == len(leaves)
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
