@@ -111,8 +111,15 @@ def document_from_record(record: dict) -> Document:
             tree = SentenceTree.from_ptb(parse)
         except ParseError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
-        tokens = _unescape(_strings(sent["tokens"], f"sentence {i}: tokens"))
-        if tree.tokens != tokens:
+        raw = sent["tokens"]
+        try:
+            # one comparison accepts a list of the parse's words, escaped or
+            # not; anything else is checked item by item below
+            fits = (isinstance(raw, list) and len(raw) == len(tree.tokens)
+                    and _unescape(raw) == tree.tokens)
+        except TypeError:  # an item that is a list or an object
+            fits = False
+        if not fits and _unescape(_strings(raw, f"sentence {i}: tokens")) != tree.tokens:
             raise ValueError(
                 f"document {doc_id!r} sentence {i}: token list does not match parse leaves")
         sentences.append(tree)

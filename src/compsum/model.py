@@ -113,15 +113,14 @@ def load_model(path) -> Model:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"corrupt model file {path}: not an object")
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})")
-    if payload.get("feature_dims") != FEATURE_DIMS:
-        raise ModelFormatError(f"model feature dimensions {payload.get('feature_dims')} "
-                               f"do not match this build {FEATURE_DIMS}")
     try:
+        version = payload.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version!r} "
+                             f"(expected {MODEL_FORMAT_VERSION})")
+        if payload.get("feature_dims") != FEATURE_DIMS:
+            raise ValueError(f"model feature dimensions {payload.get('feature_dims')} "
+                             f"do not match this build {FEATURE_DIMS}")
         hidden = payload["hidden_size"]
         if type(hidden) is not int or hidden < 1:
             raise ValueError(f"hidden_size {json.dumps(hidden)} is not an integer >= 1")
@@ -130,14 +129,14 @@ def load_model(path) -> Model:
         for name in PARAM_ORDER:
             weights = payload["weights"][name]
             for bad in _non_numbers(weights):
-                raise ModelFormatError(
+                raise ValueError(
                     f"parameter {name} holds {json.dumps(bad)}, which is not a JSON number")
             arr = np.asarray(weights, dtype=np.float64)
             if arr.shape != shapes[name]:
-                raise ModelFormatError(
-                    f"parameter {name} has shape {arr.shape}, expected {shapes[name]}")
+                raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                                 f"expected {shapes[name]}")
             if not np.isfinite(arr).all():
-                raise ModelFormatError(f"parameter {name} holds a non-finite weight")
+                raise ValueError(f"parameter {name} holds a non-finite weight")
             params[name] = arr
         config = payload["train_config"]
         _check_train_config(config)
@@ -147,8 +146,6 @@ def load_model(path) -> Model:
     except KeyError as exc:
         raise ModelFormatError(f"corrupt model file {path}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
     return Model(hidden_size=hidden, params=params, train_config=config)
 

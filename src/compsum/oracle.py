@@ -89,6 +89,10 @@ _REBUILD = "rebuild it with `compsum oracle build`"
 _PREPROCESS_RECORD = {**asdict(ORACLE_PREPROCESS),
                       "stopword_list": sorted(ORACLE_PREPROCESS.stopword_list)}
 _RULES = {rule.value: rule for rule in RuleId}
+# Builds a tuple (an option, a label) without its public constructor.
+_new = tuple.__new__
+# Longest quote of a cached value in an error message
+_QUOTED_CHARS = 40
 
 
 def scoreable_sentences(doc: Document, k: int = 0) -> int:
@@ -129,8 +133,11 @@ class CompressionLabel(enum.Enum):
     DEL = "DEL"
 
 
-@dataclass(frozen=True)
-class LabeledOption:
+_KEEP, _DEL = CompressionLabel.KEEP, CompressionLabel.DEL
+_LABELS = {label.value: label for label in CompressionLabel}
+
+
+class LabeledOption(NamedTuple):
     option: CompressionOption
     r_before: float
     r_after: float
@@ -279,7 +286,7 @@ def beam_search_oracle(grams: ReferenceGrams, sents: Sequence[SharedGrams],
 
 
 def _label(r_before: float, r_after: float) -> CompressionLabel:
-    return CompressionLabel.DEL if r_after > r_before else CompressionLabel.KEEP
+    return _DEL if r_after > r_before else _KEEP
 
 
 def _cut_score(grams: ReferenceGrams, sent: SharedGrams, start: int, end: int) -> float:
@@ -319,7 +326,8 @@ def label_compressions(grams: ReferenceGrams, per_token: Sequence[str | None],
     for option in options:
         start, end = kept[option.span.start], kept[option.span.end]
         r_after = r_before if start == end else _cut_score(grams, sent, start, end)
-        labeled.append(LabeledOption(option, r_before, r_after, _label(r_before, r_after)))
+        labeled.append(_new(LabeledOption, (option, r_before, r_after,
+                                            _label(r_before, r_after))))
     return labeled
 
 
@@ -499,6 +507,13 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _cut(text: str) -> str:
+    """text cut to _QUOTED_CHARS characters, the last one "…", if longer."""
+    if len(text) > _QUOTED_CHARS:
+        return text[:_QUOTED_CHARS - 1] + "…"
+    return text
+
+
 def _entry_from_record(record: dict, doc: Document,
                        options: dict[tuple, CompressionOption]) -> DocumentOracles:
     fingerprint = document_fingerprint(doc)
@@ -510,11 +525,11 @@ def _entry_from_record(record: dict, doc: Document,
     for entry in record["oracles"]:
         indices = entry["indices"]
         if type(indices) is not list or any(type(i) is not int for i in indices):
-            raise ValueError(f"document {doc.id!r}: oracle indices {json.dumps(indices)} "
+            raise ValueError(f"document {doc.id!r}: oracle indices {_cut(json.dumps(indices))} "
                              f"are not a list of integers")
         score = entry["score"]
         if not _finite_number(score):
-            raise ValueError(f"document {doc.id!r}: oracle score {json.dumps(score)} "
+            raise ValueError(f"document {doc.id!r}: oracle score {_cut(json.dumps(score))} "
                              f"is not a finite number")
         candidates.append(OracleCandidate(tuple(indices), float(score)))
     labels = []
@@ -527,21 +542,25 @@ def _entry_from_record(record: dict, doc: Document,
             start, end, rule = key = (item["start"], item["end"], item["rule"])
             if not (type(start) is int and type(end) is int and 0 <= start < end <= n_tokens):
                 raise ValueError(
-                    f"document {doc.id!r} sentence {sent_index}: cached option {key} "
-                    f"is no span of the sentence's {n_tokens} tokens")
+                    f"document {doc.id!r} sentence {sent_index}: cached option "
+                    f"{_cut(str(key))} is no span of the sentence's {n_tokens} tokens")
             if rule not in _RULES:
                 raise ValueError(
-                    f"document {doc.id!r} sentence {sent_index}: cached option {key} "
-                    f"names an unknown rule")
+                    f"document {doc.id!r} sentence {sent_index}: cached option "
+                    f"{_cut(str(key))} names an unknown rule")
             r_before, r_after, node_label = item["r_before"], item["r_after"], item["node_label"]
             if not (_finite_number(r_before) and _finite_number(r_after)
                     and type(node_label) is str):
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: cached option {key} holds "
-                    f"r_before {json.dumps(r_before)}, r_after {json.dumps(r_after)} and "
-                    f"node_label {json.dumps(node_label)}, not two finite numbers and a string")
+                    f"r_before {_cut(json.dumps(r_before))}, r_after {_cut(json.dumps(r_after))} "
+                    f"and node_label {_cut(json.dumps(node_label))}, not two finite numbers "
+                    f"and a string")
             r_before, r_after = float(r_before), float(r_after)
-            label = CompressionLabel(item["label"])
+            try:
+                label = _LABELS[item["label"]]
+            except (KeyError, TypeError):
+                label = CompressionLabel(item["label"])  # the error that names the value
             if label is not _label(r_before, r_after):
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: option {key} is labeled "
@@ -551,8 +570,8 @@ def _entry_from_record(record: dict, doc: Document,
             option_key = (*key, node_label)
             option = options.get(option_key)
             if option is None:
-                option = options[option_key] = CompressionOption(
-                    Span(start, end), _RULES[rule], node_label)
-            sent_labels.append(LabeledOption(option, r_before, r_after, label))
+                option = options[option_key] = _new(
+                    CompressionOption, (_new(Span, (start, end)), _RULES[rule], node_label))
+            sent_labels.append(_new(LabeledOption, (option, r_before, r_after, label)))
         labels.append(tuple(sent_labels))
     return DocumentOracles(doc, tuple(candidates), tuple(labels))

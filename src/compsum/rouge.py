@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .stemming import stem
@@ -37,7 +39,7 @@ shouldn shouldn't wasn wasn't weren weren't won won't wouldn wouldn't
 
 def is_punctuation(token: str) -> bool:
     """True for tokens with no alphanumeric content."""
-    return not any(ch.isalnum() for ch in token)
+    return not any(map(str.isalnum, token))
 
 
 class RougeScore(NamedTuple):
@@ -89,7 +91,8 @@ def preprocess_tokens(tokens: Sequence[str], cfg: PreprocessConfig) -> list[str]
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    """Counts of the tokens (n = 1) or of the pairs of adjacent tokens (n = 2)."""
+    return Counter(tokens) if n == 1 else Counter(zip(tokens, tokens[1:]))
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -101,21 +104,19 @@ def _f1(precision: float, recall: float) -> float:
 def rouge_n(candidate: Sequence[str], references: Sequence[Sequence[str]], n: int) -> RougeScore:
     """Clipped n-gram overlap against one or more references.
 
-    Per n-gram the match count is min(candidate count, max reference count).
+    Per n-gram the match count is min(candidate count, max reference count):
+    the candidate's counts are clipped by the union of the references'.
     Recall is computed over the total n-gram count summed across references.
     """
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
     cand_counts = _ngram_counts(candidate, n)
     ref_counts = [_ngram_counts(ref, n) for ref in references]
-    cand_total = sum(cand_counts.values())
-    ref_total = sum(sum(rc.values()) for rc in ref_counts)
+    cand_total = cand_counts.total()
+    ref_total = sum(rc.total() for rc in ref_counts)
     if cand_total == 0 or ref_total == 0:
         return _ZERO
-    matches = 0
-    for gram, count in cand_counts.items():
-        best = max((rc[gram] for rc in ref_counts), default=0)
-        matches += min(count, best)
+    matches = _clipped_matches(cand_counts, reduce(or_, ref_counts))
     precision = matches / cand_total
     recall = matches / ref_total
     return RougeScore(precision, recall, _f1(precision, recall))
@@ -215,8 +216,8 @@ class ReferenceGrams:
     """
 
     def __init__(self, reference: Sequence[str]):
-        self.unigrams = Counter(reference)
-        self.bigrams = Counter(zip(reference, reference[1:]))
+        self.unigrams = _ngram_counts(reference, 1)
+        self.bigrams = _ngram_counts(reference, 2)
         self.length = len(reference)
 
     def shared(self, tokens: Sequence[str]) -> SharedGrams:

@@ -11,12 +11,20 @@ base and kind are worked out once and kept) and skipped unless some rule
 matches that kind under its parent's base label; what a rule reads below
 the child (its first leaf, the first verb of a VP, the head preposition of
 a PP) comes from the tags of the child's span.
+
+A match is a candidate, a plain list [start, end, rank, rule, node_label,
+parent_span, absorb]: its token span, the rule's rank (its position in
+RuleId, looked up once per rule at import), the rule, the matched node's
+label, the span of that node's parent (None for a bracket pair) and
+whether it may absorb an adjacent comma. Candidates are deduplicated by
+span, widened by a comma, and laid out by sorting on those fields; each
+one kept becomes a CompressionOption, a named tuple like treebank.Span.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .treebank import PartialOverlapError  # noqa: F401  (normalize_options raises it)
 from .treebank import SentenceTree, Span, ensure_nest_or_disjoint, node_arrays
@@ -42,11 +50,24 @@ RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
 RULES_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CompressionOption:
+class CompressionOption(NamedTuple):
     span: Span
     rule: RuleId
     node_label: str
+
+
+# Builds a tuple (an option, a span) without its public constructor.
+_new = tuple.__new__
+
+# Each rule as (rank, rule), the two fields a candidate carries for it.
+_APPOSITIVE_NP = (RULE_ORDER[RuleId.APPOSITIVE_NP], RuleId.APPOSITIVE_NP)
+_RELATIVE_CLAUSE = (RULE_ORDER[RuleId.RELATIVE_CLAUSE], RuleId.RELATIVE_CLAUSE)
+_ADVERBIAL_CLAUSE = (RULE_ORDER[RuleId.ADVERBIAL_CLAUSE], RuleId.ADVERBIAL_CLAUSE)
+_ADJP_IN_NP = (RULE_ORDER[RuleId.ADJP_IN_NP], RuleId.ADJP_IN_NP)
+_ADVP = (RULE_ORDER[RuleId.ADVP], RuleId.ADVP)
+_GERUNDIVE_VP_IN_NP = (RULE_ORDER[RuleId.GERUNDIVE_VP_IN_NP], RuleId.GERUNDIVE_VP_IN_NP)
+_PP_CONFIG = (RULE_ORDER[RuleId.PP_CONFIG], RuleId.PP_CONFIG)
+_PARENTHETICAL = (RULE_ORDER[RuleId.PARENTHETICAL], RuleId.PARENTHETICAL)
 
 
 # Prepositions treated as heads of deletable temporal/locative adjunct PPs.
@@ -107,23 +128,16 @@ def _is_comma(node: int, kids, starts, texts) -> bool:
     return not kids[node] and texts[starts[node]] == ","
 
 
-@dataclass(slots=True)
-class _Candidate:
-    span: Span
-    rule: RuleId
-    node_label: str
-    parent_span: tuple[int, int] | None  # absorption never reaches outside this
-    absorb: bool
-    rank: int = field(init=False)  # the rule's position in RuleId
-
-    def __post_init__(self):
-        self.rank = RULE_ORDER[self.rule]
-
-
-def _layout_key(cand: _Candidate) -> tuple[int, int, int]:
+def _layout_key(cand: list) -> tuple[int, int, int]:
     """(start, -length, rule rank)."""
-    start, end = cand.span
-    return start, start - end, cand.rank
+    start = cand[0]
+    return start, start - cand[1], cand[2]
+
+
+def _rule_key(cand: list) -> tuple[int, int, int]:
+    """(rule rank, start, -length)."""
+    start = cand[0]
+    return cand[2], start, start - cand[1]
 
 
 def extract_options(tree: SentenceTree) -> list[CompressionOption]:
@@ -140,7 +154,8 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     # its span.
     labels, starts, ends, kids, tags = node_arrays(tree.parse)
 
-    candidates: list[_Candidate] = []
+    # [start, end, rank, rule, node_label, parent_span, absorb]
+    candidates: list[list] = []
     add = candidates.append
     for node, children in enumerate(kids):
         if not children:
@@ -162,12 +177,10 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                 if idx and _is_comma(children[idx - 1], kids, starts, texts):
                     first = starts[children[idx - 1]]
                     if idx + 1 == len(children):
-                        add(_Candidate(Span(first, end), RuleId.APPOSITIVE_NP,
-                                       label, outer, absorb=False))
+                        add([first, end, *_APPOSITIVE_NP, label, outer, False])
                     elif _is_comma(children[idx + 1], kids, starts, texts):
-                        add(_Candidate(Span(first, ends[children[idx + 1]]),
-                                       RuleId.APPOSITIVE_NP, label, outer,
-                                       absorb=False))
+                        add([first, ends[children[idx + 1]], *_APPOSITIVE_NP, label, outer,
+                             False])
 
             elif kind == "SBAR":
                 # A leaf labelled SBAR is no clause.
@@ -178,22 +191,19 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                 if parent == "NP":
                     if (first_tag in _WH_LEAF_TAGS
                             or _BASE[labels[grandkids[0]]] in _WH_PHRASE_LABELS):
-                        add(_Candidate(Span(start, end), RuleId.RELATIVE_CLAUSE,
-                                       label, outer, absorb=True))
+                        add([start, end, *_RELATIVE_CLAUSE, label, outer, True])
                 elif first_tag == "IN":
-                    add(_Candidate(Span(start, end), RuleId.ADVERBIAL_CLAUSE,
-                                   label, outer, absorb=True))
+                    add([start, end, *_ADVERBIAL_CLAUSE, label, outer, True])
 
             elif kind == "ADVP":
-                add(_Candidate(Span(start, end), RuleId.ADVP, label, outer, absorb=True))
+                add([start, end, *_ADVP, label, outer, True])
 
             elif kind == "VP":
                 # Gerundive VP in an NP: its first verb is a VBG.
                 for tag in tags[start:end]:
                     if tag.startswith("VB"):
                         if tag == "VBG":
-                            add(_Candidate(Span(start, end), RuleId.GERUNDIVE_VP_IN_NP,
-                                           label, outer, absorb=True))
+                            add([start, end, *_GERUNDIVE_VP_IN_NP, label, outer, True])
                         break
 
             elif kind == "PP":
@@ -206,12 +216,10 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                             break
                     if prep not in DEFAULT_ADJUNCT_PREPOSITIONS:
                         continue
-                add(_Candidate(Span(start, end), RuleId.PP_CONFIG, label, outer,
-                               absorb=True))
+                add([start, end, *_PP_CONFIG, label, outer, True])
 
             elif kind == "PRN":
-                add(_Candidate(Span(start, end), RuleId.PARENTHETICAL, label, outer,
-                               absorb=True))
+                add([start, end, *_PARENTHETICAL, label, outer, True])
 
             elif kind == "RB":
                 # Bare RB pre-modifier of a VP: an RB leaf before the first verb.
@@ -220,8 +228,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                 for j, sib in enumerate(children):
                     if not kids[sib] and labels[sib].startswith("VB"):
                         if idx < j:
-                            add(_Candidate(Span(start, end), RuleId.ADVP, label, outer,
-                                           absorb=True))
+                            add([start, end, *_ADVP, label, outer, True])
                         break
 
             else:
@@ -233,8 +240,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
                 for sib in children[idx + 1:]:
                     base = _BASE[labels[sib]]
                     if base.startswith("NN") or base == "NX":
-                        add(_Candidate(Span(start, end), RuleId.ADJP_IN_NP, label,
-                                       outer, absorb=True))
+                        add([start, end, *_ADJP_IN_NP, label, outer, True])
                         break
 
     # Matching bracket pairs outside any PRN constituent, brackets absorbed.
@@ -245,9 +251,7 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
         elif text in _CLOSERS:
             if stack and _OPENERS[stack[-1][0]] == text:
                 _, start = stack.pop()
-                candidates.append(_Candidate(
-                    Span(start, i + 1), RuleId.PARENTHETICAL, "PRN",
-                    None, absorb=False))
+                add([start, i + 1, *_PARENTHETICAL, "PRN", None, False])
 
     candidates = _dedupe(candidates)
     _absorb_commas(candidates, texts)
@@ -257,58 +261,56 @@ def extract_options(tree: SentenceTree) -> list[CompressionOption]:
     # a chain, innermost last; a candidate partially overlaps a kept option
     # only if it ends past the innermost one that contains its start.
     options: list[CompressionOption] = []
-    enclosing: list[Span] = []
-    for cand in sorted(candidates, key=_layout_key):
-        span = cand.span
-        start, end = span
+    enclosing: list[int] = []  # the ends of that chain
+    for start, end, _, rule, node_label, _, _ in sorted(candidates, key=_layout_key):
         if end - start >= n:
             continue
-        while enclosing and enclosing[-1].end <= start:
+        while enclosing and enclosing[-1] <= start:
             enclosing.pop()
-        if enclosing and end > enclosing[-1].end:
+        if enclosing and end > enclosing[-1]:
             continue
-        enclosing.append(span)
-        options.append(CompressionOption(span, cand.rule, cand.node_label))
+        enclosing.append(end)
+        options.append(_new(CompressionOption, (_new(Span, (start, end)), rule, node_label)))
     return options  # spans are unique, so already in (start, -length) order
 
 
-def _dedupe(candidates: list[_Candidate]) -> list[_Candidate]:
-    by_span: dict[Span, _Candidate] = {}
-    for cand in sorted(candidates,
-                       key=lambda c: (c.rank, c.span.start, c.span.start - c.span.end)):
-        by_span.setdefault(cand.span, cand)
+def _dedupe(candidates: list[list]) -> list[list]:
+    """One candidate per span: the one whose rule comes first in RuleId."""
+    by_span: dict[tuple[int, int], list] = {}
+    for cand in sorted(candidates, key=_rule_key):
+        by_span.setdefault((cand[0], cand[1]), cand)
     return list(by_span.values())
 
 
-def _absorb_commas(candidates: list[_Candidate], texts) -> None:
+def _nested_or_disjoint(start: int, end: int, other: list) -> bool:
+    """True when [start, end) and the candidate other's span are nested or disjoint."""
+    other_start, other_end = other[0], other[1]
+    return (end <= other_start or other_end <= start
+            or (start <= other_start and other_end <= end)
+            or (other_start <= start and end <= other_end))
+
+
+def _absorb_commas(candidates: list[list], texts) -> None:
     """Absorb one adjacent comma per clause-level option, left preferred.
 
     A comma is taken only when it lies inside the matched node's parent and
     the widened span stays nested-or-disjoint with every other candidate, so
     the global layout invariant survives absorption.
     """
-    order = sorted(range(len(candidates)), key=lambda i: _layout_key(candidates[i]))
-    for i in order:
-        cand = candidates[i]
-        parent = cand.parent_span
-        if not cand.absorb or parent is None:
+    for cand in sorted(candidates, key=_layout_key):
+        start, end, _, _, _, parent, absorb = cand
+        if not absorb or parent is None:
             continue
-        start, end = cand.span
         parent_start, parent_end = parent
         left = start > parent_start and texts[start - 1] == ","
         right = end < parent_end and texts[end] == ","
         if not (left or right):
             continue
-        others = [c.span for j, c in enumerate(candidates) if j != i]
-        if left:
-            widened = Span(start - 1, end)
-            if all(widened.compatible(other) for other in others):
-                cand.span = widened
-                continue
-        if right:
-            widened = Span(start, end + 1)
-            if all(widened.compatible(other) for other in others):
-                cand.span = widened
+        others = [other for other in candidates if other is not cand]
+        if left and all(_nested_or_disjoint(start - 1, end, other) for other in others):
+            cand[0] = start - 1
+        elif right and all(_nested_or_disjoint(start, end + 1, other) for other in others):
+            cand[1] = end + 1
 
 
 def normalize_options(options: list[CompressionOption], sentence_len: int) -> list[CompressionOption]:

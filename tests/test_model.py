@@ -472,8 +472,21 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         payload["format_version"] = 99
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ModelFormatError) as error:
             load_model(path)
+        assert str(error.value) == (f"corrupt model file {path}: unsupported model format "
+                                    f"version 99 (expected {model_mod.MODEL_FORMAT_VERSION})")
+
+    def test_feature_dims_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_model(seed=1), path)
+        payload = json.loads(path.read_text())
+        payload["feature_dims"] = {**payload["feature_dims"], "option": 1}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError) as error:
+            load_model(path)
+        assert str(error.value).startswith(f"corrupt model file {path}: model feature "
+                                           f"dimensions ")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = init_model(seed=1)
@@ -482,8 +495,9 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         payload["weights"]["w_m"] = payload["weights"]["w_m"][:-1]
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="shape"):
+        with pytest.raises(ModelFormatError) as error:
             load_model(path)
+        assert str(error.value).startswith(f"corrupt model file {path}: parameter w_m has shape ")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, tmp_path, value):
@@ -496,7 +510,8 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError) as error:
             load_model(path)
-        assert str(error.value) == "parameter w1 holds a non-finite weight"
+        assert str(error.value) == (f"corrupt model file {path}: "
+                                    f"parameter w1 holds a non-finite weight")
 
     @pytest.mark.parametrize("value", ["0.5", True, None], ids=["string", "bool", "null"])
     def test_weight_that_is_not_a_json_number_rejected(self, tmp_path, value):
@@ -508,8 +523,8 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError) as error:
             load_model(path)
-        assert str(error.value) == (f"parameter w1 holds {json.dumps(value)}, "
-                                    f"which is not a JSON number")
+        assert str(error.value) == (f"corrupt model file {path}: parameter w1 holds "
+                                    f"{json.dumps(value)}, which is not a JSON number")
 
     @pytest.mark.parametrize("place", ["weight", "train_config"])
     def test_number_too_large_for_a_float_rejected(self, tmp_path, place):

@@ -176,6 +176,43 @@ class TestLoadCorpus:
         assert [d.id for d in loaded] == [docs[0].id, docs[2].id]
         assert f"line 2: document {docs[1].id} rejected: {reason}" in caplog.text
 
+    @pytest.mark.parametrize("tokens,reason", [
+        (["cost", "-LRB-", "net", "-RRB-"], None),
+        (["cost", "(", "net", ")"], None),
+        (["cost", "-LRB-", "net", "-LRB-"], "token list does not match parse leaves"),
+        (["cost", "-LCB-", "net", "-RRB-"], "token list does not match parse leaves"),
+        (["cost", "-LRB-", "net"], "token list does not match parse leaves"),
+        (["cost", "-LRB-", "net", "-RRB-", "."], "token list does not match parse leaves"),
+        (["cost", 5, "net", "-RRB-"], "tokens is not a list of strings"),
+        (["cost", None, "net", "-RRB-"], "tokens is not a list of strings"),
+        (["cost", True, "net", "-RRB-"], "tokens is not a list of strings"),
+        (["cost", ["-LRB-"], "net", "-RRB-"], "tokens is not a list of strings"),
+        (["cost", {"-LRB-": 1}, "net", "-RRB-"], "tokens is not a list of strings"),
+        ([5, None], "tokens is not a list of strings"),
+        ("cost", "tokens is not a list of strings"),
+    ], ids=["escaped", "unescaped", "other-bracket", "bracket-code-of-another-kind", "short",
+            "long", "int", "null", "true", "list", "object", "short-and-mistyped", "string"])
+    def test_token_list_is_checked_against_the_parse(self, tmp_path, caplog, tokens, reason):
+        # one comparison accepts the words of the parse, escaped or not; every
+        # other list gets the message the item-by-item check gives it
+        tree = parse_ptb("(S (NP (NN cost)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))")
+        record = document_to_record(Document(id="tok", sentences=(tree,)))
+        record["sentences"][0]["tokens"] = tokens
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            loaded = list(load_corpus(path))
+        if reason is None:
+            assert [doc.sentences for doc in loaded] == [(tree,)]
+            assert not caplog.text
+        elif reason.startswith("token list"):
+            assert loaded == []
+            assert (f"line 1: document tok rejected: document 'tok' sentence 0: {reason}"
+                    in caplog.text)
+        else:
+            assert loaded == []
+            assert f"line 1: document tok rejected: sentence 0: {reason}" in caplog.text
+
     @pytest.mark.parametrize("shape,reason", [
         ("sentences string", "sentences is not a list of objects"),
         ("sentences object", "sentences is not a list of objects"),

@@ -19,6 +19,7 @@ from compsum.rouge import (
     _lcs_length,
     approx_oracle_score,
     approx_score_pretokenized,
+    is_punctuation,
     preprocess_per_token,
     preprocess_tokens,
     rouge_l,
@@ -138,6 +139,27 @@ class TestRougeN:
             before = rouge_n(cand, [ref], n)
             after = rouge_n([mapping[t] for t in cand], [[mapping[t] for t in ref]], n)
             assert before == after
+
+
+# Up to 15 tokens from six types, so that unigrams and bigrams repeat.
+_grams = st.lists(st.sampled_from("abcdef"), max_size=15)
+
+
+class TestCountedGrams:
+    """rouge_n and is_punctuation against the per-gram and per-character
+    loops they replaced (reference_rouge), bit for bit."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_grams, st.lists(_grams, min_size=1, max_size=3), st.sampled_from([1, 2]))
+    def test_rouge_n_equals_the_per_gram_reference(self, cand, refs, n):
+        got = rouge_n(cand, refs, n)
+        want = reference_rouge.rouge_n(cand, refs, n)
+        assert [value.hex() for value in got] == [value.hex() for value in want]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.text(max_size=8))
+    def test_is_punctuation_equals_the_character_loop(self, token):
+        assert is_punctuation(token) == reference_rouge.is_punctuation_by_character(token)
 
 
 class TestRougeL:
