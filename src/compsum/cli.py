@@ -20,8 +20,8 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import pipeline
-from .corpus import load_corpus, read_records, write_records
-from .model import CONFIG_JSON_TYPES, DEFAULT_HIDDEN_SIZE, TrainConfig
+from .corpus import config_value, load_corpus, read_records, write_records
+from .model import DEFAULT_HIDDEN_SIZE, TrainConfig
 from .oracle import OracleConfig
 from .pipeline import SummarizeConfig
 from .rules import extract_options, option_record
@@ -317,16 +317,12 @@ def _apply_config(path, parsers) -> str | None:
         return (f"config {path}: no subcommand has a flag for "
                 f"key(s) {', '.join(map(repr, unknown))}")
     for parser, action in actions:
-        value = defaults[action.dest]
         kind = bool if action.nargs == 0 else action.type or str
-        allowed, name = CONFIG_JSON_TYPES[kind]
-        if type(value) not in allowed:
-            return (f"config {path}: key {action.dest!r} holds {json.dumps(value)}, but "
-                    f"{max(action.option_strings, key=len)} takes {name}")
         try:
-            value = kind(value)
-        except OverflowError:
-            return f"config {path}: key {action.dest!r} holds an integer too large for a float"
+            value = config_value(defaults[action.dest], kind,
+                                 f"config {path}: key {action.dest!r}")
+        except ValueError as exc:
+            return str(exc)
         parser.set_defaults(**{action.dest: value})
     return None
 

@@ -17,13 +17,16 @@ how); a sentence keeps the parse string and its words.
 Every JSONL file is written by write_records, so a command that fails
 leaves no partial file. read_records reads an artifact of the corpus (the
 oracle cache, the summaries) back, joining its i-th record to document i.
+Every reader of a file checks what it reads with read_config (a config
+object), list_of (a list of one JSON type) and quote (a value an error shows).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -32,6 +35,15 @@ from .treebank import BRACKET_ESCAPE, BRACKET_UNESCAPE, ParseError, SentenceTree
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+# Longest quote of a value read from a file in an error message
+_QUOTED_CHARS = 40
+# The JSON types a config value may have, by the Python type of its default:
+# a field of a config dataclass, or a flag's default in a config file
+CONFIG_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                     str: ((str,), "a string"), bool: ((bool,), "true or false")}
+# What list_of calls the items of a list, by their Python type
+_ITEMS = {str: "strings", int: "integers", dict: "objects", list: "lists"}
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,7 @@ def load_corpus(path) -> Iterator[Document]:
             doc = document_from_record(record)
         except (KeyError, TypeError, ValueError) as exc:
             doc_id = record.get("id", "?") if isinstance(record, dict) else "?"
-            shown = doc_id if isinstance(doc_id, str) else json.dumps(doc_id)
+            shown = doc_id if isinstance(doc_id, str) else quote(doc_id)
             logger.warning("line %d: document %s rejected: %s", lineno, shown, exc)
             continue
         count += 1
@@ -114,27 +126,66 @@ def document_from_record(record: dict) -> Document:
         raw = sent["tokens"]
         try:
             # one comparison accepts a list of the parse's words, escaped or
-            # not; anything else is checked item by item below
+            # not; anything else is checked by list_of below
             fits = (isinstance(raw, list) and len(raw) == len(tree.tokens)
                     and _unescape(raw) == tree.tokens)
         except TypeError:  # an item that is a list or an object
             fits = False
-        if not fits and _unescape(_strings(raw, f"sentence {i}: tokens")) != tree.tokens:
+        if not fits and _unescape(list_of(raw, str, f"sentence {i}: tokens")) != tree.tokens:
             raise ValueError(
                 f"document {doc_id!r} sentence {i}: token list does not match parse leaves")
         sentences.append(tree)
     reference = record.get("reference", [])
     if not isinstance(reference, list):
         raise ValueError("reference is not a list of token lists")
-    reference = tuple(_unescape(_strings(sent, f"reference sentence {j}"))
+    reference = tuple(_unescape(list_of(sent, str, f"reference sentence {j}"))
                       for j, sent in enumerate(reference))
     return Document(id=str(doc_id), sentences=tuple(sentences), reference=reference)
 
 
-def _strings(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ValueError(f"{what} is not a list of strings")
+def quote(value) -> str:
+    """value's JSON text, cut to _QUOTED_CHARS characters ending "…" if longer."""
+    text = json.dumps(value)
+    return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS - 1] + "…"
+
+
+def list_of(value, kind: type, what: str) -> list:
+    """value, when it is a JSON list of items of type kind (a bool is no
+    integer); otherwise a ValueError that starts with what."""
+    if type(value) is not list or not set(map(type, value)) <= {kind}:
+        raise ValueError(f"{what} is not a list of {_ITEMS[kind]}")
     return value
+
+
+def config_value(value, kind: type, what: str):
+    """value as kind, when it has kind's JSON type (CONFIG_JSON_TYPES) and,
+    as a number, fits a float; otherwise a ValueError that starts with what."""
+    allowed, name = CONFIG_JSON_TYPES[kind]
+    if type(value) not in allowed:
+        raise ValueError(f"{what} holds {quote(value)}, not {name}")
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ValueError(f"{what} holds an integer too large for a float")
+    return kind(value)
+
+
+def read_config(cls: type[T], value, what: str) -> T:
+    """cls(**value) for a JSON object of exactly cls's fields, each of the
+    JSON type of its default (config_value); any other value, or one cls
+    rejects, is a ValueError that starts with what."""
+    if type(value) is not dict:
+        raise ValueError(f"{what}: {quote(value)} is not an object")
+    defaults = {item.name: item.default for item in fields(cls)}
+    unknown = sorted(value.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"{what}: unknown key(s) {quote(unknown)}")
+    for name in defaults:
+        if name not in value:
+            raise ValueError(f"{what}: missing key {name!r}")
+        config_value(value[name], type(defaults[name]), f"{what}: key {name!r}")
+    try:
+        return cls(**value)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def document_to_record(doc: Document) -> dict:

@@ -39,7 +39,6 @@ class DocumentContext:
         self.lowered = [tuple(t.lower() for t in tree.tokens)
                         for tree in doc.sentences]
         self.sentence_types = [set(toks) for toks in self.lowered]
-        self.doc_types = set().union(*self.sentence_types)
         self.doc_counts = Counter(tok for sent in self.lowered for tok in sent)
         n = len(doc.sentences)
         feats = np.zeros((n, SENTENCE_FEATURE_DIM), dtype=np.float64)
@@ -47,7 +46,7 @@ class DocumentContext:
             raw = doc.sentences[i].tokens
             feats[i, 0] = i / n
             feats[i, 1] = math.log1p(len(tokens))
-            feats[i, 2] = len(self.sentence_types[i]) / len(self.doc_types)
+            feats[i, 2] = len(self.sentence_types[i]) / len(self.doc_counts)
             feats[i, 3] = sum(tok in DEFAULT_STOPWORDS for tok in tokens) / len(tokens)
             feats[i, 4] = sum(1 for j, tok in enumerate(raw)
                               if j > 0 and tok[:1].isupper()) / len(tokens)
@@ -79,7 +78,7 @@ def advance_state(ctx: DocumentContext, state: DecoderState, picked: int) -> Dec
     selected = state.selected + (picked,)
     mean = ctx.sentence_features[list(selected)].mean(axis=0)
     covered = state.covered | ctx.sentence_types[picked]
-    coverage = len(covered) / len(ctx.doc_types)
+    coverage = len(covered) / len(ctx.doc_counts)
     vector = np.concatenate([[len(selected) / state.k], mean, [coverage]])
     return DecoderState(selected=selected, covered=covered, k=state.k, vector=vector)
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .corpus import quote, read_config
 from .features import (
     DECODER_INPUT_DIM,
     OPTION_FEATURE_DIM,
@@ -100,12 +101,6 @@ def save_model(model: Model, path) -> None:
     Path(path).write_text(json.dumps(payload, allow_nan=False), encoding="utf-8")
 
 
-# The JSON types a config value may have, by the Python type of the value:
-# a TrainConfig field in a model file, or a flag's default in a config file
-CONFIG_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-                     str: ((str,), "a string"), bool: ((bool,), "true or false")}
-
-
 def load_model(path) -> Model:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -123,14 +118,14 @@ def load_model(path) -> Model:
                              f"do not match this build {FEATURE_DIMS}")
         hidden = payload["hidden_size"]
         if type(hidden) is not int or hidden < 1:
-            raise ValueError(f"hidden_size {json.dumps(hidden)} is not an integer >= 1")
+            raise ValueError(f"hidden_size {quote(hidden)} is not an integer >= 1")
         shapes = param_shapes(hidden)
         params = {}
         for name in PARAM_ORDER:
             weights = payload["weights"][name]
             for bad in _non_numbers(weights):
                 raise ValueError(
-                    f"parameter {name} holds {json.dumps(bad)}, which is not a JSON number")
+                    f"parameter {name} holds {quote(bad)}, which is not a JSON number")
             arr = np.asarray(weights, dtype=np.float64)
             if arr.shape != shapes[name]:
                 raise ValueError(f"parameter {name} has shape {arr.shape}, "
@@ -139,8 +134,8 @@ def load_model(path) -> Model:
                 raise ValueError(f"parameter {name} holds a non-finite weight")
             params[name] = arr
         config = payload["train_config"]
-        _check_train_config(config)
-        if config is not None and config["hidden_size"] != hidden:
+        if config is not None and read_config(TrainConfig, config,
+                                              "train_config").hidden_size != hidden:
             raise ValueError(f"hidden_size {hidden} does not match "
                              f"train_config hidden_size {config['hidden_size']}")
     except KeyError as exc:
@@ -164,31 +159,6 @@ def _non_numbers(value):
                 yield item
         elif not set(map(type, item)) <= _NUMBER_TYPES:   # else a list of numbers
             pending.extend(reversed(item))
-
-
-def _check_train_config(config) -> None:
-    """A ValueError unless config is null or an object of exactly
-    TrainConfig's fields, each of its JSON type and a value TrainConfig
-    accepts."""
-    if config is None:
-        return
-    if not isinstance(config, dict):
-        raise ValueError(f"train_config: {json.dumps(config)} is not null or an object")
-    defaults = {field.name: field.default for field in fields(TrainConfig)}
-    unknown = sorted(config.keys() - defaults.keys())
-    if unknown:
-        raise ValueError(f"train_config: unknown key(s) {', '.join(map(repr, unknown))}")
-    for name, default in defaults.items():
-        if name not in config:
-            raise ValueError(f"train_config: missing key {name!r}")
-        allowed, kind = CONFIG_JSON_TYPES[type(default)]
-        if type(config[name]) not in allowed:
-            raise ValueError(f"train_config: key {name!r} holds {json.dumps(config[name])}, "
-                             f"not {kind}")
-    try:
-        TrainConfig(**config)
-    except ValueError as exc:
-        raise ValueError(f"train_config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Document, read_records, write_records
+from .corpus import Document, list_of, quote, read_config, read_records, write_records
 from .rouge import (
     ORACLE_PREPROCESS,
     ReferenceGrams,
@@ -91,8 +91,6 @@ _PREPROCESS_RECORD = {**asdict(ORACLE_PREPROCESS),
 _RULES = {rule.value: rule for rule in RuleId}
 # Builds a tuple (an option, a label) without its public constructor.
 _new = tuple.__new__
-# Longest quote of a cached value in an error message
-_QUOTED_CHARS = 40
 
 
 def scoreable_sentences(doc: Document, k: int = 0) -> int:
@@ -452,13 +450,13 @@ def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracl
     its place, with the fingerprint it was built from, and every document
     must have one. Otherwise the cache is stale and is an error that says
     how to rebuild it. Options are built from the cached spans, rules and
-    node labels; a header whose oracle_config is not an object of
-    OracleConfig's fields, each an integer it accepts, a score, r_before or
-    r_after that is not a finite JSON number, a node label that is not a
-    string, a span outside its sentence, an unknown rule, a KEEP/DEL label
-    that disagrees with its r_before and r_after, or a record
-    DocumentOracles rejects is an error too. Every error names the file,
-    and the line of a record.
+    node labels; a header whose oracle_config corpus.read_config rejects,
+    an oracles, labels, label row or index list that corpus.list_of
+    rejects, a score, r_before or r_after that is not a finite JSON number,
+    a node label that is not a string, a span outside its sentence, an
+    unknown rule, a KEEP/DEL label that disagrees with its r_before and
+    r_after, or a record DocumentOracles rejects is an error too. Every
+    error names the file, and the line of a record.
     """
     options: dict[tuple, CompressionOption] = {}
     try:
@@ -486,16 +484,10 @@ def _check_header(record: dict) -> None:
     if record["preprocess"] != _PREPROCESS_RECORD:
         raise ValueError(f"oracle cache was scored under other preprocessing than "
                          f"ORACLE_PREPROCESS: {_REBUILD}")
-    config = record["oracle_config"]
-    if (type(config) is not dict or config.keys() != asdict(OracleConfig()).keys()
-            or any(type(value) is not int for value in config.values())):
-        raise ValueError(f"oracle cache header's oracle_config {json.dumps(config)} is not "
-                         f"an object of OracleConfig's integer fields: {_REBUILD}")
     try:
-        OracleConfig(**config)
+        read_config(OracleConfig, record["oracle_config"], "oracle cache header's oracle_config")
     except ValueError as exc:
-        raise ValueError(f"oracle cache header's oracle_config {json.dumps(config)} is "
-                         f"rejected ({exc}): {_REBUILD}") from None
+        raise ValueError(f"{exc}: {_REBUILD}") from None
 
 
 def _finite_number(value) -> bool:
@@ -507,13 +499,6 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _cut(text: str) -> str:
-    """text cut to _QUOTED_CHARS characters, the last one "…", if longer."""
-    if len(text) > _QUOTED_CHARS:
-        return text[:_QUOTED_CHARS - 1] + "…"
-    return text
-
-
 def _entry_from_record(record: dict, doc: Document,
                        options: dict[tuple, CompressionOption]) -> DocumentOracles:
     fingerprint = document_fingerprint(doc)
@@ -522,39 +507,38 @@ def _entry_from_record(record: dict, doc: Document,
             f"document {doc.id!r}: the cache is stale: it was built from fingerprint "
             f"{record['fingerprint']}, the corpus has {fingerprint}; {_REBUILD}")
     candidates = []
-    for entry in record["oracles"]:
-        indices = entry["indices"]
-        if type(indices) is not list or any(type(i) is not int for i in indices):
-            raise ValueError(f"document {doc.id!r}: oracle indices {_cut(json.dumps(indices))} "
-                             f"are not a list of integers")
+    for entry in list_of(record["oracles"], dict, f"document {doc.id!r}: oracles"):
+        indices = list_of(entry["indices"], int, f"document {doc.id!r}: oracle indices")
         score = entry["score"]
         if not _finite_number(score):
-            raise ValueError(f"document {doc.id!r}: oracle score {_cut(json.dumps(score))} "
+            raise ValueError(f"document {doc.id!r}: oracle score {quote(score)} "
                              f"is not a finite number")
         candidates.append(OracleCandidate(tuple(indices), float(score)))
     labels = []
-    for sent_index, cached in enumerate(record["labels"]):
+    rows = list_of(record["labels"], list, f"document {doc.id!r}: labels")
+    row = f"document {doc.id!r}: a label row"  # formatted once, not once per row
+    for sent_index, cached in enumerate(rows):
         # a row past the last sentence is left to DocumentOracles to reject
         n_tokens = (len(doc.sentences[sent_index].tokens) if sent_index < len(doc.sentences)
                     else math.inf)
         sent_labels = []
-        for item in cached:
+        for item in list_of(cached, dict, row):
             start, end, rule = key = (item["start"], item["end"], item["rule"])
             if not (type(start) is int and type(end) is int and 0 <= start < end <= n_tokens):
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: cached option "
-                    f"{_cut(str(key))} is no span of the sentence's {n_tokens} tokens")
+                    f"{quote(key)} is no span of the sentence's {n_tokens} tokens")
             if rule not in _RULES:
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: cached option "
-                    f"{_cut(str(key))} names an unknown rule")
+                    f"{quote(key)} names an unknown rule")
             r_before, r_after, node_label = item["r_before"], item["r_after"], item["node_label"]
             if not (_finite_number(r_before) and _finite_number(r_after)
                     and type(node_label) is str):
                 raise ValueError(
                     f"document {doc.id!r} sentence {sent_index}: cached option {key} holds "
-                    f"r_before {_cut(json.dumps(r_before))}, r_after {_cut(json.dumps(r_after))} "
-                    f"and node_label {_cut(json.dumps(node_label))}, not two finite numbers "
+                    f"r_before {quote(r_before)}, r_after {quote(r_after)} "
+                    f"and node_label {quote(node_label)}, not two finite numbers "
                     f"and a string")
             r_before, r_after = float(r_before), float(r_after)
             try:

@@ -30,7 +30,6 @@ options extract_options gave each sentence.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, list_of, quote
 from .features import DocumentContext, featurize_option
 from .model import Model, classify_option, greedy_steps
 from .oracle import MAX_SENTS, CompressionLabel, DocumentOracles, scoreable_sentences
@@ -342,44 +341,43 @@ def stats_report(options: Sequence[Sequence[Sequence[CompressionOption]]],
     deletions coming from deduplication rather than the model.
     """
     lengths: dict[str, list[int]] = {}
-    option_counts: dict[str, int] = {}
     for doc_options in options:
         for sentence_options in doc_options:
             for option in sentence_options:
                 lengths.setdefault(option.node_label, []).append(len(option.span))
-                option_counts[option.node_label] = option_counts.get(option.node_label, 0) + 1
 
-    del_counts: dict[str, int] = {}
-    labeled_counts: dict[str, int] = {}
+    del_counts: Counter[str] = Counter()
+    labeled_counts: Counter[str] = Counter()
     if oracles is not None:
         for entry in oracles:
             for lab in entry.all_labeled():
                 label = lab.option.node_label
-                labeled_counts[label] = labeled_counts.get(label, 0) + 1
+                labeled_counts[label] += 1
                 if lab.label is CompressionLabel.DEL:
-                    del_counts[label] = del_counts.get(label, 0) + 1
+                    del_counts[label] += 1
 
-    applied_counts: dict[str, int] = {}
-    dedup_counts: dict[str, int] = {}
+    applied_counts: Counter[str] = Counter()
+    dedup_counts: Counter[str] = Counter()
     if summaries is not None:
         for summary in summaries:
             for deletion in summary.deletions:
-                applied_counts[deletion.node_label] = applied_counts.get(deletion.node_label, 0) + 1
+                applied_counts[deletion.node_label] += 1
                 if deletion.cause == CAUSE_DEDUP:
-                    dedup_counts[deletion.node_label] = dedup_counts.get(deletion.node_label, 0) + 1
+                    dedup_counts[deletion.node_label] += 1
 
-    share_base = applied_counts if summaries is not None else option_counts
+    share_base = (applied_counts if summaries is not None
+                  else {label: len(spans) for label, spans in lengths.items()})
     share_total = sum(share_base.values())
     rows = []
-    for label in sorted(lengths, key=lambda lab: (-share_base.get(lab, 0), lab)):
+    for label in sorted(lengths, key=lambda lab: (-share_base[lab], lab)):
         spans = lengths[label]
-        share = 100.0 * share_base.get(label, 0) / share_total if share_total else 0.0
+        share = 100.0 * share_base[label] / share_total if share_total else 0.0
         comp_acc = None
-        if oracles is not None and labeled_counts.get(label):
-            comp_acc = 100.0 * del_counts.get(label, 0) / labeled_counts[label]
+        if labeled_counts[label]:
+            comp_acc = 100.0 * del_counts[label] / labeled_counts[label]
         dedup_pct = None
-        if summaries is not None and applied_counts.get(label):
-            dedup_pct = 100.0 * dedup_counts.get(label, 0) / applied_counts[label]
+        if applied_counts[label]:
+            dedup_pct = 100.0 * dedup_counts[label] / applied_counts[label]
         rows.append(StatsRow(
             node_label=label,
             mean_len=sum(spans) / len(spans),
@@ -415,32 +413,31 @@ def summary_from_record(record: dict, doc: Document,
     text is the selected sentences' words outside the deleted spans, in
     document order. `doc_options` holds the document's extract_options per
     sentence."""
-    selected = record["selected"]
+    selected = list_of(record["selected"], int, f"document {doc.id!r}: selected")
     n = scoreable_sentences(doc)
-    if (type(selected) is not list or any(type(i) is not int or not 0 <= i < n for i in selected)
-            or len(set(selected)) < len(selected)):
-        raise ValueError(f"document {doc.id!r}: selected {json.dumps(selected)} is not a list "
+    if any(not 0 <= i < n for i in selected) or len(set(selected)) < len(selected):
+        raise ValueError(f"document {doc.id!r}: selected {quote(selected)} is not a list "
                          f"of distinct indices among its {n} scoreable sentences")
     options = {i: doc_options[i] for i in selected}
     deletions = []
     listed = set()
-    for d in record["deletions"]:
+    for d in list_of(record["deletions"], dict, f"document {doc.id!r}: deletions"):
         sentence, cause = d["sentence"], d["cause"]
         if type(sentence) is not int or sentence not in options:
             raise ValueError(f"document {doc.id!r}: deletion in sentence "
-                             f"{json.dumps(sentence)}, which is not selected")
+                             f"{quote(sentence)}, which is not selected")
         if cause not in (CAUSE_MODEL, CAUSE_DEDUP):
             raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion cause "
-                             f"{json.dumps(cause)} is neither {CAUSE_MODEL} nor {CAUSE_DEDUP}")
+                             f"{quote(cause)} is neither {CAUSE_MODEL} nor {CAUSE_DEDUP}")
         key = [d["start"], d["end"], d["rule"], d["label"]]
         option = next((o for o in options[sentence]
                        if [o.span.start, o.span.end, o.rule.value, o.node_label] == key), None)
         if option is None:
             raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
-                             f"{json.dumps(key)} is none of the sentence's options")
+                             f"{quote(key)} is none of the sentence's options")
         if (sentence, option.span) in listed:
             raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
-                             f"{json.dumps(key)} is listed twice")
+                             f"{quote(key)} is listed twice")
         listed.add((sentence, option.span))
         deletions.append(AppliedDeletion(sentence, option.span, cause, option.rule,
                                          option.node_label))

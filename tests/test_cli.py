@@ -231,16 +231,19 @@ def test_config_that_is_no_object_of_flags_is_error(corpus_path, tmp_path, capsy
 
 
 @pytest.mark.parametrize("content, command, expected", [
-    ({"k": 2.7}, ["oracle", "build"], "key 'k' holds 2.7, but --k takes an integer"),
+    ({"k": 2.7}, ["oracle", "build"], "key 'k' holds 2.7, not an integer"),
     ({"tau": "0.5"}, ["summarize", "--model", "model.json"],
-     "key 'tau' holds \"0.5\", but --tau takes a number"),
-    ({"out": 7}, ["oracle", "build"], "key 'out' holds 7, but --out takes a string"),
+     "key 'tau' holds \"0.5\", not a number"),
+    ({"out": 7}, ["oracle", "build"], "key 'out' holds 7, not a string"),
     ({"no_dedup": "false"}, ["summarize", "--model", "model.json"],
-     "key 'no_dedup' holds \"false\", but --no-dedup takes true or false"),
+     "key 'no_dedup' holds \"false\", not true or false"),
     # once an OverflowError traceback out of main
     ({"alpha": 10 ** 400}, ["train", "--oracles", "oracles.jsonl"],
      "key 'alpha' holds an integer too large for a float"),
-], ids=["integer", "number", "string", "switch", "too-large"])
+    # once quoted in full, 16,984 characters
+    ({"k": list(range(3000))}, ["oracle", "build"],
+     "key 'k' holds [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, …, not an integer"),
+], ids=["integer", "number", "string", "switch", "too-large", "too-long"])
 def test_config_value_of_the_wrong_type_is_error(corpus_path, tmp_path, capsys,
                                                  content, command, expected):
     # {"k": 2.7} once failed with a raw "'float' object cannot be interpreted
@@ -251,7 +254,9 @@ def test_config_value_of_the_wrong_type_is_error(corpus_path, tmp_path, capsys,
     code = main(["--config", str(config), *command, "--corpus", str(corpus_path),
                  "--out", str(out)])
     assert code == 2
-    assert _structured_error(capsys) == f"config {config}: {expected}"
+    error = _structured_error(capsys)
+    assert error == f"config {config}: {expected}"
+    assert len(error) < len(f"config {config}: ") + 200
     assert not out.exists()
 
 
@@ -418,11 +423,19 @@ def _other_rule(deletion: dict) -> None:
 
 SUMMARY_RECORD_FAULTS = {
     "selected-not-a-list": (lambda rec: rec.update(selected="x"),
-                            "selected \"x\" is not a list of distinct indices"),
+                            "selected is not a list of integers"),
     "selected-twice": (lambda rec: rec.update(selected=rec["selected"][:1] * 2),
                        "is not a list of distinct indices"),
     "selected-past-the-end": (lambda rec: rec.update(selected=[1000]),
                               "selected [1000] is not a list of distinct indices"),
+    # once quoted in full
+    "selected-too-long": (lambda rec: rec.update(selected=list(range(1000, 1400))),
+                          "selected [1000, 1001, 1002, 1003, 1004, 1005, 10… is not a list"),
+    # once a raw "'int' object is not subscriptable" or "string indices must be integers"
+    "deletions-string": (lambda rec: rec.update(deletions="ab"),
+                         "deletions is not a list of objects"),
+    "deletions-integers": (lambda rec: rec.update(deletions=[3]),
+                           "deletions is not a list of objects"),
     "deletion-sentence-not-selected": (
         lambda rec: _first_deletion(rec).update(sentence=1000000),
         "deletion in sentence 1000000, which is not selected"),
@@ -463,6 +476,8 @@ def test_summary_record_is_checked_against_its_document(tmp_path, capsys, case):
     error = _stats_error(files, capsys)
     assert error.startswith(f"{files['summaries.jsonl']}:{line}: document ")
     assert message in error
+    if case.endswith("too-long"):
+        assert len(error) < len(f"{files['summaries.jsonl']}:{line}: ") + 200
 
 
 @pytest.mark.parametrize("command", ["summarize", "oracle build"])
@@ -499,7 +514,7 @@ def test_missing_corpus_is_structured_error(tmp_path, capsys):
 # edits of a model file written by save_model, and the error after its path
 MALFORMED_MODELS = {
     "config-not-an-object": (lambda p: p.update(train_config=5),
-                             "train_config: 5 is not null or an object"),
+                             "train_config: 5 is not an object"),
     "config-value-mistyped": (lambda p: p["train_config"].update(alpha="nonsense"),
                               "train_config: key 'alpha' holds \"nonsense\", not a number"),
     "config-bool-for-integer": (lambda p: p["train_config"].update(epochs=True),
@@ -507,7 +522,12 @@ MALFORMED_MODELS = {
     "config-key-missing": (lambda p: p["train_config"].pop("seed"),
                            "train_config: missing key 'seed'"),
     "config-key-unknown": (lambda p: p["train_config"].update(max_sents=30),
-                           "train_config: unknown key(s) 'max_sents'"),
+                           'train_config: unknown key(s) ["max_sents"]'),
+    # each once quoted in full: a weight of 5,000 characters gave 5,140
+    "config-value-too-long": (lambda p: p["train_config"].update(alpha="x" * 5000),
+                              f"train_config: key 'alpha' holds \"{'x' * 38}…, not a number"),
+    "weight-too-long": (lambda p: p["weights"]["w1"][0].__setitem__(0, "x" * 5000),
+                        f"parameter w1 holds \"{'x' * 38}…, which is not a JSON number"),
     "config-value-rejected": (lambda p: p["train_config"].update(alpha=-1),
                               "train_config: alpha=-1 must be >= 0"),
     "hidden-size-string": (lambda p: p.update(hidden_size="32"),
@@ -538,7 +558,9 @@ def test_malformed_model_file_is_located_error(corpus_path, tmp_path, capsys, ca
                  "--out", str(tmp_path / "summaries.jsonl")]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == f"corrupt model file {path}: {expected}"
+    error = json.loads(lines[0])["error"]
+    assert error == f"corrupt model file {path}: {expected}"
+    assert len(error) < len(f"corrupt model file {path}: ") + 200
 
 
 def test_bad_tau_grid_is_error(corpus_path, tmp_path, capsys):
@@ -975,20 +997,33 @@ STALE_CACHES = {
     "r-after-too-large": ("oracles", 1, lambda rec: _first_label(rec).update(r_after=10 ** 400),
                           2, f"r_after {str(10 ** 400)[:39]}… and node_label"),
     "start-too-large": ("oracles", 1, lambda rec: _first_label(rec).update(start=10 ** 400), 2,
-                        f"cached option ({str(10 ** 400)[:38]}… is no span"),
+                        f"cached option [{str(10 ** 400)[:38]}… is no span"),
     "rule-too-long": ("oracles", 1, lambda rec: _first_label(rec).update(rule="R" * 100), 2,
                       "names an unknown rule"),
     "indices-too-long": ("oracles", 1, lambda rec: rec["oracles"][0].update(
-        indices=[0.5] * 100), 2, "oracle indices [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5… "
-                                 "are not a list of integers"),
+        indices=[0.5] * 100), 2, "oracle indices is not a list of integers"),
+    # lists of the wrong shape, each once a raw Python error
+    "oracles-string": ("oracles", 1, lambda rec: rec.update(oracles="xy"), 2,
+                       "oracles is not a list of objects"),
+    "oracle-entry-list": ("oracles", 1, lambda rec: rec.update(oracles=[[1]]), 2,
+                          "oracles is not a list of objects"),
+    "label-rows-integers": ("oracles", 1, lambda rec: rec.update(labels=[5] * len(rec["labels"])),
+                            2, "labels is not a list of lists"),
+    "label-item-integer": ("oracles", 1, lambda rec: rec["labels"][0].append(5), 2,
+                           "a label row is not a list of objects"),
     "oracle-config-rejected": ("oracles", 0, lambda rec: rec["oracle_config"].update(k=99), 1,
-                               'oracle_config {"k": 99, "beam_width": 8, "m": 5} is rejected '
-                               f"(k=99 must satisfy 1 <= k <= 30): {REBUILD}"),
+                               "oracle cache header's oracle_config: k=99 must satisfy "
+                               f"1 <= k <= 30: {REBUILD}"),
     "oracle-config-string": ("oracles", 0, lambda rec: rec.update(oracle_config="x"), 1,
-                             f'oracle_config "x" is not an object of OracleConfig\'s integer '
-                             f"fields: {REBUILD}"),
+                             f'oracle cache header\'s oracle_config: "x" is not an object: '
+                             f"{REBUILD}"),
     "oracle-config-key-missing": ("oracles", 0, lambda rec: rec["oracle_config"].pop("m"), 1,
-                                  'oracle_config {"k": 2, "beam_width": 8} is not an object'),
+                                  "oracle cache header's oracle_config: missing key 'm': "
+                                  f"{REBUILD}"),
+    # once quoted in full, 14,975 characters
+    "oracle-config-too-long": ("oracles", 0, lambda rec: rec["oracle_config"].update(
+        {f"key{i}": i for i in range(1000)}), 1,
+        "oracle cache header's oracle_config: unknown key(s) [\"key0\", \"key1\", "),
 }
 
 

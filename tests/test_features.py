@@ -81,7 +81,7 @@ class TestDecoderState:
         state = initial_state(len(doc.sentences))
         for i in range(len(doc.sentences)):
             state = advance_state(ctx, state, i)
-        assert state.covered == ctx.doc_types
+        assert state.covered == set(ctx.doc_counts)
         assert state.vector[7] == 1.0
 
 

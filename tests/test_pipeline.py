@@ -2,7 +2,7 @@
 
 import json
 import logging
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,7 +12,13 @@ import corpusgen
 import reference_rouge
 from reference_model import decode_greedy
 from compsum import Document, parse_ptb
-from compsum.corpus import document_to_record, load_corpus, write_corpus
+from compsum.corpus import (
+    document_to_record,
+    list_of,
+    load_corpus,
+    read_config,
+    write_corpus,
+)
 from compsum.model import TrainConfig, init_model, train
 from compsum.oracle import MAX_SENTS, CompressionLabel, OracleConfig, build_document_oracles
 from compsum.pipeline import (
@@ -194,7 +200,7 @@ class TestLoadCorpus:
             "long", "int", "null", "true", "list", "object", "short-and-mistyped", "string"])
     def test_token_list_is_checked_against_the_parse(self, tmp_path, caplog, tokens, reason):
         # one comparison accepts the words of the parse, escaped or not; every
-        # other list gets the message the item-by-item check gives it
+        # other list gets the message list_of gives it
         tree = parse_ptb("(S (NP (NN cost)) (PRN (-LRB- -LRB-) (NN net) (-RRB- -RRB-)))")
         record = document_to_record(Document(id="tok", sentences=(tree,)))
         record["sentences"][0]["tokens"] = tokens
@@ -300,6 +306,65 @@ class TestLoadCorpus:
             document_to_record(doc)
         with pytest.raises(ValueError):
             write_corpus(tmp_path / "out.jsonl", [doc])
+
+
+_finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+# one config of each class a file holds, each a value the class accepts
+_configs = st.one_of(
+    st.integers(1, 40).flatmap(lambda width: st.builds(
+        OracleConfig, k=st.integers(1, MAX_SENTS), beam_width=st.just(width),
+        m=st.integers(1, width))),
+    st.builds(TrainConfig, alpha=_finite, learning_rate=_finite.filter(bool),
+              epochs=st.integers(0, 100), seed=st.integers(-2 ** 70, 2 ** 70),
+              hidden_size=st.integers(1, 64)),
+    st.builds(SummarizeConfig, k=st.integers(1, MAX_SENTS),
+              tau=st.floats(0.0, 1.0), dedup=st.booleans()),
+)
+# a value of each class's first field that the class rejects
+_REJECTED = {OracleConfig: 0, TrainConfig: -1.0, SummarizeConfig: 0}
+
+
+class TestReadConfig:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_configs, st.data())
+    def test_a_config_reads_back_and_every_fault_names_its_key(self, cfg, data):
+        cls = type(cfg)
+        value = json.loads(json.dumps(asdict(cfg)))
+        assert read_config(cls, value, "cfg") == cfg
+        names = [item.name for item in fields(cls)]
+        name = data.draw(st.sampled_from(names))
+        number = data.draw(st.sampled_from(
+            [n for n in names if type(getattr(cfg, n)) in (int, float)]))
+        integer = data.draw(st.sampled_from(
+            [n for n in names if type(getattr(cfg, n)) is int]))
+        faults = {
+            f"cfg: missing key {name!r}": {k: v for k, v in value.items() if k != name},
+            'cfg: unknown key(s) ["extra"]': {**value, "extra": 1},
+            f"cfg: key {integer!r} holds true, not an integer": {**value, integer: True},
+            f"cfg: key {number!r} holds \"1\", not ": {**value, number: "1"},
+            f"cfg: key {number!r} holds an integer too large for a float":
+                {**value, number: 10 ** 400},
+            f"cfg: {names[0]}={_REJECTED[cls]} must": {**value, names[0]: _REJECTED[cls]},
+        }
+        for message, faulty in faults.items():
+            with pytest.raises(ValueError) as error:
+                read_config(cls, faulty, "cfg")
+            assert str(error.value).startswith(message)
+
+
+class TestListOf:
+    @pytest.mark.parametrize("value, kind, ok", [
+        ([], int, True), ([1, 2], int, True), ([1, True], int, False), ([1.0], int, False),
+        (["a"], str, True), (["a", None], str, False), ("ab", str, False),
+        ([{}], dict, True), ([[1]], dict, False), ([[], [{}]], list, True), ([5], list, False),
+        (None, int, False), ({"a": 1}, str, False),
+    ])
+    def test_list_of_accepts_only_a_list_of_its_kind(self, value, kind, ok):
+        if ok:
+            assert list_of(value, kind, "field") is value
+        else:
+            with pytest.raises(ValueError, match=r"^field is not a list of \w+$"):
+                list_of(value, kind, "field")
 
 
 class TestApplyThreshold:
