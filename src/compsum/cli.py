@@ -13,6 +13,7 @@ import logging
 import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from . import pipeline
-from .corpus import config_value, load_corpus, read_records, write_records
-from .model import DEFAULT_HIDDEN_SIZE, TrainConfig
+from .corpus import config_value, load_corpus, quote, read_records, write_records
+from .model import TrainConfig
 from .oracle import OracleConfig
 from .pipeline import SummarizeConfig
 from .rules import extract_options, option_record
@@ -33,6 +34,7 @@ ORACLE_FLAGS = {"k": "k", "beam": "beam_width", "m": "m"}
 TRAIN_FLAGS = {"alpha": "alpha", "lr": "learning_rate", "epochs": "epochs",
                "seed": "seed", "hidden": "hidden_size"}
 SUMMARIZE_FLAGS = {"k": "k", "tau": "tau"}
+SWEEP_FLAGS = {"k": "k"}
 GRADCHECK_FLAGS = {"hidden": "hidden_size", "seed": "seed"}
 
 # Most thresholds one --tau-grid may hold: a step of 1e-4 across [0, 1]
@@ -151,7 +153,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _parse_tau_grid(args.tau_grid)
-    cfg = _from_flags(SummarizeConfig, args, {"k": "k"}, tau=0.0, dedup=not args.no_dedup)
+    cfg = _from_flags(SummarizeConfig, args, SWEEP_FLAGS, tau=0.0, dedup=not args.no_dedup)
     docs = _load_documents(args.corpus)
     model = model_mod.load_model(args.model)
     points = pipeline.sweep_threshold(model, docs, grid, cfg)
@@ -205,6 +207,31 @@ def cmd_gradcheck(args) -> int:
     return 0 if worst < 1e-4 else 1
 
 
+# Each subcommand: its words, help and function; the path flags it requires;
+# its other flags, each with its add_argument keywords; and the config whose
+# fields give the flags of its flag -> field map their types and defaults
+# (with --no-dedup where the config has a dedup field).
+COMMANDS = (
+    (("options", "extract"), "dump options per sentence", cmd_options_extract,
+     ("corpus", "out"), {}, None, {}),
+    (("oracle", "build"), "build and cache training oracles", cmd_oracle_build,
+     ("corpus", "out"), {}, OracleConfig, ORACLE_FLAGS),
+    (("train",), "train the joint model", cmd_train,
+     ("corpus", "oracles", "out"), {}, TrainConfig, TRAIN_FLAGS),
+    (("summarize",), "produce summaries", cmd_summarize,
+     ("corpus", "model", "out"), {}, SummarizeConfig, SUMMARIZE_FLAGS),
+    (("evaluate",), "score summaries against references", cmd_evaluate,
+     ("corpus", "model"), {"csv": {}, "json": {}}, SummarizeConfig, SUMMARIZE_FLAGS),
+    (("sweep",), "sweep the deletion threshold", cmd_sweep, ("corpus", "model", "out"),
+     {"tau_grid": {"default": "0:1:0.1"}}, SummarizeConfig, SWEEP_FLAGS),
+    (("stats",), "option statistics per node type", cmd_stats,
+     ("corpus", "out"), {"oracles": {}, "summaries": {}}, None, {}),
+    (("gradcheck",), "finite-difference gradient check", cmd_gradcheck, ("corpus", "oracles"),
+     {"samples": {"type": int, "default": 3}}, TrainConfig, GRADCHECK_FLAGS),
+)
+GROUPS = {"options": "compression-option utilities", "oracle": "oracle construction"}
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="compsum",
@@ -212,87 +239,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     parser.add_argument("--config", help="JSON file of default flag values")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    leaves: list[argparse.ArgumentParser] = []
-
-    p_options = sub.add_parser("options", help="compression-option utilities")
-    options_sub = p_options.add_subparsers(dest="subcommand", required=True)
-    p_extract = options_sub.add_parser("extract", help="dump options per sentence")
-    p_extract.add_argument("--corpus")
-    p_extract.add_argument("--out")
-    leaves.append(p_extract)
-    p_extract.set_defaults(func=cmd_options_extract, required_args=("corpus", "out"))
-
-    p_oracle = sub.add_parser("oracle", help="oracle construction")
-    oracle_sub = p_oracle.add_subparsers(dest="subcommand", required=True)
-    p_build = oracle_sub.add_parser("build", help="build and cache training oracles")
-    p_build.add_argument("--corpus")
-    p_build.add_argument("--out")
-    p_build.add_argument("--k", type=int, default=OracleConfig.k)
-    p_build.add_argument("--beam", type=int, default=OracleConfig.beam_width)
-    p_build.add_argument("--m", type=int, default=OracleConfig.m)
-    leaves.append(p_build)
-    p_build.set_defaults(func=cmd_oracle_build, required_args=("corpus", "out"))
-
-    p_train = sub.add_parser("train", help="train the joint model")
-    p_train.add_argument("--corpus")
-    p_train.add_argument("--oracles")
-    p_train.add_argument("--out")
-    p_train.add_argument("--alpha", type=float, default=TrainConfig.alpha)
-    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p_train.add_argument("--hidden", type=int, default=TrainConfig.hidden_size)
-    leaves.append(p_train)
-    p_train.set_defaults(func=cmd_train, required_args=("corpus", "oracles", "out"))
-
-    p_sum = sub.add_parser("summarize", help="produce summaries")
-    p_sum.add_argument("--corpus")
-    p_sum.add_argument("--model")
-    p_sum.add_argument("--out")
-    p_sum.add_argument("--tau", type=float, default=SummarizeConfig.tau)
-    p_sum.add_argument("--k", type=int, default=SummarizeConfig.k)
-    p_sum.add_argument("--no-dedup", action="store_true")
-    leaves.append(p_sum)
-    p_sum.set_defaults(func=cmd_summarize, required_args=("corpus", "model", "out"))
-
-    p_eval = sub.add_parser("evaluate", help="score summaries against references")
-    p_eval.add_argument("--corpus")
-    p_eval.add_argument("--model")
-    p_eval.add_argument("--tau", type=float, default=SummarizeConfig.tau)
-    p_eval.add_argument("--k", type=int, default=SummarizeConfig.k)
-    p_eval.add_argument("--no-dedup", action="store_true")
-    p_eval.add_argument("--csv")
-    p_eval.add_argument("--json")
-    leaves.append(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate, required_args=("corpus", "model"))
-
-    p_sweep = sub.add_parser("sweep", help="sweep the deletion threshold")
-    p_sweep.add_argument("--corpus")
-    p_sweep.add_argument("--model")
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--tau-grid", default="0:1:0.1")
-    p_sweep.add_argument("--k", type=int, default=SummarizeConfig.k)
-    p_sweep.add_argument("--no-dedup", action="store_true")
-    leaves.append(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep, required_args=("corpus", "model", "out"))
-
-    p_stats = sub.add_parser("stats", help="option statistics per node type")
-    p_stats.add_argument("--corpus")
-    p_stats.add_argument("--out")
-    p_stats.add_argument("--oracles")
-    p_stats.add_argument("--summaries")
-    leaves.append(p_stats)
-    p_stats.set_defaults(func=cmd_stats, required_args=("corpus", "out"))
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--corpus")
-    p_grad.add_argument("--oracles")
-    p_grad.add_argument("--samples", type=int, default=3)
-    p_grad.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p_grad.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN_SIZE)
-    leaves.append(p_grad)
-    p_grad.set_defaults(func=cmd_gradcheck, required_args=("corpus", "oracles"))
-
+    groups = {name: sub.add_parser(name, help=text).add_subparsers(dest="subcommand",
+                                                                   required=True)
+              for name, text in GROUPS.items()}
+    leaves = []
+    for (*group, word), text, func, required, optional, config, config_flags in COMMANDS:
+        leaf = (groups[group[0]] if group else sub).add_parser(word, help=text)
+        defaults = {field.name: field.default for field in (fields(config) if config else ())}
+        flags = {**dict.fromkeys(required, {}), **optional,
+                 **{flag: {"type": type(defaults[field]), "default": defaults[field]}
+                    for flag, field in config_flags.items()}}
+        if "dedup" in defaults:
+            flags["no_dedup"] = {"action": "store_true"}
+        for flag, keywords in flags.items():
+            leaf.add_argument(f"--{flag.replace('_', '-')}", **keywords)
+        leaf.set_defaults(func=func, required_args=required)
+        leaves.append(leaf)
     return parser, leaves
 
 
@@ -310,12 +272,13 @@ def _apply_config(path, parsers) -> str | None:
     if not isinstance(defaults, dict):
         return (f"config {path}: expected a JSON object of flag defaults, "
                 f"got {type(defaults).__name__}")
+    # -h and --config itself take no value from a config file
+    settable = defaults.keys() - {"help", "config"}
     actions = [(parser, action) for parser in parsers for action in parser._actions
-               if action.option_strings and action.dest in defaults]
+               if action.option_strings and action.dest in settable]
     unknown = sorted(set(defaults) - {action.dest for _, action in actions})
     if unknown:
-        return (f"config {path}: no subcommand has a flag for "
-                f"key(s) {', '.join(map(repr, unknown))}")
+        return f"config {path}: no subcommand has a flag for key(s) {quote(unknown)}"
     for parser, action in actions:
         kind = bool if action.nargs == 0 else action.type or str
         try:

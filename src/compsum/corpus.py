@@ -120,7 +120,7 @@ def document_from_record(record: dict) -> Document:
         if not isinstance(parse, str):
             raise ValueError(f"sentence {i}: parse is not a string")
         try:
-            tree = SentenceTree.from_ptb(parse)
+            tree = SentenceTree(parse)
         except ParseError as exc:
             raise ValueError(f"sentence {i}: {exc}") from exc
         raw = sent["tokens"]
@@ -240,9 +240,9 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
                 continue
             doc = next(corpus, None)
             if doc is None or doc.id != record["doc_id"]:
-                at_place = "no document" if doc is None else f"document {doc.id!r}"
-                raise ValueError(f"record of document {record['doc_id']!r} where the corpus "
-                                 f"has {at_place}: {stale}")
+                at_place = "no document" if doc is None else f"document {quote(doc.id)}"
+                raise ValueError(f"record of document {quote(record['doc_id'])} where the "
+                                 f"corpus has {at_place}: {stale}")
             out.append(parse(record, doc))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: not UTF-8 text") from exc

@@ -111,15 +111,17 @@ def load_model(path) -> Model:
     try:
         version = payload.get("format_version")
         if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version!r} "
+            raise ValueError(f"unsupported model format version {quote(version)} "
                              f"(expected {MODEL_FORMAT_VERSION})")
         if payload.get("feature_dims") != FEATURE_DIMS:
-            raise ValueError(f"model feature dimensions {payload.get('feature_dims')} "
+            raise ValueError(f"model feature dimensions {quote(payload.get('feature_dims'))} "
                              f"do not match this build {FEATURE_DIMS}")
         hidden = payload["hidden_size"]
         if type(hidden) is not int or hidden < 1:
             raise ValueError(f"hidden_size {quote(hidden)} is not an integer >= 1")
         shapes = param_shapes(hidden)
+        if type(payload["weights"]) is not dict:
+            raise ValueError(f"weights: {quote(payload['weights'])} is not an object")
         params = {}
         for name in PARAM_ORDER:
             weights = payload["weights"][name]

@@ -475,11 +475,11 @@ def _check_header(record: dict) -> None:
                              f"this version reads version {CACHE_VERSION}: {_REBUILD}")
         raise ValueError(f"first record is not an oracle cache header: {_REBUILD}")
     if record["version"] != CACHE_VERSION:
-        raise ValueError(f"oracle cache is of format version {record['version']}; "
+        raise ValueError(f"oracle cache is of format version {quote(record['version'])}; "
                          f"this version reads version {CACHE_VERSION}: {_REBUILD}")
     if record["rules_version"] != RULES_VERSION:
         raise ValueError(f"oracle cache was labeled under rules version "
-                         f"{record['rules_version']}, the rules are version "
+                         f"{quote(record['rules_version'])}, the rules are version "
                          f"{RULES_VERSION}: {_REBUILD}")
     if record["preprocess"] != _PREPROCESS_RECORD:
         raise ValueError(f"oracle cache was scored under other preprocessing than "
@@ -505,7 +505,7 @@ def _entry_from_record(record: dict, doc: Document,
     if record["fingerprint"] != fingerprint:
         raise ValueError(
             f"document {doc.id!r}: the cache is stale: it was built from fingerprint "
-            f"{record['fingerprint']}, the corpus has {fingerprint}; {_REBUILD}")
+            f"{quote(record['fingerprint'])}, the corpus has {fingerprint}; {_REBUILD}")
     candidates = []
     for entry in list_of(record["oracles"], dict, f"document {doc.id!r}: oracles"):
         indices = list_of(entry["indices"], int, f"document {doc.id!r}: oracle indices")

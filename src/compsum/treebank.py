@@ -90,8 +90,8 @@ class SentenceTree:
 
     `parse` is the bracketed string as given; leaf i's word is tokens[i].
     The rules read `node_arrays(parse)`. Made only from a parse that passes
-    the checks of parse_ptb, by `SentenceTree(parse)`, `from_ptb`, parse_ptb
-    or unpickling. Immutable; two are equal and hash alike when their parses
+    the checks of parse_ptb, by `SentenceTree(parse)`, parse_ptb or
+    unpickling. Immutable; two are equal and hash alike when their parses
     are the same tree of the same words (see `_tree_lexemes`).
     """
 
@@ -102,12 +102,6 @@ class SentenceTree:
         _set(tree, "tokens", _scan(parse, _lex(parse)))
         _set(tree, "parse", parse)
         return tree
-
-    @classmethod
-    def from_ptb(cls, text: str) -> "SentenceTree":
-        """The sentence of one bracketed tree, checked as parse_ptb
-        describes; the same as `SentenceTree(text)`."""
-        return cls(text)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SentenceTree is immutable; cannot set {name!r}")
@@ -165,7 +159,7 @@ def parse_ptb(text: str) -> SentenceTree:
     unlabeled internal node, only once the whole tree is well formed, at
     the first such node in pre-order.
     """
-    return SentenceTree.from_ptb(text)
+    return SentenceTree(text)
 
 
 def _scan(text: str, lexemes: list[str]) -> tuple[str, ...]:

@@ -50,7 +50,7 @@ parses = [sent["parse"] for record in workload.generate(sys.argv[4], 3)
           for sent in record["sentences"]]
 options, differing = 0, []
 for parse in parses:
-    got = extract_options(SentenceTree.from_ptb(parse))
+    got = extract_options(SentenceTree(parse))
     options += len(got)
     if got != reference_rules.extract_options(reference_treebank.parse_ptb(parse)):
         differing.append(parse)

@@ -548,7 +548,8 @@ class TestCache:
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, [])
         assert str(error.value) == (
-            f"{path}:2: record of document {doc.id!r} where the corpus has no document: "
+            f"{path}:2: record of document {json.dumps(doc.id)} where the corpus has no "
+            f"document: "
             f"the cache is stale; rebuild it with `compsum oracle build`")
 
     def test_missing_file_is_error_naming_the_build_command(self, tmp_path):
@@ -569,7 +570,8 @@ class TestCache:
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, docs)
         assert str(error.value) == (
-            f"{path}:4: record of document {docs[0].id!r} where the corpus has no document: "
+            f"{path}:4: record of document {json.dumps(docs[0].id)} where the corpus has no "
+            f"document: "
             f"the cache is stale; rebuild it with `compsum oracle build`")
 
     @pytest.mark.parametrize("line, message", [

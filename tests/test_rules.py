@@ -324,7 +324,7 @@ _CHAIN_DEPTH = MAX_DEPTH - 3    # the sentence below adds the last three levels
      + ")" * _CHAIN_DEPTH, [(0, 2)]),
 ], ids=["outer-wrapper", "leaf-sbar-in-np", "brackets-in-and-out-of-prn", "max-depth-chain"])
 def test_edge_shapes_give_the_reference_options(source, spans):
-    loaded = SentenceTree.from_ptb(source)
+    loaded = SentenceTree(source)
     expected = reference_rules.extract_options(reference_treebank.parse_ptb(source))
     assert [(o.span.start, o.span.end) for o in expected] == spans
     # room for extract_options' own calls, far less than one frame per level

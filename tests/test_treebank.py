@@ -303,13 +303,12 @@ class TestNodes:
 
     def test_sentence_of_a_checked_string_keeps_it_as_given(self):
         wrapped = f"( {self.SOURCE} )"
-        tree = SentenceTree.from_ptb(wrapped)
+        tree = SentenceTree(wrapped)
         assert (tree.parse, tree.tokens, len(tree)) == (wrapped, ("the", "cat", "sat"), 3)
         parsed = parse_ptb(self.SOURCE)
         assert tree == parsed and hash(tree) == hash(parsed)
-        assert SentenceTree(wrapped).parse == wrapped and SentenceTree(wrapped) == tree
         with pytest.raises(ParseError, match="unbalanced"):
-            SentenceTree.from_ptb(self.SOURCE[:-1])
+            SentenceTree(self.SOURCE[:-1])
 
     @pytest.mark.parametrize("text", [SOURCE, f"( {SOURCE} )", "(NN w)", "( (NN w))",
                                       deep_chain(MAX_DEPTH)],
@@ -319,7 +318,7 @@ class TestNodes:
                                                                      monkeypatch):
         # equality, hashing, copies' equality and the rules' arrays read the
         # checked parse without checking it again
-        other = SentenceTree.from_ptb(text)
+        other = SentenceTree(text)
         scanned = []
         scan = treebank._scan
 
@@ -328,23 +327,22 @@ class TestNodes:
             return scan(text, lexemes)
 
         monkeypatch.setattr(treebank, "_scan", counted_scan)
-        loaded = SentenceTree.from_ptb(text)
+        loaded = SentenceTree(text)
         assert scanned == [text]
         assert loaded == other and hash(loaded) == hash(other)
         structure = _structure(loaded)
         assert scanned == [text]
         assert structure == _structure(reference_treebank.parse_ptb(text))
 
-    @pytest.mark.parametrize("make", [SentenceTree.from_ptb, parse_ptb])
+    @pytest.mark.parametrize("make", [SentenceTree, parse_ptb], ids=["constructor", "parse_ptb"])
     def test_copies_keep_parse_tokens_and_tree(self, make):
         tree = make(f"(ROOT  {self.SOURCE})")
         for copied in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
             assert (copied.parse, copied.tokens, copied) == (tree.parse, tree.tokens, tree)
 
     @pytest.mark.parametrize("make", [
-        SentenceTree, SentenceTree.from_ptb, parse_ptb,
-        lambda text: pickle.loads(pickle.dumps(_Pickled(text))),
-    ], ids=["constructor", "from_ptb", "parse_ptb", "unpickling"])
+        SentenceTree, parse_ptb, lambda text: pickle.loads(pickle.dumps(_Pickled(text))),
+    ], ids=["constructor", "parse_ptb", "unpickling"])
     @pytest.mark.parametrize("text, error", [
         ("(A B (NN w))", "mixed token and subtree content (char 5)"),
         ("(S (NN w)", "unbalanced parentheses (char 9)"),
