@@ -48,7 +48,7 @@ def _load_documents(path):
     seen = set()
     for doc in docs:
         if doc.id in seen:
-            raise ValueError(f"duplicate document id {doc.id!r} in {path}")
+            raise ValueError(f"duplicate document id {quote(doc.id)} in {path}")
         seen.add(doc.id)
     return docs
 

@@ -5,8 +5,8 @@ A corpus is one JSON object per line: {"id", "sentences": [{"tokens",
 "parse"}], "reference": [[token, ...], ...]}. An id is a string or an
 integer, read as its decimal string. A line that is not UTF-8 text or not
 JSON is skipped with a warning that names it. A record is rejected with a
-warning that names its line and id (as its JSON text when it is not a
-string; "?" when there is none) when it is not an object with such an id,
+warning that names its line and id (as its JSON text, cut as quote cuts
+it; "?" when there is none) when it is not an object with such an id,
 when sentences is not a list of objects that each have a parse and tokens,
 when a parse is not a string or does not parse, when a token list or a
 reference sentence is not a list of strings, or when a token list
@@ -19,6 +19,11 @@ leaves no partial file. read_records reads an artifact of the corpus (the
 oracle cache, the summaries) back, joining its i-th record to document i.
 Every reader of a file checks what it reads with read_config (a config
 object), list_of (a list of one JSON type) and quote (a value an error shows).
+
+The two loops that read a file, load_corpus and read_records, are the only
+code that says which document a fault in a record belongs to: each puts
+the line and the document's quoted id before the message of the check it
+calls, which names only the sentence and field at fault.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class Document:
 
     def __post_init__(self):
         if not self.sentences:
-            raise ValueError(f"document {self.id!r} has no sentences")
+            raise ValueError("no sentences")
 
     @property
     def reference_tokens(self) -> list[str]:
@@ -90,8 +95,7 @@ def load_corpus(path) -> Iterator[Document]:
         try:
             doc = document_from_record(record)
         except (KeyError, TypeError, ValueError) as exc:
-            doc_id = record.get("id", "?") if isinstance(record, dict) else "?"
-            shown = doc_id if isinstance(doc_id, str) else quote(doc_id)
+            shown = quote(record["id"]) if isinstance(record, dict) and "id" in record else "?"
             logger.warning("line %d: document %s rejected: %s", lineno, shown, exc)
             continue
         count += 1
@@ -132,8 +136,7 @@ def document_from_record(record: dict) -> Document:
         except TypeError:  # an item that is a list or an object
             fits = False
         if not fits and _unescape(list_of(raw, str, f"sentence {i}: tokens")) != tree.tokens:
-            raise ValueError(
-                f"document {doc_id!r} sentence {i}: token list does not match parse leaves")
+            raise ValueError(f"sentence {i}: token list does not match parse leaves")
         sentences.append(tree)
     reference = record.get("reference", [])
     if not isinstance(reference, list):
@@ -200,7 +203,7 @@ def document_to_record(doc: Document) -> dict:
     """
     for word in doc.reference_tokens:
         if word in BRACKET_UNESCAPE:
-            raise ValueError(f"document {doc.id!r}: word {word!r} is a bracket code and "
+            raise ValueError(f"document {quote(doc.id)}: word {word!r} is a bracket code and "
                              f"would be read back as {BRACKET_UNESCAPE[word]!r}")
     return {
         "id": doc.id,
@@ -224,12 +227,14 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
     remake the file. Nothing is skipped: a line that is not UTF-8 text,
     malformed JSON, a line that is not an object, a missing key, or a
     TypeError or ValueError from header or parse is a ValueError that names
-    the file and line.
+    the file and line, and the document once the record is joined to it. So
+    parse names only the sentence and field at fault, never the document.
     """
     path = Path(path)
     corpus = iter(documents)
     out = []
     for lineno, line in _lines(path):
+        doc = None  # the document the record is joined to, once it is
         try:
             record = json.loads(line.decode("utf-8"))
             if not isinstance(record, dict):
@@ -238,24 +243,25 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
                 header(record)
                 header = None
                 continue
-            doc = next(corpus, None)
-            if doc is None or doc.id != record["doc_id"]:
-                at_place = "no document" if doc is None else f"document {quote(doc.id)}"
+            at_place = next(corpus, None)
+            if at_place is None or at_place.id != record["doc_id"]:
+                has = "no document" if at_place is None else f"document {quote(at_place.id)}"
                 raise ValueError(f"record of document {quote(record['doc_id'])} where the "
-                                 f"corpus has {at_place}: {stale}")
+                                 f"corpus has {has}: {stale}")
+            doc = at_place
             out.append(parse(record, doc))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: not UTF-8 text") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
                              f"at column {exc.colno}") from exc
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f"{path}:{lineno}:" + ("" if doc is None else f" document {quote(doc.id)}:")
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{where} {what}") from exc
     missing = next(corpus, None)
     if missing is not None:
-        raise ValueError(f"{path}: no record of document {missing.id!r} or the documents "
+        raise ValueError(f"{path}: no record of document {quote(missing.id)} or the documents "
                          f"after it: {stale}")
     return out
 

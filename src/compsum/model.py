@@ -424,10 +424,10 @@ def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model,
     deterministic. Returns the model and the per-epoch mean loss trace, and
     logs each epoch's mean loss, extraction NLL and compression NLL.
 
-    The parameters and both moments are each one flat buffer (the model's
-    per-name arrays are views of its parameter buffer), so one update is a
-    few elementwise operations over every weight, each element computed as
-    a per-name update would compute it.
+    The parameters and both moments are each one flat array (the model's
+    per-name arrays are views of its parameter buffer), so one update is
+    Adam's three formulas over every weight at once, each element computed
+    as a per-name update would compute it.
 
     A step so large that weights overflow is caught once per epoch: a
     non-finite parameter is a ValueError naming it, so no such model is
@@ -445,8 +445,6 @@ def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model,
     compiled = [compile_example(example) for example in examples]
     moment1 = np.zeros_like(flat)
     moment2 = np.zeros_like(flat)
-    update = np.empty_like(flat)
-    denom = np.empty_like(flat)
     step = 0
     trace: list[float] = []
     for epoch in range(cfg.epochs):
@@ -458,23 +456,10 @@ def train(examples: Sequence[DocumentOracles], cfg: TrainConfig) -> tuple[Model,
                 extraction.append(sent_nll)
                 compression.append(comp_nll)
                 step += 1
-                # moment1 = beta1 * moment1 + (1 - beta1) * grad
-                moment1 *= _BETA1
-                np.multiply(1 - _BETA1, grad, out=update)
-                moment1 += update
-                # moment2 = beta2 * moment2 + (1 - beta2) * grad * grad
-                moment2 *= _BETA2
-                np.multiply(1 - _BETA2, grad, out=update)
-                update *= grad
-                moment2 += update
-                # params -= learning_rate * m_hat / (sqrt(v_hat) + eps)
-                np.divide(moment2, 1 - _BETA2 ** step, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += _EPS
-                np.divide(moment1, 1 - _BETA1 ** step, out=update)
-                np.multiply(cfg.learning_rate, update, out=update)
-                update /= denom
-                flat -= update
+                moment1 = _BETA1 * moment1 + (1 - _BETA1) * grad
+                moment2 = _BETA2 * moment2 + (1 - _BETA2) * grad * grad
+                flat -= (cfg.learning_rate * (moment1 / (1 - _BETA1 ** step))
+                         / (np.sqrt(moment2 / (1 - _BETA2 ** step)) + _EPS))
         if not np.isfinite(flat).all():
             name = next(name for name in PARAM_ORDER if not np.isfinite(views[name]).all())
             raise ValueError(f"training diverged: parameter {name} holds a non-finite weight "

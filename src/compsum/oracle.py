@@ -97,7 +97,7 @@ def scoreable_sentences(doc: Document, k: int = 0) -> int:
     """How many leading sentences of doc can be selected; an error if fewer than k."""
     n = min(MAX_SENTS, len(doc.sentences))
     if n < k:
-        raise ValueError(f"document {doc.id!r} has {n} scoreable sentences but k={k}")
+        raise ValueError(f"document {quote(doc.id)} has {n} scoreable sentences but k={k}")
     return n
 
 
@@ -355,22 +355,20 @@ class DocumentOracles:
     labels: tuple[tuple[LabeledOption, ...], ...]  # per sentence
 
     def __post_init__(self):
-        doc = self.doc
         if not self.candidates:
-            raise ValueError(f"document {doc.id!r} has no oracles")
-        if len(self.labels) != len(doc.sentences):
-            raise ValueError(f"document {doc.id!r}: labels for {len(self.labels)} sentences, "
-                             f"document has {len(doc.sentences)}")
-        n = scoreable_sentences(doc)
+            raise ValueError("no oracles")
+        if len(self.labels) != len(self.doc.sentences):
+            raise ValueError(f"labels for {len(self.labels)} sentences, "
+                             f"document has {len(self.doc.sentences)}")
+        n = scoreable_sentences(self.doc)
         for oracle in self.candidates:
             indices = oracle.sentence_indices
             if not indices or min(indices) < 0 or len(set(indices)) < len(indices):
-                raise ValueError(f"document {doc.id!r}: oracle {list(indices)} is not a "
-                                 f"nonempty list of distinct sentence indices >= 0")
+                raise ValueError(f"oracle {list(indices)} is not a nonempty list of "
+                                 f"distinct sentence indices >= 0")
             beyond = [i for i in indices if i >= n]
             if beyond:
-                raise ValueError(f"document {doc.id!r}: oracle index {beyond[0]} >= {n} "
-                                 f"scoreable sentences")
+                raise ValueError(f"oracle index {beyond[0]} >= {n} scoreable sentences")
 
     def all_labeled(self) -> list[LabeledOption]:
         return [item for sent in self.labels for item in sent]
@@ -381,11 +379,12 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
     preprocessed, and each sentence's shared grams counted, once for both."""
     reference = doc.reference_tokens
     if not reference:
-        raise ValueError(f"document {doc.id!r} has no reference summary")
+        raise ValueError(f"document {quote(doc.id)} has no reference summary")
     n = scoreable_sentences(doc, cfg.k)
     kept = preprocess_tokens(reference, ORACLE_PREPROCESS)
     if not kept:
-        raise ValueError(f"document {doc.id!r} has no reference word left after preprocessing")
+        raise ValueError(
+            f"document {quote(doc.id)} has no reference word left after preprocessing")
     grams = ReferenceGrams(kept)
     per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS) for tree in doc.sentences]
     sents = [grams.shared([tok for tok in tokens if tok is not None]) for tokens in per_token]
@@ -453,10 +452,11 @@ def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracl
     node labels; a header whose oracle_config corpus.read_config rejects,
     an oracles, labels, label row or index list that corpus.list_of
     rejects, a score, r_before or r_after that is not a finite JSON number,
-    a node label that is not a string, a span outside its sentence, an
-    unknown rule, a KEEP/DEL label that disagrees with its r_before and
-    r_after, or a record DocumentOracles rejects is an error too. Every
-    error names the file, and the line of a record.
+    a node label that is not a string, a span outside its sentence, a
+    rule that is not the name of one, a label that is not the string KEEP
+    or DEL or that disagrees with its r_before and r_after, or a record
+    DocumentOracles rejects is an error too. Every error names the file,
+    and the line of a record and its document.
     """
     options: dict[tuple, CompressionOption] = {}
     try:
@@ -504,51 +504,47 @@ def _entry_from_record(record: dict, doc: Document,
     fingerprint = document_fingerprint(doc)
     if record["fingerprint"] != fingerprint:
         raise ValueError(
-            f"document {doc.id!r}: the cache is stale: it was built from fingerprint "
+            f"the cache is stale: it was built from fingerprint "
             f"{quote(record['fingerprint'])}, the corpus has {fingerprint}; {_REBUILD}")
     candidates = []
-    for entry in list_of(record["oracles"], dict, f"document {doc.id!r}: oracles"):
-        indices = list_of(entry["indices"], int, f"document {doc.id!r}: oracle indices")
+    for entry in list_of(record["oracles"], dict, "oracles"):
+        indices = list_of(entry["indices"], int, "oracle indices")
         score = entry["score"]
         if not _finite_number(score):
-            raise ValueError(f"document {doc.id!r}: oracle score {quote(score)} "
-                             f"is not a finite number")
+            raise ValueError(f"oracle score {quote(score)} is not a finite number")
         candidates.append(OracleCandidate(tuple(indices), float(score)))
     labels = []
-    rows = list_of(record["labels"], list, f"document {doc.id!r}: labels")
-    row = f"document {doc.id!r}: a label row"  # formatted once, not once per row
-    for sent_index, cached in enumerate(rows):
+    for sent_index, cached in enumerate(list_of(record["labels"], list, "labels")):
         # a row past the last sentence is left to DocumentOracles to reject
         n_tokens = (len(doc.sentences[sent_index].tokens) if sent_index < len(doc.sentences)
                     else math.inf)
         sent_labels = []
-        for item in list_of(cached, dict, row):
+        for item in list_of(cached, dict, "a label row"):
             start, end, rule = key = (item["start"], item["end"], item["rule"])
             if not (type(start) is int and type(end) is int and 0 <= start < end <= n_tokens):
-                raise ValueError(
-                    f"document {doc.id!r} sentence {sent_index}: cached option "
-                    f"{quote(key)} is no span of the sentence's {n_tokens} tokens")
-            if rule not in _RULES:
-                raise ValueError(
-                    f"document {doc.id!r} sentence {sent_index}: cached option "
-                    f"{quote(key)} names an unknown rule")
+                raise ValueError(f"sentence {sent_index}: cached option {quote(key)} is no "
+                                 f"span of the sentence's {n_tokens} tokens")
+            if type(rule) is not str or rule not in _RULES:
+                raise ValueError(f"sentence {sent_index}: cached option {quote(key)} "
+                                 f"names an unknown rule")
             r_before, r_after, node_label = item["r_before"], item["r_after"], item["node_label"]
             if not (_finite_number(r_before) and _finite_number(r_after)
                     and type(node_label) is str):
                 raise ValueError(
-                    f"document {doc.id!r} sentence {sent_index}: cached option {key} holds "
+                    f"sentence {sent_index}: cached option {key} holds "
                     f"r_before {quote(r_before)}, r_after {quote(r_after)} "
                     f"and node_label {quote(node_label)}, not two finite numbers "
                     f"and a string")
             r_before, r_after = float(r_before), float(r_after)
-            try:
-                label = _LABELS[item["label"]]
-            except (KeyError, TypeError):
-                label = CompressionLabel(item["label"])  # the error that names the value
+            value = item["label"]
+            label = _LABELS.get(value) if type(value) is str else None
+            if label is None:
+                raise ValueError(f"sentence {sent_index}: cached option {quote(key)} is "
+                                 f"labeled {quote(value)}, neither KEEP nor DEL")
             if label is not _label(r_before, r_after):
                 raise ValueError(
-                    f"document {doc.id!r} sentence {sent_index}: option {key} is labeled "
-                    f"{label.value}, which disagrees with r_before={r_before}, r_after={r_after}")
+                    f"sentence {sent_index}: option {key} is labeled {label.value}, "
+                    f"which disagrees with r_before={r_before}, r_after={r_after}")
             # an option is immutable, so one object serves every label of
             # an equal option in the file
             option_key = (*key, node_label)

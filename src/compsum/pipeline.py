@@ -262,7 +262,7 @@ def _evaluate(model: Model, corpus: Iterable[Document], taus: Sequence[float],
     tokens_before = evaluated = skipped = 0
     for doc in corpus:
         if not doc.reference_tokens:
-            logger.warning("document %s has no reference; skipped", doc.id)
+            logger.warning("document %s has no reference; skipped", quote(doc.id))
             skipped += 1
             continue
         scored = score_document(model, doc, cfg.k)
@@ -413,39 +413,36 @@ def summary_from_record(record: dict, doc: Document,
     text is the selected sentences' words outside the deleted spans, in
     document order. `doc_options` holds the document's extract_options per
     sentence."""
-    selected = list_of(record["selected"], int, f"document {doc.id!r}: selected")
+    selected = list_of(record["selected"], int, "selected")
     n = scoreable_sentences(doc)
     if any(not 0 <= i < n for i in selected) or len(set(selected)) < len(selected):
-        raise ValueError(f"document {doc.id!r}: selected {quote(selected)} is not a list "
-                         f"of distinct indices among its {n} scoreable sentences")
+        raise ValueError(f"selected {quote(selected)} is not a list of distinct indices "
+                         f"among its {n} scoreable sentences")
     options = {i: doc_options[i] for i in selected}
     deletions = []
     listed = set()
-    for d in list_of(record["deletions"], dict, f"document {doc.id!r}: deletions"):
+    for d in list_of(record["deletions"], dict, "deletions"):
         sentence, cause = d["sentence"], d["cause"]
         if type(sentence) is not int or sentence not in options:
-            raise ValueError(f"document {doc.id!r}: deletion in sentence "
-                             f"{quote(sentence)}, which is not selected")
+            raise ValueError(f"deletion in sentence {quote(sentence)}, which is not selected")
         if cause not in (CAUSE_MODEL, CAUSE_DEDUP):
-            raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion cause "
-                             f"{quote(cause)} is neither {CAUSE_MODEL} nor {CAUSE_DEDUP}")
+            raise ValueError(f"sentence {sentence}: deletion cause {quote(cause)} "
+                             f"is neither {CAUSE_MODEL} nor {CAUSE_DEDUP}")
         key = [d["start"], d["end"], d["rule"], d["label"]]
         option = next((o for o in options[sentence]
                        if [o.span.start, o.span.end, o.rule.value, o.node_label] == key), None)
         if option is None:
-            raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
-                             f"{quote(key)} is none of the sentence's options")
+            raise ValueError(f"sentence {sentence}: deletion {quote(key)} "
+                             f"is none of the sentence's options")
         if (sentence, option.span) in listed:
-            raise ValueError(f"document {doc.id!r} sentence {sentence}: deletion "
-                             f"{quote(key)} is listed twice")
+            raise ValueError(f"sentence {sentence}: deletion {quote(key)} is listed twice")
         listed.add((sentence, option.span))
         deletions.append(AppliedDeletion(sentence, option.span, cause, option.rule,
                                          option.node_label))
     text = [surviving_tokens(doc.sentences[i], [d.span for d in deletions if d.sentence == i])
             for i in sorted(selected)]
     if record["text"] != text:
-        raise ValueError(f"document {doc.id!r}: text is not the selected sentences' words "
-                         f"outside the deleted spans")
+        raise ValueError("text is not the selected sentences' words outside the deleted spans")
     return Summary(doc_id=doc.id, selected=tuple(selected), deletions=tuple(deletions),
                    text=tuple(map(tuple, text)))
 

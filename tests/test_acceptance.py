@@ -1,4 +1,5 @@
-"""Acceptance suite: the ten shipping criteria, one test each.
+"""Acceptance suite: the ten shipping criteria, one test each, and the
+paper's central claim on held-out documents.
 
 Each test prints a single pass line (visible with -s or in the captured
 output) after its assertions succeed. Tolerances and runtime budgets are
@@ -46,6 +47,7 @@ from compsum.oracle import (
 from compsum.pipeline import (
     CAUSE_MODEL,
     SummarizeConfig,
+    evaluate_corpus,
     stats_report,
     summarize,
     summary_to_record,
@@ -348,3 +350,24 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     ]
     assert again == produced
     report(10, "seeded training bit-identical; save/load exact; golden summaries stable")
+
+
+def test_compression_beats_extraction_on_held_out_documents():
+    # the paper's claim: with tau chosen on dev data, the joint model's
+    # compressed summaries score above its extractive ones (tau 0) on test
+    # data; measured here on 20 synthetic test documents: R-1 0.6667 ->
+    # 0.7097, R-2 0.6355 -> 0.6793 at the dev-chosen tau 0.4
+    docs, _ = corpusgen.learnable_corpus(count=200, seed=7)
+    train_docs, dev, test = docs[:160], docs[160:180], docs[180:]
+    model, _ = train(make_training_examples(train_docs, k=2, m=5),
+                     TrainConfig(epochs=2, learning_rate=0.001, alpha=1.0, seed=13))
+    points = sweep_threshold(model, dev, [i / 20 for i in range(21)], SummarizeConfig(k=2))
+    chosen = max(points, key=lambda point: (point.mean_f1, -point.tau)).tau
+    assert chosen > 0.0
+    extractive, compressive = (evaluate_corpus(model, test, SummarizeConfig(k=2, tau=tau))
+                               for tau in (0.0, chosen))
+    for index in (0, 1):  # ROUGE-1, ROUGE-2
+        before, after = extractive.mean.scores[index].f1, compressive.mean.scores[index].f1
+        assert after > before + 0.02, (index, before, after)
+    report(11, f"tau {chosen} chosen on dev; test ROUGE-1 F1 "
+               f"{extractive.mean.scores[0].f1:.4f} -> {compressive.mean.scores[0].f1:.4f}")

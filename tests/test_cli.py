@@ -434,8 +434,11 @@ def _first_sentence_summary(doc: Document) -> str:
 
 @pytest.mark.parametrize("lines, expected", [
     (["{not json"], ":1: malformed JSON"),
-    ([_first_sentence_summary, "", '{"doc_id": "doc0001", "deletions": [], "text": []}'],
-     ":3: missing key 'selected'"),
+    # a fixed id, the one the case had before the message named the document
+    pytest.param([_first_sentence_summary, "",
+                  '{"doc_id": "doc0001", "deletions": [], "text": []}'],
+                 ':3: document "doc0001": missing key \'selected\'',
+                 id="lines1-:3: missing key 'selected'"),
     (["[1]"], ":1: record is not a JSON object"),
 ])
 def test_bad_summaries_record_names_file_and_line(corpus_path, tmp_path, capsys,
@@ -490,7 +493,8 @@ def test_summaries_out_of_corpus_order_are_located_error(tmp_path, capsys, case)
     path = files["summaries.jsonl"]
     if case == "first-two-of-six":
         write_corpus(files["corpus.jsonl"], docs)
-        expected = f"{path}: no record of document {docs[2].id!r} or the documents after it"
+        expected = (f"{path}: no record of document {json.dumps(docs[2].id)} or the "
+                    f"documents after it")
     elif case == "two-swapped":
         _swap_lines(path, 1, 2)
         expected = (f"{path}:2: record of document {json.dumps(docs[2].id)} where the corpus "
@@ -563,7 +567,10 @@ def test_summary_record_is_checked_against_its_document(tmp_path, capsys, case):
         line = next(i for i, rec in enumerate(records, start=1) if rec["deletions"])
         _edit_jsonl(path, line - 1, edit)
     error = _stats_error(files, capsys)
-    assert error.startswith(f"{files['summaries.jsonl']}:{line}: document ")
+    # the reader names the record's document once; the check names only the field
+    quoted = json.dumps(docs[line - 1].id)
+    assert error.startswith(f"{files['summaries.jsonl']}:{line}: document {quoted}: ")
+    assert error.count(quoted) == 1
     assert message in error
     if case.endswith("too-long"):
         assert len(error) < len(f"{files['summaries.jsonl']}:{line}: ") + 200
@@ -579,7 +586,7 @@ def test_failed_command_leaves_no_partial_artifact(tmp_path, capsys, command):
             "--k", "7"]
     if command == "summarize":
         argv += ["--model", str(files["model.json"])]
-    expected = f"document {docs[0].id!r} has 6 scoreable sentences but k=7"
+    expected = f"document {json.dumps(docs[0].id)} has 6 scoreable sentences but k=7"
     for before in (None, b"kept\n"):
         if before is not None:
             out.write_bytes(before)
@@ -719,7 +726,7 @@ def test_gradcheck_of_an_empty_cache_is_error(corpus_path, tmp_path, capsys):
     assert code == 1
     first = next(load_corpus(corpus_path)).id
     assert _structured_error(capsys) == (
-        f"{oracles}: no record of document {first!r} or the documents after it: "
+        f"{oracles}: no record of document {json.dumps(first)} or the documents after it: "
         f"the cache is stale; {REBUILD}")
 
 
@@ -753,7 +760,8 @@ def test_oracle_build_rejects_a_reference_without_words(tmp_path, capsys):
     docs, corpus = _with_wordless_reference(tmp_path)
     out = tmp_path / "oracles.jsonl"
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(out), "--k", "2"]) == 1
-    assert _structured_error(capsys) == f"document {docs[1].id!r} has no reference summary"
+    assert _structured_error(capsys) == (
+        f"document {json.dumps(docs[1].id)} has no reference summary")
     assert not out.exists()
 
 
@@ -767,7 +775,7 @@ def test_oracle_build_rejects_a_reference_that_preprocessing_empties(tmp_path, c
     write_corpus(corpus, docs)
     assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(out), "--k", "2"]) == 1
     assert _structured_error(capsys) == (
-        f"document {docs[1].id!r} has no reference word left after preprocessing")
+        f"document {json.dumps(docs[1].id)} has no reference word left after preprocessing")
     assert not out.exists()
 
 
@@ -1129,6 +1137,20 @@ STALE_CACHES = {
                         f"\"doc0000\": the cache is stale; {REBUILD}"),
     "rule-too-long": ("oracles", 1, lambda rec: _first_label(rec).update(rule="R" * 100), 2,
                       "names an unknown rule"),
+    # a rule or label of another JSON type, each once raw Python text (an
+    # unhashable type, or "... is not a valid CompressionLabel" at any length)
+    "rule-list": ("oracles", 1, lambda rec: _first_label(rec).update(rule=["ADVP"]), 2,
+                  '["ADVP"]] names an unknown rule'),
+    "rule-object": ("oracles", 1, lambda rec: _first_label(rec).update(rule={"a": 1}), 2,
+                    '{"a": 1}] names an unknown rule'),
+    "label-too-long": ("oracles", 1, lambda rec: _first_label(rec).update(label="x" * 5000), 2,
+                       f"is labeled \"{'x' * 38}…, neither KEEP nor DEL"),
+    "label-list": ("oracles", 1, lambda rec: _first_label(rec).update(label=["KEEP"]), 2,
+                   'is labeled ["KEEP"], neither KEEP nor DEL'),
+    "label-null": ("oracles", 1, lambda rec: _first_label(rec).update(label=None), 2,
+                   "is labeled null, neither KEEP nor DEL"),
+    "label-lowercase": ("oracles", 1, lambda rec: _first_label(rec).update(label="del"), 2,
+                        'is labeled "del", neither KEEP nor DEL'),
     "indices-too-long": ("oracles", 1, lambda rec: rec["oracles"][0].update(
         indices=[0.5] * 100), 2, "oracle indices is not a list of integers"),
     # lists of the wrong shape, each once a raw Python error
@@ -1174,17 +1196,25 @@ def test_stale_cache_is_located_error(tmp_path, capsys, case):
     assert main(["train", "--corpus", str(files["corpus"]), "--oracles", str(files["oracles"]),
                  "--out", str(tmp_path / "model.json")]) == 1
     error = _structured_error(capsys)
-    assert error.startswith(f"{files['oracles']}:{line}: ")
+    where = f"{files['oracles']}:{line}: "
+    if line > 1:
+        # a record's fault names its document once: the reader says which,
+        # after the line, unless the record is not joined to it
+        quoted = json.dumps(cached[line - 1]["doc_id"])
+        assert error.count(quoted) == 1
+        if not message.startswith("record of document"):
+            where += f"document {quoted}: "
+    assert error.startswith(where)
     if message == "fingerprint":
         record = cached[line - 1]
         doc = next(d for d in load_corpus(files["corpus"]) if d.id == record["doc_id"])
-        assert error.endswith(
-            f"document {doc.id!r}: the cache is stale: it was built from fingerprint "
+        assert error == (
+            f"{where}the cache is stale: it was built from fingerprint "
             f"\"{record['fingerprint'][:38]}…, the corpus has {document_fingerprint(doc)}; "
             f"{REBUILD}")
     else:
         assert message in error
-    if case.endswith(("too-large", "too-long")):
+    if case.endswith(("too-large", "too-long")) or case.startswith(("rule-", "label-")):
         # besides the corpus's own fingerprint, a 64-character hash no file gives
         allowance = len(document_fingerprint(docs[0])) if case.startswith("fingerprint") else 0
         assert len(error) < len(f"{files['oracles']}:{line}: ") + 200 + allowance
@@ -1212,7 +1242,7 @@ def test_cache_of_part_of_the_corpus_is_error(tmp_path, capsys):
         capsys.readouterr()
         assert main(command) == 1, command[0]
         assert _structured_error(capsys) == (
-            f"{files['oracles']}: no record of document {docs[2].id!r} or the documents "
+            f"{files['oracles']}: no record of document {json.dumps(docs[2].id)} or the documents "
             f"after it: the cache is stale; {REBUILD}")
     assert not (tmp_path / "model.json").exists()
     assert not (tmp_path / "stats.csv").exists()
@@ -1243,7 +1273,7 @@ def test_duplicate_document_id_is_error(tmp_path, capsys):
     code = main(["stats", "--corpus", str(corpus), "--out", str(tmp_path / "stats.csv")])
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert "duplicate document id 'fix-relative'" in payload["error"]
+    assert 'duplicate document id "fix-relative"' in payload["error"]
 
 
 def test_max_sents_is_no_flag_or_config_key(corpus_path, tmp_path, capsys):
@@ -1314,4 +1344,4 @@ def test_oracle_index_beyond_max_sents_is_error(tmp_path, capsys):
         capsys.readouterr()
         assert main([*command, "--corpus", str(corpus), "--oracles", str(oracles)]) == 1
         assert _structured_error(capsys) == (
-            f"{oracles}:2: document 'b0': oracle index 40 >= 30 scoreable sentences")
+            f'{oracles}:2: document "b0": oracle index 40 >= 30 scoreable sentences')

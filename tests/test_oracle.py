@@ -99,7 +99,8 @@ class TestBeamSearch:
         # it once got oracle (0, 1, 2) with score 0.0 and only KEEP labels
         doc = corpusgen.learnable_corpus(count=2, seed=5)[0][0]
         doc = Document(id=doc.id, sentences=doc.sentences, reference=(("the", "of", "."),))
-        with pytest.raises(ValueError, match=f"document {doc.id!r} has no reference word left"):
+        expected = f"document {json.dumps(doc.id)} has no reference word left"
+        with pytest.raises(ValueError, match=expected):
             build_document_oracles(doc, OracleConfig())
 
     def test_beam_scores_non_increasing(self):
@@ -157,9 +158,9 @@ class TestBeamSearch:
         assert MAX_SENTS == 30
         assert scoreable_sentences(long_doc, MAX_SENTS) == MAX_SENTS
         assert scoreable_sentences(short_doc, 4) == 4
-        with pytest.raises(ValueError, match="'short' has 4 scoreable sentences but k=5"):
+        with pytest.raises(ValueError, match='"short" has 4 scoreable sentences but k=5'):
             scoreable_sentences(short_doc, 5)
-        with pytest.raises(ValueError, match="'long' has 30 scoreable sentences but k=31"):
+        with pytest.raises(ValueError, match='"long" has 30 scoreable sentences but k=31'):
             exhaustive_oracle(long_doc, ["w0"], 31)
 
 
@@ -622,7 +623,7 @@ class TestCache:
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, docs)
         assert str(error.value) == (
-            f"{path}:{line}: document {records[line - 2]['doc_id']!r} sentence {sent}: "
+            f"{path}:{line}: document {json.dumps(records[line - 2]['doc_id'])}: sentence {sent}: "
             f"option {key} is labeled {flipped}, which disagrees with "
             f"r_before={item['r_before']}, r_after={item['r_after']}")
 
@@ -639,7 +640,7 @@ class TestCache:
         n = len(doc.sentences)
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, [doc])
-        assert str(error.value) == (f"{path}:2: document {doc.id!r}: labels for {n + 1} "
+        assert str(error.value) == (f"{path}:2: document {json.dumps(doc.id)}: labels for {n + 1} "
                                     f"sentences, document has {n}")
 
     @pytest.mark.parametrize("indices", [[1.5, 0], "10", [True, 0]],
@@ -653,7 +654,7 @@ class TestCache:
         _write_cache(path, [record])
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, [doc])
-        assert str(error.value) == (f"{path}:2: document {doc.id!r}: oracle indices "
+        assert str(error.value) == (f"{path}:2: document {json.dumps(doc.id)}: oracle indices "
                                     "is not a list of integers")
 
     def test_built_oracles_are_the_beam_head_on_the_document_itself(self):
