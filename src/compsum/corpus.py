@@ -18,7 +18,8 @@ Every JSONL file is written by write_records, so a command that fails
 leaves no partial file. read_records reads an artifact of the corpus (the
 oracle cache, the summaries) back, joining its i-th record to document i.
 Every reader of a file checks what it reads with read_config (a config
-object), list_of (a list of one JSON type) and quote (a value an error shows).
+object), list_of (a list of one JSON type), same_json (a value it must hold
+exactly) and quote (a value an error shows).
 
 The two loops that read a file, load_corpus and read_records, are the only
 code that says which document a fault in a record belongs to: each puts
@@ -150,6 +151,12 @@ def quote(value) -> str:
     """value's JSON text, cut to _QUOTED_CHARS characters ending "…" if longer."""
     text = json.dumps(value)
     return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS - 1] + "…"
+
+
+def same_json(value, expected) -> bool:
+    """Whether value, read from a file, is expected as JSON: equal and of the
+    same JSON type throughout, so neither 1.0 nor true is the integer 1."""
+    return json.dumps(value, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def list_of(value, kind: type, what: str) -> list:

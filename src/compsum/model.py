@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import quote, read_config
+from .corpus import quote, read_config, same_json
 from .features import (
     DECODER_INPUT_DIM,
     OPTION_FEATURE_DIM,
@@ -110,12 +110,12 @@ def load_model(path) -> Model:
         raise ModelFormatError(f"corrupt model file {path}: not an object")
     try:
         version = payload.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
+        if not same_json(version, MODEL_FORMAT_VERSION):
             raise ValueError(f"unsupported model format version {quote(version)} "
                              f"(expected {MODEL_FORMAT_VERSION})")
-        if payload.get("feature_dims") != FEATURE_DIMS:
+        if not same_json(payload.get("feature_dims"), FEATURE_DIMS):
             raise ValueError(f"model feature dimensions {quote(payload.get('feature_dims'))} "
-                             f"do not match this build {FEATURE_DIMS}")
+                             "do not match this build " + json.dumps(FEATURE_DIMS))
         hidden = payload["hidden_size"]
         if type(hidden) is not int or hidden < 1:
             raise ValueError(f"hidden_size {quote(hidden)} is not an integer >= 1")
@@ -328,25 +328,30 @@ def _logsumexp(z: np.ndarray):
 # bit for bit.
 
 
+def _step_terms(params: dict, step: _Step, zero):
+    """A step's two forward passes: its extraction NLL, the summed logistic
+    loss of its options (`zero` without options), the activations, pointer
+    scores and logz, and the options' hidden layer and logits (None without
+    options)."""
+    act, scores = _extraction_forward(params, step.decoder_input, step.sent_feats)
+    logz = _logsumexp(scores)
+    hidden = z = None
+    comp_term = zero
+    if step.option_feats.shape[0]:
+        hidden, z = _compression_forward(params, step.option_feats)
+        comp_term = np.add.reduce(np.logaddexp(0.0, z) - step.option_targets * z)
+    return logz - scores[step.target_pos], comp_term, act, scores, logz, hidden, z
+
+
 def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float):
     # Accumulates in the dtype of the inputs so the extended-precision
     # gradient-check path is not silently rounded back to float64.
     zero = compiled.steps[0].sent_feats.dtype.type(0.0)
-    sent_terms = []
-    comp_terms = []
-    for step in compiled.steps:
-        _, scores = _extraction_forward(params, step.decoder_input, step.sent_feats)
-        sent_terms.append(_logsumexp(scores) - scores[step.target_pos])
-        if step.option_feats.shape[0]:
-            _, z = _compression_forward(params, step.option_feats)
-            y = step.option_targets
-            comp_terms.append(np.add.reduce(np.logaddexp(0.0, z) - y * z))
-        else:
-            comp_terms.append(zero)
+    terms = [_step_terms(params, step, zero)[:2] for step in compiled.steps]
     sent_nll = comp_nll = zero
     for index in compiled.order:
-        sent_nll += sent_terms[index]
-        comp_nll += comp_terms[index]
+        sent_nll += terms[index][0]
+        comp_nll += terms[index][1]
     return sent_nll / compiled.oracle_count + alpha * comp_nll
 
 
@@ -370,15 +375,13 @@ def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
     steps = compiled.steps
     increments, step_grads = _flat_buffer(
         {name: params[name].shape for name in PARAM_ORDER}, len(steps))
-    sent_terms = []
-    comp_terms = []
+    terms = []
     inv_m = 1.0 / compiled.oracle_count
     w_m, w2 = params["w_m"], params["w2"]
     for index, step in enumerate(steps):
         feats = step.sent_feats
-        act, scores = _extraction_forward(params, step.decoder_input, feats)
-        logz = _logsumexp(scores)
-        sent_terms.append(logz - scores[step.target_pos])
+        sent_term, comp_term, act, scores, logz, hidden, z = _step_terms(params, step, 0.0)
+        terms.append((sent_term, float(comp_term)))
         dz = np.exp(scores - logz)
         dz[step.target_pos] -= 1.0
         dz *= inv_m
@@ -389,24 +392,19 @@ def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
         step_grads["b_s"][index] = dact_sum
         np.multiply(dact_sum[:, None], step.decoder_input, out=step_grads["w_d"][index])
 
-        if step.option_feats.shape[0]:
-            hidden, z = _compression_forward(params, step.option_feats)
-            y = step.option_targets
-            comp_terms.append(float(np.add.reduce(np.logaddexp(0.0, z) - y * z)))
-            dzc = alpha * (_sigmoid(z) - y)
+        if hidden is not None:
+            dzc = alpha * (_sigmoid(z) - step.option_targets)
             step_grads["w2"][index] = hidden.T @ dzc
             step_grads["b2"][index] = np.add.reduce(dzc, keepdims=True)
             dhid = dzc[:, None] * w2 * (1.0 - hidden * hidden)
             step_grads["w1"][index] = dhid.T @ step.option_feats
             step_grads["b1"][index] = np.add.reduce(dhid, axis=0)
-        else:
-            comp_terms.append(0.0)
     sent_nll = 0.0
     comp_nll = 0.0
     grad = np.zeros(increments.shape[1])
     for index in compiled.order:
-        sent_nll += sent_terms[index]
-        comp_nll += comp_terms[index]
+        sent_nll += terms[index][0]
+        comp_nll += terms[index][1]
         grad += increments[index]
     return sent_nll * inv_m, comp_nll, grad
 

@@ -66,7 +66,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Document, list_of, quote, read_config, read_records, write_records
+from .corpus import Document, list_of, quote, read_config, read_records, same_json, write_records
 from .rouge import (
     ORACLE_PREPROCESS,
     ReferenceGrams,
@@ -332,15 +332,13 @@ def label_compressions(grams: ReferenceGrams, per_token: Sequence[str | None],
 def compressability_report(
     labeled: Iterable[LabeledOption],
 ) -> dict[CompressabilityBucket, float]:
-    """Percentage of options per bucket; percentages sum to 100."""
-    counts = {bucket: 0 for bucket in CompressabilityBucket}
-    total = 0
-    for item in labeled:
-        counts[bucket_of(item)] += 1
-        total += 1
+    """Percentage of options per bucket; percentages sum to 100. The options
+    are counted per bucket in one pass."""
+    counts = Counter(map(bucket_of, labeled))
+    total = counts.total()
     if total == 0:
         raise ValueError("empty corpus: no labeled options")
-    return {bucket: 100.0 * count / total for bucket, count in counts.items()}
+    return {bucket: 100.0 * counts[bucket] / total for bucket in CompressabilityBucket}
 
 
 @dataclass(frozen=True)
@@ -445,9 +443,10 @@ def read_oracle_cache(path, documents: Iterable[Document]) -> list[DocumentOracl
     the order `oracle build` writes them in (corpus.read_records).
 
     The first record must be the header of this version, built under these
-    rules and this preprocessing; each record must be of the document at
-    its place, with the fingerprint it was built from, and every document
-    must have one. Otherwise the cache is stale and is an error that says
+    rules and this preprocessing, each the same JSON value
+    (corpus.same_json); each record must be of the document at its place,
+    with the fingerprint it was built from, and every document must have
+    one. Otherwise the cache is stale and is an error that says
     how to rebuild it. Options are built from the cached spans, rules and
     node labels; a header whose oracle_config corpus.read_config rejects,
     an oracles, labels, label row or index list that corpus.list_of
@@ -474,14 +473,14 @@ def _check_header(record: dict) -> None:
             raise ValueError(f"oracle cache has no header, so it is of format version 1; "
                              f"this version reads version {CACHE_VERSION}: {_REBUILD}")
         raise ValueError(f"first record is not an oracle cache header: {_REBUILD}")
-    if record["version"] != CACHE_VERSION:
+    if not same_json(record["version"], CACHE_VERSION):
         raise ValueError(f"oracle cache is of format version {quote(record['version'])}; "
                          f"this version reads version {CACHE_VERSION}: {_REBUILD}")
-    if record["rules_version"] != RULES_VERSION:
+    if not same_json(record["rules_version"], RULES_VERSION):
         raise ValueError(f"oracle cache was labeled under rules version "
                          f"{quote(record['rules_version'])}, the rules are version "
                          f"{RULES_VERSION}: {_REBUILD}")
-    if record["preprocess"] != _PREPROCESS_RECORD:
+    if not same_json(record["preprocess"], _PREPROCESS_RECORD):
         raise ValueError(f"oracle cache was scored under other preprocessing than "
                          f"ORACLE_PREPROCESS: {_REBUILD}")
     try:
@@ -531,7 +530,7 @@ def _entry_from_record(record: dict, doc: Document,
             if not (_finite_number(r_before) and _finite_number(r_after)
                     and type(node_label) is str):
                 raise ValueError(
-                    f"sentence {sent_index}: cached option {key} holds "
+                    f"sentence {sent_index}: cached option {quote(key)} holds "
                     f"r_before {quote(r_before)}, r_after {quote(r_after)} "
                     f"and node_label {quote(node_label)}, not two finite numbers "
                     f"and a string")
@@ -543,8 +542,9 @@ def _entry_from_record(record: dict, doc: Document,
                                  f"labeled {quote(value)}, neither KEEP nor DEL")
             if label is not _label(r_before, r_after):
                 raise ValueError(
-                    f"sentence {sent_index}: option {key} is labeled {label.value}, "
-                    f"which disagrees with r_before={r_before}, r_after={r_after}")
+                    f"sentence {sent_index}: cached option {quote(key)} is labeled "
+                    f"{label.value}, which disagrees with r_before={r_before}, "
+                    f"r_after={r_after}")
             # an option is immutable, so one object serves every label of
             # an equal option in the file
             option_key = (*key, node_label)

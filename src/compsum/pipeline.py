@@ -30,6 +30,7 @@ options extract_options gave each sentence.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -339,52 +340,40 @@ def stats_report(options: Sequence[Sequence[Sequence[CompressionOption]]],
     given, otherwise the share among all available options. comp_acc is the
     oracle DEL rate for the type; dedup_pct the share of its applied
     deletions coming from deduplication rather than the model.
+
+    Each input is read once into integer counts per node label: options and
+    their total span length, labeled and DEL-labeled options, applied and
+    DEDUP deletions. Every figure is the ratio of two of them.
     """
-    lengths: dict[str, list[int]] = {}
+    count: Counter[str] = Counter()
+    length: Counter[str] = Counter()
     for doc_options in options:
         for sentence_options in doc_options:
             for option in sentence_options:
-                lengths.setdefault(option.node_label, []).append(len(option.span))
+                count[option.node_label] += 1
+                length[option.node_label] += len(option.span)
+    labeled: Counter[str] = Counter()
+    deleted: Counter[str] = Counter()
+    for entry in oracles or ():
+        for lab in entry.all_labeled():
+            labeled[lab.option.node_label] += 1
+            deleted[lab.option.node_label] += lab.label is CompressionLabel.DEL
+    applied: Counter[str] = Counter()
+    dedup: Counter[str] = Counter()
+    for summary in summaries or ():
+        for deletion in summary.deletions:
+            applied[deletion.node_label] += 1
+            dedup[deletion.node_label] += deletion.cause == CAUSE_DEDUP
 
-    del_counts: Counter[str] = Counter()
-    labeled_counts: Counter[str] = Counter()
-    if oracles is not None:
-        for entry in oracles:
-            for lab in entry.all_labeled():
-                label = lab.option.node_label
-                labeled_counts[label] += 1
-                if lab.label is CompressionLabel.DEL:
-                    del_counts[label] += 1
-
-    applied_counts: Counter[str] = Counter()
-    dedup_counts: Counter[str] = Counter()
-    if summaries is not None:
-        for summary in summaries:
-            for deletion in summary.deletions:
-                applied_counts[deletion.node_label] += 1
-                if deletion.cause == CAUSE_DEDUP:
-                    dedup_counts[deletion.node_label] += 1
-
-    share_base = (applied_counts if summaries is not None
-                  else {label: len(spans) for label, spans in lengths.items()})
-    share_total = sum(share_base.values())
-    rows = []
-    for label in sorted(lengths, key=lambda lab: (-share_base[lab], lab)):
-        spans = lengths[label]
-        share = 100.0 * share_base[label] / share_total if share_total else 0.0
-        comp_acc = None
-        if labeled_counts[label]:
-            comp_acc = 100.0 * del_counts[label] / labeled_counts[label]
-        dedup_pct = None
-        if applied_counts[label]:
-            dedup_pct = 100.0 * dedup_counts[label] / applied_counts[label]
-        rows.append(StatsRow(
-            node_label=label,
-            mean_len=sum(spans) / len(spans),
-            pct_of_comps=share,
-            comp_acc=comp_acc,
-            dedup_pct=dedup_pct))
-    return rows
+    share = applied if summaries is not None else count
+    share_total = share.total()
+    return [StatsRow(
+        node_label=label,
+        mean_len=length[label] / count[label],
+        pct_of_comps=100.0 * share[label] / share_total if share_total else 0.0,
+        comp_acc=100.0 * deleted[label] / labeled[label] if labeled[label] else None,
+        dedup_pct=100.0 * dedup[label] / applied[label] if applied[label] else None)
+        for label in sorted(count, key=lambda lab: (-share[lab], lab))]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +398,8 @@ def summary_from_record(record: dict, doc: Document,
     """The summary a record holds, checked against its document: selected
     holds distinct scoreable sentences; each deletion is in one of them, is
     caused by MODEL or DEDUP, has the span, rule and label of one of its
-    sentence's extract_options, from which it is built, and is listed once;
+    sentence's extract_options, each of its JSON type, from which it is
+    built, and is listed once;
     text is the selected sentences' words outside the deleted spans, in
     document order. `doc_options` holds the document's extract_options per
     sentence."""
@@ -418,7 +408,10 @@ def summary_from_record(record: dict, doc: Document,
     if any(not 0 <= i < n for i in selected) or len(set(selected)) < len(selected):
         raise ValueError(f"selected {quote(selected)} is not a list of distinct indices "
                          f"among its {n} scoreable sentences")
-    options = {i: doc_options[i] for i in selected}
+    # each selected sentence's options by the JSON text of their fields in a
+    # record, so a field matches only a value of its JSON type
+    options = {i: {json.dumps([o.span.start, o.span.end, o.rule.value, o.node_label]): o
+                   for o in doc_options[i]} for i in selected}
     deletions = []
     listed = set()
     for d in list_of(record["deletions"], dict, "deletions"):
@@ -429,8 +422,7 @@ def summary_from_record(record: dict, doc: Document,
             raise ValueError(f"sentence {sentence}: deletion cause {quote(cause)} "
                              f"is neither {CAUSE_MODEL} nor {CAUSE_DEDUP}")
         key = [d["start"], d["end"], d["rule"], d["label"]]
-        option = next((o for o in options[sentence]
-                       if [o.span.start, o.span.end, o.rule.value, o.node_label] == key), None)
+        option = options[sentence].get(json.dumps(key))
         if option is None:
             raise ValueError(f"sentence {sentence}: deletion {quote(key)} "
                              f"is none of the sentence's options")

@@ -514,6 +514,14 @@ def _other_rule(deletion: dict) -> None:
     deletion["rule"] = next(rule.value for rule in RuleId if rule.value != deletion["rule"])
 
 
+def _retyped(record: dict, key: str, kind: type) -> None:
+    """Replace record[key] with the equal value of another JSON type, such as
+    true or 1.0 for 1."""
+    value = kind(record[key])
+    assert value == record[key]
+    record[key] = value
+
+
 SUMMARY_RECORD_FAULTS = {
     "selected-not-a-list": (lambda rec: rec.update(selected="x"),
                             "selected is not a list of integers"),
@@ -540,6 +548,13 @@ SUMMARY_RECORD_FAULTS = {
                                 "is none of the sentence's options"),
     "deletion-rule-of-another-option": (lambda rec: _other_rule(_first_deletion(rec)),
                                         "is none of the sentence's options"),
+    # each once matched to the option [1, 2, ...] by ==
+    "deletion-start-true": (lambda rec: _retyped(_first_deletion(rec), "start", bool),
+                            "deletion [true, 2, "),
+    "deletion-start-float": (lambda rec: _retyped(_first_deletion(rec), "start", float),
+                             "deletion [1.0, 2, "),
+    "deletion-end-float": (lambda rec: _retyped(_first_deletion(rec), "end", float),
+                           "deletion [1, 2.0, "),
     # once counted twice by stats; the text is the same either way
     "deletion-listed-twice": (lambda rec: rec["deletions"].append(dict(_first_deletion(rec))),
                               "is listed twice"),
@@ -607,6 +622,8 @@ def test_missing_corpus_is_structured_error(tmp_path, capsys):
     assert "error" in payload and payload["command"] == "options"
 
 
+_FLOAT_DIMS = {name: float(dim) for name, dim in model_mod.FEATURE_DIMS.items()}
+
 # edits of a model file written by save_model, and the error after its path
 MALFORMED_MODELS = {
     "config-not-an-object": (lambda p: p.update(train_config=5),
@@ -644,8 +661,16 @@ MALFORMED_MODELS = {
                                 f"{model_mod.MODEL_FORMAT_VERSION})"),
     "feature-dims-too-long": (lambda p: p.update(feature_dims="x" * 5000),
                               f"model feature dimensions \"{'x' * 38}… do not match this build "
-                              f"{model_mod.FEATURE_DIMS}"),
+                              f"{json.dumps(model_mod.FEATURE_DIMS)}"),
     "no-train-config": (lambda p: p.pop("train_config"), "missing key 'train_config'"),
+    # each once read as the value it equals
+    "format-version-true": (lambda p: p.update(format_version=True),
+                            "unsupported model format version true (expected 1)"),
+    "format-version-float": (lambda p: p.update(format_version=1.0),
+                             "unsupported model format version 1.0 (expected 1)"),
+    "feature-dims-floats": (lambda p: p.update(feature_dims=_FLOAT_DIMS),
+                            f"model feature dimensions {json.dumps(_FLOAT_DIMS)[:39]}… do not "
+                            f"match this build {json.dumps(model_mod.FEATURE_DIMS)}"),
 }
 
 
@@ -1076,6 +1101,11 @@ def _drop_header(oracles: Path) -> None:
     oracles.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
 
 
+def _numbered_preprocess(header: dict) -> None:
+    _retyped(header["preprocess"], "lowercase", int)
+    _retyped(header["preprocess"], "stem", float)
+
+
 REBUILD = "rebuild it with `compsum oracle build`"
 
 
@@ -1098,13 +1128,26 @@ STALE_CACHES = {
     "preprocess": ("oracles", 0, lambda rec: rec["preprocess"].update(stem=False), 1,
                    f"oracle cache was scored under other preprocessing than "
                    f"ORACLE_PREPROCESS: {REBUILD}"),
+    # each once read as the value it equals
+    "version-float": ("oracles", 0, lambda rec: _retyped(rec, "version", float), 1,
+                      f"oracle cache is of format version 2.0; this version reads version 2: "
+                      f"{REBUILD}"),
+    "rules-version-true": ("oracles", 0, lambda rec: _retyped(rec, "rules_version", bool), 1,
+                           f"oracle cache was labeled under rules version true, the rules are "
+                           f"version 1: {REBUILD}"),
+    "rules-version-float": ("oracles", 0, lambda rec: _retyped(rec, "rules_version", float), 1,
+                            f"oracle cache was labeled under rules version 1.0, the rules are "
+                            f"version 1: {REBUILD}"),
+    "preprocess-numbers": ("oracles", 0, _numbered_preprocess, 1,
+                           f"oracle cache was scored under other preprocessing than "
+                           f"ORACLE_PREPROCESS: {REBUILD}"),
     "span-past-end": ("oracles", 1, lambda rec: _first_label(rec).update(end=99), 2,
                       "is no span of the sentence's"),
     "unknown-rule": ("oracles", 1, lambda rec: _first_label(rec).update(rule="NO_SUCH_RULE"),
                      2, "names an unknown rule"),
     # values of the wrong JSON type, each once read without a word
     "r-before-string": ("oracles", 1, lambda rec: _first_label(rec).update(
-        r_before=str(_first_label(rec)["r_before"])), 2, 'holds r_before "'),
+        r_before=str(_first_label(rec)["r_before"])), 2, '"] holds r_before "'),
     "node-label-integer": ("oracles", 1, lambda rec: _first_label(rec).update(node_label=5),
                            2, "and node_label 5, not two finite numbers and a string"),
     "r-after-nan": ("oracles", 1, lambda rec: _first_label(rec).update(r_after=math.nan), 2,

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import corpusgen
 import reference_oracle
+import reference_pipeline
 from reference_oracle import exhaustive_oracle, oracle_inputs
 from compsum import Document, parse_ptb
 from compsum import oracle as oracle_mod
@@ -461,6 +462,19 @@ class TestBuckets:
                 for r in rng.uniform(0.5, 1.5, size=37)]
         assert sum(compressability_report(labs).values()) == pytest.approx(100.0)
 
+    # r_before 0 (a ratio of 1.0 or inf) and ratios of exactly 1.0 and 1.05
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                              st.sampled_from((0.0, 0.5, 1.0, 1.05, 2.0, 2.1))
+                              | st.floats(0.0, 3.0)), min_size=1, max_size=8))
+    @example([(1.0, 1.0), (1.0, 1.05), (2.0, 2.1), (0.0, 0.0), (0.0, 0.5)])
+    def test_report_equals_the_per_option_reference(self, scores):
+        option = CompressionOption(Span(0, 1), RuleId.ADVP, "RB")
+        labs = [LabeledOption(option, r_before, r_after, CompressionLabel.KEEP)
+                for r_before, r_after in scores]
+        assert (list(compressability_report(iter(labs)).items())
+                == list(reference_pipeline.compressability_report(labs).items()))
+
 
 def _write_cache(path, records, cfg=OracleConfig(k=1, m=1)):
     """A cache file of hand-made document records after the header for cfg."""
@@ -619,12 +633,12 @@ class TestCache:
         item["label"] = flipped
         path = tmp_path / "bad.jsonl"
         _write_cache(path, records)
-        key = (item["start"], item["end"], item["rule"])
+        key = [item["start"], item["end"], item["rule"]]
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, docs)
         assert str(error.value) == (
             f"{path}:{line}: document {json.dumps(records[line - 2]['doc_id'])}: sentence {sent}: "
-            f"option {key} is labeled {flipped}, which disagrees with "
+            f"cached option {json.dumps(key)} is labeled {flipped}, which disagrees with "
             f"r_before={item['r_before']}, r_after={item['r_after']}")
 
     @pytest.mark.parametrize("extra", [[], [{"start": 0, "end": 1, "rule": "ADVP",

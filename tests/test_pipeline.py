@@ -2,13 +2,15 @@
 
 import json
 import logging
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import corpusgen
+import reference_pipeline
 import reference_rouge
 from reference_model import decode_greedy
 from compsum import Document, parse_ptb
@@ -20,7 +22,15 @@ from compsum.corpus import (
     write_corpus,
 )
 from compsum.model import TrainConfig, init_model, train
-from compsum.oracle import MAX_SENTS, CompressionLabel, OracleConfig, build_document_oracles
+from compsum.oracle import (
+    MAX_SENTS,
+    CompressionLabel,
+    DocumentOracles,
+    LabeledOption,
+    OracleCandidate,
+    OracleConfig,
+    build_document_oracles,
+)
 from compsum.pipeline import (
     CAUSE_DEDUP,
     CAUSE_MODEL,
@@ -785,6 +795,47 @@ def _options(docs):
     return [[extract_options(tree) for tree in doc.sentences] for doc in docs]
 
 
+def _traced_peak(function, *args) -> int:
+    """Bytes function(*args) allocates at its peak beyond what was allocated
+    before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        function(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# Options, labels and deletions of a few node types; NP has no option, so
+# its labels and deletions count in no row but its deletions in the shares.
+_STAT_LABELS = ("JJ", "PP", "SBAR")
+_JJ_OPTION = CompressionOption(Span(1, 2), RuleId.ADJP_IN_NP, "JJ")
+_stat_options = st.builds(
+    lambda start, width, label: CompressionOption(Span(start, start + width), RuleId.ADVP, label),
+    st.integers(0, 5), st.integers(1, 4), st.sampled_from(_STAT_LABELS))
+_stat_labels_and_np = st.sampled_from((*_STAT_LABELS, "NP"))
+_stat_summaries = st.builds(
+    lambda deletions: Summary("d", (0,), tuple(deletions), ()),
+    st.lists(st.builds(AppliedDeletion, st.integers(0, 2), st.just(Span(0, 1)),
+                       st.sampled_from((CAUSE_MODEL, CAUSE_DEDUP)), st.just(RuleId.ADVP),
+                       _stat_labels_and_np), max_size=4))
+_STAT_DOC = corpusgen.fixture_corpus()[0]
+
+
+@st.composite
+def _stat_oracles(draw):
+    """Oracles of one fixed document whose label rows are drawn."""
+    labels = tuple(
+        tuple(LabeledOption(CompressionOption(Span(0, 1), RuleId.ADVP, node_label),
+                            1.0, 1.0, label)
+              for node_label, label in draw(st.lists(
+                  st.tuples(_stat_labels_and_np, st.sampled_from(CompressionLabel)),
+                  max_size=3)))
+        for _ in _STAT_DOC.sentences)
+    return DocumentOracles(_STAT_DOC, (OracleCandidate((0,), 0.0),), labels)
+
+
 class TestStats:
     def test_option_only_shares(self):
         docs = corpusgen.fixture_corpus()
@@ -809,3 +860,26 @@ class TestStats:
             assert row.comp_acc is None or 0.0 <= row.comp_acc <= 100.0
         applied = [row for row in rows if row.dedup_pct is not None]
         assert applied, "some node type should have applied deletions"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(options=st.lists(st.lists(st.lists(_stat_options, max_size=3), max_size=3),
+                            max_size=3),
+           oracles=st.none() | st.lists(_stat_oracles(), max_size=3),
+           summaries=st.none() | st.lists(_stat_summaries, max_size=3))
+    # no oracles and no summaries
+    @example(options=[[[_JJ_OPTION]]], oracles=None, summaries=None)
+    # no deletion, so every share is 0.0; a type without labels (comp_acc
+    # None) and one without applied deletions (dedup_pct None)
+    @example(options=[[[_JJ_OPTION]]], oracles=[],
+             summaries=[Summary("d", (0,), (), ())])
+    def test_rows_equal_the_per_option_reference(self, options, oracles, summaries):
+        assert (stats_report(options, oracles, summaries)
+                == reference_pipeline.stats_report(options, oracles, summaries))
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self):
+        # the per-option lengths it once kept grew the peak 4x with the corpus
+        docs, _ = corpusgen.learnable_corpus(count=600, seed=5)
+        options = _options(docs)
+        small, large = options[:150], options
+        stats_report(small), stats_report(large)
+        assert _traced_peak(stats_report, large) < 1.3 * _traced_peak(stats_report, small)
