@@ -52,6 +52,8 @@ FEATURE_DIMS = {
     "decoder_input": DECODER_INPUT_DIM,
     "option": OPTION_FEATURE_DIM,
 }
+# A constant of the build, so an error shows it in full rather than quoted
+_FEATURE_DIMS_JSON = json.dumps(FEATURE_DIMS)
 
 
 def param_shapes(hidden_size: int) -> dict[str, tuple[int, ...]]:
@@ -115,7 +117,7 @@ def load_model(path) -> Model:
                              f"(expected {MODEL_FORMAT_VERSION})")
         if not same_json(payload.get("feature_dims"), FEATURE_DIMS):
             raise ValueError(f"model feature dimensions {quote(payload.get('feature_dims'))} "
-                             "do not match this build " + json.dumps(FEATURE_DIMS))
+                             f"do not match this build {_FEATURE_DIMS_JSON}")
         hidden = payload["hidden_size"]
         if type(hidden) is not int or hidden < 1:
             raise ValueError(f"hidden_size {quote(hidden)} is not an integer >= 1")

@@ -20,17 +20,24 @@ unigrams and bigrams, their clipped match totals and its length; an
 extension by sentence i is scored from them without being counted: i's
 shared grams are added (a gram matches while its count is below the
 reference's), the bigram that joined i's nonempty neighbours goes and up
-to two joins to i come. Only the states a round keeps get counts of their
+to two joins to i come. A round tells its subsets apart by a bitmask of
+their indices and ranks by (-score, sorted indices) only the extensions
+that score at least its beam_width-th best, ties included, so only those
+get an index tuple. Only the states a round keeps get counts of their
 own, their parent's plus that change. A label scores the sentence's counts
 less the option's span: the span's grams and the bigrams at its two ends
-go, the bigram across the cut comes. The match counts are the integers
-rouge_n computes, so every score is the float approx_score_pretokenized
-gives on the joined tokens. All text is preprocessed with the fixed
-rouge.ORACLE_PREPROCESS (lowercase, stopwords and punctuation dropped,
-stemmed). A reference that it leaves without a word is an error naming the
-document, since every subset would score 0.0 and every label be KEEP. The
-exhaustive oracle and the from-scratch beam and labels that the tests
-compare these with live in tests/reference_oracle.py.
+go, the bigram across the cut comes. The sentence's kept tokens are listed
+once, as the sorted positions of those that are reference unigrams and of
+those that begin reference bigrams; a cut finds its shared grams in these
+lists by bisection, so a span holding none changes no match count and
+costs no count. The match counts are the integers rouge_n computes, so
+every score is the float approx_score_pretokenized gives on the joined
+tokens. All text is preprocessed with the fixed rouge.ORACLE_PREPROCESS
+(lowercase, stopwords and punctuation dropped, stemmed). A reference that
+it leaves without a word is an error naming the document, since every
+subset would score 0.0 and every label be KEEP. The exhaustive oracle
+and the from-scratch beam and labels that the tests compare these with
+live in tests/reference_oracle.py.
 
 Only a document's first MAX_SENTS sentences can be selected, by the oracles
 here and by training and decoding in compsum.model alike;
@@ -61,6 +68,7 @@ import hashlib
 import json
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -182,6 +190,7 @@ class _BeamState(NamedTuple):
     sentences' tokens joined in document order."""
 
     indices: tuple[int, ...]   # sorted
+    mask: int                  # bit i set for each i in indices
     joined: tuple[int, ...]    # those with tokens
     unigrams: dict
     bigrams: dict
@@ -191,34 +200,7 @@ class _BeamState(NamedTuple):
     score: float
 
 
-_EMPTY_STATE = _BeamState((), (), {}, {}, 0, 0, 0, 0.0)
-
-
-def _bigram_change(grams: ReferenceGrams, state: _BeamState, sents: Sequence[SharedGrams],
-                   i: int, before: int) -> dict:
-    """The shared bigrams that inserting sentence i after the first `before`
-    of state.joined adds (or, negative, removes): its own, and if it has
-    tokens, at the joins the one between its neighbours goes and one to
-    each comes."""
-    tokens = sents[i].tokens
-    if not tokens:
-        return sents[i].bigrams
-    joins = []
-    if before:
-        last = sents[state.joined[before - 1]].tokens[-1]
-        joins.append(((last, tokens[0]), 1))
-    if before < len(state.joined):
-        first = sents[state.joined[before]].tokens[0]
-        joins.append(((tokens[-1], first), 1))
-        if before:
-            joins.append(((last, first), -1))
-    change = None
-    for pair, step in joins:
-        if pair in grams.bigrams:
-            if change is None:
-                change = Counter(sents[i].bigrams)
-            change[pair] += step
-    return sents[i].bigrams if change is None else change
+_EMPTY_STATE = _BeamState((), 0, (), {}, {}, 0, 0, 0, 0.0)
 
 
 def _add_counts(counts: dict, change: dict) -> dict:
@@ -239,45 +221,79 @@ def beam_search_oracle(grams: ReferenceGrams, sents: Sequence[SharedGrams],
     prefer the lexicographically smaller index set.
 
     An extension is scored from its state's counts changed by the one
-    sentence it adds; only the states kept get counts of their own.
+    sentence it adds: each of its shared unigrams matches min(step,
+    ref - count) more where its count is below the reference's, and its
+    bigrams, with the joins to its nonempty neighbours, are clipped only
+    when there are any. A round tells its subsets apart by a bitmask of
+    their indices; only the extensions that score at least the beam_width-th
+    best, ties included, get their sorted index tuple and are ranked by
+    (-score, indices), and only the states kept get counts of their own.
     """
-    n = len(sents)
-    individual = [grams.score_counts(sent.unigram_matches, sent.bigram_matches,
-                                     len(sent.tokens)) for sent in sents]
+    n, width = len(sents), cfg.beam_width
+    ref_unigrams, ref_bigrams, score_counts = grams.unigrams, grams.bigrams, grams.score_counts
+    individual = [score_counts(sent.unigram_matches, sent.bigram_matches, len(sent.tokens))
+                  for sent in sents]
+    # per sentence: its shared unigrams with their counts in it and in the
+    # reference, and its first and last token (None if it has none)
+    unigram_steps = [[(gram, step, ref_unigrams[gram]) for gram, step in sent.unigrams.items()]
+                     for sent in sents]
+    ends = [(sent.tokens[0], sent.tokens[-1]) if sent.tokens else None for sent in sents]
     beam = [_EMPTY_STATE]
     for _ in range(cfg.k):
-        seen: set[tuple[int, ...]] = set()
-        scored = []
+        seen: set[int] = set()
+        scores: list[float] = []
+        extensions = []
         for state in beam:
-            indices = state.indices
-            at = before = 0  # how many of indices, and of state.joined, precede i
+            mask, joined = state.mask, state.joined
+            unigrams, bigrams = state.unigrams, state.bigrams
+            # the last token of the joined sentences before i, the first
+            # after it and the bigram of the two, which i's tokens would
+            # part; a pair with None is no reference bigram
+            last, after = None, 0
+            first = ends[joined[0]][0] if joined else None
+            gap = (last, first)
             for i in range(n):
-                if at < len(indices) and indices[at] == i:
-                    at += 1
-                    before += bool(sents[i].tokens)
+                if mask >> i & 1:
+                    if ends[i] is not None:
+                        last, after = ends[i][1], after + 1
+                        first = ends[joined[after]][0] if after < len(joined) else None
+                        gap = (last, first)
                     continue
-                extended = (*indices[:at], i, *indices[at:])
+                extended = mask | 1 << i
                 if extended in seen:
                     continue
                 seen.add(extended)
                 sent = sents[i]
-                bigrams = _bigram_change(grams, state, sents, i, before)
-                unigram_matches = state.unigram_matches + _match_change(
-                    state.unigrams, grams.unigrams, sent.unigrams)
-                bigram_matches = state.bigram_matches + _match_change(
-                    state.bigrams, grams.bigrams, bigrams)
-                score = grams.score_counts(unigram_matches, bigram_matches,
-                                           state.length + len(sent.tokens))
-                scored.append((-score, extended, state, i,
-                               bigrams, unigram_matches, bigram_matches))
-        scored.sort(key=lambda item: item[:2])
+                unigram_matches = state.unigram_matches
+                for gram, step, ref in unigram_steps[i]:
+                    count = unigrams.get(gram, 0)
+                    if count < ref:
+                        unigram_matches += step if step < ref - count else ref - count
+                change = sent.bigrams
+                if ends[i] is not None:
+                    head, tail = ends[i]
+                    into, out = (last, head), (tail, first)
+                    if into in ref_bigrams or out in ref_bigrams or gap in ref_bigrams:
+                        change = Counter(change)
+                        for pair, step in ((into, 1), (out, 1), (gap, -1)):
+                            if pair in ref_bigrams:
+                                change[pair] += step
+                bigram_matches = state.bigram_matches
+                if change:
+                    bigram_matches += _match_change(bigrams, ref_bigrams, change)
+                scores.append(score_counts(unigram_matches, bigram_matches,
+                                           state.length + len(sent.tokens)))
+                extensions.append((state, i, change, unigram_matches, bigram_matches))
+        floor = sorted(scores)[-width] if len(scores) > width else -math.inf
+        ranked = sorted((-score, tuple(sorted((*extension[0].indices, extension[1]))), extension)
+                        for score, extension in zip(scores, extensions) if score >= floor)
         beam = []
-        for neg_score, extended, state, i, bigrams, *matches in scored[:cfg.beam_width]:
+        for neg_score, indices, (state, i, change, *matches) in ranked[:width]:
             sent = sents[i]
             joined = tuple(sorted((*state.joined, i))) if sent.tokens else state.joined
             beam.append(_BeamState(
-                extended, joined, _add_counts(state.unigrams, sent.unigrams),
-                _add_counts(state.bigrams, bigrams), *matches,
+                indices, state.mask | 1 << i, joined, _add_counts(state.unigrams, sent.unigrams),
+                _add_counts(state.bigrams, change), *matches,
                 state.length + len(sent.tokens), -neg_score))
     return [OracleCandidate(_salience_order(state.indices, individual), state.score)
             for state in beam]
@@ -287,21 +303,30 @@ def _label(r_before: float, r_after: float) -> CompressionLabel:
     return _DEL if r_after > r_before else _KEEP
 
 
-def _cut_score(grams: ReferenceGrams, sent: SharedGrams, start: int, end: int) -> float:
-    """Score of sent's tokens with tokens[start:end] (nonempty) cut out: the
-    span's grams and the bigrams at its two ends go, the bigram across the
-    cut comes."""
+def _cut_score(grams: ReferenceGrams, sent: SharedGrams, unigram_at: list[int],
+               bigram_at: list[int], start: int, end: int) -> float:
+    """Score of sent's tokens with tokens[start:end] (nonempty) cut out.
+
+    unigram_at and bigram_at are the sorted positions of the tokens that
+    are reference unigrams and that begin reference bigrams; bisect finds
+    the span's unigrams and the bigrams that start in [start - 1, end),
+    which go (a span that holds none changes no match count), and the
+    bigram across the cut comes."""
     tokens = sent.tokens
-    window = tokens[max(start - 1, 0):end + 1]
-    cut_unigrams = Counter(filter(grams.unigrams.__contains__, tokens[start:end]))
-    cut_bigrams = Counter(filter(grams.bigrams.__contains__, zip(window, window[1:])))
-    unigram_matches = sent.unigram_matches + _match_change(
-        sent.unigrams, grams.unigrams, cut_unigrams, -1)
-    bigram_matches = sent.bigram_matches + _match_change(
-        sent.bigrams, grams.bigrams, cut_bigrams, -1)
+    unigram_matches, bigram_matches = sent.unigram_matches, sent.bigram_matches
+    lo, hi = bisect_left(unigram_at, start), bisect_left(unigram_at, end)
+    if lo < hi:
+        unigram_matches += _match_change(sent.unigrams, grams.unigrams,
+                                         Counter([tokens[j] for j in unigram_at[lo:hi]]), -1)
+    lo, hi = bisect_left(bigram_at, start - 1), bisect_left(bigram_at, end)
+    cut: dict = {}
+    if lo < hi:
+        cut = Counter([(tokens[j], tokens[j + 1]) for j in bigram_at[lo:hi]])
+        bigram_matches += _match_change(sent.bigrams, grams.bigrams, cut, -1)
     if 0 < start and end < len(tokens):
         bridge = (tokens[start - 1], tokens[end])
-        if sent.bigrams[bridge] - cut_bigrams[bridge] < grams.bigrams[bridge]:
+        ref = grams.bigrams.get(bridge, 0)
+        if ref and sent.bigrams.get(bridge, 0) - cut.get(bridge, 0) < ref:
             bigram_matches += 1
     return grams.score_counts(unigram_matches, bigram_matches, len(tokens) - (end - start))
 
@@ -315,15 +340,22 @@ def label_compressions(grams: ReferenceGrams, per_token: Sequence[str | None],
     is the sentence's preprocess_per_token with it, and sent the shared
     grams of the tokens it keeps. Every option is scored independently with
     all other options untouched, from the sentence's counts less its span's.
+    The sorted positions of the kept tokens that are reference unigrams,
+    and of those that begin reference bigrams, are listed once per
+    sentence, and each option's cut finds its shared grams in them.
     """
     kept = [0]  # kept[j]: how many of the first j tokens preprocessing keeps
     for tok in per_token:
         kept.append(kept[-1] + (tok is not None))
-    r_before = grams.score_counts(sent.unigram_matches, sent.bigram_matches, len(sent.tokens))
+    tokens = sent.tokens
+    unigram_at = [j for j, tok in enumerate(tokens) if tok in grams.unigrams]
+    bigram_at = [j for j, pair in enumerate(zip(tokens, tokens[1:])) if pair in grams.bigrams]
+    r_before = grams.score_counts(sent.unigram_matches, sent.bigram_matches, len(tokens))
     labeled = []
     for option in options:
         start, end = kept[option.span.start], kept[option.span.end]
-        r_after = r_before if start == end else _cut_score(grams, sent, start, end)
+        r_after = (r_before if start == end
+                   else _cut_score(grams, sent, unigram_at, bigram_at, start, end))
         labeled.append(_new(LabeledOption, (option, r_before, r_after,
                                             _label(r_before, r_after))))
     return labeled

@@ -176,13 +176,6 @@ def approx_score_pretokenized(candidate: Sequence[str], reference: Sequence[str]
     return 0.5 * (rouge_n(candidate, refs, 1).f1 + rouge_n(candidate, refs, 2).f1)
 
 
-def _count_f1(matches: int, cand_total: int, ref_total: int) -> float:
-    """rouge_n's F1 from its clipped match count and the two n-gram totals."""
-    if cand_total <= 0 or ref_total <= 0:
-        return 0.0
-    return _f1(matches / cand_total, matches / ref_total)
-
-
 def _clipped_matches(counts: Counter, ref_counts: Counter) -> int:
     """The sum over grams of min(count, reference count)."""
     return sum(map(min, counts.values(), map(ref_counts.__getitem__, counts)))
@@ -211,7 +204,7 @@ class ReferenceGrams:
     adds a sentence to a beam state, or cuts a span from a sentence) updates
     the counts by those grams and rescores without recounting the rest. The
     match counts and totals are the integers rouge_n computes and go through
-    the same _f1, so every score is the same float as
+    _f1's float operations, so every score is the same float as
     approx_score_pretokenized's on the joined tokens.
     """
 
@@ -229,6 +222,21 @@ class ReferenceGrams:
                            _clipped_matches(bigrams, self.bigrams))
 
     def score_counts(self, unigram_matches: int, bigram_matches: int, length: int) -> float:
-        """Score of `length` tokens with these clipped unigram and bigram matches."""
-        return 0.5 * (_count_f1(unigram_matches, length, self.length)
-                      + _count_f1(bigram_matches, length - 1, self.length - 1))
+        """Score of `length` tokens with these clipped unigram and bigram matches.
+
+        Each F1 is rouge_n's from its match count and the two gram totals
+        (0.0 where either total is not positive), through _f1's operations
+        in _f1's order; written out here, as the oracle's hot loops call it
+        once per subset and option.
+        """
+        ref_length = self.length
+        unigram = bigram = 0.0
+        if length > 0 and ref_length > 0:
+            precision, recall = unigram_matches / length, unigram_matches / ref_length
+            if precision + recall != 0.0:
+                unigram = 2.0 * precision * recall / (precision + recall)
+        if length > 1 and ref_length > 1:
+            precision, recall = bigram_matches / (length - 1), bigram_matches / (ref_length - 1)
+            if precision + recall != 0.0:
+                bigram = 2.0 * precision * recall / (precision + recall)
+        return 0.5 * (unigram + bigram)

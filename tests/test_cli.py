@@ -1024,18 +1024,25 @@ OTHER_KERNELS = {
 }
 
 
+def _golden_chain_in_child(env: dict[str, str], tmp_path: Path) -> dict:
+    """The exit codes and digests of the pinned chain, run in tmp_path by a
+    child interpreter with env added to this one's environment."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", GOLDEN_CHAIN_IN_CHILD, str(root / "src"), str(root / "tests"),
+         str(tmp_path)],
+        env={**os.environ, **env}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 @pytest.fixture(scope="module", params=list(OTHER_KERNELS))
 def golden_chain_on_other_kernels(request, tmp_path_factory):
     """The pinned chain's exit codes and digests under one OTHER_KERNELS mask,
     and whether its model.json should keep the pin there."""
     env, model_holds = OTHER_KERNELS[request.param]
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", GOLDEN_CHAIN_IN_CHILD, str(root / "src"), str(root / "tests"),
-         str(tmp_path_factory.mktemp(f"golden-{request.param}"))],
-        env={**os.environ, **env}, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "model_holds": model_holds}
+    result = _golden_chain_in_child(env, tmp_path_factory.mktemp(f"golden-{request.param}"))
+    return {**result, "model_holds": model_holds}
 
 
 def test_pinned_outputs_but_the_model_hold_on_other_openblas_kernels(
@@ -1057,6 +1064,17 @@ def test_pinned_model_holds_on_other_openblas_kernels(golden_chain_on_other_kern
             "weights, and model.json's bytes, depend on the kernels picked")))
     digest = golden_chain_on_other_kernels["digests"]["model.json"]
     assert digest == GOLDEN_OUTPUTS_SHA256["model.json"]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_pinned_outputs_hold_under_each_hash_seed(hash_seed, tmp_path):
+    # str hashes, and so the order of a set of words or of a dict built from
+    # one, change with PYTHONHASHSEED; no output may depend on that order
+    result = _golden_chain_in_child({"PYTHONHASHSEED": hash_seed}, tmp_path)
+    assert result["codes"] == [0] * 6
+    digests = dict(result["digests"])
+    assert digests.pop("oracles.jsonl") == GOLDEN_ORACLES_SHA256
+    assert digests == GOLDEN_OUTPUTS_SHA256
 
 
 def test_train_on_corrupted_cache_names_file_and_line(corpus_path, tmp_path, capsys):

@@ -249,6 +249,41 @@ class TestIncrementalScores:
         assert scores[(0, 1, 3)] == scores[(1, 2, 3)] == approx_oracle_score(
             ["storm", "coast", "storms"], reference)
 
+    # documents where many extensions of a round tie, so the ranking's
+    # tie-break by index set decides the beam
+    TIED_DOCUMENTS = {
+        "duplicated-sentences": (
+            [["storm", "coast"], ["reached"], ["storm", "coast"], ["storm", "coast"],
+             ["reached"], ["coast"]],
+            ["storm", "coast", "reached", "coast"]),
+        "no-shared-word": (
+            [["rain", "flood"], ["winds"], ["rain"], ["flood", "winds", "rain"], ["winds"]],
+            ["storm", "coast", "reached"]),
+        "empty-sentence-between-a-bigram": (
+            [["storm"], ["the", ",", "of"], ["coast"], ["storm"], ["."], ["coast"]],
+            ["storm", "coast", "storm"]),
+    }
+
+    @pytest.mark.parametrize("name", list(TIED_DOCUMENTS))
+    def test_tied_extensions_rank_as_the_from_scratch_beam(self, name):
+        sentences, reference = self.TIED_DOCUMENTS[name]
+        doc = Document(id=name, sentences=tuple(corpusgen.flat_tree(s) for s in sentences),
+                       reference=(tuple(reference),))
+        grams, _, sents = oracle_inputs(doc.sentences, reference)
+        n = len(sentences)
+        for k in (1, 2, 3):
+            # beam_width 1, a few, and at least C(n, k), which keeps every subset
+            for beam_width in (1, 2, 4, math.comb(n, k), math.comb(n, k) + 3):
+                cfg = OracleConfig(k=k, beam_width=beam_width, m=beam_width)
+                beam = beam_search_oracle(grams, sents, cfg)
+                # indices in order and float scores, each compared with ==
+                assert beam == reference_oracle.beam_search_oracle(doc, reference, cfg)
+                assert len(beam) == min(beam_width, math.comb(n, k))
+            scores = [c.score for c in beam]
+            assert len(set(scores)) < len(scores)  # the last beam holds ties
+        if name == "no-shared-word":
+            assert set(scores) == {0.0}
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(_words, min_size=1, max_size=10), st.lists(_words, min_size=1, max_size=8))
     @example(["the", "storm", ",", "storm", "reached", "coast", "."],

@@ -328,3 +328,17 @@ class TestReferenceGrams:
         grams = ReferenceGrams(["a", "a", "b"])
         parts = [grams.shared(["a", "a"]), grams.shared(["a", "a"])]
         assert score_joined(grams, parts) == approx_score_pretokenized(["a"] * 4, ["a", "a", "b"])
+
+    @pytest.mark.parametrize("candidate, reference", [
+        ([], ["storm", "coast"]),                                  # empty candidate
+        (["storm"], ["storm", "coast"]),                           # one-token candidate
+        (["storm", "coast", "storm"], ["storm"]),                  # one-word reference
+        (["rain", "flood", "rain"], ["storm", "coast"]),           # no match
+        (["storm", "coast", "storm", "coast"], ["storm", "coast", "storm", "coast"]),  # all match
+    ], ids=["empty-candidate", "one-token-candidate", "one-word-reference", "no-match",
+            "every-token-matches"])
+    def test_score_counts_edge_cases_equal_the_rouge_n_score(self, candidate, reference):
+        grams = ReferenceGrams(reference)
+        shared = grams.shared(candidate)
+        score = grams.score_counts(shared.unigram_matches, shared.bigram_matches, len(candidate))
+        assert score == approx_score_pretokenized(candidate, reference)
