@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -76,11 +77,62 @@ def initial_state(k: int) -> DecoderState:
 def advance_state(ctx: DocumentContext, state: DecoderState, picked: int) -> DecoderState:
     """Recompute the state after selecting another sentence."""
     selected = state.selected + (picked,)
-    mean = ctx.sentence_features[list(selected)].mean(axis=0)
+    mean = np.add.reduce(ctx.sentence_features[list(selected)], axis=0) / len(selected)
     covered = state.covered | ctx.sentence_types[picked]
     coverage = len(covered) / len(ctx.doc_counts)
     vector = np.concatenate([[len(selected) / state.k], mean, [coverage]])
     return DecoderState(selected=selected, covered=covered, k=state.k, vector=vector)
+
+
+# The one option feature that reads the decoder state: the share of the
+# option's span that the summary so far covers
+COVERAGE_COLUMN = len(RuleId) + 3
+
+
+def _static_features(feats: np.ndarray, ctx: DocumentContext, sent_index: int,
+                     option: CompressionOption) -> tuple[str, ...]:
+    """Write every feature of option but its coverage into feats, a zeroed
+    row; return the lowercased tokens of its span."""
+    tokens = ctx.lowered[sent_index]
+    span = option.span
+    span_tokens = tokens[span.start:span.end]
+    span_counts = Counter(span_tokens)
+    feats[_RULE_INDEX[option.rule]] = 1.0
+    base = len(RuleId)
+    feats[base + 0] = math.log1p(len(span_tokens))
+    feats[base + 1] = span.start / len(tokens)
+    feats[base + 2] = sum(ctx.doc_counts[t] > span_counts[t] for t in span_tokens) / len(span_tokens)
+    feats[base + 4] = sum(t in DEFAULT_STOPWORDS for t in span_tokens) / len(span_tokens)
+    feats[base + 5:] = ctx.sentence_features[sent_index]
+    return span_tokens
+
+
+def _coverage(span_tokens: tuple[str, ...], state: DecoderState) -> float:
+    return sum(t in state.covered for t in span_tokens) / len(span_tokens)
+
+
+@dataclass(frozen=True, eq=False)
+class OptionTable:
+    """The features of one sentence's options, a row each, with the coverage
+    column left at 0: every other column is fixed by the document."""
+
+    rows: np.ndarray                        # (c, OPTION_FEATURE_DIM)
+    spans: tuple[tuple[str, ...], ...]      # each option's lowercased span tokens
+
+    def fill(self, out: np.ndarray, state: DecoderState) -> None:
+        """Write the rows into out (c, OPTION_FEATURE_DIM), their coverage
+        column as of state."""
+        out[...] = self.rows
+        out[:, COVERAGE_COLUMN] = [_coverage(span, state) for span in self.spans]
+
+
+def option_table(ctx: DocumentContext, sent_index: int,
+                 options: Sequence[CompressionOption]) -> OptionTable:
+    """The features of a sentence's compression options, built once per document."""
+    rows = np.zeros((len(options), OPTION_FEATURE_DIM), dtype=np.float64)
+    spans = tuple(_static_features(feats, ctx, sent_index, option)
+                  for feats, option in zip(rows, options))
+    return OptionTable(rows, spans)
 
 
 def featurize_option(
@@ -89,19 +141,8 @@ def featurize_option(
     option: CompressionOption,
     state: DecoderState,
 ) -> np.ndarray:
-    """Features of a compression option in the context of the summary so far."""
-    tokens = ctx.lowered[sent_index]
-    span = option.span
-    span_tokens = tokens[span.start:span.end]
-    span_counts = Counter(span_tokens)
-
+    """Features of a compression option in the context of the summary so far:
+    a row of option_table, filled for state."""
     feats = np.zeros(OPTION_FEATURE_DIM, dtype=np.float64)
-    feats[_RULE_INDEX[option.rule]] = 1.0
-    base = len(RuleId)
-    feats[base + 0] = math.log1p(len(span_tokens))
-    feats[base + 1] = span.start / len(tokens)
-    feats[base + 2] = sum(ctx.doc_counts[t] > span_counts[t] for t in span_tokens) / len(span_tokens)
-    feats[base + 3] = sum(t in state.covered for t in span_tokens) / len(span_tokens)
-    feats[base + 4] = sum(t in DEFAULT_STOPWORDS for t in span_tokens) / len(span_tokens)
-    feats[base + 5:] = ctx.sentence_features[sent_index]
+    feats[COVERAGE_COLUMN] = _coverage(_static_features(feats, ctx, sent_index, option), state)
     return feats

@@ -12,7 +12,11 @@ rates) over one document per step, on every oracle of its
 oracle.DocumentOracles, as oracle building or the cache reader returns it.
 A document's oracles mostly share their leading picks, so each distinct
 teacher-forced step is compiled and run once per loss, and its terms are
-added as often as the oracles take it, in their order.
+added as often as the oracles take it, in their order. compile_example packs
+a document's distinct steps into one set of arrays; the forward and backward
+passes make each step's matrix products and sums on its own rows, and run
+every elementwise operation once per document, which gives the bits of
+running the steps one by one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Sequence
 
@@ -31,13 +36,14 @@ from .features import (
     DECODER_INPUT_DIM,
     OPTION_FEATURE_DIM,
     SENTENCE_FEATURE_DIM,
+    STATE_DIM,
     DecoderState,
     DocumentContext,
     advance_state,
-    featurize_option,
     initial_state,
+    option_table,
 )
-from .oracle import CompressionLabel, DocumentOracles, LabeledOption, scoreable_sentences
+from .oracle import CompressionLabel, DocumentOracles, scoreable_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -216,10 +222,12 @@ def greedy_steps(model: Model, ctx: DocumentContext, k: int):
     """
     n = scoreable_sentences(ctx.doc, k)
     state = initial_state(k)
-    for _ in range(k):
+    while True:
         probs = score_remaining(model, state, ctx.document_features, ctx.sentence_features[:n])
         pick = int(np.argmax(probs))
         yield pick, state
+        if len(state.selected) + 1 == k:
+            return
         state = advance_state(ctx, state, pick)
 
 
@@ -266,9 +274,28 @@ class _Step:
 
 @dataclass
 class CompiledExample:
-    steps: list[_Step]               # each distinct teacher-forced step once
-    order: list[int]                 # every oracle's steps in turn, as indices into `steps`
+    """A document's distinct teacher-forced steps, packed one after another."""
+
+    decoder_inputs: np.ndarray       # (S, DECODER_INPUT_DIM)
+    sent_feats: np.ndarray           # (R, SENTENCE_FEATURE_DIM), each step's unselected sentences
+    row_bounds: tuple[int, ...]      # step s owns rows row_bounds[s]:row_bounds[s + 1]
+    target_rows: list[int]           # the row of each step's gold pick
+    option_feats: np.ndarray         # (C, OPTION_FEATURE_DIM), each step's target's options
+    option_targets: np.ndarray       # (C,), 1.0 for DEL
+    option_bounds: tuple[int, ...]   # step s owns options option_bounds[s]:option_bounds[s + 1]
+    order: list[int]                 # every oracle's steps in turn, as step indices
     oracle_count: int
+
+    @property
+    def steps(self) -> list[_Step]:
+        """Each distinct step once, as views into the pack."""
+        rows, options = self.row_bounds, self.option_bounds
+        return [_Step(decoder_input=self.decoder_inputs[s],
+                      sent_feats=self.sent_feats[rows[s]:rows[s + 1]],
+                      target_pos=self.target_rows[s] - rows[s],
+                      option_feats=self.option_feats[options[s]:options[s + 1]],
+                      option_targets=self.option_targets[options[s]:options[s + 1]])
+                for s in range(len(self.decoder_inputs))]
 
 
 def compile_example(example: DocumentOracles) -> CompiledExample:
@@ -277,83 +304,137 @@ def compile_example(example: DocumentOracles) -> CompiledExample:
     A step is a function of its key (k, ordered prefix, target), k being the
     oracle's length, by which the state vector divides. Oracles that share
     leading picks share steps, so each distinct key is compiled once, and
-    `order` lists the steps of every oracle, pick by pick.
+    `order` lists the steps of every oracle, pick by pick. Each target
+    sentence's options are featurized once, as an option table; a step
+    copies its target's table and fills in the coverage column.
     """
     doc = example.doc
     ctx = DocumentContext(doc)
-    sent_feats = ctx.sentence_features[:scoreable_sentences(doc)]
-    steps: list[_Step] = []
+    n = scoreable_sentences(doc)
+    states: list[DecoderState] = []  # the state each distinct step is taken in
+    targets: list[int] = []
     order: list[int] = []
-    # (k, ordered prefix + target) -> (its index in steps, the state after it)
-    known: dict[tuple, tuple[int, DecoderState]] = {}
+    # (k, ordered prefix + target) -> (its step index, the state after it, if a pick follows)
+    known: dict[tuple, tuple[int, DecoderState | None]] = {}
     for oracle in example.candidates:
         picks = oracle.sentence_indices
         state = initial_state(len(picks))
         for depth, target in enumerate(picks):
             key = (len(picks), picks[:depth + 1])
             if key not in known:
-                known[key] = (len(steps), advance_state(ctx, state, target))
-                steps.append(_compile_step(ctx, sent_feats, state, target,
-                                           example.labels[target]))
+                after = advance_state(ctx, state, target) if depth + 1 < len(picks) else None
+                known[key] = (len(states), after)
+                states.append(state)
+                targets.append(target)
             index, state = known[key]
             order.append(index)
-    return CompiledExample(steps=steps, order=order, oracle_count=len(example.candidates))
+
+    remaining = [[i for i in range(n) if i not in state.selected] for state in states]
+    row_bounds = tuple(accumulate(map(len, remaining), initial=0))
+    labels = [example.labels[target] for target in targets]
+    option_bounds = tuple(accumulate(map(len, labels), initial=0))
+    tables = {target: option_table(ctx, target, [lab.option for lab in example.labels[target]])
+              for target in set(targets) if example.labels[target]}
+    decoder_inputs = np.empty((len(states), DECODER_INPUT_DIM))
+    decoder_inputs[:, :STATE_DIM] = [state.vector for state in states]
+    decoder_inputs[:, STATE_DIM:] = ctx.document_features
+    option_feats = np.empty((option_bounds[-1], OPTION_FEATURE_DIM))
+    for s, target in enumerate(targets):
+        if target in tables:
+            tables[target].fill(option_feats[option_bounds[s]:option_bounds[s + 1]], states[s])
+    return CompiledExample(
+        decoder_inputs=decoder_inputs,
+        sent_feats=ctx.sentence_features[list(chain.from_iterable(remaining))],
+        row_bounds=row_bounds,
+        target_rows=[lo + rows.index(target)
+                     for lo, rows, target in zip(row_bounds, remaining, targets)],
+        option_feats=option_feats,
+        option_targets=np.array([1.0 if lab.label is CompressionLabel.DEL else 0.0
+                                 for step_labels in labels for lab in step_labels]),
+        option_bounds=option_bounds,
+        order=order,
+        oracle_count=len(example.candidates))
 
 
-def _compile_step(ctx: DocumentContext, sent_feats: np.ndarray, state: DecoderState,
-                  target: int, labels: Sequence[LabeledOption]) -> _Step:
-    remaining = [i for i in range(len(sent_feats)) if i not in state.selected]
-    if labels:
-        option_feats = np.stack([featurize_option(ctx, target, lab.option, state)
-                                 for lab in labels])
-        option_targets = np.array([1.0 if lab.label is CompressionLabel.DEL else 0.0
-                                   for lab in labels])
-    else:
-        option_feats = np.zeros((0, OPTION_FEATURE_DIM))
-        option_targets = np.zeros(0)
-    return _Step(decoder_input=np.concatenate([state.vector, ctx.document_features]),
-                 sent_feats=sent_feats[remaining],
-                 target_pos=remaining.index(target),
-                 option_feats=option_feats,
-                 option_targets=option_targets)
+# The forward and backward passes run over the pack: each step makes its own
+# products and sums, whose bits depend on the rows they reduce, and every
+# elementwise operation runs once per document, which gives the same bits as
+# running it step by step. Each loss then adds a distinct step's terms to its
+# sums in `order`, as often as the step recurs: the same additions in the
+# same sequence as computing every step anew. A step without options adds a
+# zero compression term (and gradient), which leaves a sum that starts at
+# +0.0 bit for bit.
 
 
-def _logsumexp(z: np.ndarray):
-    m = z.max()
-    return m + np.log(np.add.reduce(np.exp(z - m)))
+def _packed_extraction_forward(params: dict, compiled: CompiledExample):
+    """_extraction_forward over every step of the pack: the activations and
+    pointer scores of every row, each step's against its decoder input."""
+    rows, feats = compiled.row_bounds, compiled.sent_feats
+    steps = list(zip(rows, rows[1:]))
+    pre = np.empty((len(feats), len(params["b_s"])), feats.dtype)
+    bias = np.empty((len(steps), len(params["b_s"])), feats.dtype)
+    for s, (lo, hi) in enumerate(steps):
+        np.matmul(feats[lo:hi], params["w_h"].T, out=pre[lo:hi])
+        np.matmul(params["w_d"], compiled.decoder_inputs[s], out=bias[s])
+    bias += params["b_s"]
+    pre += np.repeat(bias, [hi - lo for lo, hi in steps], axis=0)
+    act = np.tanh(pre, out=pre)
+    scores = np.empty(len(feats), feats.dtype)
+    for lo, hi in steps:
+        np.matmul(act[lo:hi], params["w_m"], out=scores[lo:hi])
+    return act, scores
 
 
-# Each loss computes a distinct step's terms once and adds them to its sums
-# in `order`, as often as the step recurs: the same additions in the same
-# sequence as computing every step anew. A step without options adds a zero
-# compression term (and gradient), which leaves a sum that starts at +0.0
-# bit for bit.
+def _packed_compression_forward(params: dict, compiled: CompiledExample):
+    """_compression_forward over every option of the pack: the hidden layer
+    and deletion logits of every option row."""
+    options, feats = compiled.option_bounds, compiled.option_feats
+    steps = [(lo, hi) for lo, hi in zip(options, options[1:]) if lo < hi]
+    hidden = np.empty((len(feats), len(params["b1"])), feats.dtype)
+    for lo, hi in steps:
+        np.matmul(feats[lo:hi], params["w1"].T, out=hidden[lo:hi])
+    hidden += params["b1"]
+    np.tanh(hidden, out=hidden)
+    logits = np.empty(len(feats), feats.dtype)
+    for lo, hi in steps:
+        np.matmul(hidden[lo:hi], params["w2"], out=logits[lo:hi])
+    logits += params["b2"][0]
+    return hidden, logits
 
 
-def _step_terms(params: dict, step: _Step, zero):
-    """A step's two forward passes: its extraction NLL, the summed logistic
-    loss of its options (`zero` without options), the activations, pointer
-    scores and logz, and the options' hidden layer and logits (None without
-    options)."""
-    act, scores = _extraction_forward(params, step.decoder_input, step.sent_feats)
-    logz = _logsumexp(scores)
-    hidden = z = None
-    comp_term = zero
-    if step.option_feats.shape[0]:
-        hidden, z = _compression_forward(params, step.option_feats)
-        comp_term = np.add.reduce(np.logaddexp(0.0, z) - step.option_targets * z)
-    return logz - scores[step.target_pos], comp_term, act, scores, logz, hidden, z
+def _step_terms(params: dict, compiled: CompiledExample):
+    """Both forward passes over every distinct step: the steps' extraction
+    NLLs and summed logistic losses of their options (0 without options),
+    the activations, pointer scores and the logz of each row's step, and the
+    options' hidden layer and logits."""
+    rows = compiled.row_bounds
+    act, scores = _packed_extraction_forward(params, compiled)
+    counts = [hi - lo for lo, hi in zip(rows, rows[1:])]
+    top = np.maximum.reduceat(scores, rows[:-1])    # a maximum is exact in any order
+    weights = np.exp(scores - np.repeat(top, counts))
+    sums = np.array([np.add.reduce(weights[lo:hi]) for lo, hi in zip(rows, rows[1:])])
+    logz = top + np.log(sums)
+    sent_terms = logz - scores[compiled.target_rows]
+
+    options = compiled.option_bounds
+    hidden, z = _packed_compression_forward(params, compiled)
+    losses = np.logaddexp(0.0, z) - compiled.option_targets * z
+    comp_terms = np.zeros(len(sent_terms), sent_terms.dtype)
+    for s, (lo, hi) in enumerate(zip(options, options[1:])):
+        if lo < hi:
+            comp_terms[s] = np.add.reduce(losses[lo:hi])
+    return sent_terms, comp_terms, act, scores, np.repeat(logz, counts), hidden, z
 
 
 def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float):
     # Accumulates in the dtype of the inputs so the extended-precision
     # gradient-check path is not silently rounded back to float64.
-    zero = compiled.steps[0].sent_feats.dtype.type(0.0)
-    terms = [_step_terms(params, step, zero)[:2] for step in compiled.steps]
+    zero = compiled.sent_feats.dtype.type(0.0)
+    sent_terms, comp_terms = _step_terms(params, compiled)[:2]
     sent_nll = comp_nll = zero
     for index in compiled.order:
-        sent_nll += terms[index][0]
-        comp_nll += terms[index][1]
+        sent_nll += sent_terms[index]
+        comp_nll += comp_terms[index]
     return sent_nll / compiled.oracle_count + alpha * comp_nll
 
 
@@ -374,39 +455,38 @@ def _flat_buffer(shapes: dict[str, tuple[int, ...]], *lead: int):
 def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
     """The extraction NLL averaged over the oracles, the compression NLL, and
     the gradient of extraction + alpha * compression, flat in PARAM_ORDER."""
-    steps = compiled.steps
     increments, step_grads = _flat_buffer(
-        {name: params[name].shape for name in PARAM_ORDER}, len(steps))
-    terms = []
+        {name: params[name].shape for name in PARAM_ORDER}, len(compiled.decoder_inputs))
     inv_m = 1.0 / compiled.oracle_count
-    w_m, w2 = params["w_m"], params["w2"]
-    for index, step in enumerate(steps):
-        feats = step.sent_feats
-        sent_term, comp_term, act, scores, logz, hidden, z = _step_terms(params, step, 0.0)
-        terms.append((sent_term, float(comp_term)))
-        dz = np.exp(scores - logz)
-        dz[step.target_pos] -= 1.0
-        dz *= inv_m
-        step_grads["w_m"][index] = act.T @ dz
-        dact = dz[:, None] * w_m * (1.0 - act * act)
-        step_grads["w_h"][index] = dact.T @ feats
-        dact_sum = np.add.reduce(dact, axis=0)
-        step_grads["b_s"][index] = dact_sum
-        np.multiply(dact_sum[:, None], step.decoder_input, out=step_grads["w_d"][index])
+    sent_terms, comp_terms, act, scores, logz, hidden, z = _step_terms(params, compiled)
+    rows, feats = compiled.row_bounds, compiled.sent_feats
+    dz = np.exp(scores - logz)
+    dz[compiled.target_rows] -= 1.0
+    dz *= inv_m
+    dact = dz[:, None] * params["w_m"] * (1.0 - act * act)
+    for s, (lo, hi) in enumerate(zip(rows, rows[1:])):
+        np.matmul(act[lo:hi].T, dz[lo:hi], out=step_grads["w_m"][s])
+        np.matmul(dact[lo:hi].T, feats[lo:hi], out=step_grads["w_h"][s])
+        np.add.reduce(dact[lo:hi], axis=0, out=step_grads["b_s"][s])
+    np.multiply(step_grads["b_s"][:, :, None], compiled.decoder_inputs[:, None, :],
+                out=step_grads["w_d"])
 
-        if hidden is not None:
-            dzc = alpha * (_sigmoid(z) - step.option_targets)
-            step_grads["w2"][index] = hidden.T @ dzc
-            step_grads["b2"][index] = np.add.reduce(dzc, keepdims=True)
-            dhid = dzc[:, None] * w2 * (1.0 - hidden * hidden)
-            step_grads["w1"][index] = dhid.T @ step.option_feats
-            step_grads["b1"][index] = np.add.reduce(dhid, axis=0)
+    options, feats = compiled.option_bounds, compiled.option_feats
+    dzc = alpha * (_sigmoid(z) - compiled.option_targets)
+    dhid = dzc[:, None] * params["w2"] * (1.0 - hidden * hidden)
+    for s, (lo, hi) in enumerate(zip(options, options[1:])):
+        if lo < hi:
+            np.matmul(hidden[lo:hi].T, dzc[lo:hi], out=step_grads["w2"][s])
+            np.add.reduce(dzc[lo:hi], keepdims=True, out=step_grads["b2"][s])
+            np.matmul(dhid[lo:hi].T, feats[lo:hi], out=step_grads["w1"][s])
+            np.add.reduce(dhid[lo:hi], axis=0, out=step_grads["b1"][s])
+    sent_terms, comp_terms = sent_terms.tolist(), comp_terms.tolist()
     sent_nll = 0.0
     comp_nll = 0.0
     grad = np.zeros(increments.shape[1])
     for index in compiled.order:
-        sent_nll += terms[index][0]
-        comp_nll += terms[index][1]
+        sent_nll += sent_terms[index]
+        comp_nll += comp_terms[index]
         grad += increments[index]
     return sent_nll * inv_m, comp_nll, grad
 
@@ -481,14 +561,9 @@ _CHECK_STEP = 1e-5
 
 
 def _as_longdouble(compiled: CompiledExample) -> CompiledExample:
-    steps = [_Step(decoder_input=s.decoder_input.astype(np.longdouble),
-                   sent_feats=s.sent_feats.astype(np.longdouble),
-                   target_pos=s.target_pos,
-                   option_feats=s.option_feats.astype(np.longdouble),
-                   option_targets=s.option_targets.astype(np.longdouble))
-             for s in compiled.steps]
-    return CompiledExample(steps=steps, order=compiled.order,
-                           oracle_count=compiled.oracle_count)
+    return replace(compiled, **{field: getattr(compiled, field).astype(np.longdouble)
+                                for field in ("decoder_inputs", "sent_feats", "option_feats",
+                                              "option_targets")})
 
 
 def _central_difference(params, compiled, name, idx, step_size):

@@ -1,9 +1,11 @@
 """Step-by-step training, the reference that compsum.model's training is checked against.
 
 `compile_example` featurizes every teacher-forced step of every oracle,
-and `_loss_compiled` and `_loss_and_grads_compiled` run the forward (and
-backward) pass once per step, where `compsum.model` compiles and runs each
-distinct step once and adds its terms in the teacher-forced order; `train`
+one option at a time, and `_loss_compiled` and `_loss_and_grads_compiled`
+run the forward (and backward) pass once per step, through the library's
+inference forward functions. `compsum.model` compiles each distinct step
+once into a per-document pack, runs each elementwise operation once over
+the pack, and adds each step's terms in the teacher-forced order; `train`
 updates each parameter by name, where `compsum.model.train` updates one
 flat buffer. The library must give the same bits.
 

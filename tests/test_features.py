@@ -14,6 +14,7 @@ from compsum.features import (
     advance_state,
     featurize_option,
     initial_state,
+    option_table,
 )
 from compsum.rules import extract_options, normalize_options
 
@@ -120,3 +121,31 @@ class TestOptionFeatures:
         option = self._option(doc, 0)
         feats = featurize_option(ctx, 0, option, initial_state(2))
         assert np.array_equal(feats[13:], ctx.sentence_features[0])
+
+
+class TestOptionTable:
+    def test_filled_table_equals_featurize_option_per_option(self):
+        # the table computes every column but coverage once per document;
+        # filled for a state, it holds the bits of each option featurized alone
+        docs = corpusgen.learnable_corpus(count=20)[0] + corpusgen.fixture_corpus()
+        filled = 0
+        for doc in docs:
+            ctx = DocumentContext(doc)
+            last = len(doc.sentences) - 1
+            states = [initial_state(3)]
+            states.append(advance_state(ctx, states[-1], last))
+            states.append(advance_state(ctx, states[-1], 0))
+            for index, tree in enumerate(doc.sentences):
+                options = extract_options(tree)
+                table = option_table(ctx, index, options)
+                for state in states:
+                    rows = np.empty((len(options), OPTION_FEATURE_DIM))
+                    table.fill(rows, state)
+                    expected = [featurize_option(ctx, index, option, state)
+                                for option in options]
+                    if expected:
+                        assert rows.tobytes() == np.stack(expected).tobytes()
+                        filled += 1
+                    else:
+                        assert rows.shape == (0, OPTION_FEATURE_DIM)
+        assert filled > 3 * len(docs)

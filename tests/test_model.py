@@ -11,10 +11,11 @@ import pytest
 import corpusgen
 import reference_model
 from reference_model import decode_greedy, loss_joint, models_equal
-from compsum import Document
+from compsum import Document, parse_ptb
 from compsum import model as model_mod
 from compsum.features import DocumentContext, advance_state, featurize_option, initial_state
 from compsum.model import (
+    INIT_SCALE,
     PARAM_ORDER,
     Model,
     ModelFormatError,
@@ -34,6 +35,7 @@ from compsum.model import (
     _loss_compiled,
 )
 from compsum.oracle import DocumentOracles, OracleCandidate, OracleConfig, build_document_oracles
+from compsum.rules import extract_options
 
 
 def make_examples(count=6, seed=3, k=2):
@@ -265,6 +267,29 @@ def with_oracles(example, oracles, empty=()):
                            labels)
 
 
+# A sentence with 10 compression options (two ADVPs, four adjectives, an
+# appositive, two adjunct PPs and an adverbial clause)
+MANY_OPTIONS = ("(S (ADVP (RB however)) (, ,) (NP (NP (DT the) (JJ old) (JJ rusty) (NN harbor)) "
+                "(, ,) (NP (DT a) (NN landmark)) (, ,)) (VP (ADVP (RB slowly)) (VBD reopened) "
+                "(NP (DT the) (JJ narrow) (JJ western) (NN canal)) "
+                "(PP (IN near) (NP (DT the) (NN quarry))) (PP (IN in) (NP (NNP March))) "
+                "(SBAR (IN because) (S (NP (NN trade)) (VP (VBD grew))))) (. .))")
+
+
+def many_rows_and_options():
+    """Document 0 of make_examples(seed=3) and 3 sentences of document 1
+    around MANY_OPTIONS: 10 scoreable sentences, so a step sums 8 or more
+    pointer weights and logistic losses, where numpy's sum of a row stops
+    adding in sequence and adds 8 running sums."""
+    first, second = corpusgen.learnable_corpus(count=2, seed=3)[0]
+    sentences = first.sentences[:4] + (parse_ptb(MANY_OPTIONS),) + first.sentences[4:] + (
+        second.sentences[:10 - len(first.sentences) - 1])
+    doc = Document(id="many", sentences=sentences,
+                   reference=(sentences[4].token_texts[:12],))
+    assert len(doc.sentences) == 10 and len(extract_options(sentences[4])) == 10
+    return build_document_oracles(doc, OracleConfig(k=3, beam_width=8, m=5))
+
+
 def hand_built_examples():
     # document 0 of make_examples(seed=3) has 6 sentences, each with options
     example = make_examples(1, seed=3, k=3)[0]
@@ -274,29 +299,34 @@ def hand_built_examples():
         "lengths-2-and-3": with_oracles(example, [(0, 1), (0, 1, 2), (0, 3), (0, 1)]),
         "targets-without-options": with_oracles(example, [(0, 2, 1), (0, 2, 3), (2, 0, 1)],
                                                 empty=(0, 2)),
+        "many-rows-and-options": with_oracles(many_rows_and_options(),
+                                              [(4, 0, 1), (4, 0, 2), (0, 4, 9), (4, 7)]),
     }
 
 
 def assert_same_as_step_by_step(example, model):
-    """Every loss and gradient of compiling each distinct step once equals,
-    bit for bit, that of compiling and running every step in turn."""
+    """Every loss and gradient of compiling each distinct step once and
+    running the steps packed equals, bit for bit, that of compiling and
+    running every step in turn; also with the weights times 8, where tanh
+    and exp saturate."""
     compiled = compile_example(example)
     reference = reference_model.compile_example(example)
     assert len(compiled.order) == len(reference.steps)
-    for alpha in (0.0, 0.7, 1.0):
-        loss, grads = _loss_and_grads_compiled(model.params, compiled, alpha)
-        expected, expected_grads = reference_model._loss_and_grads_compiled(
-            model.params, reference, alpha)
-        assert loss == expected
-        for name in PARAM_ORDER:
-            assert np.array_equal(grads[name], expected_grads[name]), name
-        assert (_loss_compiled(model.params, compiled, alpha)
-                == reference_model._loss_compiled(model.params, reference, alpha))
-    wide = {name: arr.astype(np.longdouble) for name, arr in model.params.items()}
-    wide_loss = _loss_compiled(wide, _as_longdouble(compiled), 1.0)
-    assert wide_loss.dtype == np.longdouble
-    assert wide_loss == reference_model._loss_compiled(
-        wide, reference_model._as_longdouble(reference), 1.0)
+    for params in (model.params, {name: 8.0 * arr for name, arr in model.params.items()}):
+        for alpha in (0.0, 0.7, 1.0):
+            loss, grads = _loss_and_grads_compiled(params, compiled, alpha)
+            expected, expected_grads = reference_model._loss_and_grads_compiled(
+                params, reference, alpha)
+            assert loss == expected
+            for name in PARAM_ORDER:
+                assert grads[name].tobytes() == expected_grads[name].tobytes(), name
+            assert (_loss_compiled(params, compiled, alpha)
+                    == reference_model._loss_compiled(params, reference, alpha))
+        wide = {name: arr.astype(np.longdouble) for name, arr in params.items()}
+        wide_loss = _loss_compiled(wide, _as_longdouble(compiled), 1.0)
+        assert wide_loss.dtype == np.longdouble
+        assert wide_loss == reference_model._loss_compiled(
+            wide, reference_model._as_longdouble(reference), 1.0)
 
 
 class TestDistinctSteps:
@@ -315,38 +345,43 @@ class TestDistinctSteps:
             assert_same_as_step_by_step(example, init_model(seed=seed))
         assert_same_as_step_by_step(example, zero_model())
 
-    def test_training_equals_the_reference(self):
+    def test_training_equals_the_reference(self, monkeypatch):
         examples = make_examples(6, seed=3, k=3) + list(hand_built_examples().values())
-        for cfg in (TrainConfig(epochs=3, seed=5), TrainConfig(epochs=2, seed=1, alpha=0.3,
-                                                                 learning_rate=0.01)):
-            model, trace = train(examples, cfg)
-            expected, expected_trace = reference_model.train(examples, cfg)
-            assert trace == expected_trace
-            for name in PARAM_ORDER:
-                assert np.array_equal(model.params[name], expected.params[name]), name
-            assert model.train_config == expected.train_config
+        # the second scale starts from weights 8 times the usual, saturating tanh and exp
+        for scale in (1, 8):
+            monkeypatch.setattr(model_mod, "INIT_SCALE", scale * INIT_SCALE)
+            for cfg in (TrainConfig(epochs=3, seed=5),
+                        TrainConfig(epochs=2, seed=1, alpha=0.3, learning_rate=0.01)):
+                model, trace = train(examples, cfg)
+                expected, expected_trace = reference_model.train(examples, cfg)
+                assert trace == expected_trace
+                for name in PARAM_ORDER:
+                    assert model.params[name].tobytes() == expected.params[name].tobytes(), name
+                assert model.train_config == expected.train_config
 
     def test_each_distinct_step_is_featurized_once(self, monkeypatch):
         # (0,) and (0, 1) start oracles of length 2 and of length 3: the state
         # vector divides by the length, so those steps differ and are not merged
         example = hand_built_examples()["lengths-2-and-3"]
-        calls = []
-        featurize = model_mod.featurize_option
+        tables = []
+        build_table = model_mod.option_table
 
-        def counting(ctx, target, option, state):
-            calls.append((state.k, state.selected + (target,), option))
-            return featurize(ctx, target, option, state)
+        def counting(ctx, target, options):
+            tables.append(target)
+            return build_table(ctx, target, options)
 
-        monkeypatch.setattr(model_mod, "featurize_option", counting)
+        monkeypatch.setattr(model_mod, "option_table", counting)
         compiled = compile_example(example)
         keys = {(len(o.sentence_indices), o.sentence_indices[:depth + 1])
                 for o in example.candidates for depth in range(len(o.sentence_indices))}
         assert len(keys) == 6
         assert len(compiled.steps) == len(keys)
         assert len(compiled.order) == 9
-        assert len(calls) == len(set(calls)) == sum(
+        # one option table per target sentence with options, whatever its steps
+        assert sorted(tables) == sorted({prefix[-1] for _, prefix in keys
+                                         if example.labels[prefix[-1]]})
+        assert len(compiled.option_feats) == sum(
             len(example.labels[prefix[-1]]) for _, prefix in keys)
-        assert {(k, prefix) for k, prefix, _ in calls} == keys
         # the second pick of (0, 1) and of (0, 1, 2): same prefix and target, other k
         k2_step = compiled.steps[compiled.order[1]]
         k3_step = compiled.steps[compiled.order[3]]

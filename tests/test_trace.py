@@ -90,9 +90,17 @@ codes = [main(["oracle", "build", "--corpus", corpus, "--out", oracles, "--k", "
 built = dict(tracer.calls)
 codes.append(main(["train", "--corpus", corpus, "--oracles", oracles, "--out", model,
                    "--epochs", "1"]))
+trained = dict(tracer.counts)
 codes.append(main(["gradcheck", "--corpus", corpus, "--oracles", oracles, "--samples", "1",
                    "--hidden", "2"]))
-print(json.dumps({"codes": codes, "built": built, "calls": tracer.calls}))
+calls = dict(tracer.calls)
+from compsum.corpus import load_corpus
+from compsum.model import compile_example
+from compsum.oracle import read_oracle_cache
+steps = [len(compile_example(example).steps)
+         for example in read_oracle_cache(oracles, load_corpus(corpus))]
+print(json.dumps({"codes": codes, "built": built, "calls": calls, "trained": trained,
+                  "steps": steps}))
 """
 
 
@@ -178,6 +186,9 @@ def test_traced_train_and_gradcheck_run_no_rules(tmp_path):
     # the cache holds every option, so reading it back runs no rule
     assert calls["oracle.cache_read"] == 2
     assert calls["rules.extract"] == built["rules.extract"]
+    # the benchmark counts compiled steps as each example's distinct steps
+    print(result["trained"])
+    assert result["trained"]["model.steps_compiled"] == sum(result["steps"])
 
 
 def test_traced_stats_runs_the_rules_once_per_sentence(tmp_path):
