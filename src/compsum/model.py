@@ -455,22 +455,10 @@ def _flat_buffer(shapes: dict[str, tuple[int, ...]], *lead: int):
 def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
     """The extraction NLL averaged over the oracles, the compression NLL, and
     the gradient of extraction + alpha * compression, flat in PARAM_ORDER."""
-    increments, step_grads = _flat_buffer(
-        {name: params[name].shape for name in PARAM_ORDER}, len(compiled.decoder_inputs))
     inv_m = 1.0 / compiled.oracle_count
     sent_terms, comp_terms, act, scores, logz, hidden, z = _step_terms(params, compiled)
-    rows, feats = compiled.row_bounds, compiled.sent_feats
-    dz = np.exp(scores - logz)
-    dz[compiled.target_rows] -= 1.0
-    dz *= inv_m
-    dact = dz[:, None] * params["w_m"] * (1.0 - act * act)
-    for s, (lo, hi) in enumerate(zip(rows, rows[1:])):
-        np.matmul(act[lo:hi].T, dz[lo:hi], out=step_grads["w_m"][s])
-        np.matmul(dact[lo:hi].T, feats[lo:hi], out=step_grads["w_h"][s])
-        np.add.reduce(dact[lo:hi], axis=0, out=step_grads["b_s"][s])
-    np.multiply(step_grads["b_s"][:, :, None], compiled.decoder_inputs[:, None, :],
-                out=step_grads["w_d"])
-
+    increments, step_grads = _flat_buffer(
+        {name: params[name].shape for name in PARAM_ORDER}, len(compiled.decoder_inputs))
     options, feats = compiled.option_bounds, compiled.option_feats
     dzc = alpha * (_sigmoid(z) - compiled.option_targets)
     dhid = dzc[:, None] * params["w2"] * (1.0 - hidden * hidden)
@@ -480,6 +468,27 @@ def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
             np.add.reduce(dzc[lo:hi], keepdims=True, out=step_grads["b2"][s])
             np.matmul(dhid[lo:hi].T, feats[lo:hi], out=step_grads["w1"][s])
             np.add.reduce(dhid[lo:hi], axis=0, out=step_grads["b1"][s])
+
+    rows, feats = compiled.row_bounds, compiled.sent_feats
+    dz = np.exp(scores - logz)
+    dz[compiled.target_rows] -= 1.0
+    dz *= inv_m
+    steps = list(zip(rows, rows[1:]))
+    for s, (lo, hi) in enumerate(steps):
+        np.matmul(act[lo:hi].T, dz[lo:hi], out=step_grads["w_m"][s])
+    # act is read for the last time above, so 1 - act * act overwrites it.
+    # einsum writes the outer products below without the iterator buffers of
+    # a broadcasting multiply (64 KiB per operand on a news-sized pack). It
+    # writes +0.0 where the multiply gives -0.0; a zero's sign cannot reach
+    # the gradient, whose sum in `order` starts at +0.0.
+    slope = np.subtract(1.0, np.multiply(act, act, out=act), out=act)
+    dact = np.einsum("r,h->rh", dz, params["w_m"])
+    dact *= slope
+    for s, (lo, hi) in enumerate(steps):
+        np.matmul(dact[lo:hi].T, feats[lo:hi], out=step_grads["w_h"][s])
+        np.add.reduce(dact[lo:hi], axis=0, out=step_grads["b_s"][s])
+    np.einsum("sh,sd->shd", step_grads["b_s"], compiled.decoder_inputs, out=step_grads["w_d"])
+
     sent_terms, comp_terms = sent_terms.tolist(), comp_terms.tolist()
     sent_nll = 0.0
     comp_nll = 0.0
