@@ -2,6 +2,9 @@
 
 These stand in for learned encoders: fixed-length real vectors computed
 from surface statistics. Identical inputs always give identical vectors.
+Of an option's features only the coverage column reads the decoder state,
+so training builds each sentence's option table once per document and
+fills that column per step, while decoding featurizes one option at a time.
 """
 
 from __future__ import annotations

@@ -279,6 +279,7 @@ class CompiledExample:
     decoder_inputs: np.ndarray       # (S, DECODER_INPUT_DIM)
     sent_feats: np.ndarray           # (R, SENTENCE_FEATURE_DIM), each step's unselected sentences
     row_bounds: tuple[int, ...]      # step s owns rows row_bounds[s]:row_bounds[s + 1]
+    row_steps: np.ndarray            # (R,) the step of each row
     target_rows: list[int]           # the row of each step's gold pick
     option_feats: np.ndarray         # (C, OPTION_FEATURE_DIM), each step's target's options
     option_targets: np.ndarray       # (C,), 1.0 for DEL
@@ -346,6 +347,7 @@ def compile_example(example: DocumentOracles) -> CompiledExample:
         decoder_inputs=decoder_inputs,
         sent_feats=ctx.sentence_features[list(chain.from_iterable(remaining))],
         row_bounds=row_bounds,
+        row_steps=np.array([s for s, rows in enumerate(remaining) for _ in rows], dtype=np.intp),
         target_rows=[lo + rows.index(target)
                      for lo, rows, target in zip(row_bounds, remaining, targets)],
         option_feats=option_feats,
@@ -377,7 +379,7 @@ def _packed_extraction_forward(params: dict, compiled: CompiledExample):
         np.matmul(feats[lo:hi], params["w_h"].T, out=pre[lo:hi])
         np.matmul(params["w_d"], compiled.decoder_inputs[s], out=bias[s])
     bias += params["b_s"]
-    pre += np.repeat(bias, [hi - lo for lo, hi in steps], axis=0)
+    pre += bias[compiled.row_steps]
     act = np.tanh(pre, out=pre)
     scores = np.empty(len(feats), feats.dtype)
     for lo, hi in steps:
@@ -409,9 +411,8 @@ def _step_terms(params: dict, compiled: CompiledExample):
     options' hidden layer and logits."""
     rows = compiled.row_bounds
     act, scores = _packed_extraction_forward(params, compiled)
-    counts = [hi - lo for lo, hi in zip(rows, rows[1:])]
     top = np.maximum.reduceat(scores, rows[:-1])    # a maximum is exact in any order
-    weights = np.exp(scores - np.repeat(top, counts))
+    weights = np.exp(scores - top[compiled.row_steps])
     sums = np.array([np.add.reduce(weights[lo:hi]) for lo, hi in zip(rows, rows[1:])])
     logz = top + np.log(sums)
     sent_terms = logz - scores[compiled.target_rows]
@@ -423,7 +424,7 @@ def _step_terms(params: dict, compiled: CompiledExample):
     for s, (lo, hi) in enumerate(zip(options, options[1:])):
         if lo < hi:
             comp_terms[s] = np.add.reduce(losses[lo:hi])
-    return sent_terms, comp_terms, act, scores, np.repeat(logz, counts), hidden, z
+    return sent_terms, comp_terms, act, scores, logz[compiled.row_steps], hidden, z
 
 
 def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float):
