@@ -267,8 +267,8 @@ def _apply_config(path, parsers) -> str | None:
     """
     try:
         defaults = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return f"cannot read config {path}: {exc}"
+    except (OSError, ValueError, RecursionError) as exc:
+        return f"config {path}: cannot read: {exc}"
     if not isinstance(defaults, dict):
         return (f"config {path}: expected a JSON object of flag defaults, "
                 f"got {type(defaults).__name__}")

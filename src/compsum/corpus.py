@@ -90,7 +90,7 @@ def load_corpus(path) -> Iterator[Document]:
         except UnicodeDecodeError:
             logger.warning("line %d: not UTF-8 text; record skipped", lineno)
             continue
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also what json.loads cannot decode
             logger.warning("line %d: malformed JSON (%s); record skipped", lineno, exc)
             continue
         try:
@@ -241,9 +241,17 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
     corpus = iter(documents)
     out = []
     for lineno, line in _lines(path):
-        doc = None  # the document the record is joined to, once it is
         try:
             record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
+                             f"at column {exc.colno}") from exc
+        except (ValueError, RecursionError) as exc:  # what json.loads cannot decode otherwise
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        doc = None  # the document the record is joined to, once it is
+        try:
             if not isinstance(record, dict):
                 raise ValueError("record is not a JSON object")
             if header is not None:
@@ -257,11 +265,6 @@ def read_records(path, documents: Iterable[Document], parse: Callable[[dict, Doc
                                  f"corpus has {has}: {stale}")
             doc = at_place
             out.append(parse(record, doc))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from exc
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc.msg} "
-                             f"at column {exc.colno}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             where = f"{path}:{lineno}:" + ("" if doc is None else f" document {quote(doc.id)}:")
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc

@@ -18,15 +18,13 @@ import numpy as np
 
 from .corpus import Document
 from .rouge import DEFAULT_STOPWORDS
-from .rules import CompressionOption, RuleId
+from .rules import RULE_ORDER, CompressionOption, RuleId
 
 SENTENCE_FEATURE_DIM = 6
 DOC_FEATURE_DIM = 2 * SENTENCE_FEATURE_DIM + 1   # mean + max + log length
 STATE_DIM = SENTENCE_FEATURE_DIM + 2             # step fraction + mean + coverage
 DECODER_INPUT_DIM = STATE_DIM + DOC_FEATURE_DIM
 OPTION_FEATURE_DIM = len(RuleId) + 5 + SENTENCE_FEATURE_DIM
-
-_RULE_INDEX = {rule: i for i, rule in enumerate(RuleId)}
 
 
 class DocumentContext:
@@ -100,7 +98,7 @@ def _static_features(feats: np.ndarray, ctx: DocumentContext, sent_index: int,
     span = option.span
     span_tokens = tokens[span.start:span.end]
     span_counts = Counter(span_tokens)
-    feats[_RULE_INDEX[option.rule]] = 1.0
+    feats[RULE_ORDER[option.rule]] = 1.0
     base = len(RuleId)
     feats[base + 0] = math.log1p(len(span_tokens))
     feats[base + 1] = span.start / len(tokens)

@@ -13,10 +13,13 @@ oracle.DocumentOracles, as oracle building or the cache reader returns it.
 A document's oracles mostly share their leading picks, so each distinct
 teacher-forced step is compiled and run once per loss, and its terms are
 added as often as the oracles take it, in their order. compile_example packs
-a document's distinct steps into one set of arrays; the forward and backward
-passes make each step's matrix products and sums on its own rows, and run
-every elementwise operation once per document, which gives the bits of
-running the steps one by one.
+a document's distinct steps into one set of arrays, and CompiledExample.steps
+holds the distinct steps' keys. The packed forward and backward passes are
+functions of their own, apart from the one-step forwards of inference: they
+make each step's matrix products and sums on its own rows, and run every
+elementwise operation once per document. That gives the bits of running the
+steps one by one through the inference forwards, which
+tests/reference_model.py does and the tests compare bit for bit.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ def init_model(hidden_size: int = DEFAULT_HIDDEN_SIZE, seed: int = 0) -> Model:
     """Uniform [-0.08, 0.08] initialization of every parameter, seeded."""
     if hidden_size < 1:
         raise ValueError(f"hidden_size={hidden_size} must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     rng = np.random.default_rng(seed)
     params = {
         name: rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
@@ -112,7 +117,7 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also what json.loads cannot decode
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"corrupt model file {path}: not an object")
@@ -259,17 +264,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate={self.learning_rate} must be > 0")
         if self.epochs < 0:
             raise ValueError(f"epochs={self.epochs} must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if self.hidden_size < 1:
             raise ValueError(f"hidden_size={self.hidden_size} must be >= 1")
-
-
-@dataclass
-class _Step:
-    decoder_input: np.ndarray        # (DECODER_INPUT_DIM,)
-    sent_feats: np.ndarray           # (r, SENTENCE_FEATURE_DIM), the unselected sentences
-    target_pos: int                  # row of the gold pick in `sent_feats`
-    option_feats: np.ndarray         # (c, OPTION_FEATURE_DIM), possibly c == 0
-    option_targets: np.ndarray       # (c,), 1.0 for DEL
 
 
 @dataclass
@@ -286,17 +284,7 @@ class CompiledExample:
     option_bounds: tuple[int, ...]   # step s owns options option_bounds[s]:option_bounds[s + 1]
     order: list[int]                 # every oracle's steps in turn, as step indices
     oracle_count: int
-
-    @property
-    def steps(self) -> list[_Step]:
-        """Each distinct step once, as views into the pack."""
-        rows, options = self.row_bounds, self.option_bounds
-        return [_Step(decoder_input=self.decoder_inputs[s],
-                      sent_feats=self.sent_feats[rows[s]:rows[s + 1]],
-                      target_pos=self.target_rows[s] - rows[s],
-                      option_feats=self.option_feats[options[s]:options[s + 1]],
-                      option_targets=self.option_targets[options[s]:options[s + 1]])
-                for s in range(len(self.decoder_inputs))]
+    steps: tuple[tuple, ...]         # each step's key (k, ordered prefix + target), by index
 
 
 def compile_example(example: DocumentOracles) -> CompiledExample:
@@ -304,10 +292,11 @@ def compile_example(example: DocumentOracles) -> CompiledExample:
 
     A step is a function of its key (k, ordered prefix, target), k being the
     oracle's length, by which the state vector divides. Oracles that share
-    leading picks share steps, so each distinct key is compiled once, and
-    `order` lists the steps of every oracle, pick by pick. Each target
-    sentence's options are featurized once, as an option table; a step
-    copies its target's table and fills in the coverage column.
+    leading picks share steps, so each distinct key is compiled once,
+    `steps` lists the keys by step index, and `order` lists the steps of
+    every oracle, pick by pick. Each target sentence's options are
+    featurized once, as an option table; a step copies its target's table
+    and fills in the coverage column.
     """
     doc = example.doc
     ctx = DocumentContext(doc)
@@ -355,7 +344,8 @@ def compile_example(example: DocumentOracles) -> CompiledExample:
                                  for step_labels in labels for lab in step_labels]),
         option_bounds=option_bounds,
         order=order,
-        oracle_count=len(example.candidates))
+        oracle_count=len(example.candidates),
+        steps=tuple(known))
 
 
 # The forward and backward passes run over the pack: each step makes its own

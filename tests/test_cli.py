@@ -44,6 +44,17 @@ def corpus_path(tmp_path_factory):
     return path
 
 
+# JSON that Python's decoder rejects by a ValueError or a RecursionError, not a
+# JSONDecodeError, and the message of each
+LONG_INTEGER = "9" * 5000
+LONG_INTEGER_ERROR = ("Exceeds the limit (4300 digits) for integer string conversion: "
+                      "value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+                      "the limit")
+DEEP_NESTING = "[" * 100_000
+DEEP_NESTING_ERROR = ("maximum recursion depth exceeded while decoding a JSON array from a "
+                      "unicode string")
+
+
 def _structured_error(capsys) -> str:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
@@ -224,13 +235,19 @@ def test_config_file_supplies_defaults_flags_win(corpus_path, tmp_path, capsys):
     pytest.param(json.dumps({f"key{i:04}": 1 for i in range(1000)}),
                  'no subcommand has a flag for key(s) ["key0000", "key0001", "key0002", "key0…',
                  id="many-unknown"),
+    # each once a raw traceback out of main
+    pytest.param(f'{{"k": {LONG_INTEGER}}}', f"cannot read: {LONG_INTEGER_ERROR}",
+                 id="integer-too-long"),
+    pytest.param(DEEP_NESTING, f"cannot read: {DEEP_NESTING_ERROR}", id="nesting-too-deep"),
+    pytest.param(b'{"k": "\xff"}', "cannot read: 'utf-8' codec can't decode byte 0xff in "
+                 "position 7: invalid start byte", id="not-utf8"),
 ])
 def test_config_that_is_no_object_of_flags_is_error(corpus_path, tmp_path, capsys,
                                                      content, expected):
     # a list once ended in a TypeError traceback, and unknown keys were
     # ignored; "help" and "config" were once accepted and did nothing
     config = tmp_path / "config.json"
-    config.write_text(content, encoding="utf-8")
+    config.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     out = tmp_path / "options.jsonl"
     code = main(["--config", str(config), "options", "extract",
                  "--corpus", str(corpus_path), "--out", str(out)])
@@ -397,12 +414,15 @@ def oracles_path(corpus_path):
     (["oracle", "build", "--m", "9"], "--m 9 must not exceed --beam 8"),
     (["train", "--lr", "nan"], "--lr nan must be finite"),
     (["train", "--alpha", "inf"], "--alpha inf must be finite"),
+    (["train", "--seed", "-1"], "--seed -1 must be >= 0"),
+    (["gradcheck", "--seed", "-1"], "--seed -1 must be >= 0"),
 ])
 def test_rejected_value_is_named_by_its_flag(corpus_path, oracles_path, tmp_path, capsys,
                                              command, expected):
     # gradcheck --hidden 0 once checked only b2 and passed; --lr nan and
-    # --alpha inf trained a model of NaN weights; the others named config
-    # fields (m=0, hidden_size=0) instead of flags
+    # --alpha inf trained a model of NaN weights; --seed -1 failed only after
+    # the files were read, with numpy's "expected non-negative integer"; the
+    # others named config fields (m=0, hidden_size=0) instead of flags
     out = tmp_path / "out"
     paths = {"train": ["--oracles", str(oracles_path), "--out", str(out)],
              "gradcheck": ["--oracles", str(oracles_path)],
@@ -643,6 +663,8 @@ MALFORMED_MODELS = {
                         f"parameter w1 holds \"{'x' * 38}…, which is not a JSON number"),
     "config-value-rejected": (lambda p: p["train_config"].update(alpha=-1),
                               "train_config: alpha=-1 must be >= 0"),
+    "config-seed-negative": (lambda p: p["train_config"].update(seed=-1),
+                             "train_config: seed=-1 must be >= 0"),
     "hidden-size-string": (lambda p: p.update(hidden_size="32"),
                            'hidden_size "32" is not an integer >= 1'),
     "hidden-size-fraction": (lambda p: p.update(hidden_size=32.7),
@@ -671,6 +693,12 @@ MALFORMED_MODELS = {
     "feature-dims-floats": (lambda p: p.update(feature_dims=_FLOAT_DIMS),
                             f"model feature dimensions {json.dumps(_FLOAT_DIMS)[:39]}… do not "
                             f"match this build {json.dumps(model_mod.FEATURE_DIMS)}"),
+    # an edit that returns a string is the file's text; each once a plain ValueError
+    # or a RecursionError, naming no file
+    "integer-too-long": (lambda p: json.dumps(p).replace('"hidden_size": 32',
+                                                        f'"hidden_size": {LONG_INTEGER}'),
+                         LONG_INTEGER_ERROR),
+    "nesting-too-deep": (lambda p: f'{{"weights": {DEEP_NESTING}', DEEP_NESTING_ERROR),
 }
 
 
@@ -684,8 +712,8 @@ def test_malformed_model_file_is_located_error(corpus_path, tmp_path, capsys, ca
     path = tmp_path / "m.json"
     save_model(model, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    edit(payload)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = edit(payload)
+    path.write_text(text if isinstance(text, str) else json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
     assert main(["summarize", "--corpus", str(corpus_path), "--model", str(path),
                  "--out", str(tmp_path / "summaries.jsonl")]) == 1

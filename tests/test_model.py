@@ -375,7 +375,8 @@ class TestDistinctSteps:
         keys = {(len(o.sentence_indices), o.sentence_indices[:depth + 1])
                 for o in example.candidates for depth in range(len(o.sentence_indices))}
         assert len(keys) == 6
-        assert len(compiled.steps) == len(keys)
+        assert set(compiled.steps) == keys
+        assert len(compiled.steps) == len(keys) == len(compiled.decoder_inputs)
         assert len(compiled.order) == 9
         # one option table per target sentence with options, whatever its steps
         assert sorted(tables) == sorted({prefix[-1] for _, prefix in keys
@@ -383,9 +384,10 @@ class TestDistinctSteps:
         assert len(compiled.option_feats) == sum(
             len(example.labels[prefix[-1]]) for _, prefix in keys)
         # the second pick of (0, 1) and of (0, 1, 2): same prefix and target, other k
-        k2_step = compiled.steps[compiled.order[1]]
-        k3_step = compiled.steps[compiled.order[3]]
-        assert not np.array_equal(k2_step.decoder_input, k3_step.decoder_input)
+        assert compiled.steps[compiled.order[1]] == (2, (0, 1))
+        assert compiled.steps[compiled.order[3]] == (3, (0, 1))
+        assert not np.array_equal(compiled.decoder_inputs[compiled.order[1]],
+                                  compiled.decoder_inputs[compiled.order[3]])
 
 
 class TestGradientCheck:

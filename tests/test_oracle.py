@@ -629,6 +629,14 @@ class TestCache:
         (b'{"oracles": [], "labels": []}\n', r"bad\.jsonl:2: missing key 'doc_id'"),
         (b'["a list"]\n', r"bad\.jsonl:2: record is not a JSON object"),
         (b'{"doc_id": "\xff"}\n', r"bad\.jsonl:2: not UTF-8 text$"),
+        # Python's decoder rejects these by a ValueError and a RecursionError;
+        # the second once escaped naming no file or line
+        pytest.param(b'{"doc_id": ' + b"9" * 5000 + b"}\n",
+                     r"bad\.jsonl:2: malformed JSON: Exceeds the limit \(4300 digits\)",
+                     id="integer-too-long"),
+        pytest.param(b"[" * 100_000 + b"\n",
+                     r"bad\.jsonl:2: malformed JSON: maximum recursion depth exceeded",
+                     id="nesting-too-deep"),
     ])
     def test_bad_line_is_located(self, tmp_path, line, message):
         doc = corpusgen.fixture_corpus()[0]

@@ -8,6 +8,12 @@ would show it at any length, and not as the JSON text the file holds. A
 json.dumps(...) call joined into a message by +, % or str.format, inside
 the arguments of a raised exception or of a logger.* call (where logging
 joins the arguments after the first by %), would too.
+
+A file's JSON reaches the program only through a json.loads call in a try
+whose handlers catch ValueError and RecursionError: Python's decoder
+rejects an integer over its digit limit by a plain ValueError and nesting
+past the recursion limit by a RecursionError, neither a JSONDecodeError,
+so a handler of JSONDecodeError alone lets them out naming no file or line.
 """
 
 import ast
@@ -16,9 +22,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "compsum"
 
 
-def _is_json_dumps(node: ast.AST) -> bool:
+def _is_json_call(node: ast.AST, name: str) -> bool:
+    """True when node is a call json.<name>(...)."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+            and node.func.attr == name and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "json")
 
 
@@ -27,7 +34,7 @@ def _dumps_in_fstrings(source: str) -> list[int]:
     return sorted(field.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.JoinedStr)
                   for field in node.values
-                  if isinstance(field, ast.FormattedValue) and _is_json_dumps(field.value))
+                  if isinstance(field, ast.FormattedValue) and _is_json_call(field.value, "dumps"))
 
 
 def _joined_operands(node: ast.AST) -> list[ast.AST]:
@@ -65,7 +72,7 @@ def _dumps_joined_in_messages(source: str) -> list[int]:
             continue
         operands += [operand for message in messages for joined in ast.walk(message)
                      for operand in _joined_operands(joined)]
-        lines.update(operand.lineno for operand in operands if _is_json_dumps(operand))
+        lines.update(operand.lineno for operand in operands if _is_json_call(operand, "dumps"))
     return sorted(lines)
 
 
@@ -141,3 +148,66 @@ def test_a_planted_repr_document_id_is_found():
               'def f(doc_id):\n    raise ValueError(f"record of {doc_id!r}")\n'
               'two = f"{self.doc.id!r}: " f"{doc_id!s}"\n')
     assert _repr_ids_in_fstrings(source) == [3, 5, 6]
+
+
+# for ValueError and RecursionError, the exception names whose handler catches it
+_CATCHES = {"ValueError": {"ValueError", "Exception", "BaseException"},
+            "RecursionError": {"RecursionError", "RuntimeError", "Exception", "BaseException"}}
+
+
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    """The exception names a handler lists; a bare except lists BaseException."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+            for node in types}
+
+
+def _unguarded_json_loads(source: str) -> list[int]:
+    """The line of each json.loads(...) call of source that is in the body of
+    no try whose handlers catch both ValueError and RecursionError."""
+    tree = ast.parse(source)
+    guarded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try):
+            caught = set().union(*map(_caught, node.handlers))
+            if all(caught & names for names in _CATCHES.values()):
+                guarded.update(id(inner) for statement in node.body
+                               for inner in ast.walk(statement))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _is_json_call(node, "loads") and id(node) not in guarded)
+
+
+def test_every_json_loads_catches_what_the_decoder_raises():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 1
+    found = [f"{path.name}:{line}" for path in modules
+             for line in _unguarded_json_loads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_a_planted_unguarded_json_loads_is_found():
+    source = ('import json\n'
+              'def f(text):\n'
+              '    a = json.loads(text)\n'
+              '    try:\n'
+              '        b = json.loads(text)\n'
+              '    except json.JSONDecodeError:\n'
+              '        c = json.loads(text)\n'
+              '    try:\n'
+              '        d = [json.loads(t) for t in text]\n'
+              '    except (KeyError, ValueError) as exc:\n'
+              '        pass\n'
+              '    except RecursionError:\n'
+              '        pass\n'
+              '    try:\n'
+              '        e = json.loads(text)\n'
+              '    except ValueError:\n'
+              '        pass\n'
+              '    try:\n'
+              '        if text:\n'
+              '            g = json.loads(text)\n'
+              '    except Exception:\n'
+              '        pass\n')
+    assert _unguarded_json_loads(source) == [3, 5, 7, 15]

@@ -187,7 +187,6 @@ def test_traced_train_and_gradcheck_run_no_rules(tmp_path):
     assert calls["oracle.cache_read"] == 2
     assert calls["rules.extract"] == built["rules.extract"]
     # the benchmark counts compiled steps as each example's distinct steps
-    print(result["trained"])
     assert result["trained"]["model.steps_compiled"] == sum(result["steps"])
 
 
