@@ -84,8 +84,9 @@ def _parse_tau_grid(spec: str) -> list[float]:
     grid = []
     value = start
     while value <= stop + 1e-9:
-        # the tolerance above stop admits stop itself, never a threshold past it
-        tau = min(round(value, 10), stop)
+        # the tolerance above stop admits stop itself, never a threshold past it;
+        # adding 0.0 makes a start of -0 the threshold +0.0
+        tau = min(round(value, 10), stop) + 0.0
         if not grid or tau != grid[-1]:
             grid.append(tau)
         value += step

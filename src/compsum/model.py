@@ -14,12 +14,14 @@ A document's oracles mostly share their leading picks, so each distinct
 teacher-forced step is compiled and run once per loss, and its terms are
 added as often as the oracles take it, in their order. compile_example packs
 a document's distinct steps into one set of arrays, and CompiledExample.steps
-holds the distinct steps' keys. The packed forward and backward passes are
-functions of their own, apart from the one-step forwards of inference: they
-make each step's matrix products and sums on its own rows, and run every
+holds the distinct steps' keys. Each scorer has one forward function, which
+decoding calls on one step's rows and training on the pack: given the pack's
+step bounds, it makes each step's matrix products on that step's rows only,
+as the backward pass makes each step's products and sums, and runs every
 elementwise operation once per document. That gives the bits of running the
-steps one by one through the inference forwards, which
-tests/reference_model.py does and the tests compare bit for bit.
+steps one by one, which tests/reference_model.py does through plain
+one-step forwards of its own; the tests compare training and inference with
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -184,17 +186,48 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _extraction_forward(params: dict, decoder_input: np.ndarray, sent_feats: np.ndarray):
-    """Tanh activations (r, H) and raw pointer scores (r,) for each row of sent_feats."""
-    pre = sent_feats @ params["w_h"].T + (params["w_d"] @ decoder_input + params["b_s"])
-    act = np.tanh(pre)
-    return act, act @ params["w_m"]
+def _products(rows: np.ndarray, matrix: np.ndarray, bounds) -> np.ndarray:
+    """rows @ matrix, each step's product made on its own rows
+    rows[bounds[s]:bounds[s + 1]]."""
+    out = np.empty((len(rows), *matrix.shape[1:]), rows.dtype)
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(rows[lo:hi], matrix, out=out[lo:hi])
+    return out
 
 
-def _compression_forward(params: dict, option_feats: np.ndarray):
-    """Tanh hidden layer (c, H) and deletion logits (c,) for each row of option_feats."""
-    hidden = np.tanh(option_feats @ params["w1"].T + params["b1"])
-    return hidden, hidden @ params["w2"] + params["b2"][0]
+def _extraction_forward(params: dict, decoder_input: np.ndarray, sent_feats: np.ndarray,
+                        bounds=None, row_steps=None):
+    """Tanh activations (r, H) and raw pointer scores (r,) for each row of
+    sent_feats, against decoder_input; or, given a pack's row bounds and
+    the step of each row, each step's rows against its row of
+    decoder_input (S, DECODER_INPUT_DIM)."""
+    if bounds is None:
+        pre = sent_feats @ params["w_h"].T + (params["w_d"] @ decoder_input + params["b_s"])
+        act = np.tanh(pre)
+        return act, act @ params["w_m"]
+    bias = np.empty((len(decoder_input), len(params["b_s"])), sent_feats.dtype)
+    for s, step_input in enumerate(decoder_input):
+        np.matmul(params["w_d"], step_input, out=bias[s])
+    bias += params["b_s"]
+    pre = _products(sent_feats, params["w_h"].T, bounds)
+    pre += bias[row_steps]
+    act = np.tanh(pre, out=pre)
+    return act, _products(act, params["w_m"], bounds)
+
+
+def _compression_forward(params: dict, option_feats: np.ndarray, bounds=None):
+    """Tanh hidden layer (c, H) and deletion logits (c,) for each row of
+    option_feats; given a pack's option bounds, each step's products on its
+    own options."""
+    if bounds is None:
+        hidden = np.tanh(option_feats @ params["w1"].T + params["b1"])
+        return hidden, hidden @ params["w2"] + params["b2"][0]
+    hidden = _products(option_feats, params["w1"].T, bounds)
+    hidden += params["b1"]
+    np.tanh(hidden, out=hidden)
+    logits = _products(hidden, params["w2"], bounds)
+    logits += params["b2"][0]
+    return hidden, logits
 
 
 def score_remaining(
@@ -348,50 +381,17 @@ def compile_example(example: DocumentOracles) -> CompiledExample:
         steps=tuple(known))
 
 
-# The forward and backward passes run over the pack: each step makes its own
-# products and sums, whose bits depend on the rows they reduce, and every
-# elementwise operation runs once per document, which gives the same bits as
-# running it step by step. Each loss then adds a distinct step's terms to its
-# sums in `order`, as often as the step recurs: the same additions in the
-# same sequence as computing every step anew. A step without options adds a
-# zero compression term (and gradient), which leaves a sum that starts at
-# +0.0 bit for bit.
-
-
-def _packed_extraction_forward(params: dict, compiled: CompiledExample):
-    """_extraction_forward over every step of the pack: the activations and
-    pointer scores of every row, each step's against its decoder input."""
-    rows, feats = compiled.row_bounds, compiled.sent_feats
-    steps = list(zip(rows, rows[1:]))
-    pre = np.empty((len(feats), len(params["b_s"])), feats.dtype)
-    bias = np.empty((len(steps), len(params["b_s"])), feats.dtype)
-    for s, (lo, hi) in enumerate(steps):
-        np.matmul(feats[lo:hi], params["w_h"].T, out=pre[lo:hi])
-        np.matmul(params["w_d"], compiled.decoder_inputs[s], out=bias[s])
-    bias += params["b_s"]
-    pre += bias[compiled.row_steps]
-    act = np.tanh(pre, out=pre)
-    scores = np.empty(len(feats), feats.dtype)
-    for lo, hi in steps:
-        np.matmul(act[lo:hi], params["w_m"], out=scores[lo:hi])
-    return act, scores
-
-
-def _packed_compression_forward(params: dict, compiled: CompiledExample):
-    """_compression_forward over every option of the pack: the hidden layer
-    and deletion logits of every option row."""
-    options, feats = compiled.option_bounds, compiled.option_feats
-    steps = [(lo, hi) for lo, hi in zip(options, options[1:]) if lo < hi]
-    hidden = np.empty((len(feats), len(params["b1"])), feats.dtype)
-    for lo, hi in steps:
-        np.matmul(feats[lo:hi], params["w1"].T, out=hidden[lo:hi])
-    hidden += params["b1"]
-    np.tanh(hidden, out=hidden)
-    logits = np.empty(len(feats), feats.dtype)
-    for lo, hi in steps:
-        np.matmul(hidden[lo:hi], params["w2"], out=logits[lo:hi])
-    logits += params["b2"][0]
-    return hidden, logits
+# Training calls each scorer's one forward function with the pack's step
+# bounds, decoding without them. Over the pack, each forward makes each step's
+# products on that step's rows, as the backward makes each step's products
+# and sums, whose bits depend on the rows they reduce, and every elementwise
+# operation runs once per document: the same bits as running the steps one by
+# one, as tests/reference_model.py does through plain forwards of its own.
+# Each loss then adds a distinct step's terms to its sums in `order`, as often
+# as the step recurs: the same additions in the same sequence as computing
+# every step anew. A step without options reduces no rows: its compression
+# term and gradient are +0.0, which leaves a sum that starts at +0.0 bit for
+# bit.
 
 
 def _step_terms(params: dict, compiled: CompiledExample):
@@ -400,7 +400,8 @@ def _step_terms(params: dict, compiled: CompiledExample):
     the activations, pointer scores and the logz of each row's step, and the
     options' hidden layer and logits."""
     rows = compiled.row_bounds
-    act, scores = _packed_extraction_forward(params, compiled)
+    act, scores = _extraction_forward(params, compiled.decoder_inputs, compiled.sent_feats,
+                                      rows, compiled.row_steps)
     top = np.maximum.reduceat(scores, rows[:-1])    # a maximum is exact in any order
     weights = np.exp(scores - top[compiled.row_steps])
     sums = np.array([np.add.reduce(weights[lo:hi]) for lo, hi in zip(rows, rows[1:])])
@@ -408,12 +409,9 @@ def _step_terms(params: dict, compiled: CompiledExample):
     sent_terms = logz - scores[compiled.target_rows]
 
     options = compiled.option_bounds
-    hidden, z = _packed_compression_forward(params, compiled)
+    hidden, z = _compression_forward(params, compiled.option_feats, options)
     losses = np.logaddexp(0.0, z) - compiled.option_targets * z
-    comp_terms = np.zeros(len(sent_terms), sent_terms.dtype)
-    for s, (lo, hi) in enumerate(zip(options, options[1:])):
-        if lo < hi:
-            comp_terms[s] = np.add.reduce(losses[lo:hi])
+    comp_terms = np.array([np.add.reduce(losses[lo:hi]) for lo, hi in zip(options, options[1:])])
     return sent_terms, comp_terms, act, scores, logz[compiled.row_steps], hidden, z
 
 
@@ -454,11 +452,10 @@ def _loss_terms_and_grad(params: dict, compiled: CompiledExample, alpha: float):
     dzc = alpha * (_sigmoid(z) - compiled.option_targets)
     dhid = dzc[:, None] * params["w2"] * (1.0 - hidden * hidden)
     for s, (lo, hi) in enumerate(zip(options, options[1:])):
-        if lo < hi:
-            np.matmul(hidden[lo:hi].T, dzc[lo:hi], out=step_grads["w2"][s])
-            np.add.reduce(dzc[lo:hi], keepdims=True, out=step_grads["b2"][s])
-            np.matmul(dhid[lo:hi].T, feats[lo:hi], out=step_grads["w1"][s])
-            np.add.reduce(dhid[lo:hi], axis=0, out=step_grads["b1"][s])
+        np.matmul(hidden[lo:hi].T, dzc[lo:hi], out=step_grads["w2"][s])
+        np.add.reduce(dzc[lo:hi], keepdims=True, out=step_grads["b2"][s])
+        np.matmul(dhid[lo:hi].T, feats[lo:hi], out=step_grads["w1"][s])
+        np.add.reduce(dhid[lo:hi], axis=0, out=step_grads["b1"][s])
 
     rows, feats = compiled.row_bounds, compiled.sent_feats
     dz = np.exp(scores - logz)

@@ -2,12 +2,17 @@
 
 `compile_example` featurizes every teacher-forced step of every oracle,
 one option at a time, and `_loss_compiled` and `_loss_and_grads_compiled`
-run the forward (and backward) pass once per step, through the library's
-inference forward functions. `compsum.model` compiles each distinct step
-once into a per-document pack, runs each elementwise operation once over
-the pack, and adds each step's terms in the teacher-forced order; `train`
-updates each parameter by name, where `compsum.model.train` updates one
-flat buffer. The library must give the same bits.
+run the forward (and backward) pass once per step, through this module's
+own plain one-step forwards, `extraction_forward` and `compression_forward`.
+`compsum.model` compiles each distinct step once into a per-document pack,
+runs each elementwise operation once over the pack, and adds each step's
+terms in the teacher-forced order; `train` updates each parameter by name,
+where `compsum.model.train` updates one flat buffer. The library must give
+the same bits, and its inference (`score_remaining`, `classify_option`)
+the bits of the plain forwards. This module imports no forward, products
+helper, `_step_terms` or `_loss_*` function from `compsum.model`
+(`tests/test_imports.py` checks this), so the library is never compared
+with itself; only the test helper `loss_joint` reads the library's loss.
 
 `loss_joint`, `models_equal` and `decode_greedy` are helpers of the tests
 that read the library's loss, weights and decode loop. Nothing in `src/`
@@ -35,8 +40,6 @@ from compsum.model import (
     PARAM_ORDER,
     Model,
     TrainConfig,
-    _compression_forward,
-    _extraction_forward,
     _sigmoid,
     greedy_steps,
     init_model,
@@ -60,6 +63,19 @@ def loss_joint(model: Model, example: DocumentOracles, alpha: float = 1.0) -> fl
     plus alpha times the summed compression NLL over the oracle sentences'
     options."""
     return float(library._loss_compiled(model.params, library.compile_example(example), alpha))
+
+
+def extraction_forward(params: dict, decoder_input: np.ndarray, sent_feats: np.ndarray):
+    """Tanh activations (r, H) and raw pointer scores (r,) for each row of sent_feats."""
+    pre = sent_feats @ params["w_h"].T + (params["w_d"] @ decoder_input + params["b_s"])
+    act = np.tanh(pre)
+    return act, act @ params["w_m"]
+
+
+def compression_forward(params: dict, option_feats: np.ndarray):
+    """Tanh hidden layer (c, H) and deletion logits (c,) for each row of option_feats."""
+    hidden = np.tanh(option_feats @ params["w1"].T + params["b1"])
+    return hidden, hidden @ params["w2"] + params["b2"][0]
 
 
 @dataclass
@@ -125,11 +141,11 @@ def _loss_compiled(params: dict, compiled: CompiledExample, alpha: float):
     sent_nll = compiled.sent_feats.dtype.type(0.0)
     comp_nll = compiled.sent_feats.dtype.type(0.0)
     for step in compiled.steps:
-        _, scores = _extraction_forward(params, step.decoder_input,
-                                        compiled.sent_feats[step.remaining])
+        _, scores = extraction_forward(params, step.decoder_input,
+                                       compiled.sent_feats[step.remaining])
         sent_nll += _logsumexp(scores) - scores[step.target_pos]
         if step.option_feats.shape[0]:
-            _, z = _compression_forward(params, step.option_feats)
+            _, z = compression_forward(params, step.option_feats)
             y = step.option_targets
             comp_nll += (np.logaddexp(0.0, z) - y * z).sum()
     return sent_nll / compiled.oracle_count + alpha * comp_nll
@@ -142,7 +158,7 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
     inv_m = 1.0 / compiled.oracle_count
     for step in compiled.steps:
         feats = compiled.sent_feats[step.remaining]
-        act, scores = _extraction_forward(params, step.decoder_input, feats)
+        act, scores = extraction_forward(params, step.decoder_input, feats)
         logz = _logsumexp(scores)
         sent_nll += logz - scores[step.target_pos]
         dz = np.exp(scores - logz)
@@ -155,7 +171,7 @@ def _loss_and_grads_compiled(params: dict, compiled: CompiledExample, alpha: flo
         grads["w_d"] += np.outer(dact.sum(axis=0), step.decoder_input)
 
         if step.option_feats.shape[0]:
-            hidden, z = _compression_forward(params, step.option_feats)
+            hidden, z = compression_forward(params, step.option_feats)
             y = step.option_targets
             comp_nll += float((np.logaddexp(0.0, z) - y * z).sum())
             dzc = alpha * (_sigmoid(z) - y)

@@ -764,11 +764,13 @@ def test_tau_grid_of_too_many_thresholds_is_error(grid):
     ("0.5:0.5:1e-12", [0.5]),
     ("0.2:0.2000000004:1e-10", [0.2, 0.2000000001, 0.2000000002, 0.2000000003, 0.2000000004]),
     ("0:1:0.1", [i / 10 for i in range(11)]),
+    ("-0:1:0.5", [0.0, 0.5, 1.0]),
 ])
 def test_tau_grid_never_repeats_or_passes_stop(grid, expected):
     # 0.5:0.5:1e-12 once held 1001 thresholds, 11 of them distinct once
-    # rounded, and 0.2:0.2000000004:1e-10 ran on to 0.2000000013
-    assert _parse_tau_grid(grid) == expected
+    # rounded, 0.2:0.2000000004:1e-10 ran on to 0.2000000013, and -0:1:0.5
+    # once swept a threshold -0.0 (which == 0.0, so the reprs are compared)
+    assert list(map(repr, _parse_tau_grid(grid))) == list(map(repr, expected))
 
 
 def test_gradcheck_of_an_empty_cache_is_error(corpus_path, tmp_path, capsys):

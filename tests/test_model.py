@@ -34,7 +34,13 @@ from compsum.model import (
     _loss_and_grads_compiled,
     _loss_compiled,
 )
-from compsum.oracle import DocumentOracles, OracleCandidate, OracleConfig, build_document_oracles
+from compsum.oracle import (
+    DocumentOracles,
+    OracleCandidate,
+    OracleConfig,
+    build_document_oracles,
+    scoreable_sentences,
+)
 from compsum.rules import extract_options
 
 
@@ -388,6 +394,46 @@ class TestDistinctSteps:
         assert compiled.steps[compiled.order[3]] == (3, (0, 1))
         assert not np.array_equal(compiled.decoder_inputs[compiled.order[1]],
                                   compiled.decoder_inputs[compiled.order[3]])
+
+
+def test_inference_equals_the_plain_forwards_of_the_reference():
+    """score_remaining and classify_option give the bits of the reference's
+    one-step forwards, with softmax and sigmoid written out in the library's
+    order, in every decoder state of every oracle, for every option of every
+    scoreable sentence; also with the weights times 8, where tanh and exp
+    saturate."""
+    docs = corpusgen.learnable_corpus(count=20)[0] + corpusgen.fixture_corpus()
+    states = 0
+    for seed, doc in enumerate(docs):
+        n = scoreable_sentences(doc)
+        example = build_document_oracles(doc, OracleConfig(k=min(3, n), beam_width=8, m=5))
+        ctx = DocumentContext(doc)
+        sent_feats = ctx.sentence_features[:n]
+        model = init_model(seed=seed)
+        for params in (model.params, {name: 8.0 * arr for name, arr in model.params.items()}):
+            scaled = Model(hidden_size=model.hidden_size, params=params)
+            for oracle in example.candidates:
+                state = initial_state(len(oracle.sentence_indices))
+                for target in oracle.sentence_indices:
+                    remaining = [i for i in range(n) if i not in state.selected]
+                    _, scores = reference_model.extraction_forward(
+                        params, np.concatenate([state.vector, ctx.document_features]),
+                        sent_feats[remaining])
+                    weights = np.exp(scores - scores.max())
+                    expected = np.zeros(n)
+                    expected[remaining] = weights / weights.sum()
+                    probs = score_remaining(scaled, state, ctx.document_features, sent_feats)
+                    assert probs.tobytes() == expected.tobytes()
+                    for sent in range(n):
+                        for lab in example.labels[sent]:
+                            feats = featurize_option(ctx, sent, lab.option, state)
+                            _, z = reference_model.compression_forward(params, feats[None, :])
+                            expected_p = 0.5 * (1.0 + np.tanh(0.5 * z[0]))
+                            p_del = np.float64(classify_option(scaled, feats))
+                            assert p_del.tobytes() == expected_p.tobytes()
+                    states += 1
+                    state = advance_state(ctx, state, target)
+    assert states > 100
 
 
 class TestGradientCheck:
