@@ -2,21 +2,23 @@
 
 A beam search over sentence subsets maximizes the approximate overlap score
 of the selected sentences against the reference; the best m states of the
-final beam are the training oracles. Each compression option then gets a
-context-free KEEP/DEL label by re-scoring the sentence with just that option
-deleted. A DocumentOracles holds the document with its oracles and labels:
-it is the one record of a document's supervision, built here or read back
-from a cache file, and what compsum.model trains on.
+final beam are the training oracles. Each compression option of a sentence
+that some oracle picks then gets a context-free KEEP/DEL label by
+re-scoring the sentence with just that option deleted; training reads no
+other label, so no other sentence is labeled. A DocumentOracles holds the
+document with its oracles and labels: it is the one record of a document's
+supervision, built here or read back from a cache file, and what
+compsum.model trains on.
 
 Scores are computed from counts (rouge.ReferenceGrams), by delta.
 build_document_oracles preprocesses a document's reference and each of its
-sentences, and counts each sentence's shared grams, once; the beam and the
-labels take those as their inputs and compute none of their own. A subset
-is scored as its sentences joined in document order, so a bigram that
-crosses a sentence boundary counts: the last token of one selected
-sentence and the first token of the next, passing over sentences that
-preprocessing leaves empty. Each beam state keeps the counts of its shared
-unigrams and bigrams, their clipped match totals and its length; an
+scoreable sentences, and counts each such sentence's shared grams, once;
+the beam and the labels take those as their inputs and compute none of
+their own. A subset is scored as its sentences joined in document order,
+so a bigram that crosses a sentence boundary counts: the last token of one
+selected sentence and the first token of the next, passing over sentences
+that preprocessing leaves empty. Each beam state keeps the counts of its
+shared unigrams and bigrams, their clipped match totals and its length; an
 extension by sentence i is scored from them without being counted: i's
 shared grams are added (a gram matches while its count is below the
 reference's), the bigram that joined i's nonempty neighbours goes and up
@@ -49,12 +51,13 @@ format name and version (CACHE_VERSION), the OracleConfig, the
 rules.RULES_VERSION the labels were built under and ORACLE_PREPROCESS.
 One record per document follows, in corpus order: its id, its
 document_fingerprint, its oracles, and per sentence the labels, each with
-its option's span, rule and node label. read_oracle_cache joins record i
-to corpus document i and builds the options from those fields without
-running the rules; a cache of another version, rules version or
-preprocessing, with a record out of corpus order or short of the corpus's
-end, or with a document whose fingerprint changed, is stale and is
-rejected with the command that rebuilds it. The fingerprint hashes each
+its option's span, rule and node label (a row is empty for a sentence no
+oracle picks). read_oracle_cache joins record i to corpus document i and
+builds the options from those fields without running the rules; a cache
+of another version, rules version or preprocessing, with a record out of
+corpus order or short of the corpus's end, or with a document whose
+fingerprint changed, is stale and is rejected with the command that
+rebuilds it. The fingerprint hashes each
 parse as the corpus stores it, so reading a cache builds no tree, and a
 corpus edited only in a parse's whitespace also makes its cache stale. A
 DocumentOracles checks itself: it holds at least one oracle, each of
@@ -92,7 +95,7 @@ MAX_SENTS = 30
 
 # The cache file's format, named and versioned in its header record
 CACHE_FORMAT = "compsum-oracles"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _REBUILD = "rebuild it with `compsum oracle build`"
 _PREPROCESS_RECORD = {**asdict(ORACLE_PREPROCESS),
                       "stopword_list": sorted(ORACLE_PREPROCESS.stopword_list)}
@@ -376,9 +379,10 @@ def compressability_report(
 @dataclass(frozen=True)
 class DocumentOracles:
     """One document's supervision: the document, its oracles best first, and
-    the KEEP/DEL labels of its options. There is at least one oracle, each
-    a nonempty list of distinct indices among the document's first
-    MAX_SENTS sentences, and one label tuple per sentence."""
+    the KEEP/DEL labels of the options of the sentences they pick. There is
+    at least one oracle, each a nonempty list of distinct indices among the
+    document's first MAX_SENTS sentences, and one label tuple per sentence;
+    build_document_oracles leaves it empty for a sentence no oracle picks."""
 
     doc: Document
     candidates: tuple[OracleCandidate, ...]
@@ -405,8 +409,13 @@ class DocumentOracles:
 
 
 def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
-    """The oracles and labels of doc. The reference and each sentence are
-    preprocessed, and each sentence's shared grams counted, once for both."""
+    """The oracles of doc and the labels of the sentences they pick.
+
+    The reference and each scoreable sentence are preprocessed, and each
+    such sentence's shared grams counted, once for the beam and the labels.
+    The rules and the labels run only on the sentences of the best cfg.m
+    oracles, the only labels training reads; every other sentence's label
+    tuple is empty."""
     reference = doc.reference_tokens
     if not reference:
         raise ValueError(f"document {quote(doc.id)} has no reference summary")
@@ -416,12 +425,15 @@ def build_document_oracles(doc: Document, cfg: OracleConfig) -> DocumentOracles:
         raise ValueError(
             f"document {quote(doc.id)} has no reference word left after preprocessing")
     grams = ReferenceGrams(kept)
-    per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS) for tree in doc.sentences]
+    per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS)
+                 for tree in doc.sentences[:n]]
     sents = [grams.shared([tok for tok in tokens if tok is not None]) for tokens in per_token]
-    beam = beam_search_oracle(grams, sents[:n], cfg)
-    labels = tuple(tuple(label_compressions(grams, tokens, sent, extract_options(tree)))
-                   for tree, tokens, sent in zip(doc.sentences, per_token, sents))
-    return DocumentOracles(doc=doc, candidates=tuple(beam[:cfg.m]), labels=labels)
+    candidates = tuple(beam_search_oracle(grams, sents, cfg)[:cfg.m])
+    picked = {i for candidate in candidates for i in candidate.sentence_indices}
+    labels = tuple(
+        tuple(label_compressions(grams, per_token[i], sents[i], extract_options(tree)))
+        if i in picked else () for i, tree in enumerate(doc.sentences))
+    return DocumentOracles(doc=doc, candidates=candidates, labels=labels)
 
 
 def document_fingerprint(doc: Document) -> str:

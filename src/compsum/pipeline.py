@@ -338,8 +338,10 @@ def stats_report(options: Sequence[Sequence[Sequence[CompressionOption]]],
     `options` holds each document's extract_options per sentence.
     pct_of_comps is the share among applied deletions when summaries are
     given, otherwise the share among all available options. comp_acc is the
-    oracle DEL rate for the type; dedup_pct the share of its applied
-    deletions coming from deduplication rather than the model.
+    oracle DEL rate for the type, over the labeled options: those of the
+    sentences some oracle picks, the only ones build_document_oracles
+    labels; dedup_pct the share of its applied deletions coming from
+    deduplication rather than the model.
 
     Each input is read once into integer counts per node label: options and
     their total span length, labeled and DEL-labeled options, applied and

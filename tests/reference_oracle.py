@@ -9,6 +9,9 @@ takes the span's grams from the sentence's counts; `exhaustive_oracle` is
 the true argmax over every k-subset. Each builds its own inputs from the
 public preprocessing and `ReferenceGrams`, and `oracle_inputs` builds the
 ones the library's beam and labels take, as `build_document_oracles` does.
+`library_labels` gives every sentence of a document the labels of the
+library's `label_compressions` over `extract_options`, where
+`build_document_oracles` labels only the sentences its oracles pick.
 Nothing in `src/` imports this module.
 """
 
@@ -17,6 +20,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from compsum import oracle as library
 from compsum.corpus import Document
 from compsum.oracle import (
     CompressionLabel,
@@ -32,7 +36,7 @@ from compsum.rouge import (
     preprocess_per_token,
     preprocess_tokens,
 )
-from compsum.rules import CompressionOption
+from compsum.rules import CompressionOption, extract_options
 from compsum.treebank import SentenceTree
 
 _EXHAUSTIVE_GUARD = 10 ** 6
@@ -46,6 +50,14 @@ def oracle_inputs(sentences: Sequence[SentenceTree], reference: Sequence[str],
     per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS) for tree in sentences]
     sents = [grams.shared([tok for tok in tokens if tok is not None]) for tokens in per_token]
     return grams, per_token, sents
+
+
+def library_labels(doc: Document) -> list[list[LabeledOption]]:
+    """The library's labels of every option of every sentence of doc,
+    scoreable or not and picked by an oracle or not."""
+    grams, per_token, sents = oracle_inputs(doc.sentences, doc.reference_tokens)
+    return [library.label_compressions(grams, tokens, sent, extract_options(tree))
+            for tree, tokens, sent in zip(doc.sentences, per_token, sents)]
 
 
 def _clipped(counts: Counter, ref_counts: Counter) -> int:

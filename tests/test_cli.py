@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import corpusgen
+from reference_oracle import library_labels
 from compsum import Document
 from compsum import model as model_mod
 from compsum.cli import (
@@ -30,7 +31,7 @@ from compsum.cli import (
 )
 from compsum.corpus import load_corpus, write_corpus
 from compsum.model import TrainConfig, init_model, load_model, save_model
-from compsum.oracle import OracleConfig, document_fingerprint
+from compsum.oracle import OracleConfig, document_fingerprint, oracle_record, read_oracle_cache
 from compsum.pipeline import SummarizeConfig
 from compsum.rules import RuleId
 
@@ -152,7 +153,7 @@ def test_full_workflow(corpus_path, tmp_path, capsys):
     assert main(["oracle", "build", "--corpus", str(corpus_path),
                  "--out", str(oracles), "--k", "2", "--beam", "8", "--m", "5"]) == 0
     header, record = map(json.loads, oracles.read_text().splitlines()[:2])
-    assert (header["format"], header["version"]) == ("compsum-oracles", 2)
+    assert (header["format"], header["version"]) == ("compsum-oracles", 3)
     assert set(record) == {"doc_id", "fingerprint", "oracles", "labels"}
     assert len(record["oracles"]) <= 5
 
@@ -900,13 +901,19 @@ def _golden_corpus():
     return docs
 
 
-# SHA-256 of the oracle cache written for _golden_corpus(). The cache of
-# format version 2 adds a header record, each document's fingerprint and each
-# label's node label; without them it must still be the version-1 file,
+# SHA-256 of the oracle cache written for _golden_corpus(). Format version 3
+# labels only the sentences some oracle picks. With every other sentence's
+# options labeled too and its version set back to 2, it must be the
+# version-2 file, GOLDEN_ORACLES_V2_SHA256, and stats must read from it the
+# stats.csv pinned then, STATS_OF_EVERY_LABEL_SHA256. Version 2 added a
+# header record, each document's fingerprint and each label's node label;
+# without them it must still be the version-1 file,
 # GOLDEN_ORACLES_V1_SHA256, which the subset scorer that re-counted n-grams
 # of every joined candidate wrote and the count-based scorer reproduced.
-GOLDEN_ORACLES_SHA256 = "2282ba26e0e1d901501c522e58901fd2909c92c0748daba1979778d56a9e5507"
+GOLDEN_ORACLES_SHA256 = "fb200b7e745f3ab2923b2b6b03ed70e8852a5019a25af5a32c1f45432ca419b5"
+GOLDEN_ORACLES_V2_SHA256 = "2282ba26e0e1d901501c522e58901fd2909c92c0748daba1979778d56a9e5507"
 GOLDEN_ORACLES_V1_SHA256 = "65a899fb0f229e21960ab72821e6cb41d47b2a940311bc3d8cfa9f7bba64a71a"
+STATS_OF_EVERY_LABEL_SHA256 = "e3f85f578b2891f15951670cd042afdd56bbee8417b459a82be8db37ffe6d4d7"
 
 
 # SHA-256 of what train, summarize, evaluate --json and sweep write for
@@ -935,7 +942,7 @@ GOLDEN_OUTPUTS_SHA256 = {
     "evaluation.json": "215e9a057088a8b89c5ca19724d6818fc7c82cc3ea9bd7e0666f20fa55d81345",
     "sweep.csv": "116094869e8bdff7fc9f295bdc52b8f1d9676aec49e7ab18c3f664b154c5fd20",
     "evaluation.csv": "a68fcf9169cb9cd42abffbc9ea1cc92c19b8014514948026bad8d29f5723b14b",
-    "stats.csv": "e3f85f578b2891f15951670cd042afdd56bbee8417b459a82be8db37ffe6d4d7",
+    "stats.csv": "397d8f6a08371baac2374a7879ca05a1e307eace38944d7efa0f3df256efd0d9",
 }
 GOLDEN_EVALUATE_PRINTED = ["documents evaluated: 21 (skipped 0)", "ROUGE-1 F1: 0.5517",
                            "ROUGE-2 F1: 0.2434", "ROUGE-L F1: 0.4637"]
@@ -961,21 +968,39 @@ def _older_model_file(payload: dict) -> dict:
     return {**payload, "train_config": old_config, "seed": config["seed"]}
 
 
+def _records_bytes(records: list[dict]) -> bytes:
+    return "".join(json.dumps(record) + "\n" for record in records).encode("utf-8")
+
+
 def test_oracle_build_bytes_are_pinned(tmp_path, capsys):
-    corpus = tmp_path / "golden.jsonl"
-    oracles = tmp_path / "oracles.jsonl"
-    write_corpus(corpus, _golden_corpus())
-    assert main(["oracle", "build", "--corpus", str(corpus), "--out", str(oracles),
-                 "--k", "2"]) == 0
+    files, commands = _golden_chain(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0
+    oracles = Path(files["oracles.jsonl"])
     assert hashlib.sha256(oracles.read_bytes()).hexdigest() == GOLDEN_ORACLES_SHA256
     records = [json.loads(line) for line in oracles.read_text(encoding="utf-8").splitlines()]
     assert "doc_id" not in records[0]
+    # each sentence no oracle picks gets the labels of its options
+    corpus = str(tmp_path / "golden.jsonl")
+    for record, entry in zip(records[1:], read_oracle_cache(oracles, load_corpus(corpus)),
+                             strict=True):
+        every = replace(entry, labels=tuple(map(tuple, library_labels(entry.doc))))
+        rows = oracle_record(every)["labels"]
+        assert all(row in ([], full) for row, full in zip(record["labels"], rows, strict=True))
+        record["labels"] = rows
+    refilled = tmp_path / "refilled.jsonl"
+    refilled.write_bytes(_records_bytes(records))
+    stats_csv = tmp_path / "refilled-stats.csv"
+    assert main(["stats", "--corpus", corpus, "--oracles", str(refilled),
+                 "--summaries", files["summaries.jsonl"], "--out", str(stats_csv)]) == 0
+    assert hashlib.sha256(stats_csv.read_bytes()).hexdigest() == STATS_OF_EVERY_LABEL_SHA256
+    records[0]["version"] = 2
+    assert hashlib.sha256(_records_bytes(records)).hexdigest() == GOLDEN_ORACLES_V2_SHA256
     for record in records[1:]:
         del record["fingerprint"]
         for item in (item for sent in record["labels"] for item in sent):
             del item["node_label"]
-    v1_bytes = "".join(json.dumps(record) + "\n" for record in records[1:]).encode("utf-8")
-    assert hashlib.sha256(v1_bytes).hexdigest() == GOLDEN_ORACLES_V1_SHA256
+    assert hashlib.sha256(_records_bytes(records[1:])).hexdigest() == GOLDEN_ORACLES_V1_SHA256
 
 
 def _golden_chain(tmp_path: Path) -> tuple[dict[str, str], list[list[str]]]:
@@ -1169,7 +1194,12 @@ STALE_CACHES = {
     "respaced-parse": ("corpus", 0, _respaced_parse, 2, "fingerprint"),
     "v1-headerless": ("oracles", None, None, 1,
                       "oracle cache has no header, so it is of format version 1; this version "
-                      f"reads version 2: {REBUILD}"),
+                      f"reads version 3: {REBUILD}"),
+    # a cache of the last version, which labeled every sentence: stats would
+    # read another Comp Acc from it
+    "version-2": ("oracles", 0, lambda rec: rec.update(version=2), 1,
+                  f"oracle cache is of format version 2; this version reads version 3: "
+                  f"{REBUILD}"),
     "rules-version": ("oracles", 0, lambda rec: rec.update(rules_version=2), 1,
                       f"oracle cache was labeled under rules version 2, the rules are "
                       f"version 1: {REBUILD}"),
@@ -1178,7 +1208,7 @@ STALE_CACHES = {
                    f"ORACLE_PREPROCESS: {REBUILD}"),
     # each once read as the value it equals
     "version-float": ("oracles", 0, lambda rec: _retyped(rec, "version", float), 1,
-                      f"oracle cache is of format version 2.0; this version reads version 2: "
+                      f"oracle cache is of format version 3.0; this version reads version 3: "
                       f"{REBUILD}"),
     "rules-version-true": ("oracles", 0, lambda rec: _retyped(rec, "rules_version", bool), 1,
                            f"oracle cache was labeled under rules version true, the rules are "
@@ -1217,7 +1247,7 @@ STALE_CACHES = {
     # values of 5,000 characters, each once quoted in full
     "version-too-long": ("oracles", 0, lambda rec: rec.update(version="x" * 5000), 1,
                          f"oracle cache is of format version \"{'x' * 38}…; this version reads "
-                         f"version 2: {REBUILD}"),
+                         f"version 3: {REBUILD}"),
     "rules-version-too-long": ("oracles", 0, lambda rec: rec.update(rules_version="x" * 5000),
                                1, f"labeled under rules version \"{'x' * 38}…, the rules are "
                                f"version 1: {REBUILD}"),

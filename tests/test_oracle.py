@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import corpusgen
 import reference_oracle
 import reference_pipeline
-from reference_oracle import exhaustive_oracle, oracle_inputs
+from reference_oracle import exhaustive_oracle, library_labels, oracle_inputs
 from compsum import Document, parse_ptb
 from compsum import oracle as oracle_mod
 from compsum.corpus import document_from_record, document_to_record
@@ -193,8 +193,7 @@ class TestScoresFromCounts:
         checked = 0
         for doc in docs:
             reference = doc.reference_tokens
-            oracles = build_document_oracles(doc, OracleConfig(k=1, m=1))
-            for tree, labeled in zip(doc.sentences, oracles.labels):
+            for tree, labeled in zip(doc.sentences, library_labels(doc)):
                 texts = list(tree.token_texts)
                 for lab in labeled:
                     span = lab.option.span
@@ -542,7 +541,7 @@ class TestCache:
         header = oracle_header(cfg)
         assert set(header) == {"format", "version", "oracle_config", "rules_version",
                                "preprocess"}
-        assert (header["version"], header["oracle_config"]) == (2, {"k": 1, "beam_width": 8,
+        assert (header["version"], header["oracle_config"]) == (3, {"k": 1, "beam_width": 8,
                                                                      "m": 2})
         entry = build_document_oracles(doc, cfg)
         record = oracle_record(entry)
@@ -607,7 +606,7 @@ class TestCache:
         with pytest.raises(ValueError) as error:
             read_oracle_cache(path, [])
         assert str(error.value) == (f"{path}: no oracle cache there; build one (format "
-                                    f"version 2) with `compsum oracle build`")
+                                    f"version 3) with `compsum oracle build`")
 
     def test_repeated_document_is_located(self, tmp_path):
         # a repeated record was once trained on twice per epoch and counted
@@ -649,14 +648,14 @@ class TestCache:
 
     @pytest.mark.parametrize("header, message", [
         ({"doc_id": "a"}, "oracle cache has no header, so it is of format version 1; "
-                          "this version reads version 2: rebuild it with `compsum oracle build`"),
+                          "this version reads version 3: rebuild it with `compsum oracle build`"),
         ({"labels": []}, "first record is not an oracle cache header: "
                          "rebuild it with `compsum oracle build`"),
-        ({"format": "compsum-oracles", "version": 3},
-         "oracle cache is of format version 3; this version reads version 2: "
+        ({"format": "compsum-oracles", "version": 2},
+         "oracle cache is of format version 2; this version reads version 3: "
          "rebuild it with `compsum oracle build`"),
-    ], ids=["v1-record", "no-header", "version-3"])
-    def test_first_record_that_is_no_v2_header_is_located(self, tmp_path, header, message):
+    ], ids=["v1-record", "no-header", "version-2"])
+    def test_first_record_that_is_no_current_header_is_located(self, tmp_path, header, message):
         path = tmp_path / "cache.jsonl"
         path.write_text(json.dumps(header) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as error:
@@ -726,7 +725,8 @@ class TestCache:
 
     def test_each_sentence_shares_grams_once_for_beam_and_labels(self, monkeypatch):
         # the beam and the labels once each counted the shared grams of the
-        # first MAX_SENTS sentences: 65 counts for these 35 sentences
+        # first MAX_SENTS sentences: 65 counts for these 35 sentences; the
+        # five past MAX_SENTS, which no oracle can pick, are not counted
         counted = []
         shared = ReferenceGrams.shared
 
@@ -738,9 +738,38 @@ class TestCache:
         doc = corpusgen.random_flat_doc(np.random.default_rng(19), "long", MAX_SENTS + 5)
         build_document_oracles(doc, OracleConfig())
         per_token = [preprocess_per_token(tree.tokens, ORACLE_PREPROCESS)
-                     for tree in doc.sentences]
+                     for tree in doc.sentences[:MAX_SENTS]]
         assert counted == [tuple(tok for tok in tokens if tok is not None)
                            for tokens in per_token]
+
+    def test_only_the_sentences_an_oracle_picks_are_labeled(self, monkeypatch):
+        docs = corpusgen.learnable_corpus(count=12, seed=5)[0]
+        # learnable sentences one after another, more than MAX_SENTS of them,
+        # against the references of a document at each end
+        long_doc = Document(id="long", sentences=tuple(
+            tree for doc in docs[:7] for tree in doc.sentences),
+            reference=docs[0].reference + docs[6].reference)
+        assert len(long_doc.sentences) > MAX_SENTS
+        preprocessed, extracted = [], []
+        per_token, extract = oracle_mod.preprocess_per_token, oracle_mod.extract_options
+        monkeypatch.setattr(oracle_mod, "preprocess_per_token", lambda tokens, cfg: (
+            preprocessed.append(tokens) or per_token(tokens, cfg)))
+        monkeypatch.setattr(oracle_mod, "extract_options", lambda tree: (
+            extracted.append(tree) or extract(tree)))
+        for doc in [*docs, long_doc]:
+            preprocessed.clear()
+            extracted.clear()
+            entry = build_document_oracles(doc, OracleConfig(k=2, m=5))
+            every = library_labels(doc)
+            # every sentence has options, so a picked one has labels
+            assert all(every)
+            picked = {i for oracle in entry.candidates for i in oracle.sentence_indices}
+            assert {i for i, labeled in enumerate(entry.labels) if labeled} == picked
+            assert entry.labels == tuple(tuple(labeled) if i in picked else ()
+                                         for i, labeled in enumerate(every))
+            assert extracted == [doc.sentences[i] for i in sorted(picked)]
+            # no sentence past MAX_SENTS is preprocessed
+            assert preprocessed == [tree.tokens for tree in doc.sentences[:MAX_SENTS]]
 
     def test_reference_required(self):
         doc = Document(id="noref", sentences=(corpusgen.flat_tree(["a", "b"]),))

@@ -249,9 +249,15 @@ def test_traced_commands_build_only_the_trees_they_read(tmp_path):
     assert result["codes"] == [0] * len(read)
     corpus = [json.loads(line)
               for line in (tmp_path / "corpus.jsonl").read_text().splitlines()]
-    parses = [sent["parse"] for record in corpus for sent in record["sentences"]]
-    # oracle build reads every sentence's options: each parse once, none twice
-    assert read["oracle build"] == dict(Counter(parses))
+    # oracle build reads the options of the sentences its oracles pick, once
+    # each, and no other sentence's
+    cached = [json.loads(line)
+              for line in (tmp_path / "oracles.jsonl").read_text().splitlines()[1:]]
+    picked = Counter(record["sentences"][i]["parse"]
+                     for record, entry in zip(corpus, cached)
+                     for i in {i for oracle in entry["oracles"] for i in oracle["indices"]})
+    assert sum(picked.values()) < sum(len(record["sentences"]) for record in corpus)
+    assert read["oracle build"] == dict(picked)
     # training and the gradient check read words only
     assert read["train"] == read["gradcheck"] == {}
     # decoding reads the options of the selected sentences only
